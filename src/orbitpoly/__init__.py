@@ -28,11 +28,11 @@ from .exp_ring import (
     InexactDivisionError,
     NotInvariantError,
     OrbitDecomposition,
+    TermMap,
     character,
     decompose_into_c,
     exact_divide,
     exp_sum,
-    multiply,
 )
 from .chebyshev import (
     ClassicalPoly,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import factorial
 from typing import Sequence
 
@@ -37,8 +37,7 @@ def torus_inner_product(a: ExpSum, b: ExpSum) -> int:
     Integer coefficients make the conjugation trivial; only weights shared
     by both supports contribute.
     """
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    a._check_rank(b)
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return sum(c * large[w] for w, c in small.items() if w in large)
 
@@ -61,15 +60,7 @@ class OrthogonalityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "coord_bound": self.coord_bound,
-            "pairs_tested": self.pairs_tested,
-            "max_deviation": self.max_deviation,
-            "expected_diagonal": self.expected_diagonal,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def orthogonality_report(kind: str, rank: int, coord_bound: int) -> OrthogonalityReport:
@@ -110,14 +101,11 @@ def orthogonality_report(kind: str, rank: int, coord_bound: int) -> Orthogonalit
     )
 
 
-def _grid_values(s: ExpSum, n_points: int) -> np.ndarray:
-    n = s.rank
+def _torus_grid(n: int, n_points: int) -> np.ndarray:
+    """(n_points^n, n) array of the rectangle-rule nodes on [0,1)^n."""
     axis = np.arange(n_points) / n_points
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    weights = np.array(list(s.terms.keys()), dtype=float).reshape(len(s.terms), n)
-    coeffs = np.array(list(s.terms.values()), dtype=float)
-    return np.exp(2j * np.pi * (pts @ weights.T)) @ coeffs
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def quadrature_inner_product(
@@ -138,8 +126,9 @@ def quadrature_inner_product(
             AliasingWarning,
             stacklevel=2,
         )
-    va = _grid_values(a, n_points)
-    vb = _grid_values(b, n_points)
+    grid = _torus_grid(a.rank, n_points)
+    va = a.evaluate(grid)
+    vb = b.evaluate(grid)
     return complex((va * vb.conj()).mean())
 
 
@@ -323,7 +312,7 @@ class Check:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -406,7 +395,8 @@ def run_ortho_suite(
 
 def _quadrature_gram_deviation(sums: dict, n_points: int) -> float:
     labels = list(sums)
-    values = np.stack([_grid_values(sums[w], n_points) for w in labels])
+    grid = _torus_grid(sums[labels[0]].rank, n_points)
+    values = np.stack([sums[w].evaluate(grid) for w in labels])
     gram = (values @ values.conj().T) / values.shape[1]
     expect = np.zeros_like(gram)
     for i, w in enumerate(labels):

@@ -13,14 +13,13 @@ kind under X = 2z, and U-polynomials are exactly the classical second kind.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import exp_ring, lie
-from .exp_ring import OrbitDecomposition, exp_sum, grlex_key
+from .exp_ring import OrbitDecomposition, TermMap, exp_sum
 
 
 # ---------------------------------------------------------------------------
@@ -137,149 +136,55 @@ def check_classical_identities(m: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # Sparse polynomials in the fundamental variables / in the y-variables.
 
-def _merge(a: dict, b: Mapping, factor: int = 1) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + factor * c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+class Polynomial(TermMap):
+    """Sparse integer polynomial: map exponent tuple -> coefficient.
+
+    Subclasses differ only in the variable letter ``VAR`` they print with.
+    """
+
+    VAR: str
+
+    def __call__(self, values: Sequence[complex]) -> complex:
+        total = 0j
+        for deg, c in self.terms.items():
+            prod = complex(c)
+            for v, d in zip(values, deg):
+                if d:
+                    prod *= v ** d
+            total += prod
+        return total
+
+    def to_json_dict(self, lam: Sequence[int], kind: str) -> dict:
+        """Labelled table entry (the ``poly --json`` schema); ``to_json`` and
+        ``from_json`` keep the plain TermMap schema."""
+        return {
+            "algebra": f"A{self.rank}",
+            "lambda": list(lam),
+            "kind": kind,
+            "terms": [{"deg": list(d), "coeff": c} for d, c in self.sorted_terms()],
+        }
+
+    def __str__(self) -> str:
+        parts = []
+        for deg, c in self.sorted_terms():
+            body = "*".join(f"{self.VAR}{j}" + (f"^{d}" if d != 1 else "")
+                            for j, d in enumerate(deg, start=1) if d)
+            chunk = f"{abs(c)}*{body}" if body and abs(c) != 1 else body or str(abs(c))
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + chunk)
+        return " ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class XPolynomial:
+class XPolynomial(Polynomial):
     """Integer polynomial in X_1..X_n: map degree tuple -> coefficient."""
 
-    rank: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {d: c for d, c in self.terms.items() if c != 0}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, XPolynomial)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "XPolynomial") -> "XPolynomial":
-        return XPolynomial(self.rank, _merge(self.terms, other.terms))
-
-    def __sub__(self, other: "XPolynomial") -> "XPolynomial":
-        return XPolynomial(self.rank, _merge(self.terms, other.terms, -1))
-
-    def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        out: dict = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(da, db))
-                out[key] = out.get(key, 0) + ca * cb
-        return XPolynomial(self.rank, out)
-
-    def scale(self, k: int) -> "XPolynomial":
-        return XPolynomial(self.rank, {d: k * c for d, c in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __call__(self, values: Sequence[complex]) -> complex:
-        total = 0j
-        for deg, c in self.terms.items():
-            prod = complex(c)
-            for v, d in zip(values, deg):
-                if d:
-                    prod *= v ** d
-            total += prod
-        return total
-
-    def to_json_dict(self, lam: Sequence[int], kind: str) -> dict:
-        return _poly_json(self, lam, kind)
-
-    def __str__(self) -> str:
-        return _poly_str(self, "X")
+    VAR = "X"
 
 
-@dataclass(frozen=True)
-class YLaurent:
+class YLaurent(Polynomial):
     """Integer Laurent polynomial in y_1..y_n (exponents may be negative)."""
 
-    rank: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {d: c for d, c in self.terms.items() if c != 0}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, YLaurent)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "YLaurent") -> "YLaurent":
-        return YLaurent(self.rank, _merge(self.terms, other.terms))
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __call__(self, values: Sequence[complex]) -> complex:
-        total = 0j
-        for deg, c in self.terms.items():
-            prod = complex(c)
-            for v, d in zip(values, deg):
-                if d:
-                    prod *= v ** d
-            total += prod
-        return total
-
-    def to_json_dict(self, lam: Sequence[int], kind: str) -> dict:
-        return _poly_json(self, lam, kind)
-
-    def __str__(self) -> str:
-        return _poly_str(self, "y")
-
-
-def _poly_json(poly, lam: Sequence[int], kind: str) -> dict:
-    return {
-        "algebra": f"A{poly.rank}",
-        "lambda": list(lam),
-        "kind": kind,
-        "terms": [{"deg": list(d), "coeff": c} for d, c in poly.sorted_terms()],
-    }
-
-
-def _poly_str(poly, var: str) -> str:
-    items = poly.sorted_terms()
-    if not items:
-        return "0"
-    parts = []
-    for deg, c in items:
-        factors = []
-        for j, d in enumerate(deg, start=1):
-            if d == 1:
-                factors.append(f"{var}{j}")
-            elif d != 0:
-                factors.append(f"{var}{j}^{d}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            chunk = str(mag)
-        elif mag == 1:
-            chunk = body
-        else:
-            chunk = f"{mag}*{body}"
-        if not parts:
-            parts.append(chunk if c > 0 else f"-{chunk}")
-        else:
-            parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
-    return " ".join(parts)
+    VAR = "y"
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +245,6 @@ def poly_t(lam: Sequence[int]) -> XPolynomial:
     if not lie.is_dominant(lam):
         raise ValueError(f"poly_t requires a dominant weight, got {lam}")
     return _build_t(lam, _first_positive, _T_MEMO)
-
-
-def _poly_t_pick_last(lam: Sequence[int]) -> XPolynomial:
-    # Alternative construction strategy, used to verify choice-independence.
-    lam = lie.as_weight(lam)
-    return _build_t(
-        lam, lambda w: max(k for k, c in enumerate(w) if c > 0), {}
-    )
 
 
 def poly_u(lam: Sequence[int]) -> XPolynomial:

@@ -8,8 +8,10 @@ are emitted in descending graded-lex order and floats use a fixed format.
 from __future__ import annotations
 
 import json
+import math
 
 import click
+import numpy as np
 
 from . import analysis, chebyshev, exp_ring, lie, orbit_functions, weyl
 
@@ -37,6 +39,8 @@ def _parse_point(text: str, rank: int) -> tuple[float, ...]:
         raise click.UsageError(f"point must be comma-separated reals, got {text!r}")
     if len(point) != rank:
         raise click.UsageError(f"point {text!r} has length {len(point)}, expected {rank}")
+    if not all(math.isfinite(p) for p in point):
+        raise click.UsageError(f"point coordinates must be finite, got {text!r}")
     return point
 
 
@@ -104,17 +108,12 @@ def eval_cmd(rank, kind, lam_text, point_text, as_json, out):
     """Evaluate an orbit function at a point given in the alpha basis."""
     lam = _parse_weight(lam_text, rank)
     x = _parse_point(point_text, len(lam))
+    if kind == "S" and not lie.is_strictly_dominant(lam):
+        raise click.UsageError(f"S requires a strictly dominant weight, got {lam}")
     try:
-        if kind == "C":
-            value = orbit_functions.eval_c(lam, x)
-        elif kind == "S":
-            if not lie.is_strictly_dominant(lam):
-                raise click.UsageError(
-                    f"S requires a strictly dominant weight, got {lam}"
-                )
-            value = orbit_functions.eval_s(lam, x)
-        else:
-            value = orbit_functions.eval_e(lam, x)
+        # Phases that overflow give a non-finite value, which raises below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = getattr(orbit_functions, f"eval_{kind.lower()}")(lam, x)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     re_s = _FLOAT.format(value.real)

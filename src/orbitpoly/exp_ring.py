@@ -1,7 +1,8 @@
 """Exact arithmetic in the group ring of the weight lattice.
 
-An :class:`ExpSum` is a finite integer combination of formal lattice
-exponentials, keyed by omega-coordinate weights.  Products are exact
+:class:`TermMap` is the sparse integer map shared by every exact object in
+the package.  An :class:`ExpSum` is a finite integer combination of formal
+lattice exponentials, keyed by omega-coordinate weights.  Products are exact
 convolutions, W-invariant sums decompose uniquely into orbit sums (distinct
 orbits have disjoint supports), and the ring admits exact long division,
 which is what turns antisymmetrized sums into characters.
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import lie, weyl
+from . import lie, orbit_functions, weyl
 
 KINDS = ("C", "S", "E")
 
@@ -48,54 +49,59 @@ def grlex_key(w: Sequence[int]) -> tuple:
     return (sum(w), tuple(w))
 
 
-def _clean(terms: Mapping[tuple[int, ...], int]) -> dict:
-    return {w: c for w, c in terms.items() if c != 0}
-
-
 @dataclass(frozen=True)
-class ExpSum:
-    """Formal exponential sum: finite map weight -> nonzero int coefficient."""
+class TermMap:
+    """Finite map from integer-tuple keys to nonzero int coefficients.
+
+    The one sparse core behind exponential sums, orbit decompositions and
+    the integer polynomials of ``chebyshev``: zero coefficients are dropped
+    on construction, equality needs the same type, and ``*`` is the
+    convolution that adds keys.  Arithmetic returns the operand's type.
+    """
 
     rank: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean(self.terms))
+        object.__setattr__(self, "terms", {w: c for w, c in self.terms.items() if c != 0})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, ExpSum)
+            type(other) is type(self)
             and self.rank == other.rank
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "ExpSum") -> "ExpSum":
+    def __add__(self, other):
         self._check_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return ExpSum(self.rank, out)
+        return type(self)(self.rank, out)
 
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
+    def __sub__(self, other):
         self._check_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) - c
-        return ExpSum(self.rank, out)
+        return type(self)(self.rank, out)
 
-    def __mul__(self, other: "ExpSum") -> "ExpSum":
+    def __mul__(self, other):
         self._check_rank(other)
         out: dict = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(wa, wb))
                 out[key] = out.get(key, 0) + ca * cb
-        return ExpSum(self.rank, out)
+        return type(self)(self.rank, out)
 
-    def _check_rank(self, other: "ExpSum") -> None:
+    def scale(self, k: int):
+        return type(self)(self.rank, {w: k * c for w, c in self.terms.items()})
+
+    def _check_rank(self, other: "TermMap") -> None:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
@@ -103,27 +109,6 @@ class ExpSum:
         """Terms in descending graded-lexicographic order (canonical)."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
-    def support_bound(self) -> int:
-        """max |mu_j| over all stored weights (0 for the empty sum)."""
-        if not self.terms:
-            return 0
-        return max(abs(c) for w in self.terms for c in w)
-
-    def evaluate(self, x: Sequence[float], basis: str = "alpha") -> complex:
-        """Numeric value at x: sum of coeff * exp(2*pi*i <mu, x>)."""
-        if not self.terms:
-            return 0j
-        weights = np.array(list(self.terms.keys()), dtype=float)
-        coeffs = np.array(list(self.terms.values()), dtype=float)
-        if basis == "alpha":
-            phases = weights @ np.asarray(x, dtype=float)
-        elif basis == "e":
-            conv = np.array(lie.omega_to_e_matrix(self.rank), dtype=float)
-            phases = (weights @ conv.T) @ np.asarray(x, dtype=float)
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return complex((coeffs * np.exp(2j * np.pi * phases)).sum())
-
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
@@ -133,10 +118,11 @@ class ExpSum:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        # The base schema even where a subclass labels its to_json_dict.
+        return json.dumps(TermMap.to_json_dict(self))
 
     @classmethod
-    def from_json(cls, text: str) -> "ExpSum":
+    def from_json(cls, text: str):
         data = json.loads(text)
         return cls(
             int(data["rank"]),
@@ -144,53 +130,34 @@ class ExpSum:
         )
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class ExpSum(TermMap):
+    """Formal exponential sum: finite map weight -> nonzero int coefficient."""
+
+    def support_bound(self) -> int:
+        """max |mu_j| over all stored weights (0 for the empty sum)."""
+        return max((abs(c) for w in self.terms for c in w), default=0)
+
+    def evaluate(self, x, basis: str = "alpha") -> complex | np.ndarray:
+        """Numeric value sum of coeff * exp(2*pi*i <mu, x>) at the point x,
+        or the array of values at every row of an (m, n) grid x."""
+        weights = orbit_functions.weight_rows(list(self.terms), self.rank, basis)
+        coeffs = np.array(list(self.terms.values()), dtype=float)
+        values = orbit_functions.exp_kernel(weights, coeffs, np.asarray(x, dtype=float))
+        return complex(values) if values.ndim == 0 else values
+
+
+class OrbitDecomposition(TermMap):
     """Map dominant weight -> positive integer orbit multiplicity."""
-
-    rank: int
-    terms: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrbitDecomposition)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def expand(self) -> ExpSum:
         """Re-expansion into the plain exponential sum it denotes."""
-        out: dict = {}
-        for lam, mult in self.terms.items():
-            for p in weyl.orbit(lam).points:
-                out[p] = out.get(p, 0) + mult
-        return ExpSum(self.rank, out)
+        # Distinct orbits have disjoint supports.
+        return ExpSum(self.rank, {p: mult for lam, mult in self.terms.items()
+                                  for p in weyl.orbit(lam).points})
 
     def weight_count(self) -> int:
         """sum of multiplicity * orbit size (e.g. a character's dimension)."""
         return sum(m * weyl.orbit(lam).size for lam, m in self.terms.items())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "terms": [
-                {"weight": list(w), "coeff": c} for w, c in self.sorted_terms()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrbitDecomposition":
-        data = json.loads(text)
-        return cls(
-            int(data["rank"]),
-            {tuple(t["weight"]): int(t["coeff"]) for t in data["terms"]},
-        )
 
 
 def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
@@ -207,22 +174,9 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
         orb = weyl.orbit(lam)
         return ExpSum(orb.rank, dict(orb.items()))
     if kind == "E":
-        dom, _ = weyl.dominant_representative(lam)
-        if dom != lam and not _is_reflected_dominant(lam):
-            raise ValueError(f"E requires a weight in P+ or r_i P+, got {lam}")
-        orb = weyl.orbit(dom)
+        orb = weyl.orbit(weyl.e_label_dominant(lam))
         return ExpSum(orb.rank, {p: 1 for p in orb.even_points})
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-def _is_reflected_dominant(lam: tuple[int, ...]) -> bool:
-    return any(
-        lie.is_dominant(weyl.reflect_weight(i, lam)) for i in range(1, len(lam) + 1)
-    )
-
-
-def multiply(a: ExpSum, b: ExpSum) -> ExpSum:
-    return a * b
 
 
 def decompose_into_c(s: ExpSum) -> OrbitDecomposition:

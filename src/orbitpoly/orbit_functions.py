@@ -6,12 +6,15 @@ pairing with an omega-coordinate weight is then the plain dot product) or
 as a real e-point of length n+1; adding a multiple of (1,...,1) to an
 e-point never changes a value because weights sum to zero there.
 
-Sums over orbit points accumulate with numpy reductions (pairwise
-summation); orbit sizes reach (n+1)! and naive left-to-right accumulation
-would leak cancellation error into the identity checks.
+Every exponential sum -- an orbit function here, ``ExpSum.evaluate``, the
+quadrature grids of ``analysis`` -- is computed by the one kernel
+``exp_kernel``.  It accumulates with numpy reductions (pairwise summation);
+orbit sizes reach (n+1)! and naive left-to-right accumulation would leak
+cancellation error into the identity checks.
 """
 from __future__ import annotations
 
+import cmath
 import warnings
 from functools import lru_cache
 from typing import Sequence
@@ -25,29 +28,52 @@ class NonGenericWeightWarning(UserWarning):
     """An antisymmetrized sum was requested on a Weyl-chamber wall."""
 
 
-@lru_cache(maxsize=64)
-def _orbit_arrays(lam: tuple[int, ...]):
-    orb = weyl.orbit(lam)
-    m_omega = np.array(orb.points, dtype=float).reshape(orb.size, orb.rank)
-    conv = np.array(lie.omega_to_e_matrix(orb.rank), dtype=float)
-    m_e = m_omega @ conv.T
-    signs = np.array(orb.signs, dtype=float)
-    even = np.array(orb.even, dtype=bool)
-    return m_omega, m_e, signs, even
-
-
-def _phases(lam: tuple[int, ...], x: Sequence[float], basis: str) -> np.ndarray:
-    m_omega, m_e, _, _ = _orbit_arrays(lam)
-    x = np.asarray(x, dtype=float)
+def weight_rows(weights: Sequence[Sequence[int]], rank: int, basis: str) -> np.ndarray:
+    """Omega-coordinate weights as float rows that pair with a point given
+    in ``basis`` ("alpha": length n, "e": length n+1) by a dot product."""
+    rows = np.array(weights, dtype=float).reshape(len(weights), rank)
     if basis == "alpha":
-        if x.shape != (len(lam),):
-            raise ValueError(f"alpha point must have length {len(lam)}")
-        return m_omega @ x
+        return rows
     if basis == "e":
-        if x.shape != (len(lam) + 1,):
-            raise ValueError(f"e point must have length {len(lam) + 1}")
-        return m_e @ x
+        return rows @ np.array(lie.omega_to_e_matrix(rank), dtype=float).T
     raise ValueError(f"unknown basis {basis!r}")
+
+
+def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+    """sum_mu coeff_mu * exp(2*pi*i <mu, x>) over the rows mu of ``weights``.
+
+    ``points`` is one point x (a scalar result) or an (m, n) grid of them
+    (m results).  Every numeric exponential sum in the package goes through
+    here, so the same weights, coefficients and point give the same bits
+    whichever function asked.
+    """
+    terms = np.exp(2j * np.pi * (points @ weights.T))
+    terms *= coeffs  # in place: the same bits as coeffs * terms, one array fewer
+    return terms.sum(axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _table(dom: tuple[int, ...], kind: str, basis: str):
+    """(weight rows, coefficients) of the kind-orbit sum of a dominant label.
+
+    E keeps only the even rows themselves: masking would change the
+    summation blocks and with them the bits.
+    """
+    orb = weyl.orbit(dom)
+    points = orb.even_points if kind == "E" else orb.points
+    coeffs = orb.signs if kind == "S" else (1,) * len(points)
+    return weight_rows(points, orb.rank, basis), np.array(coeffs, dtype=float)
+
+
+def _evaluate(dom: tuple[int, ...], kind: str, x: Sequence[float], basis: str) -> complex:
+    weights, coeffs = _table(dom, kind, basis)
+    x = np.asarray(x, dtype=float)
+    if x.shape != weights.shape[1:]:
+        raise ValueError(f"{basis} point must have length {weights.shape[1]}")
+    value = complex(exp_kernel(weights, coeffs, x))
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite value at the point {tuple(x.tolist())}")
+    return value
 
 
 def eval_c(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
@@ -59,7 +85,7 @@ def eval_c(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> comp
     lam = lie.as_weight(lam)
     if not lie.is_dominant(lam):
         raise ValueError(f"C requires a dominant weight, got {lam}")
-    return complex(np.exp(2j * np.pi * _phases(lam, x, basis)).sum())
+    return _evaluate(lam, "C", x, basis)
 
 
 def eval_s(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
@@ -74,27 +100,26 @@ def eval_s(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> comp
     if not lie.is_dominant(lam):
         raise ValueError(f"S requires a dominant weight, got {lam}")
     if not lie.is_strictly_dominant(lam):
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite point {x}")
         warnings.warn(
             f"S vanishes identically at the non-generic weight {lam}",
             NonGenericWeightWarning,
             stacklevel=2,
         )
         return 0j
-    _, _, signs, _ = _orbit_arrays(lam)
-    return complex((signs * np.exp(2j * np.pi * _phases(lam, x, basis))).sum())
+    return _evaluate(lam, "S", x, basis)
 
 
 def eval_e(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
     """E-orbit function: exponential sum over the even-subgroup orbit.
 
-    The value depends on lam only through its dominant representative, so
-    E is invariant under lam -> r_i lam.  For strictly dominant lam it
-    equals (C_lam + S_lam)/2.
+    Labels are weights in P+ or r_i P+ (as for ``exp_sum(lam, "E")``); the
+    value depends on lam only through its dominant representative, so E is
+    invariant under lam -> r_i lam.  For strictly dominant lam it equals
+    (C_lam + S_lam)/2.
     """
-    dom, _ = weyl.dominant_representative(lam)
-    _, _, _, even = _orbit_arrays(dom)
-    phases = _phases(dom, x, basis)[even]
-    return complex(np.exp(2j * np.pi * phases).sum())
+    return _evaluate(weyl.e_label_dominant(lam), "E", x, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +139,6 @@ def permanent(a: np.ndarray) -> complex:
         cols = [j for j in range(m) if mask >> j & 1]
         prod = a[:, cols].sum(axis=1).prod()
         total += prod if (m - len(cols)) % 2 == 0 else -prod
-    return complex(total)
-
-
-def permanent_naive(a: np.ndarray) -> complex:
-    """Permanent by direct expansion over all permutations; m <= 6.
-
-    Kept as an independent cross-check of the inclusion-exclusion path.
-    """
-    a = np.asarray(a)
-    m = a.shape[0]
-    if m > 6:
-        raise ValueError(f"naive permanent limited to order 6, got {m}")
-    total = 0j
-    for perm, _ in weyl.signed_permutations(tuple(range(m))):
-        prod = 1.0 + 0j
-        for i, j in enumerate(perm):
-            prod *= a[i, j]
-        total += prod
     return complex(total)
 
 

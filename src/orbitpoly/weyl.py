@@ -154,6 +154,19 @@ def dominant_representative(mu: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return _to_omega(tuple(sorted(scaled, reverse=True)), n), sign
 
 
+def e_label_dominant(lam: Sequence[int]) -> tuple[int, ...]:
+    """Dominant representative of an E-function label.
+
+    E labels are the weights in P+ or in r_i P+ for some i; anything else
+    raises ValueError.  Shared by ``exp_sum(lam, "E")`` and ``eval_e``.
+    """
+    lam = lie.as_weight(lam)
+    dom, _ = dominant_representative(lam)
+    if dom != lam and all(reflect_weight(i, lam) != dom for i in range(1, len(lam) + 1)):
+        raise ValueError(f"E requires a weight in P+ or r_i P+, got {lam}")
+    return dom
+
+
 def orbit_size(lam: Sequence[int]) -> int:
     """(n+1)! divided by the factorials of e-coordinate multiplicities."""
     lam = lie.as_weight(lam)

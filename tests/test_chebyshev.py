@@ -13,6 +13,12 @@ from conftest import dominant_weights
 RNG = np.random.default_rng(90125)
 
 
+def poly_t_pick_last(lam):
+    """poly_t built by splitting off the last positive fundamental weight
+    instead of the first, on a fresh memo: the choice-independence oracle."""
+    return ch._build_t(tuple(lam), lambda w: max(k for k, c in enumerate(w) if c > 0), {})
+
+
 class TestClassicalPolynomials:
     def test_first_kind_table(self):
         assert ch.classical_t(0).coeffs == (1,)
@@ -139,7 +145,7 @@ class TestPolyT:
 
     @pytest.mark.parametrize("lam", [(2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 0, 1)])
     def test_choice_of_fundamental_does_not_matter(self, lam):
-        assert ch._poly_t_pick_last(lam) == ch.poly_t(lam)
+        assert poly_t_pick_last(lam) == ch.poly_t(lam)
 
     def test_memoization_is_stable(self):
         first = ch.poly_t((2, 1))

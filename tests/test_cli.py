@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -71,6 +73,33 @@ class TestEvalCommand:
     def test_bad_point_exits_2(self, runner):
         result = runner.invoke(cli.main, ["eval", "-k", "C", "-l", "1,0", "-x", "0.1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("point", ["nan,0", "0.5,inf", "-inf,0"])
+    def test_non_finite_point_exits_2(self, runner, point):
+        result = runner.invoke(cli.main, ["eval", "-k", "C", "-l", "1,0", "-x", point])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("point", ["inf,0", "1e308,0"])
+    def test_non_finite_value_has_no_warning_or_traceback(self, point):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitpoly.cli", "eval", "-k", "E", "-l", "1,0",
+             "-x", point], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_e_label_outside_p_plus_and_reflections_exits_2(self, runner):
+        result = runner.invoke(cli.main, ["eval", "-k", "E", "-l", "-5,3", "-x", "0.1,0.2"])
+        assert result.exit_code == 2
+        assert "P+ or r_i P+" in result.output
+        reflected = runner.invoke(cli.main, ["eval", "-k", "E", "-l", "-1,2", "-x", "0.1,0.2"])
+        dominant = runner.invoke(cli.main, ["eval", "-k", "E", "-l", "1,1", "-x", "0.1,0.2"])
+        assert reflected.exit_code == 0
+        assert reflected.stdout.split("=")[1] == dominant.stdout.split("=")[1]
 
 
 class TestDecomposeCommand:

@@ -1,0 +1,162 @@
+"""The shared sparse core (TermMap) and the one exponential-sum kernel."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from orbitpoly import lie, orbit_functions as of, weyl
+from orbitpoly.chebyshev import XPolynomial, YLaurent
+from orbitpoly.exp_ring import ExpSum, OrbitDecomposition, TermMap, exp_sum
+from conftest import dominant_weights, strict_weights, weights
+
+
+@st.composite
+def term_dicts(draw, rank, max_terms=5):
+    keys = st.tuples(*[st.integers(-3, 3)] * rank)
+    return draw(st.dictionaries(keys, st.integers(-6, 6), max_size=max_terms))
+
+
+@st.composite
+def term_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    return rank, draw(term_dicts(rank)), draw(term_dicts(rank)), draw(st.integers(-4, 4))
+
+
+@st.composite
+def alpha_points(draw, n):
+    return tuple(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+
+
+ALL_TYPES = (ExpSum, OrbitDecomposition, XPolynomial, YLaurent)
+
+
+class TestSharedCore:
+    @pytest.mark.parametrize("cls", ALL_TYPES)
+    def test_every_map_inherits_the_core(self, cls):
+        assert issubclass(cls, TermMap)
+        for name in ("__eq__", "__add__", "__sub__", "__mul__", "scale",
+                     "sorted_terms", "from_json"):
+            assert name not in vars(cls), f"{cls.__name__} redefines {name}"
+
+    @given(term_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_agrees_across_types(self, case):
+        rank, a, b, k = case
+        results = []
+        for cls in (ExpSum, XPolynomial, YLaurent):
+            x, y = cls(rank, a), cls(rank, b)
+            results.append([(x + y).terms, (x - y).terms, (x * y).terms,
+                            x.scale(k).terms])
+            assert all(type(r) is cls for r in (x + y, x - y, x * y, x.scale(k)))
+        assert results[0] == results[1] == results[2]
+
+    @given(term_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_zero_coefficients_are_dropped(self, case):
+        rank, a, _, _ = case
+        s = ExpSum(rank, a)
+        assert 0 not in s.terms.values()
+        assert (s - s).terms == {}
+        assert not s - s
+
+    @pytest.mark.parametrize("cls", ALL_TYPES)
+    @given(term_pairs())
+    @settings(max_examples=20, deadline=None)
+    def test_json_round_trip(self, cls, case):
+        rank, a, _, _ = case
+        m = cls(rank, a)
+        assert cls.from_json(m.to_json()) == m
+
+    def test_equality_needs_the_same_type(self):
+        terms = {(1, 0): 2, (0, 1): -1}
+        assert ExpSum(2, terms) == ExpSum(2, dict(terms))
+        assert ExpSum(2, terms) != OrbitDecomposition(2, terms)
+        assert XPolynomial(2, terms) != YLaurent(2, terms)
+        assert ExpSum(2, terms) != ExpSum(3, {})
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            ExpSum(1, {(1,): 1}) + ExpSum(2, {(1, 0): 1})
+        with pytest.raises(ValueError):
+            XPolynomial(1, {(1,): 1}) * XPolynomial(2, {(1, 0): 1})
+
+    def test_poly_text_differs_only_in_the_variable(self):
+        terms = {(2, 0): 1, (0, 1): -3, (0, 0): 2}
+        assert str(XPolynomial(2, terms)) == "X1^2 - 3*X2 + 2"
+        assert str(YLaurent(2, terms)) == "y1^2 - 3*y2 + 2"
+
+
+class TestOneKernel:
+    """eval_c/s/e and ExpSum.evaluate share the kernel, so they agree to the bit."""
+
+    @given(dominant_weights(max_rank=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_c_is_bitwise_evaluate(self, lam, data):
+        x = data.draw(alpha_points(len(lam)))
+        s = exp_sum(lam, "C")
+        assert of.eval_c(lam, x) == s.evaluate(x)
+        xe = lie.alpha_to_e_point(x)
+        assert of.eval_c(lam, xe, basis="e") == s.evaluate(xe, basis="e")
+
+    @given(strict_weights(max_rank=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_s_is_bitwise_evaluate(self, lam, data):
+        x = data.draw(alpha_points(len(lam)))
+        s = exp_sum(lam, "S")
+        assert of.eval_s(lam, x) == s.evaluate(x)
+        xe = lie.alpha_to_e_point(x)
+        assert of.eval_s(lam, xe, basis="e") == s.evaluate(xe, basis="e")
+
+    @given(dominant_weights(max_rank=4), st.integers(0, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_e_is_bitwise_evaluate(self, lam, i, data):
+        if 1 <= i <= len(lam):
+            lam = weyl.reflect_weight(i, lam)
+        x = data.draw(alpha_points(len(lam)))
+        assert of.eval_e(lam, x) == exp_sum(lam, "E").evaluate(x)
+
+    def test_grid_rows_are_single_points(self):
+        s = exp_sum((2, 1), "S")
+        grid = np.random.default_rng(3).random((5, 2))
+        values = s.evaluate(grid)
+        assert values.shape == (5,)
+        for row, v in zip(grid, values):
+            assert v == pytest.approx(s.evaluate(row), abs=1e-12)
+
+    def test_empty_sum_is_zero(self):
+        assert ExpSum(2, {}).evaluate((0.1, 0.2)) == 0j
+        assert ExpSum(2, {}).evaluate(np.zeros((3, 2))).tolist() == [0j] * 3
+
+
+class TestEvalInputs:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("f, lam", [(of.eval_c, (1, 0)), (of.eval_s, (1, 1)),
+                                        (of.eval_e, (1, 0)), (of.eval_s, (1, 0))])
+    def test_non_finite_point_raises(self, f, lam, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            f(lam, (0.1, bad))
+
+    def test_overflowing_point_raises(self):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                of.eval_c((1, 0), (1e308, 0.0))
+
+    @given(weights(max_rank=3))
+    @settings(max_examples=80, deadline=None)
+    def test_one_e_label_rule(self, lam):
+        try:
+            s = exp_sum(lam, "E")
+        except ValueError:
+            with pytest.raises(ValueError):
+                of.eval_e(lam, (0.1,) * len(lam))
+        else:
+            assert of.eval_e(lam, (0.1,) * len(lam)) == s.evaluate((0.1,) * len(lam))
+
+    def test_e_labels_are_dominant_or_reflected(self):
+        assert weyl.e_label_dominant((1, 1)) == (1, 1)
+        assert weyl.e_label_dominant((-1, 2)) == (1, 1)
+        for lam in [(-5, 3), (-1, -1), (2, -3, 0)]:
+            with pytest.raises(ValueError, match="P\\+ or r_i P\\+"):
+                weyl.e_label_dominant(lam)
+            with pytest.raises(ValueError):
+                of.eval_e(lam, (0.2,) * len(lam))
