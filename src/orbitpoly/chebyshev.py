@@ -200,29 +200,43 @@ def _build_t(
     pick: Callable[[tuple[int, ...]], int],
     memo: dict,
 ) -> XPolynomial:
-    if lam in memo:
-        return memo[lam]
+    """T-polynomial of lam by the X_j * C_mu induction, memoized per weight.
+
+    Depth-first on an explicit stack, since the depth equals the degree: a
+    weight's product is decomposed on first reach, mu and the product's
+    other orbits are built in order, then the weight is solved for; the
+    same order, and the same memo, as plain recursion.
+    """
     n = len(lam)
-    if not any(lam):
-        result = XPolynomial(n, {(0,) * n: 1})
-    elif sum(lam) == 1:
-        result = _x_monomial(n, lam.index(1))
-    else:
-        j = pick(lam)
-        mu = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
-        omega_j = tuple(1 if k == j else 0 for k in range(n))
-        dec = exp_ring.decompose_into_c(exp_sum(omega_j, "C") * exp_sum(mu, "C"))
-        if dec.terms.get(lam) != 1:
-            raise AssertionError(
-                f"expected multiplicity 1 for {lam} in X_{j + 1} * C_{mu}"
-            )
-        result = _x_monomial(n, j) * _build_t(mu, pick, memo)
-        for nu, mult in dec.terms.items():
-            if nu == lam:
-                continue
-            result = result - _build_t(nu, pick, memo).scale(mult)
-    memo[lam] = result
-    return result
+    pending: dict = {}
+    stack = [lam]
+    while stack:
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+        elif w in pending:
+            j, mu, dec = pending.pop(w)
+            result = _x_monomial(n, j) * memo[mu]
+            for nu, mult in dec.terms.items():
+                if nu != w:
+                    result = result - memo[nu].scale(mult)
+            memo[w] = result
+        elif not any(w):
+            memo[w] = XPolynomial(n, {(0,) * n: 1})
+        elif sum(w) == 1:
+            memo[w] = _x_monomial(n, w.index(1))
+        else:
+            j = pick(w)
+            mu = tuple(c - 1 if k == j else c for k, c in enumerate(w))
+            omega_j = tuple(1 if k == j else 0 for k in range(n))
+            dec = exp_ring.decompose_into_c(exp_sum(omega_j, "C") * exp_sum(mu, "C"))
+            if dec.terms.get(w) != 1:
+                raise AssertionError(
+                    f"expected multiplicity 1 for {w} in X_{j + 1} * C_{mu}"
+                )
+            pending[w] = (j, mu, dec)
+            stack += reversed([mu] + [nu for nu in dec.terms if nu != w])
+    return memo[lam]
 
 
 _T_MEMO: dict[tuple[int, ...], XPolynomial] = {}

@@ -12,7 +12,9 @@ coefficients grow combinatorially and must never overflow silently.
 """
 from __future__ import annotations
 
+import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,6 +77,9 @@ class TermMap:
             and self.terms == other.terms
         )
 
+    def __hash__(self) -> int:
+        return hash((type(self), self.rank, frozenset(self.terms.items())))
+
     def __add__(self, other):
         self._check_rank(other)
         out = dict(self.terms)
@@ -92,10 +97,12 @@ class TermMap:
     def __mul__(self, other):
         self._check_rank(other)
         out: dict = {}
+        get = out.get
+        right = list(other.terms.items())
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(wa, wb))
-                out[key] = out.get(key, 0) + ca * cb
+            for wb, cb in right:
+                key = tuple(map(operator.add, wa, wb))
+                out[key] = get(key, 0) + ca * cb
         return type(self)(self.rank, out)
 
     def scale(self, k: int):
@@ -182,24 +189,20 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
 def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
     """Decompose a W-invariant sum into orbit sums with multiplicities.
 
-    Greedy extraction: repeatedly take the graded-lex maximal dominant
-    weight still present and subtract its orbit times its coefficient.
-    Distinct orbits have disjoint supports, so the result is the unique
-    decomposition; non-invariant input surfaces as a negative coefficient
-    or a leftover weight with no dominant representative present.
+    Greedy extraction in one pass: take the dominant weights of the input
+    in descending graded-lex order and subtract each one's orbit times its
+    coefficient.  Each orbit holds exactly one dominant weight and an
+    extraction touches only its own orbit's points, so no extraction
+    removes or adds another dominant weight: this list is exactly the order
+    in which a rescan for the largest remaining dominant weight would find
+    them.  Distinct orbits have disjoint supports, so the result is the
+    unique decomposition; non-invariant input surfaces as a negative
+    coefficient, a short orbit point, or a leftover weight whose dominant
+    representative was absent.
     """
     rem = dict(s.terms)
     out: dict = {}
-    while rem:
-        dominant = [w for w in rem if lie.is_dominant(w)]
-        if not dominant:
-            w_bad = max(rem, key=grlex_key)
-            raise NotInvariantError(
-                f"no dominant weight left but {w_bad} remains with "
-                f"coefficient {rem[w_bad]}",
-                w_bad,
-            )
-        lam = max(dominant, key=grlex_key)
+    for lam in sorted(filter(lie.is_dominant, rem), key=grlex_key, reverse=True):
         mult = rem[lam]
         if mult < 0:
             raise NotInvariantError(
@@ -218,16 +221,33 @@ def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
             else:
                 rem[p] = c
         out[lam] = mult
+    if rem:
+        w_bad = max(rem, key=grlex_key)
+        raise NotInvariantError(
+            f"no dominant weight left but {w_bad} remains with "
+            f"coefficient {rem[w_bad]}",
+            w_bad,
+        )
     return OrbitDecomposition(s.rank, out)
+
+
+def _heap_entry(w: tuple[int, ...]) -> tuple:
+    """Min-heap entry that pops the graded-lex largest weight first."""
+    return (-sum(w), tuple(map(operator.neg, w)), w)
 
 
 def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
     """Exact quotient num/den in the group ring.
 
-    Multivariate long division by the graded-lex leading term of den.  A
-    graded-lex floor (leading/trailing terms respect the monomial order
-    under products) cuts off non-divisible inputs early; exactness is
-    enforced post hoc by re-multiplication.
+    Multivariate long division by the graded-lex leading term of den.  The
+    remainder's leading term comes off a heap of its weights: every term a
+    step adds, mono + w with w below den's leading term, lies strictly
+    below the term it cancels (graded lex respects addition), so the
+    leading terms fall strictly and a weight is pushed only when it enters
+    the remainder.  Entries whose weight has since cancelled out are stale
+    and skipped.  A graded-lex floor (leading/trailing terms respect the
+    monomial order under products) cuts off non-divisible inputs early;
+    exactness is enforced post hoc by re-multiplication.
     """
     num._check_rank(den)
     if not den.terms:
@@ -246,18 +266,22 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
     )
 
     rem = dict(num.terms)
+    heap = [_heap_entry(w) for w in rem]
+    heapq.heapify(heap)
+    den_terms = list(den.terms.items())
     quotient: dict = {}
     steps = 0
     while rem:
+        t = heapq.heappop(heap)[2]
+        if t not in rem:
+            continue
         steps += 1
         if steps > _DIVISION_STEP_CAP:
-            t = max(rem, key=grlex_key)
             raise InexactDivisionError(
                 f"division did not terminate within {_DIVISION_STEP_CAP} steps; "
                 f"remainder leads with {t}",
                 t,
             )
-        t = max(rem, key=grlex_key)
         c = rem[t]
         mono = tuple(a - b for a, b in zip(t, lead_den))
         if grlex_key(mono) < floor_key or c % lead_coeff != 0:
@@ -266,12 +290,14 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
             )
         qc = c // lead_coeff
         quotient[mono] = quotient.get(mono, 0) + qc
-        for w, d in den.terms.items():
-            key = tuple(a + b for a, b in zip(mono, w))
+        for w, d in den_terms:
+            key = tuple(map(operator.add, mono, w))
             left = rem.get(key, 0) - qc * d
             if left == 0:
                 rem.pop(key, None)
             else:
+                if key not in rem:
+                    heapq.heappush(heap, _heap_entry(key))
                 rem[key] = left
     result = ExpSum(num.rank, quotient)
     if result * den != num:

@@ -1,9 +1,17 @@
 """The Weyl group of the A-series, acting as the symmetric group S_{n+1}.
 
-Orbits of a dominant weight are generated by permuting its e-basis
-coordinates (held as exact integers scaled by n+1), never by reflection
-closure, so duplicate points cannot arise.  Each orbit point carries a
-parity sign.
+Orbits of a dominant weight are generated by arranging its e-coordinates,
+never by reflection closure, so duplicate points cannot arise.  Each orbit
+point carries a parity sign.
+
+Orbit generation works on the integer suffix sums p_j = lam_j + ... + lam_n
+(p_{n+1} = 0), which are the e-coordinates shifted by a constant: the omega
+coordinates of an arrangement are its consecutive differences, exact
+integers with no scaling.  Picking the distinct remaining values in
+descending order at each position yields the arrangements already in
+descending lexicographic order, and picking value v adds to the inversion
+count the number of remaining values greater than v, so the sign is carried
+along instead of recomputed per point.
 
 Sign convention.  The sign of a point is the parity of the permutation
 carrying the dominant arrangement of e-coordinates to the point's
@@ -39,20 +47,6 @@ def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
         for pos in range(len(sub) + 1):
             sign = s if pos % 2 == 0 else -s
             yield sub[:pos] + (head,) + sub[pos:], sign
-
-
-def _multiset_arrangements(values: tuple) -> Iterator[tuple]:
-    """Distinct arrangements of a multiset, each exactly once."""
-    if not values:
-        yield ()
-        return
-    seen = set()
-    for i, v in enumerate(values):
-        if v in seen:
-            continue
-        seen.add(v)
-        for rest in _multiset_arrangements(values[:i] + values[i + 1:]):
-            yield (v,) + rest
 
 
 def stable_sort_sign(arrangement: Sequence) -> int:
@@ -112,32 +106,56 @@ def _to_omega(arrangement: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _signed_arrangements(values: tuple[int, ...], memo: dict) -> list:
+    """(omega point, first value, sign) for every distinct arrangement of
+    the descending multiset ``values``, the arrangements in descending
+    lexicographic order.
+
+    The sign is the parity of the arrangement's inversions (pairs whose
+    earlier value is smaller), i.e. of its stable descending sort.  Value
+    v at index i of the descending list has exactly i larger values left.
+    The arrangements of a sub-multiset do not depend on the prefix before
+    it, so each is built once per orbit and shared through ``memo``.
+    """
+    got = memo.get(values)
+    if got is not None:
+        return got
+    if len(values) == 1:
+        out = [((), values[0], 1)]
+    else:
+        out = []
+        for i, v in enumerate(values):
+            if i and v == values[i - 1]:
+                continue
+            flip = -1 if i % 2 else 1
+            rest = _signed_arrangements(values[:i] + values[i + 1:], memo)
+            out += [((v - first,) + point, v, flip * sign) for point, first, sign in rest]
+    memo[values] = out
+    return out
+
+
 @lru_cache(maxsize=128)
 def orbit(lam: tuple[int, ...]) -> SignedOrbit:
     """Signed Weyl orbit of a dominant weight (eagerly materialized)."""
     lam = lie.as_weight(lam)
     if not lie.is_dominant(lam):
         raise ValueError(f"orbit requires a dominant weight, got {lam}")
-    n = len(lam)
-    scaled = lie.omega_to_e_scaled(lam)
-    if len(set(scaled)) == len(scaled):
-        # Generic: arrangements are in bijection with permutations, and the
-        # even-subgroup orbit is exactly the +1-parity half.
-        entries = [(arr, s, s > 0) for arr, s in signed_permutations(scaled)]
+    suffix_sums = tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
+    entries = _signed_arrangements(suffix_sums, {})
+    signs = tuple(sign for _, _, sign in entries)
+    if lie.is_strictly_dominant(lam):
+        # Generic: the even-subgroup orbit is exactly the +1-parity half.
+        even = tuple(s > 0 for s in signs)
     else:
         # An equal pair puts an odd element in the stabilizer, so every
         # arrangement is reachable by an even permutation as well.
-        entries = [
-            (arr, stable_sort_sign(arr), True)
-            for arr in _multiset_arrangements(scaled)
-        ]
-    entries.sort(key=lambda t: t[0], reverse=True)
+        even = (True,) * len(entries)
     return SignedOrbit(
-        rank=n,
+        rank=len(lam),
         dominant=lam,
-        points=tuple(_to_omega(arr, n) for arr, _, _ in entries),
-        signs=tuple(s for _, s, _ in entries),
-        even=tuple(e for _, _, e in entries),
+        points=tuple(point for point, _, _ in entries),
+        signs=signs,
+        even=even,
     )
 
 

@@ -19,6 +19,29 @@ def poly_t_pick_last(lam):
     return ch._build_t(tuple(lam), lambda w: max(k for k, c in enumerate(w) if c > 0), {})
 
 
+def build_t_recursive(lam, memo):
+    """poly_t by plain recursion: the memo-order oracle for ``_build_t``."""
+    if lam in memo:
+        return memo[lam]
+    n = len(lam)
+    if not any(lam):
+        result = ch.XPolynomial(n, {(0,) * n: 1})
+    elif sum(lam) == 1:
+        result = ch._x_monomial(n, lam.index(1))
+    else:
+        j = ch._first_positive(lam)
+        mu = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
+        omega_j = tuple(1 if k == j else 0 for k in range(n))
+        dec = exp_ring.decompose_into_c(
+            exp_ring.exp_sum(omega_j, "C") * exp_ring.exp_sum(mu, "C"))
+        result = ch._x_monomial(n, j) * build_t_recursive(mu, memo)
+        for nu, mult in dec.terms.items():
+            if nu != lam:
+                result = result - build_t_recursive(nu, memo).scale(mult)
+    memo[lam] = result
+    return result
+
+
 class TestClassicalPolynomials:
     def test_first_kind_table(self):
         assert ch.classical_t(0).coeffs == (1,)
@@ -87,7 +110,7 @@ class TestPolyT:
         assert ch.poly_t((3,)).terms == {(3,): 1, (1,): -3}
         assert ch.poly_t((4,)).terms == {(4,): 1, (2,): -4, (0,): 2}
 
-    @pytest.mark.parametrize("m", range(0, 21))
+    @pytest.mark.parametrize("m", [*range(0, 21), 1000])
     def test_a1_reduction_to_first_kind(self, m):
         got = ch.a1_z_coefficients(ch.poly_t((m,)))
         if m == 0:
@@ -146,6 +169,14 @@ class TestPolyT:
     @pytest.mark.parametrize("lam", [(2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 0, 1)])
     def test_choice_of_fundamental_does_not_matter(self, lam):
         assert poly_t_pick_last(lam) == ch.poly_t(lam)
+
+    @pytest.mark.parametrize("lam", [(4, 3), (2, 0, 3), (1, 2, 0, 1), (5,)])
+    def test_stack_memoizes_like_recursion(self, lam):
+        memo, oracle = {}, {}
+        got = ch._build_t(lam, ch._first_positive, memo)
+        assert got == build_t_recursive(lam, oracle)
+        assert list(memo.items()) == list(oracle.items())
+        assert [list(p.terms) for p in memo.values()] == [list(p.terms) for p in oracle.values()]
 
     def test_memoization_is_stable(self):
         first = ch.poly_t((2, 1))

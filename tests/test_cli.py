@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 import json
+import math
+import re
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from orbitpoly import cli
 
@@ -206,3 +210,75 @@ class TestDeterminism:
         second = runner.invoke(cli.main, args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+_JUNK = ["", " ", "nan", "inf", "1,,0", "a,b", "1.5", "0x1", "1;2"]
+
+
+@st.composite
+def weight_args(draw, n, low, high):
+    """A weight of rank n, one of the wrong length (the rank is then passed
+    explicitly, so it is refused), or a malformed string."""
+    shape = draw(st.sampled_from(["right", "right", "right", "wrong", "junk"]))
+    if shape == "junk":
+        return [], draw(st.sampled_from(_JUNK))
+    length = n if shape == "right" else draw(st.sampled_from([n - 1, n + 1]))
+    coords = draw(st.lists(st.integers(low, high), min_size=length, max_size=length))
+    rank = ["-n", str(n)] if shape == "wrong" or draw(st.booleans()) else []
+    return rank, ",".join(map(str, coords))
+
+
+@st.composite
+def cli_invocations(draw):
+    """Arguments for orbit/eval/decompose/poly at ranks 1-4 in a small box
+    (coordinates up to 2, up to 1 at rank 4) plus malformed input."""
+    n = draw(st.integers(1, 4))
+    top = 2 if n < 4 else 1
+    command = draw(st.sampled_from(["orbit", "eval", "decompose", "poly"]))
+    if command == "eval":
+        kind = draw(st.sampled_from(["C", "S", "E"]))
+        rank, lam = draw(weight_args(n, -2 if kind == "E" else 0, top))
+        finite = st.sampled_from(["0", "0.25", "-0.5", "1e-3", "0.7"])
+        bad = st.sampled_from(["nan", "inf", "-inf", "1e308", ""])
+        coords = draw(st.lists(finite, min_size=n, max_size=n))
+        shape = draw(st.sampled_from(["finite", "finite", "finite", "bad", "wrong"]))
+        if shape == "bad":
+            coords[draw(st.integers(0, n - 1))] = draw(bad)
+        elif shape == "wrong":
+            coords = coords[1:] if n > 1 and draw(st.booleans()) else coords + ["0"]
+        point = ",".join(coords)
+        args = ["eval", *rank, "-k", kind, "-l", lam, "-x", point]
+    elif command == "decompose":
+        rank, a = draw(weight_args(n, -1, top))
+        _, b = draw(weight_args(n, -1, top))
+        args = ["decompose", *rank, "-a", a, "-b", b]
+    else:
+        rank, lam = draw(weight_args(n, -1, top))
+        args = [command, *rank, "-l", lam]
+        if command == "poly":
+            args += ["-k", draw(st.sampled_from(["T", "U", "PC", "PS", "PE"])),
+                     "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if command != "poly" and draw(st.booleans()):
+        args.append("--json")
+    return args
+
+
+class TestFuzz:
+    @given(cli_invocations())
+    @settings(max_examples=150, deadline=None)
+    def test_documented_exit_codes_and_finite_output(self, args):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code in (0, 1, 2), args
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output, args
+        if result.exit_code == 0:
+            assert not _NON_FINITE.search(result.output), args
+            assert all(math.isfinite(float(tok)) for tok in _NUMBER.findall(result.output)), args
+
+    def test_deep_polynomial_answers(self, runner):
+        result = runner.invoke(cli.main, ["poly", "-l", "1000", "-k", "T"])
+        assert result.exit_code == 0
+        assert result.exception is None
+        assert result.output.startswith("X1^1000 - 1000*X1^998 + ")

@@ -1,5 +1,7 @@
 """Group-ring arithmetic: formal sums, products, orbit decomposition,
 exact division and characters."""
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -14,8 +16,124 @@ from orbitpoly.exp_ring import (
     decompose_into_c,
     exact_divide,
     exp_sum,
+    grlex_key,
 )
 from conftest import dominant_weights
+
+
+def decompose_by_rescan(s):
+    """Decomposition oracle: rescan the remainder for its graded-lex largest
+    dominant weight before every extraction."""
+    rem = dict(s.terms)
+    out = {}
+    while rem:
+        dominant = [w for w in rem if lie.is_dominant(w)]
+        if not dominant:
+            w_bad = max(rem, key=grlex_key)
+            raise NotInvariantError(
+                f"no dominant weight left but {w_bad} remains with "
+                f"coefficient {rem[w_bad]}",
+                w_bad,
+            )
+        lam = max(dominant, key=grlex_key)
+        mult = rem[lam]
+        if mult < 0:
+            raise NotInvariantError(
+                f"negative multiplicity {mult} at dominant weight {lam}", lam
+            )
+        for p in weyl.orbit(lam).points:
+            c = rem.get(p, 0) - mult
+            if c < 0:
+                raise NotInvariantError(
+                    f"sum is not constant on the orbit of {lam}: "
+                    f"weight {p} falls short by {-c}",
+                    p,
+                )
+            if c == 0:
+                rem.pop(p, None)
+            else:
+                rem[p] = c
+        out[lam] = mult
+    return OrbitDecomposition(s.rank, out)
+
+
+def divide_by_scan(num, den):
+    """Division oracle: find the remainder's leading term by a linear scan
+    at every step; same floor, step cap and re-multiplication check."""
+    num._check_rank(den)
+    if not den.terms:
+        raise ZeroDivisionError("division by the zero sum")
+    if not num.terms:
+        return ExpSum(num.rank, {})
+    cap = exp_ring._DIVISION_STEP_CAP
+    lead_den = max(den.terms, key=grlex_key)
+    lead_coeff = den.terms[lead_den]
+    floor_key = grlex_key(tuple(
+        a - b for a, b in zip(min(num.terms, key=grlex_key), min(den.terms, key=grlex_key))
+    ))
+    rem = dict(num.terms)
+    quotient = {}
+    steps = 0
+    while rem:
+        steps += 1
+        t = max(rem, key=grlex_key)
+        if steps > cap:
+            raise InexactDivisionError(
+                f"division did not terminate within {cap} steps; "
+                f"remainder leads with {t}",
+                t,
+            )
+        c = rem[t]
+        mono = tuple(a - b for a, b in zip(t, lead_den))
+        if grlex_key(mono) < floor_key or c % lead_coeff != 0:
+            raise InexactDivisionError(
+                f"not divisible: irreducible remainder term {t} (coeff {c})", t
+            )
+        qc = c // lead_coeff
+        quotient[mono] = quotient.get(mono, 0) + qc
+        for w, d in den.terms.items():
+            key = tuple(a + b for a, b in zip(mono, w))
+            left = rem.get(key, 0) - qc * d
+            if left == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = left
+    result = ExpSum(num.rank, quotient)
+    if result * den != num:
+        t = max(quotient, key=grlex_key) if quotient else (0,) * num.rank
+        raise InexactDivisionError("re-multiplication check failed", t)
+    return result
+
+
+def outcome(f, *args):
+    """Result, or the exception's type, message and reported weight/term."""
+    try:
+        return f(*args)
+    except (NotInvariantError, InexactDivisionError) as exc:
+        return type(exc), str(exc), getattr(exc, "weight", None), getattr(exc, "term", None)
+
+
+@st.composite
+def invariant_sums(draw, max_rank=4):
+    """Products of two orbit sums, or sums of orbit sums with multiplicities."""
+    n = draw(st.integers(1, max_rank))
+    dom = st.tuples(*[st.integers(0, 2)] * n)
+    if draw(st.booleans()):
+        return exp_sum(draw(dom), "C") * exp_sum(draw(dom), "C")
+    mults = draw(st.dictionaries(dom, st.integers(1, 3), min_size=1, max_size=4))
+    return OrbitDecomposition(n, mults).expand()
+
+
+@st.composite
+def perturbed_sums(draw):
+    """An invariant sum with a few coefficients moved, added or removed."""
+    s = draw(invariant_sums(max_rank=3))
+    terms = dict(s.terms)
+    keys = st.sampled_from(sorted(terms)) | st.tuples(*[st.integers(-3, 3)] * s.rank)
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(keys)
+        terms[w] = terms.get(w, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
+    return ExpSum(s.rank, terms)
 
 
 def brute_product(lam, mu):
@@ -165,6 +283,11 @@ class TestDecompose:
         with pytest.raises(NotInvariantError):
             decompose_into_c(s)
 
+    @given(invariant_sums() | perturbed_sums())
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_matches_rescan(self, s):
+        assert outcome(decompose_into_c, s) == outcome(decompose_by_rescan, s)
+
 
 class TestExactDivide:
     def test_a1_character_numerator(self):
@@ -196,6 +319,19 @@ class TestExactDivide:
     def test_multiply_then_divide(self, a):
         den = exp_sum((1, 1), "S")
         assert exact_divide(a * den, den) == a
+
+    @given(exp_sums(rank=2, n_terms=4, coord=2), exp_sums(rank=2, n_terms=3, coord=2),
+           exp_sums(rank=2, n_terms=2, coord=2), st.sampled_from(["exact", "perturbed", "raw"]),
+           st.sampled_from([3, 60]))
+    @settings(max_examples=150, deadline=None)
+    def test_heap_matches_scan(self, a, den, extra, shape, cap):
+        num = {"exact": a * den, "perturbed": a * den + extra, "raw": a}[shape]
+        if not den:
+            den = exp_sum((1, 1), "S")
+        # Both read the patched cap: 3 makes longer divisions stop at the
+        # cap, and 60 keeps non-terminating inputs cheap.
+        with mock.patch.object(exp_ring, "_DIVISION_STEP_CAP", cap):
+            assert outcome(exact_divide, num, den) == outcome(divide_by_scan, num, den)
 
 
 class TestCharacter:

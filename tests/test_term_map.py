@@ -74,6 +74,22 @@ class TestSharedCore:
         assert XPolynomial(2, terms) != YLaurent(2, terms)
         assert ExpSum(2, terms) != ExpSum(3, {})
 
+    @pytest.mark.parametrize("cls", ALL_TYPES)
+    @given(term_pairs())
+    @settings(max_examples=20, deadline=None)
+    def test_equal_maps_hash_equal(self, cls, case):
+        rank, a, _, _ = case
+        m = cls(rank, a)
+        twin = cls(rank, dict(reversed(list(a.items()))))
+        assert m == twin and hash(m) == hash(twin)
+        assert len({m, twin, cls(rank, {(9,) * rank: 1})}) == 2
+
+    def test_hash_follows_type_and_rank(self):
+        terms = {(1, 0): 2}
+        assert len({cls(2, terms) for cls in ALL_TYPES}) == len(ALL_TYPES)
+        assert ExpSum(2, {}) in {ExpSum(2, {(0, 0): 0})}
+        assert ExpSum(2, {}) not in {ExpSum(3, {})}
+
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             ExpSum(1, {(1,): 1}) + ExpSum(2, {(1, 0): 1})

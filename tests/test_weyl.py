@@ -2,7 +2,7 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from orbitpoly import lie, weyl
@@ -19,6 +19,41 @@ def a2_generic_signed_orbit(m1, m2):
         (-m1 - m2, m1): 1,
         (m2, -m1 - m2): 1,
     }
+
+
+def _multiset_arrangements(values):
+    """Distinct arrangements of a multiset, each exactly once."""
+    if not values:
+        yield ()
+        return
+    seen = set()
+    for i, v in enumerate(values):
+        if v in seen:
+            continue
+        seen.add(v)
+        for rest in _multiset_arrangements(values[:i] + values[i + 1:]):
+            yield (v,) + rest
+
+
+def orbit_by_sorting(lam):
+    """Orbit oracle: arrange the scaled e-coordinates (all permutations with
+    their parity, or distinct multiset arrangements with a per-point stable
+    sort sign), sort descending, divide the differences back by n+1.
+    Returns (points, signs, even) as ``weyl.orbit`` does."""
+    n = len(lam)
+    scaled = lie.omega_to_e_scaled(lam)
+    if len(set(scaled)) == len(scaled):
+        entries = [(arr, s, s > 0) for arr, s in weyl.signed_permutations(scaled)]
+    else:
+        entries = [(arr, weyl.stable_sort_sign(arr), True)
+                   for arr in _multiset_arrangements(scaled)]
+    entries.sort(key=lambda t: t[0], reverse=True)
+    points = []
+    for arr, _, _ in entries:
+        diffs = [divmod(arr[i] - arr[i + 1], n + 1) for i in range(n)]
+        assert all(r == 0 for _, r in diffs)
+        points.append(tuple(q for q, _ in diffs))
+    return tuple(points), tuple(s for _, s, _ in entries), tuple(e for _, _, e in entries)
 
 
 def reflection_closure(lam):
@@ -94,6 +129,16 @@ class TestOrbit:
         assert set(orb.points) == set(closure)
         if lie.is_strictly_dominant(lam):
             assert dict(orb.items()) == closure
+
+    @given(dominant_weights(max_rank=6, max_coord=2))
+    @example((0, 0, 0, 0, 0, 0))
+    @example((1, 0, 0, 1, 0, 0))
+    @example((0, 2, 0, 2, 0))
+    @example((1, 1, 1, 1, 1, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sorting_oracle(self, lam):
+        orb = weyl.orbit(lam)
+        assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
 
     @given(strict_weights())
     @settings(max_examples=30, deadline=None)
