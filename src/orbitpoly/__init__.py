@@ -33,6 +33,7 @@ from .exp_ring import (
     decompose_into_c,
     exact_divide,
     exp_sum,
+    orbit_product,
 )
 from .chebyshev import (
     ClassicalPoly,

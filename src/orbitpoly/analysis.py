@@ -47,6 +47,23 @@ def nyquist_points(a: ExpSum, b: ExpSum) -> int:
     return 2 * max(a.support_bound(), b.support_bound()) + 1
 
 
+def fold(s: ExpSum, n_points: int) -> ExpSum:
+    """The sum with every weight reduced coordinatewise mod n_points.
+
+    The grid mean of exp(2*pi*i <w - v, x>) over the rectangle rule with
+    n_points per axis is 1 when w = v (mod n_points) coordinatewise and 0
+    otherwise, so the rule's value for a * conj(b) is exactly
+    ``torus_inner_product(fold(a, N), fold(b, N))``.  That equals the torus
+    integral once N reaches ``nyquist_points(a, b)`` and predicts the
+    aliased value below it.
+    """
+    out: dict = {}
+    for w, c in s.terms.items():
+        key = tuple(x % n_points for x in w)
+        out[key] = out.get(key, 0) + c
+    return ExpSum(s.rank, out)
+
+
 @dataclass
 class OrthogonalityReport:
     """Outcome of pairing every orbit sum of one kind against every other."""
@@ -357,11 +374,40 @@ def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]
     return [tuple(w) for w in itertools.product(range(1, coord_bound + 1), repeat=n)]
 
 
+#: Most bytes the ortho suite's quadrature cross-check may hold at once.
+QUADRATURE_BYTE_BUDGET = 1 << 30
+
+
+def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
+    """Upper bound on the bytes the rank-n quadrature cross-check holds.
+
+    Complex values (16 B) on the grid of n_points^n nodes: the grid values of
+    every label and their conjugate for the Gram product, and the kernel's
+    phase and exponential arrays for the largest orbit, (n+1)! points; plus
+    the Gram matrix, its prediction and two same-sized temporaries.
+    """
+    labels = (coord_bound + 1) ** n
+    nodes = n_points ** n
+    return 16 * (2 * nodes * (labels + factorial(n + 1)) + 4 * labels * labels)
+
+
 def run_ortho_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
     n_points: int = 16,
 ) -> SuiteReport:
-    """Exact torus orthogonality for C/S/E plus quadrature cross-checks."""
+    """Exact torus orthogonality for C/S/E plus quadrature cross-checks.
+
+    Raises ValueError before any work when the cross-check at the top rank
+    would hold more than QUADRATURE_BYTE_BUDGET bytes.
+    """
+    if rank_bound >= 2:
+        need = quadrature_bytes(rank_bound, coord_bound, n_points)
+        if need > QUADRATURE_BYTE_BUDGET:
+            raise ValueError(
+                f"ortho quadrature at rank {rank_bound}, coordinate bound "
+                f"{coord_bound}, N={n_points} would hold about {need / 2**30:.1f} GiB, "
+                f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget"
+            )
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -393,16 +439,23 @@ def run_ortho_suite(
     return report
 
 
+def quadrature_gram(sums: list, n_points: int) -> np.ndarray:
+    """Rectangle-rule Gram matrix of the sums, n_points per axis."""
+    grid = _torus_grid(sums[0].rank, n_points)
+    values = np.empty((len(sums), len(grid)), dtype=complex)
+    for row, s in zip(values, sums):
+        row[:] = s.evaluate(grid)
+    return (values @ values.conj().T) / values.shape[1]
+
+
 def _quadrature_gram_deviation(sums: dict, n_points: int) -> float:
-    labels = list(sums)
-    grid = _torus_grid(sums[labels[0]].rank, n_points)
-    values = np.stack([sums[w].evaluate(grid) for w in labels])
-    gram = (values @ values.conj().T) / values.shape[1]
+    """Largest distance of the grid Gram from its exact folded prediction."""
+    folded = [fold(s, n_points) for s in sums.values()]
+    gram = quadrature_gram(list(sums.values()), n_points)
     expect = np.zeros_like(gram)
-    for i, w in enumerate(labels):
-        expect[i, i] = torus_inner_product(sums[w], sums[w])
-        for j in range(i + 1, len(labels)):
-            expect[i, j] = expect[j, i] = torus_inner_product(sums[w], sums[labels[j]])
+    for i, a in enumerate(folded):
+        for j in range(i, len(folded)):
+            expect[i, j] = expect[j, i] = torus_inner_product(a, folded[j])
     return float(np.abs(gram - expect).max())
 
 

@@ -216,11 +216,19 @@ def _build_t(
             stack.pop()
         elif w in pending:
             j, mu, dec = pending.pop(w)
-            result = _x_monomial(n, j) * memo[mu]
+            # X_j * T_mu minus mult * T_nu for the other orbits, in place; a
+            # key is dropped the moment it cancels, so the terms keep the
+            # order of the same steps done with TermMap's - and scale.
+            terms = {d[:j] + (d[j] + 1,) + d[j + 1:]: c for d, c in memo[mu].terms.items()}
             for nu, mult in dec.terms.items():
                 if nu != w:
-                    result = result - memo[nu].scale(mult)
-            memo[w] = result
+                    for d, c in memo[nu].terms.items():
+                        left = terms.get(d, 0) - mult * c
+                        if left:
+                            terms[d] = left
+                        else:
+                            del terms[d]
+            memo[w] = XPolynomial(n, terms)
         elif not any(w):
             memo[w] = XPolynomial(n, {(0,) * n: 1})
         elif sum(w) == 1:
@@ -229,7 +237,7 @@ def _build_t(
             j = pick(w)
             mu = tuple(c - 1 if k == j else c for k, c in enumerate(w))
             omega_j = tuple(1 if k == j else 0 for k in range(n))
-            dec = exp_ring.decompose_into_c(exp_sum(omega_j, "C") * exp_sum(mu, "C"))
+            dec = exp_ring.orbit_product(omega_j, mu)
             if dec.terms.get(w) != 1:
                 raise AssertionError(
                     f"expected multiplicity 1 for {w} in X_{j + 1} * C_{mu}"
@@ -325,8 +333,7 @@ def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
     if not lie.is_dominant(a):
         raise ValueError(f"recursion requires a dominant weight, got {a}")
     omega_j = tuple(1 if k == j - 1 else 0 for k in range(n))
-    dec = exp_ring.decompose_into_c(exp_sum(omega_j, "C") * exp_sum(a, "C"))
-    return RecursionRelation(rank=n, j=j, a=a, rhs=dec)
+    return RecursionRelation(rank=n, j=j, a=a, rhs=exp_ring.orbit_product(omega_j, a))
 
 
 def a1_z_coefficients(poly: XPolynomial) -> tuple[int, ...]:

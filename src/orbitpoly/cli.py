@@ -137,7 +137,7 @@ def decompose(rank, weight_a, weight_b, as_json, out):
     b = _parse_weight(weight_b, len(a))
     _require_dominant(a)
     _require_dominant(b)
-    dec = exp_ring.decompose_into_c(exp_ring.exp_sum(a, "C") * exp_ring.exp_sum(b, "C"))
+    dec = exp_ring.orbit_product(a, b)
     congruence = (lie.congruence_number(a) + lie.congruence_number(b)) % (len(a) + 1)
     payload = dec.to_json_dict()
     payload["congruence"] = congruence
@@ -204,8 +204,11 @@ def verify(ctx, suite, rank_bound, coord_bound, seed, as_json, out):
         raise click.UsageError(f"rank bound must lie in 1..{lie.MAX_RANK}")
     if coord_bound is not None and coord_bound < 1:
         raise click.UsageError("coordinate bound must be >= 1")
-    reports = analysis.run_suite(suite, rank_bound=rank_bound,
-                                 coord_bound=coord_bound, seed=seed)
+    try:
+        reports = analysis.run_suite(suite, rank_bound=rank_bound,
+                                     coord_bound=coord_bound, seed=seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if as_json:
         text = json.dumps([r.as_dict() for r in reports], indent=2)
     else:

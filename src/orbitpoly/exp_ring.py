@@ -4,8 +4,10 @@
 the package.  An :class:`ExpSum` is a finite integer combination of formal
 lattice exponentials, keyed by omega-coordinate weights.  Products are exact
 convolutions, W-invariant sums decompose uniquely into orbit sums (distinct
-orbits have disjoint supports), and the ring admits exact long division,
-which is what turns antisymmetrized sums into characters.
+orbits have disjoint supports), and the ring admits exact long division.
+Products of orbit sums and Weyl characters are computed on dominant weights
+alone (``orbit_product``, ``character``); the convolution, decomposition and
+division of whole sums are their independent oracles.
 
 Coefficients are Python ints (arbitrary precision); convolution
 coefficients grow combinatorially and must never overflow silently.
@@ -13,6 +15,7 @@ coefficients grow combinatorially and must never overflow silently.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -164,7 +167,7 @@ class OrbitDecomposition(TermMap):
 
     def weight_count(self) -> int:
         """sum of multiplicity * orbit size (e.g. a character's dimension)."""
-        return sum(m * weyl.orbit(lam).size for lam, m in self.terms.items())
+        return sum(m * weyl.orbit_size(lam) for lam, m in self.terms.items())
 
 
 def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
@@ -248,6 +251,13 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
     and skipped.  A graded-lex floor (leading/trailing terms respect the
     monomial order under products) cuts off non-divisible inputs early;
     exactness is enforced post hoc by re-multiplication.
+
+    Every quotient term of an exact division lies in the box
+    min_i(num) - min_i(den) <= q_i <= max_i(num) - max_i(den): the extremes
+    along a coordinate add up under products, since the Laurent ring has
+    no zero divisors.  A step whose quotient term leaves the box raises at
+    once, so a non-divisible input cannot drift sideways within one total
+    degree, and the loop runs at most once per point of the box.
     """
     num._check_rank(den)
     if not den.terms:
@@ -264,6 +274,9 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
             )
         )
     )
+
+    low = tuple(map(operator.sub, map(min, zip(*num.terms)), map(min, zip(*den.terms))))
+    high = tuple(map(operator.sub, map(max, zip(*num.terms)), map(max, zip(*den.terms))))
 
     rem = dict(num.terms)
     heap = [_heap_entry(w) for w in rem]
@@ -284,7 +297,9 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
             )
         c = rem[t]
         mono = tuple(a - b for a, b in zip(t, lead_den))
-        if grlex_key(mono) < floor_key or c % lead_coeff != 0:
+        if (grlex_key(mono) < floor_key or c % lead_coeff != 0
+                or not all(map(operator.le, low, mono))
+                or not all(map(operator.le, mono, high))):
             raise InexactDivisionError(
                 f"not divisible: irreducible remainder term {t} (coeff {c})", t
             )
@@ -306,15 +321,111 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
     return result
 
 
+def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
+    """Decomposition of the product C_a * C_b of two orbit sums.
+
+    Stabilizer form of the product (Klimyk & Patera, SIGMA 2 (2006) 006):
+    C_a * C_b = (1/|W_b|) sum_{q in W a} |W_{dom(b+q)}| C_{dom(b+q)}, run
+    over the smaller of the two orbits, so no orbit of the product is
+    materialised.  dom(b+q) comes from sorting the integer suffix sums of
+    b + q.  Terms are in descending graded-lex order, as from
+    ``decompose_into_c`` applied to the convolution.
+    """
+    a, b = lie.as_weight(a), lie.as_weight(b)
+    for lam in (a, b):
+        if not lie.is_dominant(lam):
+            raise ValueError(f"C requires a dominant weight, got {lam}")
+    if len(a) != len(b):
+        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
+    if weyl.stabilizer_order(a) < weyl.stabilizer_order(b):
+        a, b = b, a
+    # Suffix sums in reversed position order (p_{n+1}, p_n, ..., p_1): the
+    # order is immaterial once sorted, as long as both summands share it.
+    base = (0, *itertools.accumulate(reversed(b)))
+    counts: dict = {}
+    for q in weyl.orbit(a).points:
+        p = sorted(map(operator.add, base, (0, *itertools.accumulate(reversed(q)))),
+                   reverse=True)
+        dom = tuple(map(operator.sub, p, p[1:]))
+        counts[dom] = counts.get(dom, 0) + 1
+    stab_b = weyl.stabilizer_order(b)
+    terms = {}
+    for dom in sorted(counts, key=grlex_key, reverse=True):
+        mult, rest = divmod(counts[dom] * weyl.stabilizer_order(dom), stab_b)
+        if rest:
+            raise ArithmeticError(
+                f"orbit count of {dom} in C_{a} * C_{b} is not divisible by |W_b| = {stab_b}"
+            )
+        terms[dom] = mult
+    return OrbitDecomposition(len(a), terms)
+
+
 def character(lam: Sequence[int]) -> OrbitDecomposition:
     """Weyl character of the highest weight lam as a sum of C-functions.
 
-    chi_lam = S_{lam+rho} / S_rho with rho = (1, ..., 1); the quotient is
-    W-invariant and decomposes with the dominant-weight multiplicities.
+    Freudenthal's formula on the dominant weights alone (Humphreys §22;
+    Moody & Patera, Math. Comp. 48 (1987)), in the integer suffix-sum
+    coordinates p of ``weyl.suffix_sums``: every weight of V_lam has the
+    same coordinate sum, (mu, e_i - e_j) = p_i - p_j, and the difference of
+    two squared norms is the difference of the plain sums of squares.
+
+    The dominant weights are generated from lam by saturation, dom(mu -
+    alpha) for every positive root alpha with (mu, alpha) >= 2 (at 1,
+    mu - alpha is the reflection of mu), and solved in descending
+    |mu + rho|^2, which puts every dom(mu + k alpha) first.
+    Every division is checked for exactness and the result against the
+    Weyl dimension formula.
     """
     lam = lie.as_weight(lam)
     if not lie.is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
-    rho = (1,) * len(lam)
-    shifted = tuple(c + 1 for c in lam)
-    return decompose_into_c(exact_divide(exp_sum(shifted, "S"), exp_sum(rho, "S")))
+    n = len(lam)
+    top = weyl.suffix_sums(lam)
+    pairs = list(itertools.combinations(range(n + 1), 2))
+    found = {top}
+    todo = [top]
+    while todo:
+        p = todo.pop()
+        for i, j in pairs:
+            if p[i] - p[j] >= 2:
+                q = list(p)
+                q[i] -= 1
+                q[j] += 1
+                dom = tuple(sorted(q, reverse=True))
+                if dom not in found:
+                    found.add(dom)
+                    todo.append(dom)
+
+    def shifted_norm(p):
+        # |mu + rho|^2 up to a constant shared by every weight of V_lam.
+        return sum((c + n - k) ** 2 for k, c in enumerate(p))
+
+    top_norm = shifted_norm(top)
+    mult = {top: 1}
+    for p in sorted(found, key=shifted_norm, reverse=True)[1:]:
+        total = 0
+        for i, j in pairs:
+            q = list(p)
+            k = 1
+            while True:
+                q[i] += 1
+                q[j] -= 1
+                above = mult.get(tuple(sorted(q, reverse=True)), 0)
+                if not above:
+                    break  # weight strings are unbroken
+                total += above * (p[i] - p[j] + 2 * k)
+                k += 1
+        m, rest = divmod(2 * total, top_norm - shifted_norm(p))
+        if rest or m <= 0:
+            raise ArithmeticError(f"Freudenthal's formula gave {2 * total}/"
+                                  f"{top_norm - shifted_norm(p)} at {p}")
+        mult[p] = m
+    terms = {tuple(map(operator.sub, p, p[1:])): m for p, m in mult.items()}
+    dec = OrbitDecomposition(n, dict(sorted(
+        terms.items(), key=lambda wm: grlex_key(wm[0]), reverse=True)))
+    if dec.weight_count() != lie.weyl_dimension(lam):
+        raise ArithmeticError(
+            f"character of {lam} has {dec.weight_count()} weights, "
+            f"the Weyl dimension formula gives {lie.weyl_dimension(lam)}"
+        )
+    return dec

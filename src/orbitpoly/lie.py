@@ -164,6 +164,27 @@ def congruence_number(lam: Sequence[int]) -> int:
     return sum(k * lam[k - 1] for k in range(1, n + 1)) % (n + 1)
 
 
+def weyl_dimension(lam: Sequence[int]) -> int:
+    """Dimension of the irreducible representation of highest weight lam.
+
+    Weyl's formula prod_{alpha > 0} (lam + rho, alpha) / (rho, alpha); for
+    the root e_i - e_j (i < j) the pairings are the integer sums
+    sum_{k=i}^{j-1} (lam_k + 1) and j - i.
+    """
+    lam = as_weight(lam)
+    if not is_dominant(lam):
+        raise ValueError(f"weyl_dimension requires a dominant weight, got {lam}")
+    n = len(lam)
+    num = den = 1
+    for i in range(n):
+        run = 0
+        for j in range(i, n):
+            run += lam[j] + 1
+            num *= run
+            den *= j - i + 1
+    return num // den
+
+
 def is_dominant(lam: Sequence[int]) -> bool:
     return all(c >= 0 for c in lam)
 

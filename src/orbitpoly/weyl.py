@@ -134,14 +134,23 @@ def _signed_arrangements(values: tuple[int, ...], memo: dict) -> list:
     return out
 
 
+def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
+    """p_j = lam_j + ... + lam_n for j = 1..n+1 (p_{n+1} = 0).
+
+    These are the e-coordinates shifted by a constant, so a root e_i - e_j
+    moves p_i and p_j by one each and a weight is dominant exactly when p
+    descends; the omega coordinates are the consecutive differences.
+    """
+    return tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
+
+
 @lru_cache(maxsize=128)
 def orbit(lam: tuple[int, ...]) -> SignedOrbit:
     """Signed Weyl orbit of a dominant weight (eagerly materialized)."""
     lam = lie.as_weight(lam)
     if not lie.is_dominant(lam):
         raise ValueError(f"orbit requires a dominant weight, got {lam}")
-    suffix_sums = tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
-    entries = _signed_arrangements(suffix_sums, {})
+    entries = _signed_arrangements(suffix_sums(lam), {})
     signs = tuple(sign for _, _, sign in entries)
     if lie.is_strictly_dominant(lam):
         # Generic: the even-subgroup orbit is exactly the +1-parity half.
@@ -187,18 +196,24 @@ def e_label_dominant(lam: Sequence[int]) -> tuple[int, ...]:
 
 def orbit_size(lam: Sequence[int]) -> int:
     """(n+1)! divided by the factorials of e-coordinate multiplicities."""
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"orbit_size requires a dominant weight, got {lam}")
-    scaled = lie.omega_to_e_scaled(lam)
-    size = factorial(len(scaled))
-    for v in set(scaled):
-        size //= factorial(scaled.count(v))
-    return size
+    return factorial(len(lam) + 1) // stabilizer_order(lam)
 
 
 def stabilizer_order(lam: Sequence[int]) -> int:
-    return factorial(len(lam) + 1) // orbit_size(lam)
+    """Order of the stabilizer of a dominant weight in W.
+
+    Equal neighbouring e-coordinates are exactly the zero omega
+    coordinates, so a maximal run of r zeros is a block of r+1 equal
+    coordinates and contributes (r+1)!, built up one factor per zero.
+    """
+    lam = lie.as_weight(lam)
+    if not lie.is_dominant(lam):
+        raise ValueError(f"orbit_size requires a dominant weight, got {lam}")
+    order = run = 1
+    for c in lam:
+        run = 1 if c else run + 1
+        order *= run
+    return order
 
 
 def is_generic(mu: Sequence[int]) -> bool:

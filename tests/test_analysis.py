@@ -83,6 +83,43 @@ class TestQuadrature:
         assert got == pytest.approx(analysis.torus_inner_product(s, s), abs=1e-9)
 
 
+class TestFoldedQuadrature:
+    def test_grid_gram_is_the_folded_prediction_below_nyquist(self):
+        # Rank 3, coordinate bound 3: support bound 9, alias-free from N = 19.
+        sums = [exp_sum(w, "C") for w in analysis.dominant_weights(3, 3)]
+        gram = analysis.quadrature_gram(sums, 8)
+        folded = [analysis.fold(s, 8) for s in sums]
+        predicted = np.array([[analysis.torus_inner_product(a, b) for b in folded]
+                              for a in folded])
+        exact = np.array([[analysis.torus_inner_product(a, b) for b in sums] for a in sums])
+        assert np.abs(gram - predicted).max() < 1e-9
+        assert np.abs(gram - exact).max() == pytest.approx(72.0)
+        assert analysis._quadrature_gram_deviation(dict(enumerate(sums)), 8) < 1e-9
+
+    def test_folding_is_exact_from_nyquist_on(self):
+        sums = [exp_sum(w, "C") for w in analysis.dominant_weights(2, 3)]
+        n_points = max(analysis.nyquist_points(s, s) for s in sums)
+        folded = [analysis.fold(s, n_points) for s in sums]
+        for a, fa in zip(sums, folded):
+            assert len(fa.terms) == len(a.terms)
+            for b, fb in zip(sums, folded):
+                assert analysis.torus_inner_product(fa, fb) == analysis.torus_inner_product(a, b)
+
+    def test_fold_predicts_the_aliasing_control(self):
+        a = exp_sum((3,), "C")
+        with pytest.warns(analysis.AliasingWarning):
+            value = analysis.quadrature_inner_product("C", (3,), (3,), 6)
+        assert value.real == pytest.approx(
+            analysis.torus_inner_product(analysis.fold(a, 6), analysis.fold(a, 6)))
+
+    def test_memory_budget(self):
+        budget = analysis.QUADRATURE_BYTE_BUDGET
+        assert analysis.quadrature_bytes(3, 3, 16) < budget
+        assert analysis.quadrature_bytes(5, 3, 16) > budget
+        with pytest.raises(ValueError, match="GiB"):
+            analysis.run_ortho_suite(rank_bound=5)
+
+
 class TestHyperplaneFrame:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("reverse", [False, True])

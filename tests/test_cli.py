@@ -4,13 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import cli
+from orbitpoly import analysis, cli, weyl
 
 
 @pytest.fixture
@@ -130,6 +131,15 @@ class TestDecomposeCommand:
         payload = json.loads(result.output)
         assert payload["terms"] == [{"weight": [1, 1], "coeff": 1}]
 
+    def test_large_rank5_product_is_fast(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, ["decompose", "-a", "1,1,1,1,1",
+                                          "-b", "1,2,1,2,1", "--json"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        terms = json.loads(result.output)["terms"]
+        assert sum(t["coeff"] * weyl.orbit_size(tuple(t["weight"])) for t in terms) == 720 ** 2
+
     def test_invalid_exits_2(self, runner):
         assert runner.invoke(cli.main, ["decompose", "-a", "1,-1", "-b", "1,0"]).exit_code == 2
         assert runner.invoke(cli.main, ["decompose", "-a", "1", "-b", "1,0"]).exit_code == 2
@@ -184,6 +194,19 @@ class TestVerifyCommand:
     def test_bad_bounds_exit_2(self, runner):
         assert runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "99"]).exit_code == 2
         assert runner.invoke(cli.main, ["verify", "-s", "nope"]).exit_code == 2
+
+    @pytest.mark.parametrize("suite", ["ortho", "all"])
+    def test_oversized_ortho_refused_up_front(self, runner, monkeypatch, suite):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
+        monkeypatch.setattr(analysis, "quadrature_gram", must_not_run)
+        result = runner.invoke(cli.main, ["verify", "-s", suite, "-n", "5"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "54.6 GiB, over the 1 GiB budget" in result.output
 
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"

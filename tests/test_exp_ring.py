@@ -1,5 +1,7 @@
 """Group-ring arithmetic: formal sums, products, orbit decomposition,
 exact division and characters."""
+import itertools
+import time
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from orbitpoly.exp_ring import (
     exact_divide,
     exp_sum,
     grlex_key,
+    orbit_product,
 )
 from conftest import dominant_weights
 
@@ -59,7 +62,8 @@ def decompose_by_rescan(s):
 
 def divide_by_scan(num, den):
     """Division oracle: find the remainder's leading term by a linear scan
-    at every step; same floor, step cap and re-multiplication check."""
+    at every step; same floor, quotient box, step cap and re-multiplication
+    check."""
     num._check_rank(den)
     if not den.terms:
         raise ZeroDivisionError("division by the zero sum")
@@ -71,6 +75,10 @@ def divide_by_scan(num, den):
     floor_key = grlex_key(tuple(
         a - b for a, b in zip(min(num.terms, key=grlex_key), min(den.terms, key=grlex_key))
     ))
+    low = [min(w[i] for w in num.terms) - min(w[i] for w in den.terms)
+           for i in range(num.rank)]
+    high = [max(w[i] for w in num.terms) - max(w[i] for w in den.terms)
+            for i in range(num.rank)]
     rem = dict(num.terms)
     quotient = {}
     steps = 0
@@ -85,7 +93,8 @@ def divide_by_scan(num, den):
             )
         c = rem[t]
         mono = tuple(a - b for a, b in zip(t, lead_den))
-        if grlex_key(mono) < floor_key or c % lead_coeff != 0:
+        in_box = all(lo <= m <= hi for lo, m, hi in zip(low, mono, high))
+        if grlex_key(mono) < floor_key or c % lead_coeff != 0 or not in_box:
             raise InexactDivisionError(
                 f"not divisible: irreducible remainder term {t} (coeff {c})", t
             )
@@ -103,6 +112,17 @@ def divide_by_scan(num, den):
         t = max(quotient, key=grlex_key) if quotient else (0,) * num.rank
         raise InexactDivisionError("re-multiplication check failed", t)
     return result
+
+
+def character_by_division(lam):
+    """Character oracle: S_{lam+rho} / S_rho by long division, decomposed."""
+    rho = (1,) * len(lam)
+    shifted = tuple(c + 1 for c in lam)
+    return decompose_into_c(exact_divide(exp_sum(shifted, "S"), exp_sum(rho, "S")))
+
+
+#: Second-kind table boxes, rank -> largest coordinate.
+CHARACTER_BOXES = {1: 20, 2: 8, 3: 3, 4: 1}
 
 
 def outcome(f, *args):
@@ -151,6 +171,19 @@ def brute_product(lam, mu):
     # A W-invariant sum is constant on each orbit.
     assert all(len(v) == 1 for v in grouped.values())
     return out, {dom: v.pop() for dom, v in grouped.items()}
+
+
+@st.composite
+def dominant_pairs(draw):
+    """Dominant pairs at ranks 1-5; b loses its last nonzero coordinate
+    until the convolution oracle multiplies at most 20 000 term pairs."""
+    n = draw(st.integers(1, 5))
+    coord = st.integers(0, {1: 5, 2: 3, 3: 2, 4: 2, 5: 1}[n])
+    a = draw(st.tuples(*[coord] * n))
+    b = list(draw(st.tuples(*[coord] * n)))
+    while weyl.orbit_size(a) * weyl.orbit_size(tuple(b)) > 20_000:
+        b[max(k for k, c in enumerate(b) if c)] = 0
+    return a, tuple(b)
 
 
 @st.composite
@@ -289,6 +322,28 @@ class TestDecompose:
         assert outcome(decompose_into_c, s) == outcome(decompose_by_rescan, s)
 
 
+class TestOrbitProduct:
+    @given(dominant_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_convolution_and_decomposition(self, pair):
+        a, b = pair
+        got = orbit_product(a, b)
+        want = decompose_into_c(exp_sum(a, "C") * exp_sum(b, "C"))
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+    def test_large_rank5_product(self):
+        dec = orbit_product((1, 1, 1, 1, 1), (1, 2, 1, 2, 1))
+        assert dec.weight_count() == 720 * 720
+        assert dec == orbit_product((1, 2, 1, 2, 1), (1, 1, 1, 1, 1))
+
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="dominant"):
+            orbit_product((1, -1), (1, 0))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            orbit_product((1,), (1, 0))
+
+
 class TestExactDivide:
     def test_a1_character_numerator(self):
         quot = exact_divide(exp_sum((3,), "S"), exp_sum((1,), "S"))
@@ -309,6 +364,17 @@ class TestExactDivide:
         with pytest.raises(InexactDivisionError) as err:
             exact_divide(exp_sum((1,), "C"), exp_sum((1,), "S"))
         assert err.value.term is not None
+
+    def test_sideways_drift_stops_at_the_quotient_box(self):
+        # The first quotient term (0, 3) already lies outside the box
+        # -2 <= q_1 <= 0, 3 <= q_2 <= 2 that exact quotients occupy.
+        num = ExpSum(2, {(-1, 1): 2, (2, 2): 2, (2, 1): -2})
+        den = ExpSum(2, {(1, 0): 2, (1, -2): 1, (2, -1): 1})
+        start = time.perf_counter()
+        with pytest.raises(InexactDivisionError) as err:
+            exact_divide(num, den)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.term == (2, 2)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
@@ -366,3 +432,15 @@ class TestCharacter:
     def test_requires_dominant(self):
         with pytest.raises(ValueError):
             character((1, -1))
+
+    @pytest.mark.parametrize("n", sorted(CHARACTER_BOXES))
+    def test_matches_division_and_weyl_dimension(self, n):
+        for lam in itertools.product(range(CHARACTER_BOXES[n] + 1), repeat=n):
+            dec = character(lam)
+            want = character_by_division(lam)
+            assert list(dec.terms.items()) == list(want.terms.items()), lam
+            assert dec.weight_count() == lie.weyl_dimension(lam), lam
+
+    def test_rank5_character(self):
+        dec = character((1, 1, 1, 1, 1))
+        assert dec.weight_count() == lie.weyl_dimension((1, 1, 1, 1, 1)) == 2 ** 15

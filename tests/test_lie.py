@@ -174,3 +174,33 @@ class TestCongruence:
         assert lie.congruence_number(total) == (
             lie.congruence_number(lam) + lie.congruence_number(mu)
         ) % (n + 1)
+
+
+class TestWeylDimension:
+    def test_examples(self):
+        assert lie.weyl_dimension((0,)) == 1
+        assert lie.weyl_dimension((4,)) == 5
+        assert lie.weyl_dimension((1, 0)) == 3
+        assert lie.weyl_dimension((1, 1)) == 8
+        assert lie.weyl_dimension((2, 0)) == 6
+        assert lie.weyl_dimension((1, 0, 1)) == 15
+        assert lie.weyl_dimension((1, 1, 1, 1, 1)) == 2 ** 15
+
+    @given(weights(max_rank=4, min_coord=0, max_coord=4))
+    @settings(max_examples=60)
+    def test_matches_root_pairings(self, lam):
+        # prod over positive roots alpha_i + ... + alpha_{j-1} of
+        # (lam + rho, alpha) / (rho, alpha), with the Fraction inner product.
+        n = len(lam)
+        cartan = lie.cartan_matrix(n)
+        shifted = tuple(c + 1 for c in lam)
+        dim = Fraction(1)
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                root = tuple(sum(cartan[k][m] for k in range(i, j)) for m in range(n))
+                dim *= lie.inner_product(shifted, root) / lie.inner_product((1,) * n, root)
+        assert lie.weyl_dimension(lam) == dim
+
+    def test_requires_dominant(self):
+        with pytest.raises(ValueError):
+            lie.weyl_dimension((1, -1))
