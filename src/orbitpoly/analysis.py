@@ -17,7 +17,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,10 +143,7 @@ def quadrature_inner_product(
             AliasingWarning,
             stacklevel=2,
         )
-    grid = _torus_grid(a.rank, n_points)
-    va = a.evaluate(grid)
-    vb = b.evaluate(grid)
-    return complex((va * vb.conj()).mean())
+    return complex(quadrature_gram([a, b], n_points)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +174,30 @@ _EVALUATORS = {
 }
 
 
+def _random_e_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m uniform points of the alpha-basis unit cube as (m, n+1) e-points;
+    the same stream as m draws of ``rng.random(n)``."""
+    alpha = rng.random((m, n))
+    zero = np.zeros((m, 1))
+    return np.hstack([alpha, zero]) - np.hstack([zero, alpha])
+
+
+def _fd_values(
+    kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float],
+    frame: np.ndarray | None = None,
+) -> tuple[complex, list[complex]]:
+    """f at x_e and its central-difference Laplacian for each step h, from
+    one evaluation of x_e and every x_e +- h*v, v a row of the frame."""
+    if frame is None:
+        frame = hyperplane_frame(len(lam))
+    stencil = [x_e] + [x_e + s * h * frame for h in steps for s in (1, -1)]
+    values = _EVALUATORS[kind](lam, np.vstack(stencil), basis="e")
+    centre = values[0]
+    shells = values[1:].reshape(len(steps), 2, -1)
+    return centre, [complex((plus - 2 * centre + minus).sum()) / (h * h)
+                    for (plus, minus), h in zip(shells, steps)]
+
+
 def fd_laplacian(
     kind: str,
     lam: Sequence[int],
@@ -186,15 +207,24 @@ def fd_laplacian(
 ) -> complex:
     """Central-difference Laplacian along an orthonormal frame of the
     zero-sum hyperplane."""
-    f = _EVALUATORS[kind]
-    n = len(lam)
-    if frame is None:
-        frame = hyperplane_frame(n)
-    center = f(lam, x_e, basis="e")
-    total = 0j
-    for v in frame:
-        total += f(lam, x_e + h * v, basis="e") - 2 * center + f(lam, x_e - h * v, basis="e")
-    return total / (h * h)
+    return _fd_values(kind, lam, x_e, (h,), frame)[1][0]
+
+
+def _relative_errors(
+    kind: str, lam: tuple[int, ...], candidates: Iterable[np.ndarray], steps: Sequence[float],
+    min_abs: float | None = None, frame: np.ndarray | None = None,
+) -> Iterator[list[float]]:
+    """Relative errors of the eigenvalue identity, one per step, at each
+    candidate e-point where |f| >= min_abs (by default 0.05 times the orbit
+    size); below that the ratio measures the fluctuation of |f| rather
+    than the h^2 truncation term."""
+    if min_abs is None:
+        min_abs = 0.05 * weyl.orbit_size(weyl.dominant_representative(lam)[0])
+    factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
+    for x_e in candidates:
+        val, laps = _fd_values(kind, lam, x_e, steps, frame)
+        if abs(val) >= min_abs:
+            yield [float(abs(lap + factor * val) / (factor * abs(val))) for lap in laps]
 
 
 def laplacian_eigenvalue_check(
@@ -218,30 +248,14 @@ def laplacian_eigenvalue_check(
     if not 0 < h <= 0.01:
         raise ValueError("step h must lie in (0, 0.01]")
     lam = lie.as_weight(lam)
-    n = len(lam)
-    norm = float(lie.norm_sq(lam))
-    if norm == 0.0:
+    if lie.norm_sq(lam) == 0:
         return 0.0
-    if min_abs is None:
-        # Orbit-size fraction below which the relative error is dominated by
-        # the fluctuation of |f| rather than by the h^2 truncation term.
-        min_abs = 0.05 * weyl.orbit(weyl.dominant_representative(lam)[0]).size
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    f = _EVALUATORS[kind]
-    candidates: list[np.ndarray] = []
-    if x is not None:
-        candidates.append(np.asarray(x, dtype=float))
-    while len(candidates) < retries + (x is not None):
-        candidates.append(np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float))
-    factor = 4 * np.pi * np.pi * norm
-    for x_e in candidates:
-        val = f(lam, x_e, basis="e")
-        if abs(val) < min_abs:
-            continue
-        lap = fd_laplacian(kind, lam, x_e, h, frame=frame)
-        return float(abs(lap + factor * val) / (factor * abs(val)))
-    return None
+    candidates = [] if x is None else [np.asarray(x, dtype=float)]
+    candidates += list(_random_e_points(rng, retries, len(lam)))
+    errs = next(_relative_errors(kind, lam, candidates, (h,), min_abs, frame), None)
+    return None if errs is None else errs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +305,23 @@ def symmetry_suite(
     if not lie.is_dominant(lam):
         raise ValueError(f"symmetry suite requires a dominant weight, got {lam}")
     n = len(lam)
-    orb = weyl.orbit(lam)
     strict = lie.is_strictly_dominant(lam)
-    rng = np.random.default_rng(seed)
-    report = SymmetryReport(lam=lam, trials=trials, seed=seed, scale=float(orb.size),
-                            tolerance=tolerance)
-    for _ in range(trials):
-        x_e = np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
-        c0 = orbit_functions.eval_c(lam, x_e, basis="e")
-        s0 = orbit_functions.eval_s(lam, x_e, basis="e") if strict else 0j
-        e0 = orbit_functions.eval_e(lam, x_e, basis="e")
-        for i in range(1, n + 1):
-            rx = np.asarray(weyl.reflect(i, tuple(x_e)), dtype=float)
-            report.max_c_dev = max(
-                report.max_c_dev, abs(orbit_functions.eval_c(lam, rx, basis="e") - c0)
-            )
-            if strict:
-                report.max_s_dev = max(
-                    report.max_s_dev,
-                    abs(orbit_functions.eval_s(lam, rx, basis="e") + s0),
-                )
-            refl_lam = weyl.reflect_weight(i, lam)
-            report.max_e_dev = max(
-                report.max_e_dev,
-                abs(orbit_functions.eval_e(refl_lam, x_e, basis="e") - e0),
-            )
+    report = SymmetryReport(lam=lam, trials=trials, seed=seed,
+                            scale=float(weyl.orbit_size(lam)), tolerance=tolerance)
+    x = _random_e_points(np.random.default_rng(seed), trials, n)
+    c0 = orbit_functions.eval_c(lam, x, basis="e")
+    s0 = orbit_functions.eval_s(lam, x, basis="e") if strict else None
+    e0 = orbit_functions.eval_e(lam, x, basis="e")
+    for i in range(1, n + 1):
+        rx = x[:, weyl.reflect(i, range(n + 1))]  # r_i swaps e-coordinates i, i+1
+        c_dev = np.abs(orbit_functions.eval_c(lam, rx, basis="e") - c0)
+        report.max_c_dev = float(c_dev.max(initial=report.max_c_dev))
+        if strict:
+            s_dev = np.abs(orbit_functions.eval_s(lam, rx, basis="e") + s0)
+            report.max_s_dev = float(s_dev.max(initial=report.max_s_dev))
+        refl_lam = weyl.reflect_weight(i, lam)
+        e_dev = np.abs(orbit_functions.eval_e(refl_lam, x, basis="e") - e0)
+        report.max_e_dev = float(e_dev.max(initial=report.max_e_dev))
     return report
 
 
@@ -472,40 +478,29 @@ def _laplace_cases(rank_bound: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def run_laplace_suite(
-    rank_bound: int = 3, seed: int = DEFAULT_SEED, points: int = 20, h: float = 1e-3
+    rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
+    points: int = 20, h: float = 1e-3,
 ) -> SuiteReport:
-    """Finite-difference eigenvalue identity and its h^2 convergence rate."""
+    """Finite-difference eigenvalue identity and its h^2 convergence rate;
+    the labels are fixed per rank, so coord_bound does not apply."""
     report = SuiteReport("laplace", seed)
     rng = np.random.default_rng(seed)
     for kind, lam in _laplace_cases(rank_bound):
         n = len(lam)
-        f = _EVALUATORS[kind]
-        factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
-        min_abs = 0.05 * weyl.orbit(lam).size
-        errs_h, errs_half = [], []
-        attempts = 0
-        while len(errs_h) < points and attempts < 20 * points:
-            attempts += 1
-            x = np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
-            val = f(lam, x, basis="e")
-            if abs(val) < min_abs:
-                continue
-            # Both step sizes at the same point, or the ratio is meaningless.
-            e1 = abs(fd_laplacian(kind, lam, x, h) + factor * val) / (factor * abs(val))
-            e2 = abs(fd_laplacian(kind, lam, x, h / 2) + factor * val) / (factor * abs(val))
-            errs_h.append(e1)
-            errs_half.append(e2)
+        draws = (_random_e_points(rng, 1, n)[0] for _ in range(20 * points))
+        # Both step sizes at the same point, or the ratio is meaningless.
+        errs = list(itertools.islice(_relative_errors(kind, lam, draws, (h, h / 2)), points))
         name = f"A{n} {kind}_{''.join(map(str, lam))}"
-        if not errs_h:
+        if not errs:
             report.add(f"{name} eigenvalue", False, "all points degenerate")
             continue
-        worst = max(errs_h)
+        worst, worst_half = np.max(errs, axis=0)
         report.add(
             f"{name} relative error < 1e-4 at h={h:g}",
             worst < 1e-4,
-            f"max {worst:.3e} over {len(errs_h)} points",
+            f"max {worst:.3e} over {len(errs)} points",
         )
-        ratio = max(errs_h) / max(errs_half)
+        ratio = worst / worst_half
         report.add(
             f"{name} halving h shrinks error ~4x",
             3.0 <= ratio <= 5.0,
@@ -514,12 +509,10 @@ def run_laplace_suite(
     # Frame independence at one deterministic case: two frames agree up to
     # the h^2 truncation term, so normalize like the eigenvalue check.
     lam = (1,) * min(2, rank_bound)
-    x = np.asarray(lie.alpha_to_e_point(np.random.default_rng(seed).random(len(lam))), float)
-    l1 = fd_laplacian("C", lam, x, h, frame=hyperplane_frame(len(lam)))
-    l2 = fd_laplacian("C", lam, x, h, frame=hyperplane_frame(len(lam), reverse=True))
-    scale = 4 * np.pi * np.pi * float(lie.norm_sq(lam)) * abs(
-        orbit_functions.eval_c(lam, x, basis="e")
-    )
+    x = _random_e_points(np.random.default_rng(seed), 1, len(lam))[0]
+    centre, (l1,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam)))
+    _, (l2,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam), reverse=True))
+    scale = 4 * np.pi * np.pi * float(lie.norm_sq(lam)) * abs(centre)
     report.add(
         "Laplacian independent of the orthonormal frame",
         abs(l1 - l2) < 1e-4 * scale,
@@ -551,8 +544,12 @@ def run_symmetry_suite(
     return report
 
 
-def run_chebyshev_suite(max_degree: int = 20) -> SuiteReport:
-    """Rank-1 reduction to the classical polynomials, exactly."""
+def run_chebyshev_suite(
+    rank_bound: int | None = None, coord_bound: int | None = None,
+    seed: int = DEFAULT_SEED, max_degree: int = 20,
+) -> SuiteReport:
+    """Rank-1 reduction to the classical polynomials, exactly.  Nothing is
+    drawn at random and the rank is 1, so the bounds and the seed do not apply."""
     report = SuiteReport("chebyshev", DEFAULT_SEED)
     ok_t = all(
         chebyshev.a1_z_coefficients(chebyshev.poly_t((m,)))
@@ -593,8 +590,8 @@ def run_chebyshev_suite(max_degree: int = 20) -> SuiteReport:
 
 
 def run_detforms_suite(
-    rank_bound: int = 4, seed: int = DEFAULT_SEED, samples: int = 100,
-    coord_bound: int = 3, tolerance: float = 1e-9,
+    rank_bound: int = 4, coord_bound: int = 3, seed: int = DEFAULT_SEED,
+    samples: int = 100, tolerance: float = 1e-9,
 ) -> SuiteReport:
     """Permanent/determinant/alternating forms against C, S, E functions."""
     report = SuiteReport("detforms", seed)
@@ -603,7 +600,7 @@ def run_detforms_suite(
         worst = {"plus": 0.0, "minus": 0.0, "alt": 0.0, "half": 0.0}
         for _ in range(samples):
             lam = tuple(int(c) for c in rng.integers(1, coord_bound + 1, size=n))
-            x = np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
+            x = _random_e_points(rng, 1, n)[0]
             l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
             k = weyl.stabilizer_order(lam)
             dp = orbit_functions.d_plus(l_e, x)
@@ -642,16 +639,14 @@ def run_detforms_suite(
             wall = tuple(2 if k == 0 else 0 for k in range(n))
             k = weyl.stabilizer_order(wall)
             l_e = np.array([float(v) for v in lie.omega_to_e(wall)])
+            xs = _random_e_points(rng, 10, n)
+            c = orbit_functions.eval_c(wall, xs, basis="e")
             dev_plus = dev_minus = dev_half = 0.0
-            for _ in range(10):
-                x = np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
+            for x, c_x in zip(xs, c):
                 dp = orbit_functions.d_plus(l_e, x)
                 dm = orbit_functions.d_minus(l_e, x)
                 da = orbit_functions.d_alt(l_e, x)
-                dev_plus = max(
-                    dev_plus,
-                    abs(dp - k * orbit_functions.eval_c(wall, x, basis="e")),
-                )
+                dev_plus = max(dev_plus, abs(dp - k * c_x))
                 dev_minus = max(dev_minus, abs(dm))
                 dev_half = max(dev_half, abs(da - (dp + dm) / 2))
             report.add(
@@ -666,7 +661,7 @@ SUITES = {
     "ortho": run_ortho_suite,
     "laplace": run_laplace_suite,
     "symmetry": run_symmetry_suite,
-    "chebyshev": lambda **kw: run_chebyshev_suite(),
+    "chebyshev": run_chebyshev_suite,
     "detforms": run_detforms_suite,
 }
 
@@ -675,18 +670,10 @@ def run_suite(
     name: str, rank_bound: int | None = None, coord_bound: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteReport]:
-    """Run one named suite, or all of them; returns one report per suite."""
-    names = list(SUITES) if name == "all" else [name]
-    reports = []
-    for suite in names:
-        if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}; choose from {list(SUITES)} or 'all'")
-        kwargs: dict = {}
-        if suite in ("ortho", "laplace", "symmetry", "detforms"):
-            kwargs["seed"] = seed
-        if rank_bound is not None and suite in ("ortho", "laplace", "symmetry", "detforms"):
-            kwargs["rank_bound"] = rank_bound
-        if coord_bound is not None and suite in ("ortho", "symmetry", "detforms"):
-            kwargs["coord_bound"] = coord_bound
-        reports.append(SUITES[suite](**kwargs))
-    return reports
+    """Run one named suite, or all of them; returns one report per suite.
+    A bound left as None keeps each suite's own default."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
+    bounds = {key: value for key, value in
+              (("rank_bound", rank_bound), ("coord_bound", coord_bound)) if value is not None}
+    return [SUITES[suite](seed=seed, **bounds) for suite in (SUITES if name == "all" else [name])]

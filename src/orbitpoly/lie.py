@@ -20,18 +20,16 @@ MAX_RANK = 8
 Weight = tuple[int, ...]
 
 
-def check_rank(n: int, maximum: int | None = None) -> None:
-    """Raise ValueError unless 1 <= n <= maximum (MAX_RANK when omitted).
+def check_rank(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_RANK.
 
     The module-level MAX_RANK is read at call time, so reassigning it
     reconfigures every entry point at once.
     """
-    if maximum is None:
-        maximum = MAX_RANK
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
-    if n > maximum:
-        raise ValueError(f"rank {n} exceeds the configured maximum {maximum}")
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} exceeds the configured maximum {MAX_RANK}")
 
 
 def as_weight(coords: Sequence[int]) -> Weight:

@@ -4,7 +4,10 @@ determinant / alternating-sum exponential forms they coincide with.
 The argument point x may be given in alpha coordinates (length n, the
 pairing with an omega-coordinate weight is then the plain dot product) or
 as a real e-point of length n+1; adding a multiple of (1,...,1) to an
-e-point never changes a value because weights sum to zero there.
+e-point never changes a value because weights sum to zero there.  An
+(m, n) or (m, n+1) array is a batch of m points with one value each; a
+batch row may differ from the same point evaluated alone in the last bits
+(a matrix-matrix against a matrix-vector product).
 
 Every exponential sum -- an orbit function here, ``ExpSum.evaluate``, the
 quadrature grids of ``analysis`` -- is computed by the one kernel
@@ -65,18 +68,35 @@ def _table(dom: tuple[int, ...], kind: str, basis: str):
     return weight_rows(points, orb.rank, basis), np.array(coeffs, dtype=float)
 
 
-def _evaluate(dom: tuple[int, ...], kind: str, x: Sequence[float], basis: str) -> complex:
-    weights, coeffs = _table(dom, kind, basis)
+def _points(x, width: int, basis: str) -> np.ndarray:
+    """x as float coordinates of one point (width,) or a batch (m, width)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != weights.shape[1:]:
-        raise ValueError(f"{basis} point must have length {weights.shape[1]}")
-    value = complex(exp_kernel(weights, coeffs, x))
-    if not cmath.isfinite(value):
-        raise ValueError(f"non-finite value at the point {tuple(x.tolist())}")
-    return value
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"{basis} point must have length {width}, or a batch shape "
+                         f"(m, {width}); got shape {x.shape}")
+    return x
 
 
-def eval_c(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
+def _finite(values, x: np.ndarray):
+    """values as a complex for one point x, as an array for a batch; raises
+    ValueError naming the first point whose value is not finite."""
+    if x.ndim == 1:
+        values = complex(values)
+        if cmath.isfinite(values):
+            return values
+    elif np.isfinite(values).all():
+        return values
+    row = x if x.ndim == 1 else x[np.isfinite(values).argmin()]
+    raise ValueError(f"non-finite value at the point {tuple(row.tolist())}")
+
+
+def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
+    weights, coeffs = _table(dom, kind, basis)
+    x = _points(x, weights.shape[1], basis)
+    return _finite(exp_kernel(weights, coeffs, x), x)
+
+
+def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     """C-orbit function: plain exponential sum over the orbit of lam.
 
     Normalized over distinct orbit points, so C_0 = 1 and C_lam(0) equals
@@ -88,30 +108,31 @@ def eval_c(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> comp
     return _evaluate(lam, "C", x, basis)
 
 
-def eval_s(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
+def eval_s(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     """S-orbit function: parity-signed exponential sum over the orbit.
 
     Strictly dominant lam is the meaningful domain.  A dominant lam on a
-    chamber wall returns exactly 0 with a NonGenericWeightWarning -- the
-    antisymmetrization cancels identically there, and callers composing
-    characters need a total function rather than an error.
+    chamber wall returns exactly 0 (zeros for a batch) with one
+    NonGenericWeightWarning -- the antisymmetrization cancels identically
+    there, and callers composing characters need a total function rather
+    than an error.  The points are checked as for any other label.
     """
     lam = lie.as_weight(lam)
     if not lie.is_dominant(lam):
         raise ValueError(f"S requires a dominant weight, got {lam}")
-    if not lie.is_strictly_dominant(lam):
-        if not np.isfinite(x).all():
-            raise ValueError(f"non-finite point {x}")
-        warnings.warn(
-            f"S vanishes identically at the non-generic weight {lam}",
-            NonGenericWeightWarning,
-            stacklevel=2,
-        )
-        return 0j
-    return _evaluate(lam, "S", x, basis)
+    if lie.is_strictly_dominant(lam):
+        return _evaluate(lam, "S", x, basis)
+    x = _points(x, weight_rows((), len(lam), basis).shape[1], basis)
+    zeros = _finite(np.where(np.isfinite(x).all(axis=-1), 0j, np.nan), x)
+    warnings.warn(
+        f"S vanishes identically at the non-generic weight {lam}",
+        NonGenericWeightWarning,
+        stacklevel=2,
+    )
+    return zeros
 
 
-def eval_e(lam: Sequence[int], x: Sequence[float], basis: str = "alpha") -> complex:
+def eval_e(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     """E-orbit function: exponential sum over the even-subgroup orbit.
 
     Labels are weights in P+ or r_i P+ (as for ``exp_sum(lam, "E")``); the

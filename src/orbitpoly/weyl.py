@@ -96,16 +96,6 @@ class SignedOrbit:
         return zip(self.points, self.signs)
 
 
-def _to_omega(arrangement: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(n):
-        q, r = divmod(arrangement[i] - arrangement[i + 1], n + 1)
-        if r:
-            raise AssertionError("scaled e-coordinates lost congruence")
-        out.append(q)
-    return tuple(out)
-
-
 def _signed_arrangements(values: tuple[int, ...], memo: dict) -> list:
     """(omega point, first value, sign) for every distinct arrangement of
     the descending multiset ``values``, the arrangements in descending
@@ -171,25 +161,30 @@ def orbit(lam: tuple[int, ...]) -> SignedOrbit:
 def dominant_representative(mu: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Dominant weight of mu's orbit and the parity carrying it to mu.
 
-    Sorts the e-coordinates descending; the sign is the parity of the
-    (stable) sorting permutation, so dominant input returns (mu, +1).
+    Sorts the suffix sums (the e-coordinates up to a shift) descending; the
+    sign is the parity of the stable sorting permutation, so dominant input
+    returns (mu, +1).
     """
-    mu = lie.as_weight(mu)
-    n = len(mu)
-    scaled = lie.omega_to_e_scaled(mu)
-    sign = stable_sort_sign(scaled)
-    return _to_omega(tuple(sorted(scaled, reverse=True)), n), sign
+    p = suffix_sums(lie.as_weight(mu))
+    top = sorted(p, reverse=True)
+    return tuple(a - b for a, b in zip(top, top[1:])), stable_sort_sign(p)
 
 
 def e_label_dominant(lam: Sequence[int]) -> tuple[int, ...]:
     """Dominant representative of an E-function label.
 
     E labels are the weights in P+ or in r_i P+ for some i; anything else
-    raises ValueError.  Shared by ``exp_sum(lam, "E")`` and ``eval_e``.
+    raises ValueError.  r_i of a dominant weight can be negative at
+    coordinate i only, so a label that is not dominant is an E label
+    exactly when r_i of it is dominant for its first negative coordinate i.
+    Shared by ``exp_sum(lam, "E")`` and ``eval_e``.
     """
     lam = lie.as_weight(lam)
-    dom, _ = dominant_representative(lam)
-    if dom != lam and all(reflect_weight(i, lam) != dom for i in range(1, len(lam) + 1)):
+    negative = [i for i, c in enumerate(lam, 1) if c < 0]
+    if not negative:
+        return lam
+    dom = reflect_weight(negative[0], lam)
+    if not lie.is_dominant(dom):
         raise ValueError(f"E requires a weight in P+ or r_i P+, got {lam}")
     return dom
 
@@ -214,12 +209,6 @@ def stabilizer_order(lam: Sequence[int]) -> int:
         run = 1 if c else run + 1
         order *= run
     return order
-
-
-def is_generic(mu: Sequence[int]) -> bool:
-    """True when the stabilizer is trivial (all e-coordinates distinct)."""
-    scaled = lie.omega_to_e_scaled(tuple(mu))
-    return len(set(scaled)) == len(scaled)
 
 
 def reflect(i: int, coords: Sequence) -> tuple:

@@ -1,4 +1,5 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
+import inspect
 from math import factorial
 
 import numpy as np
@@ -220,6 +221,16 @@ class TestSuiteRunners:
         assert len(reports) == 1 and reports[0].passed
         with pytest.raises(ValueError):
             analysis.run_suite("nope")
+
+    @pytest.mark.parametrize("name", list(analysis.SUITES))
+    def test_run_suite_passes_the_same_keywords_to_every_suite(self, name):
+        params = inspect.signature(analysis.SUITES[name]).parameters
+        assert list(params)[:3] == ["rank_bound", "coord_bound", "seed"]
+        kwargs = dict(rank_bound=2, coord_bound=2, seed=5)
+        assert analysis.run_suite(name, **kwargs) == [analysis.SUITES[name](**kwargs)]
+
+    def test_run_suite_keeps_suite_defaults(self):
+        assert analysis.run_suite("detforms", seed=5) == [analysis.run_detforms_suite(seed=5)]
 
     def test_reports_render(self):
         report = analysis.run_chebyshev_suite()

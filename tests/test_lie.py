@@ -72,7 +72,6 @@ class TestCartan:
             lie.cartan_matrix(0)
         with pytest.raises(ValueError):
             lie.check_rank(9)
-        lie.check_rank(9, maximum=10)  # per-call override
 
     def test_rank_cap_is_reconfigurable(self, monkeypatch):
         monkeypatch.setattr(lie, "MAX_RANK", 2)

@@ -83,6 +83,20 @@ class TestDomainHandling:
             value = of.eval_s((1, 0), (0.123, 0.456))
         assert value == 0j
 
+    def test_s_on_wall_checks_its_point(self):
+        with pytest.raises(ValueError, match="length 2"):
+            of.eval_s((1, 0), (0.1,) * 5)
+        with pytest.raises(ValueError):
+            of.eval_s((1, 0), "ab")
+        with pytest.raises(ValueError, match="length 3"):
+            of.eval_s((1, 0), (0.1, 0.2), basis="e")
+
+    def test_s_on_wall_batch_is_zeros_with_one_warning(self):
+        with pytest.warns(of.NonGenericWeightWarning) as caught:
+            values = of.eval_s((1, 0), np.full((4, 2), 0.3))
+        assert len(caught) == 1
+        assert values.shape == (4,) and values.tolist() == [0j] * 4
+
     def test_s_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             of.eval_s((-1, 2), (0.1, 0.2))
@@ -105,6 +119,35 @@ class TestDomainHandling:
         assert of.eval_c(lam, shifted, basis="e") == pytest.approx(
             of.eval_c(lam, xe, basis="e")
         )
+
+
+def batch_labels(kind, n, rng):
+    """A few labels of one kind at rank n; reflected labels for E."""
+    low = 1 if kind == "S" else 0
+    labels = [tuple(int(c) for c in rng.integers(low, 3, size=n)) for _ in range(3)]
+    if kind == "E":
+        labels += [weyl.reflect_weight(int(rng.integers(1, n + 1)), lam) for lam in labels]
+    return labels
+
+
+class TestBatches:
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("basis", ["alpha", "e"])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_batch_matches_the_per_point_loop(self, kind, n, basis, m):
+        f = {"C": of.eval_c, "S": of.eval_s, "E": of.eval_e}[kind]
+        rng = np.random.default_rng(100 * n + m)
+        xs = rng.random((m, n)) * 4 - 2
+        if basis == "e":
+            xs = np.array([lie.alpha_to_e_point(row) for row in xs]) + rng.random((m, 1))
+        for lam in batch_labels(kind, n, rng):
+            values = f(lam, xs, basis=basis)
+            assert isinstance(values, np.ndarray) and values.shape == (m,)
+            loop = [f(lam, row, basis=basis) for row in xs]
+            size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
+            assert np.abs(values - loop).max() <= 1e-12 * size
+            assert all(type(v) is complex for v in loop)
 
 
 class TestIdentities:

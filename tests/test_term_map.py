@@ -102,8 +102,18 @@ class TestSharedCore:
         assert str(YLaurent(2, terms)) == "y1^2 - 3*y2 + 2"
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def alpha_batches(draw, n):
+    return np.array(draw(st.lists(alpha_points(n), min_size=1, max_size=4)), dtype=float)
+
+
 class TestOneKernel:
-    """eval_c/s/e and ExpSum.evaluate share the kernel, so they agree to the bit."""
+    """eval_c/s/e and ExpSum.evaluate share the kernel, so they agree to the bit,
+    on single points and on batches alike."""
 
     @given(dominant_weights(max_rank=4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -113,6 +123,10 @@ class TestOneKernel:
         assert of.eval_c(lam, x) == s.evaluate(x)
         xe = lie.alpha_to_e_point(x)
         assert of.eval_c(lam, xe, basis="e") == s.evaluate(xe, basis="e")
+        xs = data.draw(alpha_batches(len(lam)))
+        assert same_bits(of.eval_c(lam, xs), s.evaluate(xs))
+        xes = np.array([lie.alpha_to_e_point(row) for row in xs])
+        assert same_bits(of.eval_c(lam, xes, basis="e"), s.evaluate(xes, basis="e"))
 
     @given(strict_weights(max_rank=4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -122,6 +136,10 @@ class TestOneKernel:
         assert of.eval_s(lam, x) == s.evaluate(x)
         xe = lie.alpha_to_e_point(x)
         assert of.eval_s(lam, xe, basis="e") == s.evaluate(xe, basis="e")
+        xs = data.draw(alpha_batches(len(lam)))
+        assert same_bits(of.eval_s(lam, xs), s.evaluate(xs))
+        xes = np.array([lie.alpha_to_e_point(row) for row in xs])
+        assert same_bits(of.eval_s(lam, xes, basis="e"), s.evaluate(xes, basis="e"))
 
     @given(dominant_weights(max_rank=4), st.integers(0, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -130,6 +148,8 @@ class TestOneKernel:
             lam = weyl.reflect_weight(i, lam)
         x = data.draw(alpha_points(len(lam)))
         assert of.eval_e(lam, x) == exp_sum(lam, "E").evaluate(x)
+        xs = data.draw(alpha_batches(len(lam)))
+        assert same_bits(of.eval_e(lam, xs), exp_sum(lam, "E").evaluate(xs))
 
     def test_grid_rows_are_single_points(self):
         s = exp_sum((2, 1), "S")
@@ -151,6 +171,22 @@ class TestEvalInputs:
     def test_non_finite_point_raises(self, f, lam, bad):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             f(lam, (0.1, bad))
+
+    @pytest.mark.parametrize("f, lam", [(of.eval_c, (1, 0)), (of.eval_s, (1, 1)),
+                                        (of.eval_e, (1, 0)), (of.eval_s, (1, 0))])
+    def test_non_finite_batch_row_raises_naming_it(self, f, lam):
+        xs = np.array([[0.1, 0.2], [0.3, float("nan")], [float("inf"), 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\(0\.3, nan\)"):
+            f(lam, xs)
+
+    @pytest.mark.parametrize("f, lam", [(of.eval_c, (1, 0)), (of.eval_s, (1, 1)),
+                                        (of.eval_e, (1, 0)), (of.eval_s, (1, 0))])
+    def test_bad_shapes_raise(self, f, lam):
+        for x, basis in [(np.zeros((2, 3, 2)), "alpha"), (np.zeros((4, 3)), "alpha"),
+                         (np.zeros((4, 2)), "e"), (np.zeros(()), "alpha"),
+                         (np.zeros((2, 2)), "beta")]:
+            with pytest.raises(ValueError):
+                f(lam, x, basis=basis)
 
     def test_overflowing_point_raises(self):
         with np.errstate(invalid="ignore", over="ignore"):

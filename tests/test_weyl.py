@@ -220,6 +220,64 @@ class TestDominantRepresentative:
         assert sign in (1, -1)
 
 
+def dominant_by_scaled_sort(mu):
+    """Dominant representative and sign by sorting the e-coordinates scaled by
+    n+1 and dividing their differences back: the independent oracle."""
+    n = len(mu)
+    scaled = lie.omega_to_e_scaled(mu)
+    top = sorted(scaled, reverse=True)
+    dom = []
+    for a, b in zip(top, top[1:]):
+        q, r = divmod(a - b, n + 1)
+        assert r == 0
+        dom.append(q)
+    return tuple(dom), weyl.stable_sort_sign(scaled)
+
+
+def e_label_by_reflections(lam):
+    """The E-label rule spelled out: lam is dominant or r_i of its
+    dominant representative for some i; None otherwise."""
+    dom, _ = dominant_by_scaled_sort(lam)
+    if dom == lam or any(weyl.reflect_weight(i, lam) == dom for i in range(1, len(lam) + 1)):
+        return dom
+    return None
+
+
+class TestDominantRepresentativeOracle:
+    @given(weights(max_rank=6, min_coord=-5, max_coord=5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scaled_sort(self, mu):
+        assert weyl.dominant_representative(mu) == dominant_by_scaled_sort(mu)
+
+    @given(dominant_weights(max_rank=6, max_coord=3), st.lists(st.integers(1, 6), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_reflected_weights_return_to_their_label(self, lam, word):
+        mu = lam
+        for i in word:
+            mu = weyl.reflect_weight(min(i, len(lam)), mu)
+        dom, sign = weyl.dominant_representative(mu)
+        assert (dom, sign) == dominant_by_scaled_sort(mu)
+        assert dom == lam
+        if lie.is_strictly_dominant(lam):
+            assert sign == (-1) ** len(word)
+
+    @given(weights(max_rank=6, min_coord=-4, max_coord=4))
+    @settings(max_examples=300, deadline=None)
+    def test_e_label_rule(self, lam):
+        expect = e_label_by_reflections(lam)
+        if expect is None:
+            with pytest.raises(ValueError, match="P\\+ or r_i P\\+"):
+                weyl.e_label_dominant(lam)
+        else:
+            assert weyl.e_label_dominant(lam) == expect
+
+    @given(dominant_weights(max_rank=6, max_coord=3), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_every_reflected_label_is_an_e_label(self, lam, i):
+        i = min(i, len(lam))
+        assert weyl.e_label_dominant(weyl.reflect_weight(i, lam)) == lam
+
+
 class TestSignedPermutations:
     def test_small(self):
         got = dict(weyl.signed_permutations((0, 1)))
