@@ -189,7 +189,7 @@ def poly(rank, lam_text, kind, fmt, as_json, out):
 
 @main.command()
 @click.option("-s", "--suite",
-              type=click.Choice(["all", "ortho", "laplace", "symmetry", "chebyshev", "detforms"]),
+              type=click.Choice(["all", *analysis.SUITES]),
               default="all", show_default=True)
 @click.option("-n", "--rank", "rank_bound", type=int, default=None,
               help="Upper rank bound for the randomized suites.")

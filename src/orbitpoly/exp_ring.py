@@ -21,9 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from . import lie, orbit_functions, weyl
+from . import lie, weyl
 
 KINDS = ("C", "S", "E")
 
@@ -68,7 +66,10 @@ class TermMap:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", {w: c for w, c in self.terms.items() if c != 0})
+        terms = self.terms
+        # A plain copy runs at C speed; most maps have no zero to drop.
+        clean = dict(terms) if 0 not in terms.values() else {w: c for w, c in terms.items() if c != 0}
+        object.__setattr__(self, "terms", clean)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -150,6 +151,10 @@ class ExpSum(TermMap):
     def evaluate(self, x, basis: str = "alpha") -> complex | np.ndarray:
         """Numeric value sum of coeff * exp(2*pi*i <mu, x>) at the point x,
         or the array of values at every row of an (m, n) grid x."""
+        import numpy as np
+
+        from . import orbit_functions
+
         weights = orbit_functions.weight_rows(list(self.terms), self.rank, basis)
         coeffs = np.array(list(self.terms.values()), dtype=float)
         values = orbit_functions.exp_kernel(weights, coeffs, np.asarray(x, dtype=float))

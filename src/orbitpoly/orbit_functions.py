@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lie, weyl
+from . import exp_ring, lie, weyl
 
 
 class NonGenericWeightWarning(UserWarning):
@@ -57,15 +57,10 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 
 @lru_cache(maxsize=64)
 def _table(dom: tuple[int, ...], kind: str, basis: str):
-    """(weight rows, coefficients) of the kind-orbit sum of a dominant label.
-
-    E keeps only the even rows themselves: masking would change the
-    summation blocks and with them the bits.
-    """
-    orb = weyl.orbit(dom)
-    points = orb.even_points if kind == "E" else orb.points
-    coeffs = orb.signs if kind == "S" else (1,) * len(points)
-    return weight_rows(points, orb.rank, basis), np.array(coeffs, dtype=float)
+    """(weight rows, coefficients) of ``exp_sum(dom, kind)``, in its term
+    order, so that ``ExpSum.evaluate`` sums the same rows to the same bits."""
+    s = exp_ring.exp_sum(dom, kind)
+    return weight_rows(list(s.terms), s.rank, basis), np.array(list(s.terms.values()), dtype=float)
 
 
 def _points(x, width: int, basis: str) -> np.ndarray:
@@ -102,10 +97,7 @@ def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     Normalized over distinct orbit points, so C_0 = 1 and C_lam(0) equals
     the orbit size.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"C requires a dominant weight, got {lam}")
-    return _evaluate(lam, "C", x, basis)
+    return _evaluate(lie.as_weight(lam), "C", x, basis)
 
 
 def eval_s(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
@@ -145,72 +137,83 @@ def eval_e(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Exponential functions in n+1 variables: permanent, determinant and
-# alternating-sum forms of the matrix exp(2*pi*i * l_j * x_k).
+# alternating-sum forms of the matrix exp(2*pi*i * l_j * x_k).  They take x
+# as the eval_* functions take an e-point: one point (n+1,) gives a complex,
+# an (m, n+1) batch gives m values, one matrix per point.
 
-def permanent(a: np.ndarray) -> complex:
-    """Permanent by Ryser inclusion-exclusion, O(2^m m); m <= 9."""
+def permanent(a: np.ndarray) -> complex | np.ndarray:
+    """Permanent of a square matrix, or of each matrix of an (..., m, m)
+    stack, by Ryser inclusion-exclusion; m <= 9.
+
+    The row sums over every nonempty column subset are one product with the
+    (m, 2^m - 1) 0/1 mask matrix; their product over the rows is summed with
+    sign (-1)^(m - |subset|).
+    """
     a = np.asarray(a)
-    m = a.shape[0]
-    if a.shape != (m, m):
+    m = a.shape[-1] if a.ndim else 0
+    if a.ndim < 2 or a.shape[-2] != m:
         raise ValueError("permanent requires a square matrix")
     if m > 9:
         raise ValueError(f"permanent limited to order 9, got {m}")
-    total = 0j
-    for mask in range(1, 1 << m):
-        cols = [j for j in range(m) if mask >> j & 1]
-        prod = a[:, cols].sum(axis=1).prod()
-        total += prod if (m - len(cols)) % 2 == 0 else -prod
-    return complex(total)
+    masks = (np.arange(1, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
+    signs = (-1.0) ** (m - masks.sum(axis=0))
+    total = (a @ masks).prod(axis=-2) @ signs
+    return complex(total) if total.ndim == 0 else total
 
 
-def _check_e_inputs(l: Sequence[float], x: Sequence[float]):
+@lru_cache(maxsize=None)
+def _even_permutations(m: int) -> np.ndarray:
+    """(m!/2, m) index table of the even permutations of range(m); m <= 9."""
+    if m > 9:
+        raise ValueError(f"alternating form limited to order 9, got {m}")
+    perms = [p for p, sign in weyl.signed_permutations(tuple(range(m))) if sign > 0]
+    return np.array(perms, dtype=np.intp).reshape(len(perms), m)
+
+
+def _check_e_inputs(l: Sequence[float], x) -> tuple[np.ndarray, np.ndarray]:
     l = np.asarray(l, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if l.shape != x.shape or l.ndim != 1:
-        raise ValueError("l and x must be e-vectors of equal length n+1")
+    if l.ndim != 1:
+        raise ValueError(f"l must be an e-vector of length n+1, got shape {l.shape}")
     scale = max(1.0, float(np.abs(l).max()))
     if abs(l.sum()) > 1e-9 * scale:
         raise ValueError("l must sum to zero")
     if np.any(l[:-1] < l[1:] - 1e-12 * scale):
         raise ValueError("l must be weakly decreasing (dominant e-coordinates)")
-    return l, x
+    return l, _points(x, len(l), "e")
 
 
 def _exp_matrix(l: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.exp(2j * np.pi * np.outer(l, x))
+    """exp(2*pi*i l_j x_k): one (n+1, n+1) matrix, or a stack of one per row of x."""
+    return np.exp(2j * np.pi * (l[:, None] * x[..., None, :]))
 
 
-def d_plus(l: Sequence[float], x: Sequence[float]) -> complex:
+def d_plus(l: Sequence[float], x) -> complex | np.ndarray:
     """Symmetric form: permanent of exp(2*pi*i l_j x_k).
 
     Equals the full group sum, hence (|W|/|W_lam|) times the C-function of
     the same weight.
     """
     l, x = _check_e_inputs(l, x)
-    return permanent(_exp_matrix(l, x))
+    return _finite(permanent(_exp_matrix(l, x)), x)
 
 
-def d_minus(l: Sequence[float], x: Sequence[float]) -> complex:
+def d_minus(l: Sequence[float], x) -> complex | np.ndarray:
     """Antisymmetric form: conventional determinant of the same matrix.
 
     Equals the S-function for generic weights and vanishes (repeated rows)
     on non-generic ones.
     """
     l, x = _check_e_inputs(l, x)
-    return complex(np.linalg.det(_exp_matrix(l, x)))
+    return _finite(np.linalg.det(_exp_matrix(l, x)), x)
 
 
-def d_alt(l: Sequence[float], x: Sequence[float]) -> complex:
+def d_alt(l: Sequence[float], x) -> complex | np.ndarray:
     """Alternating form: sum over even permutations only.
 
     Always equals (d_plus + d_minus)/2, and the E-function at generic
-    weights.
+    weights.  The permuted copies of l are the weight rows of
+    ``exp_kernel``; the permanent and the determinant stay kernel-free, so
+    their identities with the orbit functions check the kernel.
     """
     l, x = _check_e_inputs(l, x)
-    m = len(l)
-    total = 0j
-    for perm, sign in weyl.signed_permutations(tuple(range(m))):
-        if sign != 1:
-            continue
-        total += np.exp(2j * np.pi * float(sum(l[i] * x[j] for i, j in enumerate(perm))))
-    return complex(total)
+    return _finite(exp_kernel(l[_even_permutations(len(l))], 1.0, x), x)

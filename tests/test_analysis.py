@@ -216,6 +216,33 @@ class TestSuiteRunners:
         report = analysis.run_detforms_suite(rank_bound=2, samples=25)
         assert report.passed
 
+    def test_detforms_at_rank_seven(self):
+        # Each form sums 8! unit exponentials: the bound scales with (n+1)!.
+        report = analysis.run_detforms_suite(rank_bound=7, samples=1)
+        assert report.passed, report.render_text()
+
+    def test_detforms_evaluates_once_per_label(self, monkeypatch):
+        calls = {}
+        for name in ("d_plus", "d_minus", "d_alt", "eval_c", "eval_s", "eval_e"):
+            def counted(*args, _f=getattr(of, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(of, name, counted)
+        report = analysis.run_detforms_suite(rank_bound=3, coord_bound=2, samples=30, seed=4)
+        assert report.passed
+        # Replay the suite's draws: a label, then its point, per sample.
+        rng = np.random.default_rng(4)
+        labels = set()
+        for n in range(1, 4):
+            for _ in range(30):
+                labels.add(tuple(rng.integers(1, 3, size=n).tolist()))
+                rng.random(n)
+            if n >= 2:
+                rng.random((10, n))
+        assert len(labels) < 90
+        per_label = dict.fromkeys(("d_plus", "d_minus", "d_alt", "eval_c"), len(labels) + 2)
+        assert calls == {**per_label, "eval_s": len(labels), "eval_e": len(labels)}
+
     def test_run_suite_dispatch(self):
         reports = analysis.run_suite("chebyshev")
         assert len(reports) == 1 and reports[0].passed

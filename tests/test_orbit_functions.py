@@ -27,6 +27,16 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(total)
 
 
+def d_alt_loop(l, x) -> complex:
+    """The alternating form as one exponential per even permutation summed
+    in a loop: the independent oracle for the kernel path."""
+    total = 0j
+    for perm, sign in weyl.signed_permutations(tuple(range(len(l)))):
+        if sign == 1:
+            total += cmath.exp(2j * pi * sum(l[i] * x[j] for i, j in enumerate(perm)))
+    return total
+
+
 def e_point(rng, n):
     return np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
 
@@ -186,9 +196,22 @@ class TestPermanent:
             a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             assert of.permanent(a) == pytest.approx(permanent_naive(a), rel=1e-10)
 
+    def test_stack_matches_naive(self):
+        rng = np.random.default_rng(8)
+        for m in range(1, 7):
+            a = rng.normal(size=(2, 3, m, m)) + 1j * rng.normal(size=(2, 3, m, m))
+            values = of.permanent(a)
+            assert values.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                assert values[idx] == pytest.approx(permanent_naive(a[idx]), rel=1e-10)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             of.permanent(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            of.permanent(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError):
+            of.permanent(np.ones(3))
         with pytest.raises(ValueError):
             of.permanent(np.ones((10, 10)))
 
@@ -248,3 +271,52 @@ class TestExponentialForms:
             k * of.eval_c(lam, x, basis="e"), abs=1e-10
         )
         assert of.d_minus(l, x) == pytest.approx(0.0, abs=1e-12)
+
+
+FORMS = {"d_plus": of.d_plus, "d_minus": of.d_minus, "d_alt": of.d_alt}
+
+
+class TestFormBatches:
+    """The forms take one e-point or an (m, n+1) batch, as eval_* do."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_batch_matches_the_per_point_loop(self, form, n, wall):
+        rng = np.random.default_rng(10 * n + wall)
+        lam = (2,) + (0,) * (n - 1) if wall else tuple(int(c) for c in rng.integers(1, 4, size=n))
+        l = np.array([float(v) for v in lie.omega_to_e(lam)])
+        xs = np.array([e_point(rng, n) for _ in range(n + 1)])
+        values = FORMS[form](l, xs)
+        assert isinstance(values, np.ndarray) and values.shape == (n + 1,)
+        loop = [FORMS[form](l, row) for row in xs]
+        assert all(type(v) is complex for v in loop)
+        assert np.abs(values - loop).max() <= 1e-13 * factorial(n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_d_alt_matches_the_even_permutation_loop(self, n):
+        rng = np.random.default_rng(n)
+        for lam in [tuple(int(c) for c in rng.integers(1, 4, size=n)), (0,) * (n - 1) + (2,)]:
+            l = np.array([float(v) for v in lie.omega_to_e(lam)])
+            for x in [e_point(rng, n) for _ in range(2)]:
+                assert abs(of.d_alt(l, x) - d_alt_loop(l, x)) <= 1e-13 * factorial(n + 1)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_bad_points_raise(self, form):
+        f = FORMS[form]
+        l = (1.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="length 3"):
+            f(l, np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="length 3"):
+            f(l, (0.1, -0.1))
+        with pytest.raises(ValueError, match="length 3"):
+            f(l, np.zeros((4, 2)))
+        batch = np.zeros((3, 3))
+        batch[1, 0] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(l, (0.1, np.inf, -0.1))
+            with pytest.raises(ValueError, match=r"at the point \(nan, 0.0, 0.0\)"):
+                f(l, batch)
+        with pytest.raises(ValueError, match="e-vector"):
+            f(np.zeros((1, 3)), (0.1, 0.0, -0.1))
