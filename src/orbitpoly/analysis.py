@@ -277,17 +277,8 @@ class SymmetryReport:
         return max(self.max_c_dev, self.max_s_dev, self.max_e_dev) < bound
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "trials": self.trials,
-            "seed": self.seed,
-            "scale": self.scale,
-            "max_c_dev": self.max_c_dev,
-            "max_s_dev": self.max_s_dev,
-            "max_e_dev": self.max_e_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        fields = asdict(self)
+        return {"lambda": list(fields.pop("lam")), **fields, "passed": self.passed}
 
 
 def symmetry_suite(
@@ -300,9 +291,7 @@ def symmetry_suite(
     Deviations are compared against tolerance * orbit size (each value is a
     sum of that many unit exponentials).
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"symmetry suite requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "symmetry suite")
     n = len(lam)
     strict = lie.is_strictly_dominant(lam)
     report = SymmetryReport(lam=lam, trials=trials, seed=seed,
@@ -333,9 +322,6 @@ class Check:
     passed: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SuiteReport:
@@ -355,7 +341,7 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def render_text(self) -> str:
@@ -376,8 +362,13 @@ def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]
     return [tuple(w) for w in itertools.product(range(1, coord_bound + 1), repeat=n)]
 
 
-#: Most bytes the ortho suite's quadrature cross-check may hold at once.
+#: Most bytes the ortho suite's quadrature cross-check, or the detforms
+#: suite's cached orbits and tables, may hold at once.
 QUADRATURE_BYTE_BUDGET = 1 << 30
+
+#: Bytes a cached ``weyl.orbit`` holds per point (tracemalloc, generic
+#: orbits: 143 at rank 7, 136 at rank 8).
+ORBIT_POINT_BYTES = 144
 
 
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
@@ -393,6 +384,24 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     return 16 * (2 * nodes * (labels + factorial(n + 1)) + 4 * labels * labels)
 
 
+def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
+    """Estimated bytes the rank-n detforms checks hold: the orbits of the
+    labels drawn, as many as ``weyl.orbit`` caches; their C, S and E rows,
+    20(n+2) bytes a point, as many as ``orbit_functions._table`` caches; and
+    the kernel's arrays, 32 bytes a point and sample.  Lower ranks add at
+    most 1/(n+1) of this each."""
+    labels = min(samples, coord_bound ** n)
+    orbits = min(labels, weyl.orbit.cache_parameters()["maxsize"])
+    tables = min(labels, orbit_functions._table.cache_parameters()["maxsize"] // 3)
+    return factorial(n + 1) * (orbits * ORBIT_POINT_BYTES + tables * 20 * (n + 2) + 32 * samples)
+
+
+def _refuse_over_budget(need: int, what: str) -> None:
+    if need > QUADRATURE_BYTE_BUDGET:
+        raise ValueError(f"{what} would hold about {need / 2**30:.1f} GiB, "
+                         f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
+
+
 def run_ortho_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
     n_points: int = 16,
@@ -403,13 +412,9 @@ def run_ortho_suite(
     would hold more than QUADRATURE_BYTE_BUDGET bytes.
     """
     if rank_bound >= 2:
-        need = quadrature_bytes(rank_bound, coord_bound, n_points)
-        if need > QUADRATURE_BYTE_BUDGET:
-            raise ValueError(
-                f"ortho quadrature at rank {rank_bound}, coordinate bound "
-                f"{coord_bound}, N={n_points} would hold about {need / 2**30:.1f} GiB, "
-                f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget"
-            )
+        _refuse_over_budget(quadrature_bytes(rank_bound, coord_bound, n_points),
+                            f"ortho quadrature at rank {rank_bound}, coordinate bound "
+                            f"{coord_bound}, N={n_points}")
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -620,7 +625,12 @@ def run_detforms_suite(
 
     Each form sums (n+1)! unit exponentials, so deviations are compared
     against tolerance * (n+1)!.  The samples are evaluated once per label.
+    Raises ValueError before any work when ``detforms_bytes`` at the top
+    rank exceeds QUADRATURE_BYTE_BUDGET.
     """
+    _refuse_over_budget(detforms_bytes(rank_bound, coord_bound, samples),
+                        f"detforms at rank {rank_bound}, coordinate bound "
+                        f"{coord_bound}, {samples} samples")
     report = SuiteReport("detforms", seed)
     rng = np.random.default_rng(seed)
     for n in range(1, rank_bound + 1):

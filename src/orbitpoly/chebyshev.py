@@ -7,9 +7,10 @@ decomposing products X_j * C_mu in the group ring.  ``substitute_p`` applies
 the exponential change of variables y_j = exp(2*pi*i x_j), turning each
 orbit exponential into a Laurent monomial.
 
-The one-variable classical Chebyshev polynomials are kept alongside as the
-reduction oracle: at rank 1, T-polynomials are twice the classical first
-kind under X = 2z, and U-polynomials are exactly the classical second kind.
+The one-variable classical Chebyshev polynomials, rank-1 polynomials in z,
+are kept alongside as the reduction oracle: at rank 1, T-polynomials are
+twice the classical first kind under X = 2z, and U-polynomials are exactly
+the classical second kind.
 """
 from __future__ import annotations
 
@@ -20,117 +21,6 @@ from typing import Callable, Sequence
 
 from . import exp_ring, lie
 from .exp_ring import OrbitDecomposition, TermMap, exp_sum
-
-
-# ---------------------------------------------------------------------------
-# Classical one-variable polynomials (dense integer coefficients).
-
-@dataclass(frozen=True)
-class ClassicalPoly:
-    """Integer polynomial in one variable z; coeffs[k] multiplies z^k."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def of(*coeffs: int) -> "ClassicalPoly":
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        return ClassicalPoly(tuple(coeffs[:end]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ClassicalPoly.of(*out)
-
-    def __sub__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        if not self.coeffs or not other.coeffs:
-            return ClassicalPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ClassicalPoly.of(*out)
-
-    def scale(self, k: int) -> "ClassicalPoly":
-        return ClassicalPoly.of(*(k * c for c in self.coeffs))
-
-    def derivative(self) -> "ClassicalPoly":
-        return ClassicalPoly.of(
-            *(k * self.coeffs[k] for k in range(1, len(self.coeffs)))
-        )
-
-    def __call__(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
-
-_Z = ClassicalPoly.of(0, 1)
-_ONE = ClassicalPoly.of(1)
-
-
-@lru_cache(maxsize=None)
-def classical_t(m: int) -> ClassicalPoly:
-    """First-kind Chebyshev polynomial via the three-term recursion."""
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    prev, cur = _ONE, _Z
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, _Z.scale(2) * cur - prev
-    return cur
-
-
-@lru_cache(maxsize=None)
-def classical_u(m: int) -> ClassicalPoly:
-    """Second-kind Chebyshev polynomial via the three-term recursion."""
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    prev, cur = _ONE, _Z.scale(2)
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, _Z.scale(2) * cur - prev
-    return cur
-
-
-def check_classical_identities(m: int) -> dict[str, bool]:
-    """Exact integer-identity checks tying the two classical kinds together.
-
-    Verifies, in their valid ranges: T_m' = m U_{m-1}; T_m is half the
-    difference U_m - U_{m-2}; T_{m+1} = z T_m - (1 - z^2) U_{m-1};
-    and T_m = U_m - z U_{m-1}.
-    """
-    out: dict[str, bool] = {}
-    if m >= 1:
-        out["derivative"] = classical_t(m).derivative() == classical_u(m - 1).scale(m)
-        out["mixed_step"] = classical_t(m + 1) == (
-            _Z * classical_t(m) - (_ONE - _Z * _Z) * classical_u(m - 1)
-        )
-        out["u_minus_zu"] = classical_t(m) == classical_u(m) - _Z * classical_u(m - 1)
-    if m >= 2:
-        diff = classical_u(m) - classical_u(m - 2)
-        half = tuple(c // 2 for c in diff.coeffs)
-        out["u_difference"] = (
-            all(c % 2 == 0 for c in diff.coeffs)
-            and ClassicalPoly(half) == classical_t(m)
-        )
-    out["all"] = all(v for k, v in out.items())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +75,86 @@ class YLaurent(Polynomial):
     """Integer Laurent polynomial in y_1..y_n (exponents may be negative)."""
 
     VAR = "y"
+
+
+# ---------------------------------------------------------------------------
+# Classical one-variable polynomials, the rank-1 oracle.
+
+class ClassicalPoly(Polynomial):
+    """Integer polynomial in one variable z: the rank-1 polynomial keyed by
+    (k,) for z^k, with dense coefficients, a derivative and Horner
+    evaluation at a scalar."""
+
+    VAR = "z"
+
+    @classmethod
+    def of(cls, *coeffs: int) -> "ClassicalPoly":
+        """The polynomial sum coeffs[k] * z^k."""
+        return cls(1, {(k,): c for k, c in enumerate(coeffs)})
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficients up to the degree; coeffs[k] multiplies z^k."""
+        return tuple(self.terms.get((k,), 0) for k in range(self.degree + 1))
+
+    @property
+    def degree(self) -> int:
+        return max((k for (k,) in self.terms), default=-1)
+
+    def derivative(self) -> "ClassicalPoly":
+        return type(self)(1, {(k - 1,): k * c for (k,), c in self.terms.items()})
+
+    def __call__(self, z: complex) -> complex:
+        out = 0j
+        for c in reversed(self.coeffs):
+            out = out * z + c
+        return out
+
+
+_Z = ClassicalPoly.of(0, 1)
+_ONE = ClassicalPoly.of(1)
+
+
+def _three_term(m: int, first: ClassicalPoly) -> ClassicalPoly:
+    """P_m of the recursion P_{k+1} = 2z P_k - P_{k-1}, P_0 = 1, P_1 = first,
+    started one step back at P_{-1} = 2z - first."""
+    if m < 0:
+        raise ValueError("degree must be >= 0")
+    prev, cur = _Z.scale(2) - first, _ONE
+    for _ in range(m):
+        prev, cur = cur, _Z.scale(2) * cur - prev
+    return cur
+
+
+@lru_cache(maxsize=None)
+def classical_t(m: int) -> ClassicalPoly:
+    """First-kind Chebyshev polynomial via the three-term recursion."""
+    return _three_term(m, _Z)
+
+
+@lru_cache(maxsize=None)
+def classical_u(m: int) -> ClassicalPoly:
+    """Second-kind Chebyshev polynomial via the three-term recursion."""
+    return _three_term(m, _Z.scale(2))
+
+
+def check_classical_identities(m: int) -> dict[str, bool]:
+    """Exact integer-identity checks tying the two classical kinds together.
+
+    Verifies, in their valid ranges: T_m' = m U_{m-1}; 2 T_m = U_m - U_{m-2};
+    T_{m+1} = z T_m - (1 - z^2) U_{m-1}; and T_m = U_m - z U_{m-1}.
+    """
+    out: dict[str, bool] = {}
+    if m >= 1:
+        out["derivative"] = classical_t(m).derivative() == classical_u(m - 1).scale(m)
+        out["mixed_step"] = classical_t(m + 1) == (
+            _Z * classical_t(m) - (_ONE - _Z * _Z) * classical_u(m - 1)
+        )
+        out["u_minus_zu"] = classical_t(m) == classical_u(m) - _Z * classical_u(m - 1)
+    if m >= 2:
+        out["u_difference"] = classical_u(m) - classical_u(m - 2) == classical_t(m).scale(2)
+    out["all"] = all(v for k, v in out.items())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +233,7 @@ def poly_t(lam: Sequence[int]) -> XPolynomial:
     (lam enters with multiplicity one), and solve for C_lam.  Results are
     memoized per weight; any valid choice of j yields the same polynomial.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"poly_t requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "poly_t")
     return _build_t(lam, _first_positive, _T_MEMO)
 
 
@@ -275,9 +243,7 @@ def poly_u(lam: Sequence[int]) -> XPolynomial:
     The character decomposes into C-functions with dominant-weight
     multiplicities, so this is the multiplicity-weighted sum of poly_t's.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"poly_u requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "poly_u")
     chi = exp_ring.character(lam)
     n = len(lam)
     total = XPolynomial(n, {})
@@ -326,12 +292,10 @@ class RecursionRelation:
 
 
 def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
-    a = lie.as_weight(a)
+    a = lie.dominant_weight(a, "recursion")
     n = len(a)
     if not 1 <= j <= n:
         raise ValueError(f"fundamental index {j} out of range 1..{n}")
-    if not lie.is_dominant(a):
-        raise ValueError(f"recursion requires a dominant weight, got {a}")
     omega_j = tuple(1 if k == j - 1 else 0 for k in range(n))
     return RecursionRelation(rank=n, j=j, a=a, rhs=exp_ring.orbit_product(omega_j, a))
 
@@ -340,10 +304,4 @@ def a1_z_coefficients(poly: XPolynomial) -> tuple[int, ...]:
     """Coefficients in z after substituting X = 2z into a rank-1 polynomial."""
     if poly.rank != 1:
         raise ValueError("substitution X = 2z only applies at rank 1")
-    if not poly.terms:
-        return ()
-    top = max(d for (d,) in poly.terms)
-    out = [0] * (top + 1)
-    for (d,), c in poly.terms.items():
-        out[d] = c * 2 ** d
-    return ClassicalPoly.of(*out).coeffs
+    return ClassicalPoly(1, {d: c * 2 ** d[0] for d, c in poly.terms.items()}).coeffs

@@ -179,9 +179,7 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
     """Formal sum of a C-, S-, or E-orbit function (coefficients +-1)."""
     lam = lie.as_weight(lam)
     if kind == "C":
-        if not lie.is_dominant(lam):
-            raise ValueError(f"C requires a dominant weight, got {lam}")
-        orb = weyl.orbit(lam)
+        orb = weyl.orbit(lie.dominant_weight(lam, "C"))
         return ExpSum(orb.rank, {p: 1 for p in orb.points})
     if kind == "S":
         if not lie.is_strictly_dominant(lam):
@@ -336,10 +334,7 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     b + q.  Terms are in descending graded-lex order, as from
     ``decompose_into_c`` applied to the convolution.
     """
-    a, b = lie.as_weight(a), lie.as_weight(b)
-    for lam in (a, b):
-        if not lie.is_dominant(lam):
-            raise ValueError(f"C requires a dominant weight, got {lam}")
+    a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
     if weyl.stabilizer_order(a) < weyl.stabilizer_order(b):
@@ -370,7 +365,7 @@ def character(lam: Sequence[int]) -> OrbitDecomposition:
 
     Freudenthal's formula on the dominant weights alone (Humphreys §22;
     Moody & Patera, Math. Comp. 48 (1987)), in the integer suffix-sum
-    coordinates p of ``weyl.suffix_sums``: every weight of V_lam has the
+    coordinates p of ``lie.suffix_sums``: every weight of V_lam has the
     same coordinate sum, (mu, e_i - e_j) = p_i - p_j, and the difference of
     two squared norms is the difference of the plain sums of squares.
 
@@ -381,11 +376,9 @@ def character(lam: Sequence[int]) -> OrbitDecomposition:
     Every division is checked for exactness and the result against the
     Weyl dimension formula.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"character requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "character")
     n = len(lam)
-    top = weyl.suffix_sums(lam)
+    top = lie.suffix_sums(lam)
     pairs = list(itertools.combinations(range(n + 1), 2))
     found = {top}
     todo = [top]

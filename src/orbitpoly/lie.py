@@ -2,12 +2,17 @@
 
 Weights are plain tuples of integers giving coordinates in the omega basis
 (fundamental weights).  e-basis coordinates are exact ``fractions.Fraction``
-values on the hyperplane where all n+1 coordinates sum to zero.  Everything
+values on the hyperplane where all n+1 coordinates sum to zero; every exact
+e-space computation works on the integer ``suffix_sums`` instead, which are
+the e-coordinates shifted by a constant.  The Cartan matrix, its inverse and
+the omega-to-e matrix are kept as public reference data.  Everything
 here is exact rational arithmetic; floating point enters only at evaluation
 time in :mod:`orbitpoly.orbit_functions` and :mod:`orbitpoly.analysis`.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -83,33 +88,23 @@ def omega_to_e_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def omega_to_e_scaled(lam: Sequence[int]) -> tuple[int, ...]:
-    """e-coordinates of an integer weight, scaled by n+1 (exact integers).
+def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
+    """p_j = lam_j + ... + lam_n for j = 1..n+1 (p_{n+1} = 0).
 
-    All n+1 scaled coordinates are congruent mod n+1, so coordinate
-    differences of any rearrangement divide back to integer omega
-    coordinates.  Workhorse representation for orbit generation.
+    The one exact e-frame: p is the e-coordinate vector shifted by its mean,
+    so the e-coordinates are p - mean(p), a root e_i - e_j moves p_i and p_j
+    by one each, W permutes the entries of p, a weight is dominant exactly
+    when p descends, and the omega coordinates are the consecutive
+    differences.  All integers, no scaling.
     """
-    n = len(lam)
-    # l_j * (n+1) = sum_{k>=j} (n+1-k) lam_k  -  sum_{k<j} k lam_k
-    suffix = 0
-    for k in range(1, n + 1):
-        suffix += (n + 1 - k) * lam[k - 1]
-    prefix = 0
-    out = []
-    for j in range(1, n + 2):
-        out.append(suffix - prefix)
-        if j <= n:
-            term = lam[j - 1]
-            suffix -= (n + 1 - j) * term
-            prefix += j * term
-    return tuple(out)
+    return tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
 
 
 def omega_to_e(lam: Sequence[int]) -> tuple[Fraction, ...]:
-    """e-basis coordinates of a weight; they sum to exactly zero."""
-    n = len(lam)
-    return tuple(Fraction(s, n + 1) for s in omega_to_e_scaled(lam))
+    """e-basis coordinates of a weight, p - mean(p); they sum to exactly zero."""
+    p = suffix_sums(lam)
+    total = sum(p)
+    return tuple(Fraction(len(p) * c - total, len(p)) for c in p)
 
 
 def e_to_omega(coords: Sequence) -> tuple:
@@ -138,18 +133,12 @@ def inner_product(lam: Sequence[int], mu: Sequence[int]) -> Fraction:
 
     Equals the Euclidean dot product of the e-coordinate images (the omega
     basis has Gram matrix C^{-1} because every simple root has squared
-    length 2).
+    length 2), which on suffix sums is sum p*q - sum p * sum q / (n+1).
     """
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam)} vs {len(mu)}")
-    cinv = cartan_inverse(len(lam))
-    total = Fraction(0)
-    for i, li in enumerate(lam):
-        if li == 0:
-            continue
-        row = cinv[i]
-        total += li * sum(row[j] * mu[j] for j in range(len(mu)))
-    return total
+    p, q = suffix_sums(lam), suffix_sums(mu)
+    return Fraction(len(p) * sum(map(operator.mul, p, q)) - sum(p) * sum(q), len(p))
 
 
 def norm_sq(lam: Sequence[int]) -> Fraction:
@@ -157,9 +146,16 @@ def norm_sq(lam: Sequence[int]) -> Fraction:
 
 
 def congruence_number(lam: Sequence[int]) -> int:
-    """sum_k k*lam_k mod (n+1); additive under weight addition."""
-    n = len(lam)
-    return sum(k * lam[k - 1] for k in range(1, n + 1)) % (n + 1)
+    """sum_k k*lam_k (the sum of the suffix sums) mod (n+1); additive under weight addition."""
+    return sum(suffix_sums(lam)) % (len(lam) + 1)
+
+
+def dominant_weight(coords: Sequence[int], what: str) -> Weight:
+    """``as_weight(coords)``; raises ValueError naming ``what`` unless dominant."""
+    lam = as_weight(coords)
+    if not is_dominant(lam):
+        raise ValueError(f"{what} requires a dominant weight, got {lam}")
+    return lam
 
 
 def weyl_dimension(lam: Sequence[int]) -> int:
@@ -169,9 +165,7 @@ def weyl_dimension(lam: Sequence[int]) -> int:
     the root e_i - e_j (i < j) the pairings are the integer sums
     sum_{k=i}^{j-1} (lam_k + 1) and j - i.
     """
-    lam = as_weight(lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weyl_dimension requires a dominant weight, got {lam}")
+    lam = dominant_weight(lam, "weyl_dimension")
     n = len(lam)
     num = den = 1
     for i in range(n):

@@ -18,6 +18,7 @@ cancellation error into the identity checks.
 from __future__ import annotations
 
 import cmath
+import itertools
 import warnings
 from functools import lru_cache
 from typing import Sequence
@@ -34,7 +35,8 @@ class NonGenericWeightWarning(UserWarning):
 def weight_rows(weights: Sequence[Sequence[int]], rank: int, basis: str) -> np.ndarray:
     """Omega-coordinate weights as float rows that pair with a point given
     in ``basis`` ("alpha": length n, "e": length n+1) by a dot product."""
-    rows = np.array(weights, dtype=float).reshape(len(weights), rank)
+    rows = np.fromiter(itertools.chain.from_iterable(weights), float,
+                       count=len(weights) * rank).reshape(len(weights), rank)
     if basis == "alpha":
         return rows
     if basis == "e":
@@ -109,9 +111,7 @@ def eval_s(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     there, and callers composing characters need a total function rather
     than an error.  The points are checked as for any other label.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"S requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "S")
     if lie.is_strictly_dominant(lam):
         return _evaluate(lam, "S", x, basis)
     x = _points(x, weight_rows((), len(lam), basis).shape[1], basis)

@@ -5,13 +5,13 @@ never by reflection closure, so duplicate points cannot arise.  Each orbit
 point carries a parity sign.
 
 Orbit generation works on the integer suffix sums p_j = lam_j + ... + lam_n
-(p_{n+1} = 0), which are the e-coordinates shifted by a constant: the omega
-coordinates of an arrangement are its consecutive differences, exact
-integers with no scaling.  Picking the distinct remaining values in
-descending order at each position yields the arrangements already in
-descending lexicographic order, and picking value v adds to the inversion
-count the number of remaining values greater than v, so the sign is carried
-along instead of recomputed per point.
+(p_{n+1} = 0) of ``lie.suffix_sums``, which are the e-coordinates shifted by
+a constant: the omega coordinates of an arrangement are its consecutive
+differences, exact integers with no scaling.  Picking the distinct
+remaining values in descending order at each position yields the
+arrangements already in descending lexicographic order, and picking value v
+adds to the inversion count the number of remaining values greater than v,
+so the sign is carried along instead of recomputed per point.
 
 Sign convention.  The sign of a point is the parity of the permutation
 carrying the dominant arrangement of e-coordinates to the point's
@@ -24,12 +24,14 @@ even-point rule, since antisymmetrized sums vanish on them identically.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
 from . import lie
+from .lie import suffix_sums
 
 
 def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
@@ -53,14 +55,10 @@ def stable_sort_sign(arrangement: Sequence) -> int:
     """Parity of the stable descending sort of the arrangement.
 
     This is the minimal sorting permutation; for distinct values it is the
-    unique one.  Already-sorted input gives +1.
+    unique one.  Its inversions are the pairs whose earlier value is
+    smaller, so already-sorted input gives +1.
     """
-    order = sorted(range(len(arrangement)), key=lambda i: (arrangement[i], -i), reverse=True)
-    inversions = 0
-    for a, b in itertools.combinations(order, 2):
-        if a > b:
-            inversions += 1
-    return -1 if inversions % 2 else 1
+    return -1 if sum(a < b for a, b in itertools.combinations(arrangement, 2)) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -124,22 +122,10 @@ def _signed_arrangements(values: tuple[int, ...], memo: dict) -> list:
     return out
 
 
-def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
-    """p_j = lam_j + ... + lam_n for j = 1..n+1 (p_{n+1} = 0).
-
-    These are the e-coordinates shifted by a constant, so a root e_i - e_j
-    moves p_i and p_j by one each and a weight is dominant exactly when p
-    descends; the omega coordinates are the consecutive differences.
-    """
-    return tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
-
-
 @lru_cache(maxsize=128)
 def orbit(lam: tuple[int, ...]) -> SignedOrbit:
     """Signed Weyl orbit of a dominant weight (eagerly materialized)."""
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"orbit requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "orbit")
     entries = _signed_arrangements(suffix_sums(lam), {})
     signs = tuple(sign for _, _, sign in entries)
     if lie.is_strictly_dominant(lam):
@@ -201,9 +187,7 @@ def stabilizer_order(lam: Sequence[int]) -> int:
     coordinates, so a maximal run of r zeros is a block of r+1 equal
     coordinates and contributes (r+1)!, built up one factor per zero.
     """
-    lam = lie.as_weight(lam)
-    if not lie.is_dominant(lam):
-        raise ValueError(f"orbit_size requires a dominant weight, got {lam}")
+    lam = lie.dominant_weight(lam, "orbit_size")
     order = run = 1
     for c in lam:
         run = 1 if c else run + 1
@@ -225,11 +209,7 @@ def reflect(i: int, coords: Sequence) -> tuple:
 
 
 def reflect_weight(i: int, lam: Sequence[int]) -> tuple[int, ...]:
-    """r_i acting on omega coordinates: lam - lam_i * alpha_i."""
-    lam = tuple(lam)
-    n = len(lam)
-    if not 1 <= i <= n:
-        raise ValueError(f"reflection index {i} out of range 1..{n}")
-    cartan = lie.cartan_matrix(n)
-    c = lam[i - 1]
-    return tuple(lam[j] - c * cartan[j][i - 1] for j in range(n))
+    """r_i acting on omega coordinates, lam - lam_i * alpha_i: it swaps the
+    suffix sums p_i and p_{i+1}, whose differences are the result."""
+    p = reflect(i, suffix_sums(lam))
+    return tuple(map(operator.sub, p, p[1:]))

@@ -148,6 +148,64 @@ class TestClassicalIdentities:
         assert lhs == ch.classical_t(1)
 
 
+def dense_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def dense_add(a, b, sign=1):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return dense_trim(out)
+
+
+def dense_mul(a, b):
+    """Dense-list convolution: the oracle for the sparse map product."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return dense_trim(out)
+
+
+dense_coeffs = st.lists(st.integers(-9, 9), max_size=8)
+
+
+class TestClassicalPolyMap:
+    def test_is_a_rank_one_polynomial(self):
+        assert isinstance(ch.classical_t(3), ch.Polynomial)
+        assert ch.classical_t(3).rank == 1
+        assert ch.classical_t(3).terms == {(1,): -3, (3,): 4}
+
+    def test_trailing_zeros_and_zero(self):
+        assert ch.ClassicalPoly.of(1, 2, 0, 0).coeffs == (1, 2)
+        assert ch.ClassicalPoly.of(1, 2, 0, 0).degree == 1
+        zero = ch.ClassicalPoly.of(0, 0)
+        assert zero.coeffs == () and zero.degree == -1 and not zero
+        assert zero(0.5) == 0
+        assert ch.ClassicalPoly.of(7).derivative() == zero
+
+    @given(dense_coeffs, dense_coeffs)
+    def test_arithmetic_matches_dense_lists(self, a, b):
+        pa, pb = ch.ClassicalPoly.of(*a), ch.ClassicalPoly.of(*b)
+        assert (pa + pb).coeffs == dense_add(a, b)
+        assert (pa - pb).coeffs == dense_add(a, b, -1)
+        assert (pa * pb).coeffs == dense_mul(a, b)
+        assert pa.scale(3).coeffs == dense_trim(3 * c for c in a)
+        assert pa.derivative().coeffs == dense_trim(k * c for k, c in enumerate(a) if k)
+        assert type(pa * pb) is ch.ClassicalPoly
+
+    @given(dense_coeffs, st.floats(-2, 2))
+    def test_horner_matches_power_sum(self, a, z):
+        value = ch.ClassicalPoly.of(*a)(z)
+        assert value == pytest.approx(sum(c * z ** k for k, c in enumerate(a)), abs=1e-9)
+
+
 class TestPolyT:
     def test_a1_table(self):
         assert ch.poly_t((0,)).terms == {(0,): 1}

@@ -208,6 +208,21 @@ class TestVerifyCommand:
         assert "Traceback" not in result.output
         assert "54.6 GiB, over the 1 GiB budget" in result.output
 
+    def test_oversized_detforms_refused_up_front(self, runner, monkeypatch):
+        # At rank 8 the suite would cache ~100 orbits of 9! points each.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        monkeypatch.setattr(analysis, "_form_deviations", must_not_run)
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, ["verify", "-s", "detforms", "-n", "8"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "detforms at rank 8" in result.output
+        assert "GiB, over the 1 GiB budget" in result.output
+
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"
         result = runner.invoke(

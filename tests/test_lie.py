@@ -152,6 +152,17 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             lie.inner_product((1,), (1, 0))
 
+    @given(weight_pairs(max_rank=6))
+    @settings(max_examples=100)
+    def test_matches_inverse_cartan_form(self, pair):
+        # The omega-basis Gram matrix C^{-1}, entry by entry.
+        lam, mu = pair
+        cinv = lie.cartan_inverse(len(lam))
+        expect = sum(lam[i] * cinv[i][j] * mu[j]
+                     for i in range(len(lam)) for j in range(len(mu)))
+        assert lie.inner_product(lam, mu) == expect
+        assert isinstance(lie.inner_product(lam, mu), Fraction)
+
 
 class TestCongruence:
     def test_examples(self):
@@ -164,6 +175,11 @@ class TestCongruence:
             omega_j = tuple(int(k == j) for k in range(1, n + 1))
             assert lie.congruence_number(omega_j) == j
 
+    @given(weights(max_rank=8, min_coord=-6, max_coord=6))
+    def test_matches_weighted_coordinate_sum(self, lam):
+        n = len(lam)
+        assert lie.congruence_number(lam) == sum(k * lam[k - 1] for k in range(1, n + 1)) % (n + 1)
+
     @given(weight_pairs())
     @settings(max_examples=60)
     def test_additive(self, pair):
@@ -173,6 +189,32 @@ class TestCongruence:
         assert lie.congruence_number(total) == (
             lie.congruence_number(lam) + lie.congruence_number(mu)
         ) % (n + 1)
+
+
+class TestSuffixSums:
+    def test_examples(self):
+        assert lie.suffix_sums((1, 0, 2)) == (3, 2, 2, 0)
+        assert lie.suffix_sums((4,)) == (4, 0)
+
+    @given(weights(max_rank=6))
+    def test_shifted_e_coordinates(self, lam):
+        p = lie.suffix_sums(lam)
+        shift = {c - e for c, e in zip(p, lie.omega_to_e(lam))}
+        assert len(shift) == 1
+        assert lie.e_to_omega(lie.omega_to_e(lam)) == tuple(a - b for a, b in zip(p, p[1:]))
+
+
+class TestDominantWeight:
+    def test_returns_validated_tuple(self):
+        assert lie.dominant_weight([2, 0, 1], "orbit") == (2, 0, 1)
+
+    def test_message_names_the_caller(self):
+        with pytest.raises(ValueError, match=r"^orbit requires a dominant weight, got \(1, -1\)$"):
+            lie.dominant_weight((1, -1), "orbit")
+
+    def test_integers_checked_first(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            lie.dominant_weight((-1, 1.5), "orbit")
 
 
 class TestWeylDimension:

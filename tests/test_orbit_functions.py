@@ -160,6 +160,26 @@ class TestBatches:
             assert all(type(v) is complex for v in loop)
 
 
+class TestWeightRows:
+    @pytest.mark.parametrize("lam", [(1, 2, 1, 1, 2, 1), (2, 1, 3), (1, 0, 2, 0, 1), (0, 3, 0), (5,)])
+    @pytest.mark.parametrize("basis", ["alpha", "e"])
+    def test_bitwise_equal_to_the_array_route(self, lam, basis):
+        # Generic labels have S rows too; wall labels only C and E.
+        n = len(lam)
+        for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
+            weights = list(exp_sum(lam, kind).terms)
+            rows = np.array(weights, dtype=float).reshape(len(weights), n)
+            if basis == "e":
+                rows = rows @ np.array(lie.omega_to_e_matrix(n), dtype=float).T
+            got = of.weight_rows(weights, n, basis)
+            assert got.dtype == rows.dtype and got.shape == rows.shape
+            assert got.tobytes() == rows.tobytes()
+
+    def test_empty(self):
+        assert of.weight_rows((), 3, "alpha").shape == (0, 3)
+        assert of.weight_rows((), 3, "e").shape == (0, 4)
+
+
 class TestIdentities:
     @given(strict_weights())
     @settings(max_examples=30, deadline=None)

@@ -35,13 +35,25 @@ def _multiset_arrangements(values):
             yield (v,) + rest
 
 
+def omega_to_e_scaled(lam):
+    """e-coordinates scaled by n+1, from the explicit conversion formula
+    l_j (n+1) = sum_{k>=j} (n+1-k) lam_k - sum_{k<j} k lam_k: the sorting
+    oracles' frame, independent of the suffix sums."""
+    n = len(lam)
+    return tuple(
+        sum((n + 1 - k) * lam[k - 1] for k in range(j, n + 1))
+        - sum(k * lam[k - 1] for k in range(1, j))
+        for j in range(1, n + 2)
+    )
+
+
 def orbit_by_sorting(lam):
     """Orbit oracle: arrange the scaled e-coordinates (all permutations with
     their parity, or distinct multiset arrangements with a per-point stable
     sort sign), sort descending, divide the differences back by n+1.
     Returns (points, signs, even) as ``weyl.orbit`` does."""
     n = len(lam)
-    scaled = lie.omega_to_e_scaled(lam)
+    scaled = omega_to_e_scaled(lam)
     if len(set(scaled)) == len(scaled):
         entries = [(arr, s, s > 0) for arr, s in weyl.signed_permutations(scaled)]
     else:
@@ -88,6 +100,19 @@ class TestReflect:
             weyl.reflect(0, (1, -1))
         with pytest.raises(ValueError):
             weyl.reflect(2, (1, -1))
+
+    @given(weights(max_rank=6, min_coord=-5, max_coord=5), st.data())
+    def test_omega_action_matches_cartan_column(self, lam, data):
+        # r_i lam = lam - lam_i * alpha_i, alpha_i the i-th Cartan column.
+        i = data.draw(st.integers(1, len(lam)))
+        cartan = lie.cartan_matrix(len(lam))
+        expect = tuple(c - lam[i - 1] * cartan[j][i - 1] for j, c in enumerate(lam))
+        assert weyl.reflect_weight(i, lam) == expect
+
+    def test_weight_index_range(self):
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+                weyl.reflect_weight(i, (1, 2))
 
     def test_omega_action_matches_e_action(self):
         lam = (2, -1, 3)
@@ -224,7 +249,7 @@ def dominant_by_scaled_sort(mu):
     """Dominant representative and sign by sorting the e-coordinates scaled by
     n+1 and dividing their differences back: the independent oracle."""
     n = len(mu)
-    scaled = lie.omega_to_e_scaled(mu)
+    scaled = omega_to_e_scaled(mu)
     top = sorted(scaled, reverse=True)
     dom = []
     for a, b in zip(top, top[1:]):
@@ -287,6 +312,16 @@ class TestSignedPermutations:
         perms = list(weyl.signed_permutations((0, 1, 2, 3)))
         assert len(perms) == 24
         assert sum(s for _, s in perms) == 0
+
+    @given(st.lists(st.integers(-3, 3), max_size=8))
+    def test_stable_sort_sign_matches_sorting_permutation(self, arrangement):
+        # Parity of the stable descending sort, read off the sorted indices.
+        order = sorted(range(len(arrangement)), key=lambda i: (arrangement[i], -i), reverse=True)
+        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+        assert weyl.stable_sort_sign(arrangement) == (-1) ** inversions
+
+    def test_suffix_sums_shared_with_lie(self):
+        assert weyl.suffix_sums is lie.suffix_sums
 
     def test_stable_sort_sign(self):
         assert weyl.stable_sort_sign((3, 2, 1)) == 1
