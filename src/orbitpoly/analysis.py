@@ -363,12 +363,8 @@ def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]
 
 
 #: Most bytes the ortho suite's quadrature cross-check, or the detforms
-#: suite's cached orbits and tables, may hold at once.
+#: suite's tables and arrays, may hold at once.
 QUADRATURE_BYTE_BUDGET = 1 << 30
-
-#: Bytes a cached ``weyl.orbit`` holds per point (tracemalloc, generic
-#: orbits: 143 at rank 7, 136 at rank 8).
-ORBIT_POINT_BYTES = 144
 
 
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
@@ -385,15 +381,30 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
 
 
 def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
-    """Estimated bytes the rank-n detforms checks hold: the orbits of the
-    labels drawn, as many as ``weyl.orbit`` caches; their C, S and E rows,
-    20(n+2) bytes a point, as many as ``orbit_functions._table`` caches; and
-    the kernel's arrays, 32 bytes a point and sample.  Lower ranks add at
-    most 1/(n+1) of this each."""
-    labels = min(samples, coord_bound ** n)
-    orbits = min(labels, weyl.orbit.cache_parameters()["maxsize"])
-    tables = min(labels, orbit_functions._table.cache_parameters()["maxsize"] // 3)
-    return factorial(n + 1) * (orbits * ORBIT_POINT_BYTES + tables * 20 * (n + 2) + 32 * samples)
+    """Upper bound on the bytes the rank-n detforms checks hold, with
+    m = n+1 and N = m!:
+
+    - the orbit-function tables of the labels drawn and of the wall label,
+      C/S rows and E's even half, at most ``orbit_functions.TABLE_ROW_BOUND``
+      rows in all, 8(m+2) bytes a row (m e-coordinates, a coefficient and a
+      wall label's own signs);
+    - the cached permutation tables of every m' <= m, m'!(2m'+8) bytes each
+      (``_permutation_table``: int8 permutations and inverses, float
+      parities), and the even permutations of ``_even_permutations``, 4mN
+      as intp, with ``d_alt``'s float copy l[even], 4mN more;
+    - the largest transient: building one table, 24mN (the int64
+      arrangements, their differences as int64 and as float, the e-basis
+      product), or the kernel's phase and exponential arrays, 32 bytes a
+      point and sample when every sample draws the same label.
+    """
+    m = n + 1
+    size = factorial(m)
+    labels = min(samples, coord_bound ** n) + 1
+    rows = min(orbit_functions.TABLE_ROW_BOUND,
+               labels * (3 * size // 2 + orbit_functions.TABLE_ENTRY_ROWS))
+    tables = sum(factorial(k) * (2 * k + 8) for k in range(2, m + 1))
+    held = 8 * (m + 2) * rows + tables + 8 * m * size
+    return held + max(24 * m * size, 32 * size * samples)
 
 
 def _refuse_over_budget(need: int, what: str) -> None:

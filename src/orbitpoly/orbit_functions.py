@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exp_ring, lie, weyl
+from . import lie, weyl
 
 
 class NonGenericWeightWarning(UserWarning):
@@ -37,10 +37,15 @@ def weight_rows(weights: Sequence[Sequence[int]], rank: int, basis: str) -> np.n
     in ``basis`` ("alpha": length n, "e": length n+1) by a dot product."""
     rows = np.fromiter(itertools.chain.from_iterable(weights), float,
                        count=len(weights) * rank).reshape(len(weights), rank)
+    return _in_basis(rows, basis)
+
+
+def _in_basis(rows: np.ndarray, basis: str) -> np.ndarray:
+    """Float omega-coordinate rows (m, n) as rows of ``basis``."""
     if basis == "alpha":
         return rows
     if basis == "e":
-        return rows @ np.array(lie.omega_to_e_matrix(rank), dtype=float).T
+        return rows @ np.array(lie.omega_to_e_matrix(rows.shape[1]), dtype=float).T
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -57,12 +62,120 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     return terms.sum(axis=-1)
 
 
-@lru_cache(maxsize=64)
+# ---------------------------------------------------------------------------
+# Weight rows of the orbit functions, straight from one permutation table
+# per m = n+1; ``weyl.orbit`` and ``exp_sum`` stay the exact path and are
+# never built here.
+
+#: Most weight rows the orbit-function tables hold, summed over every cached
+#: label and basis; one rank-8 label's C/S rows and E half (9! * 3/2) fit.
+#: A label also counts ``TABLE_ENTRY_ROWS`` for its Python objects, so many
+#: small orbits cannot hold more memory than the bound's worth of rows.
+TABLE_ROW_BOUND = 1 << 20
+TABLE_ENTRY_ROWS = 16
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perms, parity, inverse) for the m! permutations of range(m).
+
+    ``perms`` is the (m!, m) int8 index table in lexicographic order, built
+    by putting each first index f before the (m-1)-table with f skipped;
+    ``parity`` the permutations' signs as +-1.0 (f adds f inversions); and
+    ``inverse[k, i]`` the position of index i in row k.
+    """
+    perms = np.zeros((1, 0), np.int8)
+    parity = np.ones(1)
+    for k in range(1, m + 1):
+        first = np.arange(k, dtype=np.int8)[:, None, None]
+        rest = perms + (perms >= first)
+        perms = np.concatenate([np.broadcast_to(first, rest.shape[:2] + (1,)), rest],
+                               axis=2).reshape(-1, k)
+        parity = (np.where(np.arange(k) % 2, -1.0, 1.0)[:, None] * parity).reshape(-1)
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms.astype(np.intp), np.arange(m, dtype=np.int8), axis=1)
+    for shared in (perms, parity, inverse):  # parity is every generic S table's coefficients
+        shared.flags.writeable = False
+    return perms, parity, inverse
+
+
+def _arrangement_rows(p: np.ndarray, perms: np.ndarray, basis: str) -> np.ndarray:
+    """Rows in ``basis`` of the weights whose suffix sums are the
+    arrangements p[perms]: their consecutive differences."""
+    q = p[perms]
+    return _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
+
+
+def _orbit_tables(dom: tuple[int, ...], basis: str) -> dict:
+    """{"C": (rows, ones), "S": (rows, signs)} of the dominant weight dom,
+    plus "E" on a chamber wall, in ``exp_sum``'s term order.
+
+    The suffix sums p of dom descend, so the lexicographic permutations give
+    their arrangements in descending lexicographic order, each sign the
+    permutation's parity.  A zero coordinate i makes p_i = p_{i+1}; keeping
+    the permutations that place index i before index i+1 at every such i
+    keeps each distinct arrangement once, in the same order, with the sign
+    of its stable descending sort.  On a wall every point lies in the even
+    orbit, so E is C there.
+    """
+    perms, signs, inverse = _permutation_table(len(dom) + 1)
+    zeros = [i for i, c in enumerate(dom) if c == 0]
+    if zeros:
+        keep = np.logical_and.reduce([inverse[:, i] < inverse[:, i + 1] for i in zeros])
+        perms, signs = perms[keep], signs[keep]
+    rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms, basis)
+    ones = np.ones(len(rows))
+    tables = {"C": (rows, ones), "S": (rows, signs)}
+    if zeros:
+        tables["E"] = tables["C"]
+    return tables
+
+
+def _even_table(dom: tuple[int, ...], basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """E of a strictly dominant dom: the rows of the even permutations."""
+    perms, signs, _ = _permutation_table(len(dom) + 1)
+    rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs > 0], basis)
+    return rows, np.ones(len(rows))
+
+
+class _TableCache:
+    """Orbit-function tables per (dominant label, basis).  While the rows
+    held pass ``bound`` the least recently used label is dropped first (the
+    dict keeps use order: a call moves its label to the end); a label larger
+    than the bound is held alone."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.rows_held = 0
+        self._labels: dict = {}  # (dom, basis) -> (rows held, {kind: table})
+
+    def table(self, dom: tuple[int, ...], kind: str, basis: str):
+        key = (dom, basis)
+        held, tables = self._labels.pop(key, (0, {}))
+        if kind not in tables:
+            self.rows_held -= held
+            if not tables:
+                tables = _orbit_tables(dom, basis)
+                held = len(tables["C"][0]) + TABLE_ENTRY_ROWS
+            if kind not in tables:
+                tables[kind] = _even_table(dom, basis)
+                held += len(tables[kind][0])
+            while self._labels and self.rows_held + held > self.bound:
+                self.rows_held -= self._labels.pop(next(iter(self._labels)))[0]
+            self.rows_held += held
+        self._labels[key] = held, tables
+        return tables[kind]
+
+
+_TABLES = _TableCache(TABLE_ROW_BOUND)
+
+
 def _table(dom: tuple[int, ...], kind: str, basis: str):
-    """(weight rows, coefficients) of ``exp_sum(dom, kind)``, in its term
-    order, so that ``ExpSum.evaluate`` sums the same rows to the same bits."""
-    s = exp_ring.exp_sum(dom, kind)
-    return weight_rows(list(s.terms), s.rank, basis), np.array(list(s.terms.values()), dtype=float)
+    """(weight rows, coefficients) of ``exp_sum(dom, kind)`` for a dominant
+    dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
+    to the same bits.  On a chamber wall S carries the orbit's signs
+    (``weyl.orbit(dom).signs``), although ``eval_s`` never sums it there."""
+    return _TABLES.table(dom, kind, basis)
 
 
 def _points(x, width: int, basis: str) -> np.ndarray:
@@ -99,7 +212,7 @@ def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     Normalized over distinct orbit points, so C_0 = 1 and C_lam(0) equals
     the orbit size.
     """
-    return _evaluate(lie.as_weight(lam), "C", x, basis)
+    return _evaluate(lie.dominant_weight(lam, "C"), "C", x, basis)
 
 
 def eval_s(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:

@@ -225,7 +225,10 @@ class TestSuiteRunners:
         budget = analysis.QUADRATURE_BYTE_BUDGET
         assert analysis.detforms_bytes(7, 3, 100) < budget
         assert analysis.detforms_bytes(7, 9, 100) == analysis.detforms_bytes(7, 3, 100)
-        assert analysis.detforms_bytes(8, 3, 100) > 5 * budget
+        # Rank 8 fits with 25 samples.  At 100, the kernel's arrays alone pass
+        # the budget when every sample draws the same label.
+        assert analysis.detforms_bytes(8, 3, 25) < budget
+        assert analysis.detforms_bytes(8, 3, 100) > budget
         assert analysis.detforms_bytes(8, 1, 100) > budget
         with pytest.raises(ValueError, match="GiB"):
             analysis.run_detforms_suite(rank_bound=8)

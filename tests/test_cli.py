@@ -209,7 +209,7 @@ class TestVerifyCommand:
         assert "54.6 GiB, over the 1 GiB budget" in result.output
 
     def test_oversized_detforms_refused_up_front(self, runner, monkeypatch):
-        # At rank 8 the suite would cache ~100 orbits of 9! points each.
+        # At rank 8 one label's 100 samples would need 9! * 100 kernel terms.
         def must_not_run(*args, **kwargs):
             raise AssertionError("suite work started before the refusal")
 

@@ -1,6 +1,7 @@
 """Numeric orbit-function values, their symmetries, and the permanent /
 determinant / alternating exponential forms."""
 import cmath
+import itertools
 from math import cos, factorial, pi, sin
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import lie, orbit_functions as of, weyl
+from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from conftest import strict_weights
+from conftest import dominant_weights, strict_weights
 
 RNG = np.random.default_rng(20259)
 
@@ -178,6 +179,92 @@ class TestWeightRows:
     def test_empty(self):
         assert of.weight_rows((), 3, "alpha").shape == (0, 3)
         assert of.weight_rows((), 3, "e").shape == (0, 4)
+
+
+def exact_table(lam, kind, basis):
+    """The exact path: the terms of exp_sum(lam, kind), in order, as rows
+    through weight_rows and their coefficients as floats."""
+    s = exp_sum(lam, kind)
+    return (of.weight_rows(list(s.terms), len(lam), basis),
+            np.array(list(s.terms.values()), dtype=float))
+
+
+def assert_tables_match_the_exact_path(lam):
+    for basis in ("alpha", "e"):
+        for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
+            for got, want in zip(of._table(lam, kind, basis), exact_table(lam, kind, basis)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        if not lie.is_strictly_dominant(lam):
+            # S is never summed on a wall, but its signs keep the orbit's
+            # convention: the parity of each point's stable descending sort.
+            signs = of._table(lam, "S", basis)[1]
+            assert signs.tolist() == list(weyl.orbit(lam).signs)
+
+
+class TestOrbitTables:
+    """``_table`` builds the rows from the permutation table; ``weyl.orbit``
+    and ``exp_sum`` are the exact path it must equal bit for bit."""
+
+    @pytest.mark.parametrize("lam", [(1,) * 7, (2, 1, 1, 3, 1, 2, 1), (1, 0, 2, 0, 1, 1, 0),
+                                     (0,) * 7, (0, 3, 0), (5,), (0,)])
+    def test_fixed_labels(self, lam):
+        assert_tables_match_the_exact_path(lam)
+
+    @given(dominant_weights(max_rank=7, max_coord=2))
+    @settings(max_examples=40, deadline=None)
+    def test_random_labels(self, lam):
+        assert_tables_match_the_exact_path(lam)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_permutation_table(self, m):
+        perms, parity, inverse = of._permutation_table(m)
+        rows = [tuple(row) for row in perms.tolist()]
+        assert rows == list(itertools.permutations(range(m)))  # m! rows, lexicographic
+        # A permutation's parity is the sign of its arrangement of descending values.
+        assert parity.tolist() == [weyl.stable_sort_sign([-i for i in row]) for row in rows]
+        assert (np.take_along_axis(inverse, perms.astype(np.intp), axis=1)
+                == np.arange(m)).all()
+
+    def test_eval_builds_no_orbit(self, monkeypatch):
+        monkeypatch.setattr(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND))
+        calls = []
+        monkeypatch.setattr(exp_ring, "exp_sum", lambda *args: calls.append(args))
+        before = weyl.orbit.cache_info()
+        for lam in [(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3), (1, 1, 2, 1, 1, 2, 1),
+                    (3, 1, 0, 2, 1, 1, 1)]:
+            x = RNG.random((2, len(lam)))
+            of.eval_c(lam, x)
+            of.eval_e(lam, x)
+            of.eval_e(weyl.reflect_weight(1, lam), x[0], basis="alpha")
+            if lie.is_strictly_dominant(lam):
+                of.eval_s(lam, x)
+        after = weyl.orbit.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert calls == []
+
+    def test_cache_holds_at_most_its_bound(self, monkeypatch):
+        assert of.TABLE_ROW_BOUND >= 3 * factorial(9) // 2 + of.TABLE_ENTRY_ROWS
+        cache = of._TableCache(of.TABLE_ROW_BOUND)
+        monkeypatch.setattr(of, "_TABLES", cache)
+        rng = np.random.default_rng(77)
+        labels = list(dict.fromkeys(tuple(rng.integers(1, 4, size=7).tolist()) for _ in range(25)))
+        labels.insert(10, (1, 0, 2, 0, 1, 1, 0))
+        for lam in labels:
+            for kind in ("C", "E"):
+                of._table(lam, kind, "alpha")
+                recount = sum(
+                    sum(len(rows) for rows in {id(r): r for r, _ in tables.values()}.values())
+                    + of.TABLE_ENTRY_ROWS for _, tables in cache._labels.values())
+                assert cache.rows_held == recount <= of.TABLE_ROW_BOUND
+        kept = [lam for lam, _ in cache._labels]
+        assert 1 < len(kept) < len(labels) and kept == labels[-len(kept):]
+
+    def test_kinds_share_rows(self):
+        lam, wall = (2, 1, 3), (2, 0, 1)
+        for basis in ("alpha", "e"):
+            assert of._table(lam, "S", basis)[0] is of._table(lam, "C", basis)[0]
+            assert of._table(wall, "E", basis) is of._table(wall, "C", basis)
 
 
 class TestIdentities:
