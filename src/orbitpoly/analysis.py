@@ -7,6 +7,9 @@ integer (distinct lattice exponentials integrate to zero), so the diagonal
 values read off directly as orbit sizes for C, (n+1)! for S and the
 even-orbit size for E, with no fundamental-region volume factor involved.
 
+The quadrature cross-check sums one node per even-Weyl-group orbit of the
+grid (1/N)Q^v mod Q^v, weighted by the orbit size; ``fold`` predicts it.
+
 Randomized checks draw from a numpy Generator seeded with DEFAULT_SEED
 unless told otherwise, and reports record the seed used.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
-from math import factorial
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -117,11 +120,34 @@ def orthogonality_report(kind: str, rank: int, coord_bound: int) -> Orthogonalit
     )
 
 
-def _torus_grid(n: int, n_points: int) -> np.ndarray:
-    """(n_points^n, n) array of the rectangle-rule nodes on [0,1)^n."""
-    axis = np.arange(n_points) / n_points
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def grid_orbits(n: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """One e-point per orbit of the even Weyl group W+ on the rank-n grid,
+    and the orbit sizes (they sum to N^n, N = n_points).  The grid is the
+    residues r in Z_N^{n+1} summing to 0 mod N, permuted by W = S_{n+1}.  A
+    non-increasing r is one W+-orbit if a residue repeats, else two: r and r
+    with its last two entries swapped.  Its node is k/N, k being r with N
+    taken from its first sum(r)/N entries, so that k sums to zero."""
+    nodes, sizes = [], []
+    for r in itertools.combinations_with_replacement(range(n_points - 1, -1, -1), n + 1):
+        if sum(r) % n_points:
+            continue
+        k = [c - n_points * (i < sum(r) // n_points) for i, c in enumerate(r)]
+        # The steps of a non-increasing r are a dominant weight with r's stabilizer.
+        size = weyl.orbit_size([a - b for a, b in zip(r, r[1:])])
+        reps = [k, k[:-2] + k[:-3:-1]] if size == factorial(n + 1) else [k]
+        nodes += reps
+        sizes += [size // len(reps)] * len(reps)
+    return np.array(nodes, dtype=float) / n_points, np.array(sizes, dtype=float)
+
+
+def grid_orbit_count(n: int, n_points: int) -> int:
+    """W-orbits of the rank-n grid: multisets of m = n+1 residues mod N
+    summing to 0 mod N, (1/N) sum of phi(d) C(N/d + m/d - 1, m/d) over the d
+    dividing gcd(N, m) (roots-of-unity filter); ``grid_orbits`` has <= 2x."""
+    m, g = n + 1, gcd(n_points, n + 1)
+    phi = lambda d: sum(gcd(j, d) == 1 for j in range(1, d + 1))
+    return sum(phi(d) * comb((n_points + m) // d - 1, m // d)
+               for d in range(1, g + 1) if g % d == 0) // n_points
 
 
 def quadrature_inner_product(
@@ -370,14 +396,17 @@ QUADRATURE_BYTE_BUDGET = 1 << 30
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     """Upper bound on the bytes the rank-n quadrature cross-check holds.
 
-    Complex values (16 B) on the grid of n_points^n nodes: the grid values of
-    every label and their conjugate for the Gram product, and the kernel's
-    phase and exponential arrays for the largest orbit, (n+1)! points; plus
-    the Gram matrix, its prediction and two same-sized temporaries.
+    Complex values (16 B) at the W+-orbit nodes, at most twice
+    ``grid_orbit_count``: every label's values, weighted and conjugated for
+    the Gram product, and the kernel's phase and exponential arrays for the
+    largest orbit, (n+1)! points; the Gram matrix, its prediction and two
+    temporaries; and the exact sums and their folds, at most (n+1)! dict
+    terms a label at 160 B a term (~140 B measured).
     """
     labels = (coord_bound + 1) ** n
-    nodes = n_points ** n
-    return 16 * (2 * nodes * (labels + factorial(n + 1)) + 4 * labels * labels)
+    nodes = 2 * grid_orbit_count(n, n_points)
+    exact = 2 * 160 * labels * factorial(n + 1)
+    return 16 * (nodes * (3 * labels + 2 * factorial(n + 1)) + 4 * labels * labels) + exact
 
 
 def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
@@ -390,8 +419,8 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
       wall label's own signs);
     - the cached permutation tables of every m' <= m, m'!(2m'+8) bytes each
       (``_permutation_table``: int8 permutations and inverses, float
-      parities), and the even permutations of ``_even_permutations``, 4mN
-      as intp, with ``d_alt``'s float copy l[even], 4mN more;
+      parities), and the even permutations of ``_even_permutations``, mN/2
+      as int8, with ``d_alt``'s float copy l[even], 4mN;
     - the largest transient: building one table, 24mN (the int64
       arrangements, their differences as int64 and as float, the e-basis
       product), or the kernel's phase and exponential arrays, 32 bytes a
@@ -403,7 +432,7 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
     rows = min(orbit_functions.TABLE_ROW_BOUND,
                labels * (3 * size // 2 + orbit_functions.TABLE_ENTRY_ROWS))
     tables = sum(factorial(k) * (2 * k + 8) for k in range(2, m + 1))
-    held = 8 * (m + 2) * rows + tables + 8 * m * size
+    held = 8 * (m + 2) * rows + tables + m * size // 2 + 4 * m * size
     return held + max(24 * m * size, 32 * size * samples)
 
 
@@ -458,12 +487,14 @@ def run_ortho_suite(
 
 
 def quadrature_gram(sums: list, n_points: int) -> np.ndarray:
-    """Rectangle-rule Gram matrix of the sums, n_points per axis."""
-    grid = _torus_grid(sums[0].rank, n_points)
-    values = np.empty((len(sums), len(grid)), dtype=complex)
-    for row, s in zip(values, sums):
-        row[:] = s.evaluate(grid)
-    return (values @ values.conj().T) / values.shape[1]
+    """Rectangle-rule Gram matrix of the sums, n_points per axis, over the
+    nodes of ``grid_orbits`` weighted by their orbit sizes.  The sums must be
+    W+-invariant, as every ``exp_sum(lam, kind)`` is, so that each product
+    a * conj(b) is constant on the orbits."""
+    n = sums[0].rank
+    nodes, sizes = grid_orbits(n, n_points)
+    values = np.array([s.evaluate(nodes, basis="e") for s in sums])
+    return (values * sizes) @ values.conj().T / n_points ** n
 
 
 def _quadrature_gram_deviation(sums: dict, n_points: int) -> float:

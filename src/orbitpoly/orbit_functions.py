@@ -276,11 +276,14 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
 
 @lru_cache(maxsize=None)
 def _even_permutations(m: int) -> np.ndarray:
-    """(m!/2, m) index table of the even permutations of range(m); m <= 9."""
+    """(m!/2, m) int8 index table of the even permutations of range(m): the
+    parity +1 rows of ``_permutation_table(m)``, in its order; m <= 9."""
     if m > 9:
         raise ValueError(f"alternating form limited to order 9, got {m}")
-    perms = [p for p, sign in weyl.signed_permutations(tuple(range(m))) if sign > 0]
-    return np.array(perms, dtype=np.intp).reshape(len(perms), m)
+    perms, parity, _ = _permutation_table(m)
+    even = perms[parity > 0]
+    even.flags.writeable = False  # cached: every d_alt call shares it
+    return even
 
 
 def _check_e_inputs(l: Sequence[float], x) -> tuple[np.ndarray, np.ndarray]:

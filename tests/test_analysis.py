@@ -114,11 +114,105 @@ class TestFoldedQuadrature:
             analysis.torus_inner_product(analysis.fold(a, 6), analysis.fold(a, 6)))
 
     def test_memory_budget(self):
+        # On the W+-orbit nodes rank 4 needs MiB and rank 5 fits; rank 6,
+        # 4 096 labels on ~21 000 nodes, does not.
         budget = analysis.QUADRATURE_BYTE_BUDGET
         assert analysis.quadrature_bytes(3, 3, 16) < budget
-        assert analysis.quadrature_bytes(5, 3, 16) > budget
+        assert analysis.quadrature_bytes(4, 3, 16) < 64 << 20
+        assert analysis.quadrature_bytes(5, 3, 16) < budget
+        assert analysis.quadrature_bytes(6, 3, 16) > budget
         with pytest.raises(ValueError, match="GiB"):
-            analysis.run_ortho_suite(rank_bound=5)
+            analysis.run_ortho_suite(rank_bound=6)
+
+
+def torus_grid(n: int, n_points: int) -> np.ndarray:
+    """(n_points^n, n) array of the rectangle-rule nodes on [0,1)^n in alpha
+    coordinates: the full grid, the oracle of ``analysis.grid_orbits``."""
+    axis = np.arange(n_points) / n_points
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def full_grid_gram(sums: list, n_points: int) -> np.ndarray:
+    """Rectangle-rule Gram matrix of the sums at every node of the grid."""
+    grid = torus_grid(sums[0].rank, n_points)
+    values = np.array([s.evaluate(grid) for s in sums])
+    return values @ values.conj().T / len(grid)
+
+
+def residues(e_points: np.ndarray, n_points: int) -> list[tuple[int, ...]]:
+    """Integer e-coordinates mod n_points of grid points given as e-points;
+    fails on a point off the grid."""
+    scaled = e_points * n_points
+    k = np.rint(scaled).astype(int)
+    assert np.abs(scaled - k).max() < 1e-9, "node off the grid"
+    return [tuple(row) for row in k % n_points]
+
+
+def grid_residues(n: int, n_points: int) -> list[tuple[int, ...]]:
+    """The residues of every node of ``torus_grid``."""
+    alpha = torus_grid(n, n_points)
+    zero = np.zeros((len(alpha), 1))
+    return residues(np.hstack([alpha, zero]) - np.hstack([zero, alpha]), n_points)
+
+
+def even_orbit_key(r: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest rearrangement of r by an even permutation: one key per W+-orbit."""
+    return min(tuple(r[i] for i in perm)
+               for perm, sign in weyl.signed_permutations(tuple(range(len(r)))) if sign > 0)
+
+
+SMALL_GRIDS = [(1, 1), (1, 2), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+               (2, 7), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 5)]
+
+
+class TestReducedGrid:
+    """``grid_orbits``, one node per W+-orbit weighted by its size, against
+    the full grid of ``torus_grid``."""
+
+    @pytest.mark.parametrize("n,n_points", SMALL_GRIDS + [(2, 16), (3, 16), (4, 16)])
+    def test_weights_sum_to_the_grid_size(self, n, n_points):
+        nodes, sizes = analysis.grid_orbits(n, n_points)
+        assert nodes.shape == (len(sizes), n + 1)
+        assert np.abs(nodes.sum(axis=1)).max() < 1e-12
+        assert sizes.sum() == n_points ** n
+
+    @pytest.mark.parametrize("n,n_points", SMALL_GRIDS)
+    def test_one_node_per_even_orbit_weighted_by_its_size(self, n, n_points):
+        orbits: dict = {}
+        for r in grid_residues(n, n_points):
+            key = even_orbit_key(r)
+            orbits[key] = orbits.get(key, 0) + 1
+        nodes, sizes = analysis.grid_orbits(n, n_points)
+        got = {even_orbit_key(r): size for r, size in zip(residues(nodes, n_points), sizes)}
+        assert len(got) == len(nodes)
+        assert got == orbits
+
+    def test_node_counts_at_sixteen_points(self):
+        assert [len(analysis.grid_orbits(n, 16)[0]) for n in (2, 3, 4)] == [86, 360, 1242]
+        assert [analysis.grid_orbit_count(n, 16) for n in (2, 3, 4)] == [51, 245, 969]
+
+    @pytest.mark.parametrize("n,n_points", [(n, k) for n in range(1, 5) for k in range(1, 10)
+                                            if k ** n <= 5000])
+    def test_orbit_count_formula(self, n, n_points):
+        w_orbits = {tuple(sorted(r)) for r in grid_residues(n, n_points)}
+        assert analysis.grid_orbit_count(n, n_points) == len(w_orbits)
+        assert len(analysis.grid_orbits(n, n_points)[0]) <= 2 * len(w_orbits)
+
+    @pytest.mark.parametrize("n,points", [(1, (3, 6, 16)), (2, (4, 7, 16)), (3, (3, 8, 16))])
+    def test_gram_equals_the_full_grid(self, n, points):
+        # C and E on walls and off them, S, and E of reflected labels: every
+        # sum is W+-invariant, and the generic E sums are not W-invariant.
+        labels = analysis.dominant_weights(n, 2)
+        sums = [exp_sum(w, "C") for w in labels]
+        sums += [exp_sum(w, "S") for w in analysis.strictly_dominant_weights(n, 2)]
+        sums += [exp_sum(w, "E") for w in labels]
+        sums += [exp_sum(weyl.reflect_weight(1, w), "E") for w in labels if w[0]]
+        bound = max(analysis.nyquist_points(s, s) for s in sums)
+        assert min(points) < bound <= max(points)
+        for n_points in points:
+            reduced = analysis.quadrature_gram(sums, n_points)
+            assert np.abs(reduced - full_grid_gram(sums, n_points)).max() < 1e-11
 
 
 class TestHyperplaneFrame:

@@ -202,11 +202,12 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
         monkeypatch.setattr(analysis, "quadrature_gram", must_not_run)
-        result = runner.invoke(cli.main, ["verify", "-s", suite, "-n", "5"])
+        # Rank 5 fits on the W+-orbit nodes; rank 6 does not.
+        result = runner.invoke(cli.main, ["verify", "-s", suite, "-n", "6"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
-        assert "54.6 GiB, over the 1 GiB budget" in result.output
+        assert "14.3 GiB, over the 1 GiB budget" in result.output
 
     def test_oversized_detforms_refused_up_front(self, runner, monkeypatch):
         # At rank 8 one label's 100 samples would need 9! * 100 kernel terms.

@@ -408,6 +408,18 @@ class TestFormBatches:
             for x in [e_point(rng, n) for _ in range(2)]:
                 assert abs(of.d_alt(l, x) - d_alt_loop(l, x)) <= 1e-13 * factorial(n + 1)
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_even_permutations_in_lexicographic_order(self, m):
+        even = of._even_permutations(m)
+        expect = sorted(p for p, sign in weyl.signed_permutations(tuple(range(m))) if sign > 0)
+        assert even.dtype == np.int8 and not even.flags.writeable
+        assert [tuple(row) for row in even.tolist()] == expect
+
+    def test_even_permutations_limited_to_order_nine(self):
+        assert len(of._even_permutations(9)) == factorial(9) // 2
+        with pytest.raises(ValueError, match="order 9"):
+            of._even_permutations(10)
+
     @pytest.mark.parametrize("form", FORMS)
     def test_bad_points_raise(self, form):
         f = FORMS[form]
