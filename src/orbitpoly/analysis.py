@@ -240,11 +240,15 @@ def _relative_errors(
     min_abs: float | None = None, frame: np.ndarray | None = None,
 ) -> Iterator[list[float]]:
     """Relative errors of the eigenvalue identity, one per step, at each
-    candidate e-point where |f| >= min_abs (by default 0.05 times the orbit
-    size); below that the ratio measures the fluctuation of |f| rather
-    than the h^2 truncation term."""
+    candidate e-point where |f| >= min_abs; below that the ratio measures
+    the fluctuation of |f| rather than the h^2 truncation term.  The default
+    is min(0.05 |W lam|, 0.5 sqrt|W lam|): a sum of |W lam| unit phases
+    typically has modulus near sqrt|W lam|, so a bound linear in the orbit
+    size finds no point on large orbits (it stays the bound up to |W lam| =
+    100, every orbit of rank <= 3)."""
     if min_abs is None:
-        min_abs = 0.05 * weyl.orbit_size(weyl.dominant_representative(lam)[0])
+        size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
+        min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
     factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
     for x_e in candidates:
         val, laps = _fd_values(kind, lam, x_e, steps, frame)
@@ -411,12 +415,14 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
 
 def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
     """Upper bound on the bytes the rank-n detforms checks hold, with
-    m = n+1 and N = m!:
+    m = n+1, N = m! and L = min(samples, coord_bound^n) + 1 labels a rank
+    (the samples' and the wall's; no lower rank draws more):
 
-    - the orbit-function tables of the labels drawn and of the wall label,
+    - the orbit-function tables of the labels whose evaluation sums table
+      rows (``orbit_functions.expands`` is false), at every rank k <= n:
       C/S rows and E's even half, at most ``orbit_functions.TABLE_ROW_BOUND``
       rows in all, 8(m+2) bytes a row (m e-coordinates, a coefficient and a
-      wall label's own signs);
+      wall label's own signs); labels that expand hold none;
     - the cached permutation tables of every m' <= m, m'!(2m'+8) bytes each
       (``_permutation_table``: int8 permutations and inverses, float
       parities), and the even permutations of ``_even_permutations``, mN/2
@@ -424,16 +430,26 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
     - the largest transient: building one table, 24mN (the int64
       arrangements, their differences as int64 and as float, the e-basis
       product), or the kernel's phase and exponential arrays, 32 bytes a
-      point and sample when every sample draws the same label.
+      point and sample when every sample draws the same label;
+    - per sample, the column expansion's d*m matrix and 2^(m+1) states with
+      the gather of a level's predecessors, and the permanent's row sums
+      over 2^m column masks: 16(2(m+1)2^m + m^2) bytes.
     """
     m = n + 1
     size = factorial(m)
     labels = min(samples, coord_bound ** n) + 1
-    rows = min(orbit_functions.TABLE_ROW_BOUND,
-               labels * (3 * size // 2 + orbit_functions.TABLE_ENTRY_ROWS))
+    rows = n * orbit_functions.TABLE_ENTRY_ROWS
+    for k in range(1, n + 1):  # every strictly dominant label of rank k takes rho's paths
+        rho = (1,) * k
+        if not (orbit_functions.expands(rho, "C") and orbit_functions.expands(rho, "S")):
+            rows += factorial(k + 1)
+        if not orbit_functions.expands(rho, "E"):
+            rows += factorial(k + 1) // 2
+    rows = min(orbit_functions.TABLE_ROW_BOUND, labels * rows)
     tables = sum(factorial(k) * (2 * k + 8) for k in range(2, m + 1))
     held = 8 * (m + 2) * rows + tables + m * size // 2 + 4 * m * size
-    return held + max(24 * m * size, 32 * size * samples)
+    per_sample = 16 * (2 * (m + 1) * 2 ** m + m * m)
+    return held + max(24 * m * size, 32 * size * samples) + per_sample * samples
 
 
 def _refuse_over_budget(need: int, what: str) -> None:

@@ -9,11 +9,22 @@ e-point never changes a value because weights sum to zero there.  An
 batch row may differ from the same point evaluated alone in the last bits
 (a matrix-matrix against a matrix-vector product).
 
-Every exponential sum -- an orbit function here, ``ExpSum.evaluate``, the
-quadrature grids of ``analysis`` -- is computed by the one kernel
-``exp_kernel``.  It accumulates with numpy reductions (pairwise summation);
-orbit sizes reach (n+1)! and naive left-to-right accumulation would leak
-cancellation error into the identity checks.
+An orbit function takes one of two paths, chosen once per (dominant
+label, kind) from the label alone by a per-call cost model
+(``EXPANSION_BASE_ROWS``):
+
+- the table path sums one exponential per orbit point, the rows of
+  ``exp_sum(lam, kind)`` in its term order, in the one kernel
+  ``exp_kernel`` that also computes ``ExpSum.evaluate`` and the quadrature
+  grids of ``analysis``.  It accumulates with numpy reductions (pairwise
+  summation), so a label on this path gives ``ExpSum.evaluate``'s value bit
+  for bit.  Every label of rank <= 5 and every small orbit takes it.
+- the column expansion (``_expand``) fills the permanent or determinant of
+  exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time,
+  with d*m exponentials and at most 2^m * m products a point instead of
+  |W lam| exponentials: orbits of more than about 800 points (every
+  generic label from rank 6 on) take it.  Its values agree with the
+  table's within 1e-12 * |W lam|, not bit for bit.
 """
 from __future__ import annotations
 
@@ -21,6 +32,7 @@ import cmath
 import itertools
 import warnings
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +65,11 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     """sum_mu coeff_mu * exp(2*pi*i <mu, x>) over the rows mu of ``weights``.
 
     ``points`` is one point x (a scalar result) or an (m, n) grid of them
-    (m results).  Every numeric exponential sum in the package goes through
-    here, so the same weights, coefficients and point give the same bits
-    whichever function asked.
+    (m results).  Every exponential sum over weight rows goes through here
+    -- the table path of ``eval_*``, ``ExpSum.evaluate``, the quadrature
+    grids, ``d_alt`` -- so the same weights, coefficients and point give the
+    same bits whichever function asked.  Orbit functions on the column
+    expansion do not sum rows and do not come here.
     """
     terms = np.exp(2j * np.pi * (points @ weights.T))
     terms *= coeffs  # in place: the same bits as coeffs * terms, one array fewer
@@ -68,7 +82,8 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 # never built here.
 
 #: Most weight rows the orbit-function tables hold, summed over every cached
-#: label and basis; one rank-8 label's C/S rows and E half (9! * 3/2) fit.
+#: label and basis; one rank-8 label's C/S rows and E half (9! * 3/2) fit,
+#: although ``eval_*`` builds tables only for labels that do not expand.
 #: A label also counts ``TABLE_ENTRY_ROWS`` for its Python objects, so many
 #: small orbits cannot hold more memory than the bound's worth of rows.
 TABLE_ROW_BOUND = 1 << 20
@@ -173,8 +188,10 @@ _TABLES = _TableCache(TABLE_ROW_BOUND)
 def _table(dom: tuple[int, ...], kind: str, basis: str):
     """(weight rows, coefficients) of ``exp_sum(dom, kind)`` for a dominant
     dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
-    to the same bits.  On a chamber wall S carries the orbit's signs
-    (``weyl.orbit(dom).signs``), although ``eval_s`` never sums it there."""
+    to the same bits.  ``eval_*`` reads it only for labels that do not
+    expand (``expands``); an expanding label never builds one.  On a
+    chamber wall S carries the orbit's signs (``weyl.orbit(dom).signs``),
+    although ``eval_s`` never sums it there."""
     return _TABLES.table(dom, kind, basis)
 
 
@@ -200,10 +217,132 @@ def _finite(values, x: np.ndarray):
     raise ValueError(f"non-finite value at the point {tuple(row.tolist())}")
 
 
+# ---------------------------------------------------------------------------
+# Column expansion of large orbits.  An orbit point of the dominant dom is an
+# arrangement q of its suffix sums p, and <mu, x> = sum_k q_k y_k with
+# y = diff((0, x, 0)) for an alpha point, y = x - mean(x) for an e-point.
+# With v_1 > ... > v_d the distinct values of p and M[i, k] =
+# exp(2*pi*i v_i y_k), C sums prod_k M[q_k, k] over the distinct
+# arrangements q: the permanent of exp(2*pi*i p_j y_k) over the stabilizer
+# order.  Filling the columns k = 0, 1, ... in turn, the partial sums depend
+# only on how many copies u_i of each value are placed,
+#     dp[u] = sum_i dp[u - e_i] * M[i, |u| - 1],
+# so each distinct arrangement is counted once: d*m exponentials and at most
+# 2^m * m products a point.  Placing v_i after u' = u - e_i adds
+# sum_{j>i} u'_j inversions of the descending order, so S and E keep the
+# states of each parity apart: E is the even part, S the even minus the odd
+# part (the determinant).
+
+#: The per-call cost model that picks a label's path, in table rows: one
+#: call of the expansion costs about ``EXPANSION_BASE_ROWS`` rows (an
+#: exponential matrix and a gather and matmul per column) plus one row per
+#: ``PRODUCTS_PER_ROW`` of its products.  Timed single-point calls at ranks
+#: 5-8 break even between 720 and 1 260 rows; no label of rank <= 5 has more
+#: than 720, so all of them stay on the table.
+EXPANSION_BASE_ROWS = 800
+PRODUCTS_PER_ROW = 8
+
+
+@lru_cache(maxsize=None)
+def _column_plan(counts: tuple[int, ...], split: bool) -> tuple[tuple, tuple[int, int], int]:
+    """(steps, finals, work) of the column expansion of a multiset whose
+    distinct values, in descending order, occur counts[i] times.
+
+    The states (u, parity), u <= counts and the parity 0 unless ``split``,
+    are numbered by level |u| (the columns filled), the empty even state
+    first.  A step (start, stop, pred) fills one level: pred[s, i] numbers
+    the predecessor of state start + s through value i, or is -1 (a row
+    kept zero) where u_i = 0.  ``finals`` numbers the full even and odd
+    states (-1 for no odd one); ``work`` counts the products of all steps.
+    """
+    d, size = len(counts), prod(c + 1 for c in counts)
+    u = np.indices([c + 1 for c in counts]).reshape(d, size).T  # mixed radix, last fastest
+    stride = np.cumprod([1] + [c + 1 for c in counts[:0:-1]])[::-1]
+    parities = 2 if split else 1
+    level = np.tile(u.sum(axis=1), parities)
+    parity = np.repeat(np.arange(parities), size)
+    order = np.lexsort((parity, level))
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    # The predecessor through value i: u - e_i, its parity flipped when
+    # sum_{j>i} u_j values below v_i came first.
+    flip = (u[:, ::-1].cumsum(axis=1)[:, ::-1] - u) & 1 if split else 0
+    source = (parity[:, None] ^ np.tile(flip, (parities, 1))) * size \
+        + np.tile(np.arange(size)[:, None] - stride, (parities, 1))
+    pred = np.where(np.tile(u, (parities, 1)) > 0, number[source % (parities * size)], -1)
+    bounds = np.searchsorted(level[order], np.arange(sum(counts) + 2))
+    steps = []
+    for start, stop in zip(bounds[1:-1], bounds[2:]):
+        rows = pred[order[start:stop]]
+        rows.flags.writeable = False
+        steps.append((int(start), int(stop), rows))
+    finals = tuple(int(number[p * size + size - 1]) for p in range(parities)) + (-1,) * (2 - parities)
+    return tuple(steps), finals, d * (len(order) - parities)
+
+
+@lru_cache(maxsize=4096)
+def _expansion(dom: tuple[int, ...], kind: str):
+    """(values, plan) of the column expansion of ``exp_sum(dom, kind)`` for a
+    dominant dom, or None where summing its table rows is cheaper.
+
+    The choice reads the label alone, once: the rows a call of the table
+    sums against the expansion's cost in rows (``EXPANSION_BASE_ROWS``).
+    E is C on a wall, and S is never summed there.
+    """
+    p = lie.suffix_sums(dom)
+    distinct = sorted(set(p), reverse=True)
+    generic = len(distinct) == len(p)
+    rows = weyl.orbit_size(dom) // (2 if kind == "E" and generic else 1)
+    if rows <= EXPANSION_BASE_ROWS:
+        return None
+    plan = _column_plan(tuple(map(p.count, distinct)), kind != "C" and generic)
+    if rows <= EXPANSION_BASE_ROWS + plan[2] // PRODUCTS_PER_ROW:
+        return None
+    return np.array(distinct, dtype=float), plan
+
+
+def expands(dom: tuple[int, ...], kind: str) -> bool:
+    """Whether ``eval_*`` evaluates ``exp_sum(dom, kind)`` of a dominant dom
+    by the column expansion rather than by summing its table rows."""
+    return _expansion(dom, kind) is not None
+
+
+def _columns(x, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x checked as by ``_points``, the column coordinates y of its points)."""
+    if basis == "alpha":
+        x = _points(x, n, basis)
+        y = np.zeros(x.shape[:-1] + (n + 1,))
+        y[..., :-1] = x
+        y[..., 1:] -= x
+        return x, y
+    if basis == "e":
+        x = _points(x, n + 1, basis)
+        return x, x - x.mean(axis=-1, keepdims=True)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def _expand(values: np.ndarray, plan: tuple, y: np.ndarray) -> np.ndarray:
+    """The full even and odd states' sums at the column coordinates y: an
+    array (2,) for one point, (m, 2) for a batch."""
+    steps, finals, _ = plan
+    # mat[..., k, i, 0] = M[i, k]: each column a (d, 1) matrix for matmul.
+    mat = np.exp(2j * np.pi * (y[..., None, None] * values[:, None]))
+    dp = np.zeros(y.shape[:-1] + (steps[-1][1] + 1,), dtype=complex)  # the last state stays 0
+    dp[..., 0] = 1
+    for k, (start, stop, pred) in enumerate(steps):
+        np.matmul(dp.take(pred, axis=-1), mat[..., k, :, :], out=dp[..., start:stop, None])
+    return dp[..., finals]
+
+
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
-    weights, coeffs = _table(dom, kind, basis)
-    x = _points(x, weights.shape[1], basis)
-    return _finite(exp_kernel(weights, coeffs, x), x)
+    expansion = _expansion(dom, kind)
+    if expansion is None:
+        weights, coeffs = _table(dom, kind, basis)
+        x = _points(x, weights.shape[1], basis)
+        return _finite(exp_kernel(weights, coeffs, x), x)
+    x, y = _columns(x, len(dom), basis)
+    sums = _expand(*expansion, y)
+    return _finite(sums[..., 0] - sums[..., 1] if kind == "S" else sums[..., 0], x)
 
 
 def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:

@@ -254,6 +254,23 @@ class TestLaplacian:
         err = analysis.laplacian_eigenvalue_check("C", (1,), min_abs=1e9, retries=3)
         assert err is None
 
+    @pytest.mark.parametrize("lam", [(1,), (1, 1), (2, 0, 1), (1, 1, 1)])
+    def test_default_threshold_below_rank_four_is_linear(self, lam):
+        # Orbits of <= 100 points keep the bound 0.05 |W lam|.
+        size = weyl.orbit_size(lam)
+        for kind in ("C", "E"):
+            default = analysis.laplacian_eigenvalue_check(kind, lam, rng=np.random.default_rng(2))
+            linear = analysis.laplacian_eigenvalue_check(kind, lam, rng=np.random.default_rng(2),
+                                                         min_abs=0.05 * size)
+            assert default == linear
+
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
+    def test_large_orbits_find_a_point(self, kind):
+        # |f| of 8! unit phases is ~200, far below 0.05 * 8! = 2016.
+        err = analysis.laplacian_eigenvalue_check(kind, (1,) * 7, rng=np.random.default_rng(5),
+                                                  retries=40)
+        assert err is not None and err < 1e-4
+
     def test_frame_choice_is_irrelevant(self):
         lam = (1, 1)
         x = np.asarray(lie.alpha_to_e_point((0.19, 0.41)))
@@ -298,6 +315,12 @@ class TestSuiteRunners:
     def test_laplace(self):
         report = analysis.run_laplace_suite(rank_bound=2, points=6)
         assert report.passed
+
+    def test_laplace_at_rank_eight(self):
+        # Every rank-7 and rank-8 label finds points above the magnitude
+        # filter; their orbits are evaluated by the column expansion.
+        report = analysis.run_laplace_suite(rank_bound=8)
+        assert report.passed, report.render_text()
 
     def test_symmetry(self):
         report = analysis.run_symmetry_suite(rank_bound=2, coord_bound=2, trials=25)

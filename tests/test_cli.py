@@ -97,6 +97,18 @@ class TestEvalCommand:
         assert "finite" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
+    def test_non_finite_value_of_an_expanded_label_exits_2(self, kind):
+        # Rank-7 orbits are evaluated by the column expansion, not the table.
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitpoly.cli", "eval", "-k", kind, "-l", "1,1,1,1,1,1,1",
+             "-x", ",".join(["1e308"] * 7)], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "non-finite value" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_e_label_outside_p_plus_and_reflections_exits_2(self, runner):
         result = runner.invoke(cli.main, ["eval", "-k", "E", "-l", "-5,3", "-x", "0.1,0.2"])
         assert result.exit_code == 2

@@ -1,6 +1,7 @@
 """Numeric orbit-function values, their symmetries, and the permanent /
 determinant / alternating exponential forms."""
 import cmath
+import contextlib
 import itertools
 from math import cos, factorial, pi, sin
 
@@ -242,6 +243,8 @@ class TestOrbitTables:
         after = weyl.orbit.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert calls == []
+        # The rank-7 labels expand: only the rank-6 ones hold table rows.
+        assert {lam for lam, _ in of._TABLES._labels} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
 
     def test_cache_holds_at_most_its_bound(self, monkeypatch):
         assert of.TABLE_ROW_BOUND >= 3 * factorial(9) // 2 + of.TABLE_ENTRY_ROWS
@@ -265,6 +268,129 @@ class TestOrbitTables:
         for basis in ("alpha", "e"):
             assert of._table(lam, "S", basis)[0] is of._table(lam, "C", basis)[0]
             assert of._table(wall, "E", basis) is of._table(wall, "C", basis)
+
+
+@contextlib.contextmanager
+def every_label_expands():
+    """Every label takes the column expansion, whatever its size."""
+    of._expansion.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(of, "EXPANSION_BASE_ROWS", -1)
+            patch.setattr(of, "PRODUCTS_PER_ROW", 1 << 40)
+            yield
+    finally:
+        of._expansion.cache_clear()
+
+
+EVALUATORS = {"C": of.eval_c, "S": of.eval_s, "E": of.eval_e}
+
+
+def labels_of_rank(low, high, max_coord=2):
+    """Dominant labels of rank low..high, about half of them strictly
+    dominant and half drawn with chamber walls allowed."""
+    return st.integers(low, high).flatmap(lambda n: st.one_of(
+        st.tuples(*[st.integers(1, max_coord)] * n),
+        st.tuples(*[st.integers(0, max_coord)] * n)))
+
+
+def assert_matches_exp_sum(lam, rng, points=3):
+    """eval_c/s/e of lam (a reflected label too for E) against the exact
+    path ``exp_sum(lam, kind).evaluate``, at one point and at a batch, in
+    both bases, within 1e-12 * |W lam|."""
+    n = len(lam)
+    size = weyl.orbit_size(lam)
+    xs = rng.random((points, n)) * 4 - 2
+    x_e = np.array([lie.alpha_to_e_point(row) for row in xs]) + rng.random((points, 1))
+    for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
+        want = exp_sum(lam, kind).evaluate(xs)
+        labels = [lam, weyl.reflect_weight(int(rng.integers(1, n + 1)), lam)] if kind == "E" else [lam]
+        for label in labels:
+            for basis, x in (("alpha", xs), ("e", x_e)):
+                got = EVALUATORS[kind](label, x, basis=basis)
+                assert np.abs(got - want).max() <= 1e-12 * size
+                assert abs(EVALUATORS[kind](label, x[0], basis=basis) - want[0]) <= 1e-12 * size
+
+
+class TestColumnExpansion:
+    """Large orbits are evaluated column by column over value multisets;
+    ``exp_sum(lam, kind).evaluate`` (the exact orbit) and the permanent and
+    determinant forms are its oracles."""
+
+    @given(labels_of_rank(5, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_forced_on_every_label_matches_exp_sum(self, lam):
+        with every_label_expands():
+            assert_matches_exp_sum(lam, np.random.default_rng(sum(lam)))
+
+    @given(labels_of_rank(6, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_chosen_path_matches_exp_sum(self, lam):
+        assert_matches_exp_sum(lam, np.random.default_rng(len(lam)))
+
+    @pytest.mark.parametrize("lam", [(1, 0, 0, 2, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0), (0,) * 6,
+                                     (1, 0, 1, 0, 1, 0, 1), (2, 1, 1, 3, 1, 2, 1)])
+    def test_forced_walls_count_each_point_once(self, lam):
+        with every_label_expands():
+            # At the origin every distinct orbit point contributes 1.
+            assert of.eval_c(lam, (0.0,) * len(lam)) == pytest.approx(weyl.orbit_size(lam),
+                                                                    abs=1e-9)
+            assert_matches_exp_sum(lam, np.random.default_rng(3), points=2)
+
+    @pytest.mark.parametrize("lam", [(1,) * 8, (2, 1, 3, 1, 1, 2, 1, 1), (1, 0, 2, 1, 0, 0, 3, 1),
+                                     (0, 2, 0, 0, 1, 0, 0, 0)])
+    def test_rank_eight_against_the_forms(self, lam):
+        assert of.expands(lam, "C")
+        rng = np.random.default_rng(8)
+        l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
+        xs = np.array([e_point(rng, 8) for _ in range(3)])
+        size = weyl.orbit_size(lam)
+        c = of.eval_c(lam, xs, basis="e")
+        assert np.abs(c - of.d_plus(l_e, xs) / weyl.stabilizer_order(lam)).max() <= 1e-12 * size
+        if lie.is_strictly_dominant(lam):
+            s = of.eval_s(lam, xs, basis="e")
+            assert np.abs(s - of.d_minus(l_e, xs)).max() <= 1e-12 * size
+            e = of.eval_e(lam, xs[0], basis="e")
+            assert abs(e - (c[0] + s[0]) / 2) <= 1e-12 * size
+
+    def test_no_label_of_rank_five_or_less_expands(self):
+        # Labels with coordinates 0 and 1 cover every pattern of chamber
+        # walls, so every multiplicity of the suffix sums.
+        for n in range(1, 6):
+            for lam in itertools.product((0, 1), repeat=n):
+                kinds = ("C", "S", "E") if all(lam) else ("C", "E")
+                assert not any(of.expands(lam, kind) for kind in kinds)
+
+    @pytest.mark.parametrize("lam", [(1,) * 6, (1,) * 7, (2, 1, 0, 1, 1, 0, 1), (1,) * 8])
+    def test_large_orbits_expand(self, lam):
+        kinds = ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E")
+        assert all(of.expands(lam, kind) for kind in kinds)
+
+    def test_expanding_label_holds_no_table(self, monkeypatch):
+        monkeypatch.setattr(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND))
+        lam = (2, 1, 1, 3, 1, 2, 1)
+        x = RNG.random((3, 7))
+        for f in EVALUATORS.values():
+            f(lam, x)
+            f(lam, x[0], basis="alpha")
+        assert of._TABLES._labels == {} and of._TABLES.rows_held == 0
+
+    def test_overflowing_phases_raise(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in EVALUATORS.values():
+                with pytest.raises(ValueError, match="non-finite value"):
+                    f((1,) * 7, (1e308,) * 7)
+                with pytest.raises(ValueError, match=r"non-finite value at the point \(1e\+308"):
+                    f((1,) * 7, np.vstack([np.full(7, 1e308), np.zeros(7)]))
+
+    def test_bad_points_raise(self):
+        lam = (1,) * 7
+        with pytest.raises(ValueError, match="length 7"):
+            of.eval_c(lam, (0.1,) * 6)
+        with pytest.raises(ValueError, match="length 8"):
+            of.eval_s(lam, np.zeros((2, 7)), basis="e")
+        with pytest.raises(ValueError, match="unknown basis"):
+            of.eval_e(lam, (0.1,) * 7, basis="omega")
 
 
 class TestIdentities:
