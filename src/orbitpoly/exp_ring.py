@@ -3,8 +3,10 @@
 :class:`TermMap` is the sparse integer map shared by every exact object in
 the package.  An :class:`ExpSum` is a finite integer combination of formal
 lattice exponentials, keyed by omega-coordinate weights.  Products are exact
-convolutions, W-invariant sums decompose uniquely into orbit sums (distinct
-orbits have disjoint supports), and the ring admits exact long division.
+convolutions, run on keys packed into single ints (Kronecker substitution);
+W-invariant sums decompose uniquely into orbit sums (distinct orbits have
+disjoint supports), found by grouping the terms by dominant representative
+without building an orbit; and the ring admits exact long division.
 Products of orbit sums and Weyl characters are computed on dominant weights
 alone (``orbit_product``, ``character``); the convolution, decomposition and
 division of whole sums are their independent oracles.
@@ -59,7 +61,9 @@ class TermMap:
     The one sparse core behind exponential sums, orbit decompositions and
     the integer polynomials of ``chebyshev``: zero coefficients are dropped
     on construction, equality needs the same type, and ``*`` is the
-    convolution that adds keys.  Arithmetic returns the operand's type.
+    convolution that adds keys, computed on packed int keys (``_convolve``)
+    with the keys in first-occurrence order.  Arithmetic returns the
+    operand's type.
     """
 
     rank: int
@@ -100,14 +104,7 @@ class TermMap:
 
     def __mul__(self, other):
         self._check_rank(other)
-        out: dict = {}
-        get = out.get
-        right = list(other.terms.items())
-        for wa, ca in self.terms.items():
-            for wb, cb in right:
-                key = tuple(map(operator.add, wa, wb))
-                out[key] = get(key, 0) + ca * cb
-        return type(self)(self.rank, out)
+        return type(self)(self.rank, _convolve(self.terms, other.terms))
 
     def scale(self, k: int):
         return type(self)(self.rank, {w: k * c for w, c in self.terms.items()})
@@ -139,6 +136,57 @@ class TermMap:
             int(data["rank"]),
             {tuple(t["weight"]): int(t["coeff"]) for t in data["terms"]},
         )
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The convolution of two term dicts, by Kronecker substitution.
+
+    Each operand's keys are shifted by its coordinate-wise minimum and
+    packed into one int by Horner's rule in radix 1 + max_i(range_a[i] +
+    range_b[i]), so that adding two packed keys adds the shifted tuples
+    with no carry: the pair loop adds ints.  The key tuple is built once per
+    distinct key, when it is first met, so the keys come out in the order of
+    their first occurrence, as from a loop that adds the tuples of every
+    pair.  The packed index is local, so it is freed before the caller
+    copies the result.
+    """
+    coeffs: dict = {}  # packed key -> coefficient
+    keys: dict = {}  # packed key -> key, in the same insertion order
+    if a and b:
+        (low_a, range_a), (low_b, range_b) = _box(a), _box(b)
+        radix = 1 + max(map(operator.add, range_a, range_b), default=0)
+        right = _packed(b, low_b, radix)
+        get = coeffs.get
+        add = operator.add
+        for pa, wa, ca in _packed(a, low_a, radix):
+            for pb, wb, cb in right:
+                k = pa + pb
+                c = get(k)
+                if c is None:
+                    keys[k] = tuple(map(add, wa, wb))
+                    coeffs[k] = ca * cb
+                else:
+                    coeffs[k] = c + ca * cb
+    return dict(zip(keys.values(), coeffs.values()))
+
+
+def _box(terms: dict) -> tuple[list[int], list[int]]:
+    """Coordinate-wise minimum and range (max - min) of the keys."""
+    columns = list(zip(*terms))
+    low = list(map(min, columns))
+    return low, list(map(operator.sub, map(max, columns), low))
+
+
+def _packed(terms: dict, low: Sequence[int], radix: int) -> list[tuple[int, tuple, int]]:
+    """(packed key, key, coefficient) per term: the key minus low, read as
+    the digits of one int in the given radix (Horner's rule)."""
+    out = []
+    for w, c in terms.items():
+        v = 0
+        for x, lo in zip(w, low):
+            v = v * radix + x - lo
+        out.append((v, w, c))
+    return out
 
 
 class ExpSum(TermMap):
@@ -195,37 +243,66 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
 def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
     """Decompose a W-invariant sum into orbit sums with multiplicities.
 
-    Greedy extraction in one pass: take the dominant weights of the input
-    in descending graded-lex order and subtract each one's orbit times its
-    coefficient.  Each orbit holds exactly one dominant weight and an
-    extraction touches only its own orbit's points, so no extraction
-    removes or adds another dominant weight: this list is exactly the order
-    in which a rescan for the largest remaining dominant weight would find
-    them.  Distinct orbits have disjoint supports, so the result is the
-    unique decomposition; non-invariant input surfaces as a negative
-    coefficient, a short orbit point, or a leftover weight whose dominant
-    representative was absent.
+    One pass over the terms groups them by dominant representative, read
+    off the sorted integer suffix sums as in ``orbit_product``.  Distinct
+    orbits have disjoint supports, so the result is the unique
+    decomposition: each dominant weight lam present, in descending
+    graded-lex order, has the multiplicity of its own coefficient, and its
+    group is complete when it holds ``weyl.orbit_size(lam)`` weights none
+    of which falls below that multiplicity.  Valid input thus builds no
+    orbit.  Non-invariant input raises what greedy extraction would (each
+    orbit extracted in turn, largest dominant weight first): a negative
+    multiplicity, else the first short point of an incomplete group in orbit
+    order (the only case that walks ``weyl.orbit``), else the graded-lex
+    largest leftover weight.  Leftovers are the members whose coefficient
+    differs from their multiplicity, and every member of a group whose
+    dominant weight is absent.
     """
-    rem = dict(s.terms)
+    terms = s.terms
+    by_sums: dict = {}  # ascending suffix sums -> weights
+    get = by_sums.get
+    for w in terms:
+        # Suffix sums in reversed position order, as in orbit_product.
+        sums = tuple(sorted(itertools.accumulate(reversed(w), initial=0)))
+        group = get(sums)
+        if group is None:
+            by_sums[sums] = [w]
+        else:
+            group.append(w)
+    # The sums of one orbit agree up to a shift; the dominant weight is the
+    # differences of its sums in descending order, which drop the shift.
+    groups: dict = {}  # dominant weight -> the weights of its orbit
+    for sums, ws in by_sums.items():
+        dom = tuple(map(operator.sub, sums[:0:-1], sums[-2::-1]))
+        if dom in groups:
+            groups[dom] += ws
+        else:
+            groups[dom] = ws
     out: dict = {}
-    for lam in sorted(filter(lie.is_dominant, rem), key=grlex_key, reverse=True):
-        mult = rem[lam]
+    rem: dict = {}
+    for lam in sorted(groups, key=grlex_key, reverse=True):
+        group = groups[lam]
+        mult = terms.get(lam)
+        if mult is None:
+            rem.update((w, terms[w]) for w in group)
+            continue
         if mult < 0:
             raise NotInvariantError(
                 f"negative multiplicity {mult} at dominant weight {lam}", lam
             )
-        for p in weyl.orbit(lam).points:
-            c = rem.get(p, 0) - mult
-            if c < 0:
-                raise NotInvariantError(
-                    f"sum is not constant on the orbit of {lam}: "
-                    f"weight {p} falls short by {-c}",
-                    p,
-                )
-            if c == 0:
-                rem.pop(p, None)
-            else:
-                rem[p] = c
+        coeffs = [terms[w] for w in group]
+        if len(group) != weyl.orbit_size(lam) or min(coeffs) < mult:
+            # Incomplete: some point falls short; name the first in orbit order.
+            for p in weyl.orbit(lam).points:
+                c = terms.get(p, 0) - mult
+                if c < 0:
+                    raise NotInvariantError(
+                        f"sum is not constant on the orbit of {lam}: "
+                        f"weight {p} falls short by {-c}",
+                        p,
+                    )
+        if max(coeffs) > mult:
+            rem.update((w, c - mult) for w, c in zip(group, coeffs) if c != mult)
         out[lam] = mult
     if rem:
         w_bad = max(rem, key=grlex_key)

@@ -1,6 +1,7 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
 import inspect
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,6 +272,13 @@ class TestLaplacian:
                                                   retries=40)
         assert err is not None and err < 1e-4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_seven_s_finds_a_point_with_the_default_retries(self, seed):
+        # |S_rho| is a product of 28 sines: at rank 7 only ~1 draw in 8
+        # passes the filter, so S draws more points than C and E by default.
+        err = analysis.laplacian_eigenvalue_check("S", (1,) * 7, rng=np.random.default_rng(seed))
+        assert err is not None and err < 1e-4
+
     def test_frame_choice_is_irrelevant(self):
         lam = (1, 1)
         x = np.asarray(lie.alpha_to_e_point((0.19, 0.41)))
@@ -299,6 +307,32 @@ class TestSymmetrySuite:
     def test_zero_weight_trivial(self):
         rep = analysis.symmetry_suite((0, 0), trials=5)
         assert rep.passed
+
+    @pytest.mark.parametrize("lam", [(1, 2), (0, 2, 0), (1, 1, 1, 1, 1)])
+    def test_e_deviation_is_measured(self, lam):
+        # E at the permuted points is a different sum over the same orbit:
+        # rounding shows, where comparing E with itself would read 0.
+        assert analysis.symmetry_suite(lam, trials=20).max_e_dev > 0
+
+    def test_odd_row_in_the_even_table_fails(self):
+        """One odd arrangement swapped into the E rows breaks the even
+        element invariance from rank 2 on; at rank 1 the single even row and
+        the single odd one are exchanged by r_1, so nothing can see it."""
+        real = of._even_table
+
+        def odd_row(dom, basis):
+            rows, coeffs = real(dom, basis)
+            perms, signs, _ = of._permutation_table(len(dom) + 1)
+            odd = of._arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs < 0][:1], basis)
+            return np.vstack([rows[:-1], odd]), coeffs
+
+        with mock.patch.object(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND)), \
+                mock.patch.object(of, "_even_table", odd_row):
+            for n in range(2, 6):
+                assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n
+            assert analysis.symmetry_suite((1,), trials=20).passed
+            assert not analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
+        assert analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
 
     def test_report_dict_carries_seed(self):
         rep = analysis.symmetry_suite((1, 1), trials=3, seed=99)

@@ -133,26 +133,44 @@ def outcome(f, *args):
         return type(exc), str(exc), getattr(exc, "weight", None), getattr(exc, "term", None)
 
 
+#: Largest |W a| * |W b| of a product drawn by ``invariant_sums``.
+INVARIANT_TERM_CAP = 5_000
+
+
 @st.composite
-def invariant_sums(draw, max_rank=4):
-    """Products of two orbit sums, or sums of orbit sums with multiplicities."""
+def invariant_sums(draw, max_rank=5):
+    """Products of two orbit sums, or sums of orbit sums with multiplicities.
+    Coordinates run to 2 up to rank 4 and to 1 at rank 5, where the second
+    factor loses its last nonzero coordinate until the product multiplies
+    at most INVARIANT_TERM_CAP term pairs."""
     n = draw(st.integers(1, max_rank))
-    dom = st.tuples(*[st.integers(0, 2)] * n)
+    dom = st.tuples(*[st.integers(0, 2 if n < 5 else 1)] * n)
     if draw(st.booleans()):
-        return exp_sum(draw(dom), "C") * exp_sum(draw(dom), "C")
+        a, b = draw(dom), list(draw(dom))
+        while weyl.orbit_size(a) * weyl.orbit_size(tuple(b)) > INVARIANT_TERM_CAP:
+            b[max(k for k, c in enumerate(b) if c)] = 0
+        return exp_sum(a, "C") * exp_sum(tuple(b), "C")
     mults = draw(st.dictionaries(dom, st.integers(1, 3), min_size=1, max_size=4))
     return OrbitDecomposition(n, mults).expand()
 
 
 @st.composite
 def perturbed_sums(draw):
-    """An invariant sum with a few coefficients moved, added or removed."""
-    s = draw(invariant_sums(max_rank=3))
+    """An invariant sum with a few coefficients moved, added or removed,
+    with one coefficient raised (an excess inside a complete orbit), or with
+    one dominant weight removed."""
+    s = draw(invariant_sums())
     terms = dict(s.terms)
-    keys = st.sampled_from(sorted(terms)) | st.tuples(*[st.integers(-3, 3)] * s.rank)
-    for _ in range(draw(st.integers(1, 3))):
-        w = draw(keys)
-        terms[w] = terms.get(w, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
+    how = draw(st.sampled_from(["moved", "excess", "dominant removed"]))
+    if how == "excess":
+        terms[draw(st.sampled_from(sorted(terms)))] += draw(st.integers(1, 2))
+    elif how == "dominant removed":
+        del terms[draw(st.sampled_from(sorted(filter(lie.is_dominant, terms))))]
+    else:
+        keys = st.sampled_from(sorted(terms)) | st.tuples(*[st.integers(-3, 3)] * s.rank)
+        for _ in range(draw(st.integers(1, 3))):
+            w = draw(keys)
+            terms[w] = terms.get(w, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
     return ExpSum(s.rank, terms)
 
 
@@ -320,6 +338,31 @@ class TestDecompose:
     @settings(max_examples=120, deadline=None)
     def test_one_pass_matches_rescan(self, s):
         assert outcome(decompose_into_c, s) == outcome(decompose_by_rescan, s)
+
+    @pytest.mark.parametrize("terms, message", [
+        ({(1,): -1, (-1,): -1}, "negative multiplicity -1"),
+        ({(1, 0): 2, (-1, 1): 1, (0, -1): 2}, "weight (-1, 1) falls short by 1"),
+        ({(1, 0): 1, (-1, 1): 1}, "weight (0, -1) falls short by 1"),
+        ({(1, 0): 1, (-1, 1): 3, (0, -1): 1}, "(-1, 1) remains with coefficient 2"),
+        ({(-1, 2): 1, (2, -1): 1, (1, -2): 1, (-2, 1): 1, (-1, -1): 1},
+         "(2, -1) remains with coefficient 1"),
+        ({(1, 1): -1, (1, 0): 1, (-1, 0): 5},
+         "negative multiplicity -1 at dominant weight (1, 1)"),
+    ])
+    def test_every_error_branch_matches_rescan(self, terms, message):
+        s = ExpSum(len(next(iter(terms))), terms)
+        got = outcome(decompose_into_c, s)
+        assert got == outcome(decompose_by_rescan, s)
+        assert got[0] is NotInvariantError and message in got[1]
+
+    @pytest.mark.parametrize("a, b", [((2, 1, 1, 2), (1, 2, 0, 1)), ((1, 1, 1, 1, 1), (0, 1, 0, 1, 0))])
+    def test_invariant_input_builds_no_orbit(self, a, b):
+        prod = exp_sum(a, "C") * exp_sum(b, "C")
+        before = weyl.orbit.cache_info()
+        dec = decompose_into_c(prod)
+        after = weyl.orbit.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert dec == orbit_product(a, b)
 
 
 class TestOrbitProduct:

@@ -5,8 +5,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orbitpoly import lie, orbit_functions as of, weyl
-from orbitpoly.chebyshev import XPolynomial, YLaurent
-from orbitpoly.exp_ring import ExpSum, OrbitDecomposition, TermMap, exp_sum
+from orbitpoly.chebyshev import ClassicalPoly, XPolynomial, YLaurent
+from orbitpoly.exp_ring import (
+    ExpSum,
+    InexactDivisionError,
+    OrbitDecomposition,
+    TermMap,
+    exact_divide,
+    exp_sum,
+)
 from conftest import dominant_weights, strict_weights, weights
 
 
@@ -28,6 +35,41 @@ def alpha_points(draw, n):
 
 
 ALL_TYPES = (ExpSum, OrbitDecomposition, XPolynomial, YLaurent)
+
+
+def convolve_by_tuples(a: dict, b: dict) -> dict:
+    """Convolution oracle: add the key tuples of every pair, pairs in the
+    order of a's terms, then b's; keys stay in first-occurrence order and
+    cancelled coefficients stay as zeros."""
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            key = tuple(x + y for x, y in zip(wa, wb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+#: Coefficients: units (products that cancel to zero are common), small
+#: ints, and ints beyond 2**64.
+COEFFS = (st.sampled_from([1, -1]) | st.integers(-6, 6)
+          | st.integers(2 ** 64, 2 ** 130).flatmap(lambda c: st.sampled_from([c, -c])))
+
+
+@st.composite
+def convolution_operands(draw):
+    """Two maps of one type (ExpSum, XPolynomial or the rank-1
+    ClassicalPoly) at ranks 1-5, negative and far-apart coordinates
+    included, with 0-10 terms each."""
+    cls = draw(st.sampled_from([ExpSum, XPolynomial, ClassicalPoly]))
+    rank = 1 if cls is ClassicalPoly else draw(st.integers(1, 5))
+    coord = draw(st.sampled_from([st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12)]))
+    keys = st.tuples(*[coord] * rank)
+
+    def operand():
+        size = draw(st.sampled_from([0, 1, 2, 5, 10]))
+        return cls(rank, draw(st.dictionaries(keys, COEFFS, max_size=size)))
+
+    return operand(), operand()
 
 
 class TestSharedCore:
@@ -95,6 +137,39 @@ class TestSharedCore:
             ExpSum(1, {(1,): 1}) + ExpSum(2, {(1, 0): 1})
         with pytest.raises(ValueError):
             XPolynomial(1, {(1,): 1}) * XPolynomial(2, {(1, 0): 1})
+
+    @given(convolution_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_product_is_the_tuple_convolution(self, operands):
+        a, b = operands
+        got = a * b
+        want = type(a)(a.rank, convolve_by_tuples(a.terms, b.terms))
+        assert type(got) is type(a)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+    def test_product_edge_cases(self):
+        one, z = ClassicalPoly.of(1), ClassicalPoly.of(0, 1)
+        # (1 + z)(1 - z): the z terms cancel and drop out, the order stays.
+        prod = ClassicalPoly.of(1, 1) * ClassicalPoly.of(1, -1)
+        assert list(prod.terms.items()) == [((0,), 1), ((2,), -1)]
+        assert one * z == z and z * ClassicalPoly(1, {}) == ClassicalPoly(1, {})
+        big = XPolynomial(2, {(-5, 7): 3 ** 60})
+        assert (big * big).terms == {(-10, 14): 3 ** 120}
+        s = exp_sum((2, 1), "C")
+        assert list((s * ExpSum(2, {(0, 0): 1})).terms.items()) == list(s.terms.items())
+        assert (s * ExpSum(2, {})).terms == {}
+
+    def test_product_errors_unchanged(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            ExpSum(2, {(1, 0): 1}) * ExpSum(3, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="rank mismatch"):
+            ClassicalPoly.of(1, 1) * XPolynomial(2, {(0, 1): 1})
+        with pytest.raises(InexactDivisionError):
+            exact_divide(exp_sum((1, 1), "C"), exp_sum((1, 1), "S"))
+        with pytest.raises(InexactDivisionError):
+            exact_divide(exp_sum((2, 1), "S") * exp_sum((1, 1), "S")
+                         + ExpSum(2, {(0, 0): 1}), exp_sum((1, 1), "S"))
 
     def test_poly_text_differs_only_in_the_variable(self):
         terms = {(2, 0): 1, (0, 1): -3, (0, 0): 2}
