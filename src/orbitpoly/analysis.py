@@ -19,7 +19,7 @@ import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
 from math import comb, factorial, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +42,32 @@ def torus_inner_product(a: ExpSum, b: ExpSum) -> int:
     a._check_rank(b)
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return sum(c * large[w] for w, c in small.items() if w in large)
+
+
+def _sparse_gram(sums: Sequence[ExpSum]) -> dict[tuple[int, int], int]:
+    """The nonzero entries (i, j), i <= j, of the exact torus Gram of the
+    sums: sum_w a_w * b_w, ``torus_inner_product`` of every pair at once.
+
+    The diagonal is each sum's sum of squares.  One index maps each weight
+    to the first sum holding it, and a weight that a later sum holds too
+    gets the list of its holders, in sum order, so pairs of sums meet only
+    at shared weights: the work is the number of terms plus the pairs per
+    shared weight, not the number of pairs of sums.
+    """
+    gram = {(i, i): sum(c * c for c in s.terms.values()) for i, s in enumerate(sums)}
+    first: dict = {}
+    holders: dict = {}
+    for i, s in enumerate(sums):
+        for w in s.terms:
+            j = first.setdefault(w, i)
+            if j != i:
+                holders.setdefault(w, [j]).append(i)
+    for w, held in holders.items():
+        for k, i in enumerate(held):
+            a = sums[i].terms[w]
+            for j in held[k + 1:]:
+                gram[i, j] = gram.get((i, j), 0) + a * sums[j].terms[w]
+    return {key: value for key, value in gram.items() if value}
 
 
 def nyquist_points(a: ExpSum, b: ExpSum) -> int:
@@ -86,7 +112,9 @@ def orthogonality_report(kind: str, rank: int, coord_bound: int) -> Orthogonalit
     """Exact pairwise torus products for one function family.
 
     Diagonal entries must equal the orbit size (C), the Weyl group order
-    (S), or the even-orbit size (E); off-diagonal entries must vanish.
+    (S), or the even-orbit size (E); off-diagonal entries must vanish.  The
+    products are the entries of ``_sparse_gram``; a pair it does not list
+    has product 0.
     """
     if kind == "S":
         labels = strictly_dominant_weights(rank, coord_bound)
@@ -94,26 +122,23 @@ def orthogonality_report(kind: str, rank: int, coord_bound: int) -> Orthogonalit
         expected = f"{rank + 1}!"
     elif kind == "C":
         labels = dominant_weights(rank, coord_bound)
-        diag = lambda lam: weyl.orbit(lam).size
+        diag = weyl.orbit_size
         expected = "orbit size"
     elif kind == "E":
         labels = dominant_weights(rank, coord_bound)
-        diag = lambda lam: len(weyl.orbit(lam).even_points)
+        diag = lambda lam: weyl.orbit_size(lam) // (2 if lie.is_strictly_dominant(lam) else 1)
         expected = "even-orbit size"
     else:
         raise ValueError(f"kind must be C, S or E, got {kind!r}")
-    sums = {lam: exp_sum(lam, kind) for lam in labels}
-    worst = 0
-    pairs = 0
-    for a, b in itertools.combinations_with_replacement(labels, 2):
-        pairs += 1
-        expect = diag(a) if a == b else 0
-        worst = max(worst, abs(torus_inner_product(sums[a], sums[b]) - expect))
+    gram = _sparse_gram([exp_sum(lam, kind) for lam in labels])
+    worst = max((abs(gram.get((i, i), 0) - diag(lam)) for i, lam in enumerate(labels)),
+                default=0)
+    worst = max([worst] + [abs(value) for (i, j), value in gram.items() if i != j])
     return OrthogonalityReport(
         kind=kind,
         rank=rank,
         coord_bound=coord_bound,
-        pairs_tested=pairs,
+        pairs_tested=len(labels) * (len(labels) + 1) // 2,
         max_deviation=worst,
         expected_diagonal=expected,
         passed=worst == 0,
@@ -168,7 +193,7 @@ def quadrature_inner_product(
             AliasingWarning,
             stacklevel=2,
         )
-    return complex(quadrature_gram([a, b], n_points)[0, 1])
+    return complex(quadrature_gram([(kind, lam_a), (kind, lam_b)], n_points)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +232,35 @@ def _random_e_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return np.hstack([alpha, zero]) - np.hstack([zero, alpha])
 
 
+def _fd_block(
+    kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float],
+    frame: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """f at each e-point of the (k, n+1) block x_e, and its central-difference
+    Laplacian for each step h, (k,) and (k, len(steps)), from one
+    evaluation of every x_e and x_e +- h*v, v a row of the frame."""
+    if frame is None:
+        frame = hyperplane_frame(len(lam))
+    shifts = np.vstack([s * h * frame for h in steps for s in (1, -1)])
+    stencil = np.concatenate([x_e[:, None], x_e[:, None] + shifts], axis=1)
+    values = _EVALUATORS[kind](lam, stencil.reshape(-1, x_e.shape[1]), basis="e")
+    values = values.reshape(len(x_e), len(stencil[0]))
+    centre = values[:, 0]
+    plus, minus = np.moveaxis(values[:, 1:].reshape(len(x_e), len(steps), 2, -1), 2, 0)
+    sums = (plus - 2 * centre[:, None, None] + minus).sum(axis=-1)
+    # Each part divided by h^2, as a complex divided by a float is; numpy's
+    # complex division would multiply by 1/h^2 instead.
+    return centre, (sums.view(float) / np.repeat(np.square(steps), 2)).view(complex)
+
+
 def _fd_values(
     kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float],
     frame: np.ndarray | None = None,
 ) -> tuple[complex, list[complex]]:
-    """f at x_e and its central-difference Laplacian for each step h, from
-    one evaluation of x_e and every x_e +- h*v, v a row of the frame."""
-    if frame is None:
-        frame = hyperplane_frame(len(lam))
-    stencil = [x_e] + [x_e + s * h * frame for h in steps for s in (1, -1)]
-    values = _EVALUATORS[kind](lam, np.vstack(stencil), basis="e")
-    centre = values[0]
-    shells = values[1:].reshape(len(steps), 2, -1)
-    return centre, [complex((plus - 2 * centre + minus).sum()) / (h * h)
-                    for (plus, minus), h in zip(shells, steps)]
+    """f at the e-point x_e and its central-difference Laplacian for each
+    step h (``_fd_block`` of one point)."""
+    centre, laps = _fd_block(kind, lam, np.asarray(x_e, dtype=float)[None], steps, frame)
+    return complex(centre[0]), [complex(lap) for lap in laps[0]]
 
 
 def fd_laplacian(
@@ -236,24 +276,26 @@ def fd_laplacian(
 
 
 def _relative_errors(
-    kind: str, lam: tuple[int, ...], candidates: Iterable[np.ndarray], steps: Sequence[float],
+    kind: str, lam: tuple[int, ...], candidates: np.ndarray, steps: Sequence[float],
     min_abs: float | None = None, frame: np.ndarray | None = None,
-) -> Iterator[list[float]]:
+) -> list[list[float]]:
     """Relative errors of the eigenvalue identity, one per step, at each
-    candidate e-point where |f| >= min_abs; below that the ratio measures
-    the fluctuation of |f| rather than the h^2 truncation term.  The default
-    is min(0.05 |W lam|, 0.5 sqrt|W lam|): a sum of |W lam| unit phases
-    typically has modulus near sqrt|W lam|, so a bound linear in the orbit
-    size finds no point on large orbits (it stays the bound up to |W lam| =
-    100, every orbit of rank <= 3)."""
+    candidate e-point (a row of the (k, n+1) array) where |f| >= min_abs, in
+    candidate order; below that the ratio measures the fluctuation of |f|
+    rather than the h^2 truncation term.  Every candidate's stencil is
+    evaluated in one call.  The default min_abs is min(0.05 |W lam|, 0.5
+    sqrt|W lam|): a sum of |W lam| unit phases typically has modulus near
+    sqrt|W lam|, so a bound linear in the orbit size finds no point on large
+    orbits (it stays the bound up to |W lam| = 100, every orbit of rank <=
+    3)."""
     if min_abs is None:
         size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
         min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
     factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
-    for x_e in candidates:
-        val, laps = _fd_values(kind, lam, x_e, steps, frame)
-        if abs(val) >= min_abs:
-            yield [float(abs(lap + factor * val) / (factor * abs(val))) for lap in laps]
+    values, laps = _fd_block(kind, lam, candidates, steps, frame)
+    kept = np.abs(values) >= min_abs
+    errs = np.abs(laps[kept] + factor * values[kept, None]) / (factor * np.abs(values[kept, None]))
+    return errs.tolist()
 
 
 #: Default random draws of ``laplacian_eigenvalue_check`` per kind.  A
@@ -294,10 +336,11 @@ def laplacian_eigenvalue_check(
         rng = np.random.default_rng(DEFAULT_SEED)
     if retries is None:
         retries = LAPLACE_RETRIES[kind]
-    candidates = [] if x is None else [np.asarray(x, dtype=float)]
-    candidates += list(_random_e_points(rng, retries, len(lam)))
-    errs = next(_relative_errors(kind, lam, candidates, (h,), min_abs, frame), None)
-    return None if errs is None else errs[0]
+    candidates = _random_e_points(rng, retries, len(lam))
+    if x is not None:
+        candidates = np.vstack([np.asarray(x, dtype=float), candidates])
+    errs = _relative_errors(kind, lam, candidates, (h,), min_abs, frame)
+    return errs[0][0] if errs else None
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +469,8 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     Complex values (16 B) at the W+-orbit nodes, at most twice
     ``grid_orbit_count``: every label's values, weighted and conjugated for
     the Gram product, and the kernel's phase and exponential arrays for the
-    largest orbit, (n+1)! points; the Gram matrix, its prediction and two
+    largest orbit, (n+1)! points (a bound: labels whose batch takes the
+    column expansion hold far less); the Gram matrix, its prediction and two
     temporaries; and the exact sums and their folds, at most (n+1)! dict
     terms a label at 160 B a term (~140 B measured).
     """
@@ -475,10 +519,60 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
     return held + max(24 * m * size, 32 * size * samples) + per_sample * samples
 
 
-def _refuse_over_budget(need: int, what: str) -> None:
+#: Most work the ortho suite may take, in table rows (one exponential at one
+#: point, ``orbit_functions.call_rows``).  The suite at rank 5, coordinate
+#: bound 3, N=16 is estimated at 6.9e8 and took 19 s CPU on a 2-CPU x86
+#: host, so the budget is about half a minute there.
+QUADRATURE_WORK_BUDGET = 10 ** 9
+
+#: One exact dict term -- an orbit point built, stored and indexed, or
+#: folded -- costs about as much as this many table rows (~6 us a term).
+EXACT_TERM_ROWS = 100
+
+#: Multiply-adds of the dense Gram product per table row.
+GRAM_MACS_PER_ROW = 64
+
+
+def quadrature_work(n: int, coord_bound: int, n_points: int) -> int:
+    """Estimated work of ``run_ortho_suite`` up to rank n, in table rows.
+
+    Per rank k: the exact terms of the C, S and E sums and of their Gram
+    index, at ``EXACT_TERM_ROWS`` a term; from k = 2 on, the C sums again
+    with their folds and folded Gram at twice that, every C label evaluated
+    at the nodes (at most twice ``grid_orbit_count``) at the cost its path
+    choice gives it (``orbit_functions.call_rows``), and the dense Gram
+    product.  The labels of one pattern of zero coordinates share orbit
+    sizes and paths, so each pattern is counted once, with its c^(k-zeros)
+    labels.
+    """
+    work = 0
+    for k in range(1, n + 1):
+        nodes = 2 * grid_orbit_count(k, n_points)
+        c_terms = e_terms = eval_rows = 0
+        for pattern in itertools.product((0, 1), repeat=k):
+            count = coord_bound ** sum(pattern)
+            size = weyl.orbit_size(pattern)
+            c_terms += count * size
+            e_terms += count * (size // 2 if all(pattern) else size)
+            eval_rows += count * orbit_functions.call_rows(pattern, "C", nodes)
+        terms = c_terms + e_terms + coord_bound ** k * factorial(k + 1)
+        work += EXACT_TERM_ROWS * terms
+        if k >= 2:
+            labels = (coord_bound + 1) ** k
+            work += 2 * EXACT_TERM_ROWS * c_terms + eval_rows
+            work += labels * labels * nodes // GRAM_MACS_PER_ROW
+    return int(work)
+
+
+def _refuse_over_budget(need: int, what: str, work: int = 0) -> None:
+    """Raise ValueError, naming the estimate, when ``need`` bytes pass
+    QUADRATURE_BYTE_BUDGET or ``work`` table rows QUADRATURE_WORK_BUDGET."""
     if need > QUADRATURE_BYTE_BUDGET:
         raise ValueError(f"{what} would hold about {need / 2**30:.1f} GiB, "
                          f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
+    if work > QUADRATURE_WORK_BUDGET:
+        raise ValueError(f"{what} would take about {work:.1e} table rows of work, "
+                         f"over the {QUADRATURE_WORK_BUDGET:.1e} budget")
 
 
 def run_ortho_suite(
@@ -488,12 +582,14 @@ def run_ortho_suite(
     """Exact torus orthogonality for C/S/E plus quadrature cross-checks.
 
     Raises ValueError before any work when the cross-check at the top rank
-    would hold more than QUADRATURE_BYTE_BUDGET bytes.
+    would hold more than QUADRATURE_BYTE_BUDGET bytes, or the suite would
+    take more than QUADRATURE_WORK_BUDGET table rows of work.
     """
     if rank_bound >= 2:
         _refuse_over_budget(quadrature_bytes(rank_bound, coord_bound, n_points),
                             f"ortho quadrature at rank {rank_bound}, coordinate bound "
-                            f"{coord_bound}, N={n_points}")
+                            f"{coord_bound}, N={n_points}",
+                            quadrature_work(rank_bound, coord_bound, n_points))
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -506,7 +602,7 @@ def run_ortho_suite(
 
         if n >= 2:
             c_sums = {w: exp_sum(w, "C") for w in dominant_weights(n, coord_bound)}
-            max_dev = _quadrature_gram_deviation(c_sums, n_points)
+            max_dev = _quadrature_gram_deviation("C", c_sums, n_points)
             report.add(
                 f"A{n} quadrature N={n_points} matches exact values",
                 max_dev < 1e-9,
@@ -525,25 +621,27 @@ def run_ortho_suite(
     return report
 
 
-def quadrature_gram(sums: list, n_points: int) -> np.ndarray:
-    """Rectangle-rule Gram matrix of the sums, n_points per axis, over the
-    nodes of ``grid_orbits`` weighted by their orbit sizes.  The sums must be
-    W+-invariant, as every ``exp_sum(lam, kind)`` is, so that each product
-    a * conj(b) is constant on the orbits."""
-    n = sums[0].rank
+def quadrature_gram(functions: Sequence[tuple[str, Sequence[int]]], n_points: int) -> np.ndarray:
+    """Rectangle-rule Gram matrix of the orbit functions, given as (kind,
+    label) pairs, n_points per axis, over the nodes of ``grid_orbits``
+    weighted by their orbit sizes.  Every orbit function is W+-invariant,
+    so each product f * conj(g) is constant on the orbits.  The values at
+    the nodes come from ``eval_c``/``eval_s``/``eval_e``, one batch per
+    function, so each label takes the path its batch size makes cheaper."""
+    n = len(functions[0][1])
     nodes, sizes = grid_orbits(n, n_points)
-    values = np.array([s.evaluate(nodes, basis="e") for s in sums])
+    values = np.array([_EVALUATORS[kind](lam, nodes, basis="e") for kind, lam in functions])
     return (values * sizes) @ values.conj().T / n_points ** n
 
 
-def _quadrature_gram_deviation(sums: dict, n_points: int) -> float:
-    """Largest distance of the grid Gram from its exact folded prediction."""
-    folded = [fold(s, n_points) for s in sums.values()]
-    gram = quadrature_gram(list(sums.values()), n_points)
+def _quadrature_gram_deviation(kind: str, sums: dict, n_points: int) -> float:
+    """Largest distance of the grid Gram of the orbit functions of one kind,
+    ``sums`` mapping each label to its ``exp_sum``, from its exact folded
+    prediction."""
+    gram = quadrature_gram([(kind, lam) for lam in sums], n_points)
     expect = np.zeros_like(gram)
-    for i, a in enumerate(folded):
-        for j in range(i, len(folded)):
-            expect[i, j] = expect[j, i] = torus_inner_product(a, folded[j])
+    for (i, j), value in _sparse_gram([fold(s, n_points) for s in sums.values()]).items():
+        expect[i, j] = expect[j, i] = value
     return float(np.abs(gram - expect).max())
 
 
@@ -559,6 +657,24 @@ def _laplace_cases(rank_bound: int) -> list[tuple[str, tuple[int, ...]]]:
     return cases
 
 
+def _drawn_errors(
+    kind: str, lam: tuple[int, ...], rng: np.random.Generator, points: int, draws: int,
+    steps: Sequence[float],
+) -> list[list[float]]:
+    """``_relative_errors`` at random e-points, drawn until ``points`` of
+    them pass the |f| filter or ``draws`` are spent.  The draws go in blocks
+    of at most the number still missing, which no block can overshoot, so
+    every drawn point is used and ``rng`` ends where drawing one point at a
+    time would leave it, with the same points accepted."""
+    errs: list = []
+    drawn = 0
+    while len(errs) < points and drawn < draws:
+        block = min(points - len(errs), draws - drawn)
+        errs += _relative_errors(kind, lam, _random_e_points(rng, block, len(lam)), steps)
+        drawn += block
+    return errs
+
+
 def run_laplace_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
     points: int = 20, h: float = 1e-3,
@@ -569,9 +685,8 @@ def run_laplace_suite(
     rng = np.random.default_rng(seed)
     for kind, lam in _laplace_cases(rank_bound):
         n = len(lam)
-        draws = (_random_e_points(rng, 1, n)[0] for _ in range(20 * points))
         # Both step sizes at the same point, or the ratio is meaningless.
-        errs = list(itertools.islice(_relative_errors(kind, lam, draws, (h, h / 2)), points))
+        errs = _drawn_errors(kind, lam, rng, points, 20 * points, (h, h / 2))
         name = f"A{n} {kind}_{''.join(map(str, lam))}"
         if not errs:
             report.add(f"{name} eigenvalue", False, "all points degenerate")

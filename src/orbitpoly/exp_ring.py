@@ -75,6 +75,19 @@ class TermMap:
         clean = dict(terms) if 0 not in terms.values() else {w: c for w, c in terms.items() if c != 0}
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _adopt(cls, rank: int, terms: dict):
+        """The map over ``terms``, a fresh dict that no caller holds, which
+        it keeps instead of copying; zero coefficients are deleted in place.
+        The constructor copies, since its caller may still change its dict."""
+        if 0 in terms.values():
+            for w in [w for w, c in terms.items() if c == 0]:
+                del terms[w]
+        out = cls.__new__(cls)
+        object.__setattr__(out, "rank", rank)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -93,21 +106,21 @@ class TermMap:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return type(self)(self.rank, out)
+        return self._adopt(self.rank, out)
 
     def __sub__(self, other):
         self._check_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) - c
-        return type(self)(self.rank, out)
+        return self._adopt(self.rank, out)
 
     def __mul__(self, other):
         self._check_rank(other)
-        return type(self)(self.rank, _convolve(self.terms, other.terms))
+        return self._adopt(self.rank, _convolve(self.terms, other.terms))
 
     def scale(self, k: int):
-        return type(self)(self.rank, {w: k * c for w, c in self.terms.items()})
+        return self._adopt(self.rank, {w: k * c for w, c in self.terms.items()})
 
     def _check_rank(self, other: "TermMap") -> None:
         if self.rank != other.rank:
@@ -147,8 +160,8 @@ def _convolve(a: dict, b: dict) -> dict:
     with no carry: the pair loop adds ints.  The key tuple is built once per
     distinct key, when it is first met, so the keys come out in the order of
     their first occurrence, as from a loop that adds the tuples of every
-    pair.  The packed index is local, so it is freed before the caller
-    copies the result.
+    pair.  The packed index is local, freed on return; the product keeps
+    the result dict itself (``TermMap._adopt``).
     """
     coeffs: dict = {}  # packed key -> coefficient
     keys: dict = {}  # packed key -> key, in the same insertion order
@@ -228,15 +241,15 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
     lam = lie.as_weight(lam)
     if kind == "C":
         orb = weyl.orbit(lie.dominant_weight(lam, "C"))
-        return ExpSum(orb.rank, {p: 1 for p in orb.points})
+        return ExpSum._adopt(orb.rank, {p: 1 for p in orb.points})
     if kind == "S":
         if not lie.is_strictly_dominant(lam):
             raise ValueError(f"S requires a strictly dominant weight, got {lam}")
         orb = weyl.orbit(lam)
-        return ExpSum(orb.rank, dict(orb.items()))
+        return ExpSum._adopt(orb.rank, dict(orb.items()))
     if kind == "E":
         orb = weyl.orbit(weyl.e_label_dominant(lam))
-        return ExpSum(orb.rank, {p: 1 for p in orb.even_points})
+        return ExpSum._adopt(orb.rank, {p: 1 for p in orb.even_points})
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 

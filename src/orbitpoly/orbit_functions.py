@@ -9,22 +9,25 @@ e-point never changes a value because weights sum to zero there.  An
 batch row may differ from the same point evaluated alone in the last bits
 (a matrix-matrix against a matrix-vector product).
 
-An orbit function takes one of two paths, chosen once per (dominant
-label, kind) from the label alone by a per-call cost model
-(``EXPANSION_BASE_ROWS``):
+An orbit function takes one of two paths, chosen per call by a cost model
+(``EXPANSION_BASE_ROWS``) from cost terms cached per (dominant label, kind)
+and the number of points in the call:
 
 - the table path sums one exponential per orbit point, the rows of
   ``exp_sum(lam, kind)`` in its term order, in the one kernel
-  ``exp_kernel`` that also computes ``ExpSum.evaluate`` and the quadrature
-  grids of ``analysis``.  It accumulates with numpy reductions (pairwise
-  summation), so a label on this path gives ``ExpSum.evaluate``'s value bit
-  for bit.  Every label of rank <= 5 and every small orbit takes it.
+  ``exp_kernel`` that also computes ``ExpSum.evaluate``.  It accumulates
+  with numpy reductions (pairwise summation), so a label on this path gives
+  ``ExpSum.evaluate``'s value bit for bit.  Every label of rank <= 3
+  (``TABLE_FLOOR_ROWS``) takes it whatever the batch, and so does every
+  label of rank <= 5 at one point.
 - the column expansion (``_expand``) fills the permanent or determinant of
   exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time,
   with d*m exponentials and at most 2^m * m products a point instead of
   |W lam| exponentials: orbits of more than about 800 points (every
-  generic label from rank 6 on) take it.  Its values agree with the
-  table's within 1e-12 * |W lam|, not bit for bit.
+  generic label from rank 6 on) take it at one point, and most orbits of
+  rank 4 and 5 in a batch (from 11 points for a generic rank-4 C, from 2
+  for a generic rank-5 C).  Its values agree with the table's within
+  1e-12 * |W lam|, not bit for bit.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import cmath
 import itertools
 import warnings
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 from typing import Sequence
 
 import numpy as np
@@ -66,10 +69,11 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 
     ``points`` is one point x (a scalar result) or an (m, n) grid of them
     (m results).  Every exponential sum over weight rows goes through here
-    -- the table path of ``eval_*``, ``ExpSum.evaluate``, the quadrature
-    grids, ``d_alt`` -- so the same weights, coefficients and point give the
-    same bits whichever function asked.  Orbit functions on the column
-    expansion do not sum rows and do not come here.
+    -- the table path of ``eval_*`` (and so of the quadrature grids of
+    ``analysis``), ``ExpSum.evaluate``, ``d_alt`` -- so the same weights,
+    coefficients and point give the same bits whichever function asked.
+    Orbit functions on the column expansion do not sum rows and do not come
+    here.
     """
     terms = np.exp(2j * np.pi * (points @ weights.T))
     terms *= coeffs  # in place: the same bits as coeffs * terms, one array fewer
@@ -121,6 +125,14 @@ def _arrangement_rows(p: np.ndarray, perms: np.ndarray, basis: str) -> np.ndarra
     return _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
 
 
+@lru_cache(maxsize=64)
+def _ones(length: int) -> np.ndarray:
+    """Read-only unit coefficients, shared by every table of that length."""
+    ones = np.ones(length)
+    ones.flags.writeable = False
+    return ones
+
+
 def _orbit_tables(dom: tuple[int, ...], basis: str) -> dict:
     """{"C": (rows, ones), "S": (rows, signs)} of the dominant weight dom,
     plus "E" on a chamber wall, in ``exp_sum``'s term order.
@@ -139,8 +151,7 @@ def _orbit_tables(dom: tuple[int, ...], basis: str) -> dict:
         keep = np.logical_and.reduce([inverse[:, i] < inverse[:, i + 1] for i in zeros])
         perms, signs = perms[keep], signs[keep]
     rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms, basis)
-    ones = np.ones(len(rows))
-    tables = {"C": (rows, ones), "S": (rows, signs)}
+    tables = {"C": (rows, _ones(len(rows))), "S": (rows, signs)}
     if zeros:
         tables["E"] = tables["C"]
     return tables
@@ -150,7 +161,7 @@ def _even_table(dom: tuple[int, ...], basis: str) -> tuple[np.ndarray, np.ndarra
     """E of a strictly dominant dom: the rows of the even permutations."""
     perms, signs, _ = _permutation_table(len(dom) + 1)
     rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs > 0], basis)
-    return rows, np.ones(len(rows))
+    return rows, _ones(len(rows))
 
 
 class _TableCache:
@@ -188,16 +199,20 @@ _TABLES = _TableCache(TABLE_ROW_BOUND)
 def _table(dom: tuple[int, ...], kind: str, basis: str):
     """(weight rows, coefficients) of ``exp_sum(dom, kind)`` for a dominant
     dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
-    to the same bits.  ``eval_*`` reads it only for labels that do not
-    expand (``expands``); an expanding label never builds one.  On a
-    chamber wall S carries the orbit's signs (``weyl.orbit(dom).signs``),
+    to the same bits.  ``eval_*`` reads it only for calls that do not
+    expand (``expands``); a label evaluated only expanded never builds one.
+    On a chamber wall S carries the orbit's signs (``weyl.orbit(dom).signs``),
     although ``eval_s`` never sums it there."""
     return _TABLES.table(dom, kind, basis)
 
 
 def _points(x, width: int, basis: str) -> np.ndarray:
     """x as float coordinates of one point (width,) or a batch (m, width)."""
-    x = np.asarray(x, dtype=float)
+    return _shaped(np.asarray(x, dtype=float), width, basis)
+
+
+def _shaped(x: np.ndarray, width: int, basis: str) -> np.ndarray:
+    """The float array x, checked to be one point (width,) or a batch."""
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise ValueError(f"{basis} point must have length {width}, or a batch shape "
                          f"(m, {width}); got shape {x.shape}")
@@ -233,14 +248,21 @@ def _finite(values, x: np.ndarray):
 # states of each parity apart: E is the even part, S the even minus the odd
 # part (the determinant).
 
-#: The per-call cost model that picks a label's path, in table rows: one
-#: call of the expansion costs about ``EXPANSION_BASE_ROWS`` rows (an
-#: exponential matrix and a gather and matmul per column) plus one row per
-#: ``PRODUCTS_PER_ROW`` of its products.  Timed single-point calls at ranks
-#: 5-8 break even between 720 and 1 260 rows; no label of rank <= 5 has more
-#: than 720, so all of them stay on the table.
+#: The per-call cost model that picks a label's path, in table rows.  A call
+#: at m points sums m * |rows| table rows; the expansion costs about
+#: ``EXPANSION_BASE_ROWS`` rows (an exponential matrix and a gather and
+#: matmul per column, for the first point) plus one row per
+#: ``PRODUCTS_PER_ROW`` of its products at each point and one row per
+#: exponential, d*(n+1), at each point after the first.  Timed single-point
+#: calls at ranks 5-8 break even between 720 and 1 260 rows, so no label of
+#: rank <= 5 (720 rows at most) expands at one point; timed batches of 16
+#: points already favour the expansion at 120 rows (rank 4, generic).
+#: Orbits of at most ``TABLE_FLOOR_ROWS`` rows (every label of rank <= 3)
+#: stay on the table at every batch size: large batches there run at most
+#: ~1.5x faster expanded, and the table gives ``ExpSum.evaluate``'s bits.
 EXPANSION_BASE_ROWS = 800
 PRODUCTS_PER_ROW = 8
+TABLE_FLOOR_ROWS = 24
 
 
 @lru_cache(maxsize=None)
@@ -281,30 +303,60 @@ def _column_plan(counts: tuple[int, ...], split: bool) -> tuple[tuple, tuple[int
 
 
 @lru_cache(maxsize=4096)
-def _expansion(dom: tuple[int, ...], kind: str):
-    """(values, plan) of the column expansion of ``exp_sum(dom, kind)`` for a
-    dominant dom, or None where summing its table rows is cheaper.
+def _costs(dom: tuple[int, ...], kind: str) -> tuple:
+    """(break-even, rows, per-point cost, exponentials) of evaluating
+    ``exp_sum(dom, kind)`` for a dominant dom, the cached terms of the O(1)
+    path choice.
 
-    The choice reads the label alone, once: the rows a call of the table
-    sums against the expansion's cost in rows (``EXPANSION_BASE_ROWS``).
-    E is C on a wall, and S is never summed there.
+    rows is what a table call sums per point; the per-point cost counts the
+    expansion's products in rows (``PRODUCTS_PER_ROW``), exponentials its
+    d*(n+1) exponentials a point.  break-even is the fewest points from which
+    the expansion is cheaper, m * rows > EXPANSION_BASE_ROWS + m * per-point
+    + (m - 1) * exponentials, solved in integers; inf where it never is, as
+    for every orbit of at most ``TABLE_FLOOR_ROWS`` rows.  The products are
+    counted from the value multiplicities, so no plan is built for a label
+    that stays on the table.  E is C on a wall, and S is never summed there.
     """
     p = lie.suffix_sums(dom)
-    distinct = sorted(set(p), reverse=True)
+    distinct = set(p)
     generic = len(distinct) == len(p)
     rows = weyl.orbit_size(dom) // (2 if kind == "E" and generic else 1)
-    if rows <= EXPANSION_BASE_ROWS:
-        return None
-    plan = _column_plan(tuple(map(p.count, distinct)), kind != "C" and generic)
-    if rows <= EXPANSION_BASE_ROWS + plan[2] // PRODUCTS_PER_ROW:
-        return None
+    if rows <= TABLE_FLOOR_ROWS:
+        return inf, rows, inf, 0
+    parities = 2 if kind != "C" and generic else 1
+    work = len(distinct) * parities * (prod(p.count(v) + 1 for v in distinct) - 1)
+    exponentials = len(distinct) * len(p)
+    slope = PRODUCTS_PER_ROW * (rows - exponentials) - work
+    offset = PRODUCTS_PER_ROW * (EXPANSION_BASE_ROWS - exponentials)
+    break_even = max(1, offset // slope + 1) if slope > 0 else inf
+    return break_even, rows, work / PRODUCTS_PER_ROW, exponentials
+
+
+@lru_cache(maxsize=4096)
+def _expansion(dom: tuple[int, ...], kind: str):
+    """(values, plan) of the column expansion of ``exp_sum(dom, kind)`` for
+    a dominant dom: its distinct suffix-sum values, descending, and
+    ``_column_plan`` of their multiplicities."""
+    p = lie.suffix_sums(dom)
+    distinct = sorted(set(p), reverse=True)
+    plan = _column_plan(tuple(map(p.count, distinct)), kind != "C" and len(distinct) == len(p))
     return np.array(distinct, dtype=float), plan
 
 
-def expands(dom: tuple[int, ...], kind: str) -> bool:
+def expands(dom: tuple[int, ...], kind: str, points: int = 1) -> bool:
     """Whether ``eval_*`` evaluates ``exp_sum(dom, kind)`` of a dominant dom
-    by the column expansion rather than by summing its table rows."""
-    return _expansion(dom, kind) is not None
+    at a batch of ``points`` points by the column expansion rather than by
+    summing its table rows."""
+    return points >= _costs(dom, kind)[0]
+
+
+def call_rows(dom: tuple[int, ...], kind: str, points: int) -> float:
+    """The cost in table rows (one exponential at one point) that the path
+    choice assigns to an ``eval_*`` call of a dominant dom at ``points``
+    points: the cheaper path's."""
+    _, rows, per_point, exponentials = _costs(dom, kind)
+    return min(points * rows,
+               EXPANSION_BASE_ROWS + points * per_point + (points - 1) * exponentials)
 
 
 def _columns(x, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -335,13 +387,13 @@ def _expand(values: np.ndarray, plan: tuple, y: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
-    expansion = _expansion(dom, kind)
-    if expansion is None:
+    x = np.asarray(x, dtype=float)
+    if (len(x) if x.ndim == 2 else 1) < _costs(dom, kind)[0]:
         weights, coeffs = _table(dom, kind, basis)
-        x = _points(x, weights.shape[1], basis)
+        x = _shaped(x, weights.shape[1], basis)
         return _finite(exp_kernel(weights, coeffs, x), x)
     x, y = _columns(x, len(dom), basis)
-    sums = _expand(*expansion, y)
+    sums = _expand(*_expansion(dom, kind), y)
     return _finite(sums[..., 0] - sums[..., 1] if kind == "S" else sums[..., 0], x)
 
 

@@ -1,5 +1,6 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
 import inspect
+import re
 from math import factorial
 from unittest import mock
 
@@ -55,6 +56,76 @@ class TestTorusInnerProduct:
         assert rep.as_dict()["pairs_tested"] == rep.pairs_tested > 0
 
 
+def gram_by_pairs(sums: list) -> dict:
+    """Every entry (i, j), i <= j, of the exact Gram by the pair loop of
+    ``torus_inner_product``, zeros left out: the oracle of ``_sparse_gram``."""
+    out = {}
+    for i, a in enumerate(sums):
+        for j in range(i, len(sums)):
+            value = analysis.torus_inner_product(a, sums[j])
+            if value:
+                out[i, j] = value
+    return out
+
+
+def family(kind: str, n: int, coord_bound: int) -> list:
+    labels = (analysis.strictly_dominant_weights if kind == "S" else analysis.dominant_weights)(
+        n, coord_bound)
+    return [exp_sum(lam, kind) for lam in labels]
+
+
+class TestSparseGram:
+    @pytest.mark.parametrize("n,coord_bound", [(1, 3), (2, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
+    def test_equals_the_pair_loop(self, kind, n, coord_bound):
+        sums = family(kind, n, coord_bound)
+        assert analysis._sparse_gram(sums) == gram_by_pairs(sums)
+
+    @pytest.mark.parametrize("n_points", [6, 8, 16])
+    @pytest.mark.parametrize("n,kind", [(1, "C"), (2, "C"), (2, "S"), (3, "C"), (3, "E")])
+    def test_equals_the_pair_loop_on_folded_sums(self, n, kind, n_points):
+        # Folding merges weights, so sums meet off the diagonal.
+        sums = [analysis.fold(s, n_points) for s in family(kind, n, 3)]
+        gram = analysis._sparse_gram(sums)
+        assert gram == gram_by_pairs(sums)
+        if n > 1 and n_points < 16:
+            assert any(i != j for i, j in gram)
+
+    def test_one_changed_coefficient_changes_the_report(self, monkeypatch):
+        # A sign flip keeps every c^2 on disjoint supports, so the exact
+        # Gram cannot see one; a changed magnitude shows on the diagonal.
+        assert analysis.orthogonality_report("C", 2, 2).max_deviation == 0
+        real = analysis.exp_sum
+
+        def changed(lam, kind):
+            s = real(lam, kind)
+            if lam == (1, 1):
+                s = type(s)(s.rank, {**s.terms, (1, 1): 2})
+            return s
+
+        monkeypatch.setattr(analysis, "exp_sum", changed)
+        rep = analysis.orthogonality_report("C", 2, 2)
+        assert rep.max_deviation == 3 and not rep.passed  # 5 + 4 against the orbit size 6
+
+    def test_one_flipped_coefficient_changes_the_quadrature_deviation(self):
+        # Below the alias-free bound folding adds weights of one sum or of two
+        # together, so one sign flipped in one exact sum moves the prediction
+        # away from the grid values, which eval_c computes without it.
+        labels = analysis.dominant_weights(3, 3)
+        sums = {lam: exp_sum(lam, "C") for lam in labels}
+        assert analysis._quadrature_gram_deviation("C", sums, 8) < 1e-9
+        top = sums[(3, 3, 3)]
+        sums[(3, 3, 3)] = type(top)(3, {**top.terms, (3, 3, 3): -1})
+        assert analysis._quadrature_gram_deviation("C", sums, 8) > 1
+
+    def test_a_diagonal_the_index_never_reaches_counts_as_zero(self, monkeypatch):
+        real = analysis.exp_sum
+        monkeypatch.setattr(analysis, "exp_sum", lambda lam, kind: (
+            type(real(lam, kind))(len(lam), {}) if lam == (2, 1) else real(lam, kind)))
+        rep = analysis.orthogonality_report("S", 2, 2)
+        assert rep.max_deviation == factorial(3) and rep.pairs_tested == 10
+
+
 class TestQuadrature:
     def test_matches_exact_diagonal(self):
         assert analysis.quadrature_inner_product("C", (1, 0), (1, 0), 8) == pytest.approx(3)
@@ -88,15 +159,16 @@ class TestQuadrature:
 class TestFoldedQuadrature:
     def test_grid_gram_is_the_folded_prediction_below_nyquist(self):
         # Rank 3, coordinate bound 3: support bound 9, alias-free from N = 19.
-        sums = [exp_sum(w, "C") for w in analysis.dominant_weights(3, 3)]
-        gram = analysis.quadrature_gram(sums, 8)
+        labels = analysis.dominant_weights(3, 3)
+        sums = [exp_sum(w, "C") for w in labels]
+        gram = analysis.quadrature_gram([("C", w) for w in labels], 8)
         folded = [analysis.fold(s, 8) for s in sums]
         predicted = np.array([[analysis.torus_inner_product(a, b) for b in folded]
                               for a in folded])
         exact = np.array([[analysis.torus_inner_product(a, b) for b in sums] for a in sums])
         assert np.abs(gram - predicted).max() < 1e-9
         assert np.abs(gram - exact).max() == pytest.approx(72.0)
-        assert analysis._quadrature_gram_deviation(dict(enumerate(sums)), 8) < 1e-9
+        assert analysis._quadrature_gram_deviation("C", dict(zip(labels, sums)), 8) < 1e-9
 
     def test_folding_is_exact_from_nyquist_on(self):
         sums = [exp_sum(w, "C") for w in analysis.dominant_weights(2, 3)]
@@ -124,6 +196,29 @@ class TestFoldedQuadrature:
         assert analysis.quadrature_bytes(6, 3, 16) > budget
         with pytest.raises(ValueError, match="GiB"):
             analysis.run_ortho_suite(rank_bound=6)
+
+    def test_work_budget(self, monkeypatch):
+        # Rank 5 at the default bounds fits both budgets; below its estimate
+        # the suite is refused before any work, the estimate in the message.
+        need = analysis.quadrature_work(5, 3, 16)
+        assert need <= analysis.QUADRATURE_WORK_BUDGET
+        assert analysis.quadrature_bytes(5, 3, 16) <= analysis.QUADRATURE_BYTE_BUDGET
+        assert analysis.quadrature_work(6, 3, 16) > analysis.QUADRATURE_WORK_BUDGET
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
+        monkeypatch.setattr(analysis, "QUADRATURE_WORK_BUDGET", need - 1)
+        message = re.escape(f"about {need:.1e} table rows of work, over")
+        with pytest.raises(ValueError, match=message):
+            analysis.run_ortho_suite(rank_bound=5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_work_estimate_covers_the_grid_evaluation(self, n):
+        nodes = len(analysis.grid_orbits(n, 16)[0])
+        rows = sum(of.call_rows(lam, "C", nodes) for lam in analysis.dominant_weights(n, 3))
+        assert rows < analysis.quadrature_work(n, 3, 16) - analysis.quadrature_work(n - 1, 3, 16)
 
 
 def torus_grid(n: int, n_points: int) -> np.ndarray:
@@ -205,14 +300,15 @@ class TestReducedGrid:
         # C and E on walls and off them, S, and E of reflected labels: every
         # sum is W+-invariant, and the generic E sums are not W-invariant.
         labels = analysis.dominant_weights(n, 2)
-        sums = [exp_sum(w, "C") for w in labels]
-        sums += [exp_sum(w, "S") for w in analysis.strictly_dominant_weights(n, 2)]
-        sums += [exp_sum(w, "E") for w in labels]
-        sums += [exp_sum(weyl.reflect_weight(1, w), "E") for w in labels if w[0]]
+        functions = [("C", w) for w in labels]
+        functions += [("S", w) for w in analysis.strictly_dominant_weights(n, 2)]
+        functions += [("E", w) for w in labels]
+        functions += [("E", weyl.reflect_weight(1, w)) for w in labels if w[0]]
+        sums = [exp_sum(w, kind) for kind, w in functions]
         bound = max(analysis.nyquist_points(s, s) for s in sums)
         assert min(points) < bound <= max(points)
         for n_points in points:
-            reduced = analysis.quadrature_gram(sums, n_points)
+            reduced = analysis.quadrature_gram(functions, n_points)
             assert np.abs(reduced - full_grid_gram(sums, n_points)).max() < 1e-11
 
 
@@ -226,6 +322,40 @@ class TestHyperplaneFrame:
         assert np.allclose(frame @ np.ones(n + 1), 0, atol=1e-12)
 
 
+def errors_by_draw(kind, lam, rng, points, draws, steps, upfront=False, x=None):
+    """The per-draw loop: one point drawn and its stencil evaluated at a
+    time, until ``points`` of them pass the |f| filter or ``draws`` are
+    spent (with ``upfront``, x first if given and every draw made before
+    any evaluation, as ``laplacian_eigenvalue_check`` takes them): the
+    oracle of the block path."""
+    n = len(lam)
+    size = weyl.orbit_size(lam)
+    min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
+    factor = 4 * np.pi ** 2 * float(lie.norm_sq(lam))
+    frame = analysis.hyperplane_frame(n)
+
+    def draw():
+        alpha = rng.random(n)
+        return np.concatenate([alpha, [0.0]]) - np.concatenate([[0.0], alpha])
+
+    candidates = (draw() for _ in range(draws))
+    if upfront:
+        candidates = ([] if x is None else [np.asarray(x, dtype=float)]) + list(candidates)
+    out = []
+    for point in candidates:
+        stencil = [point] + [point + s * h * frame for h in steps for s in (1, -1)]
+        values = analysis._EVALUATORS[kind](lam, np.vstack(stencil), basis="e")
+        val = values[0]
+        if abs(val) >= min_abs:
+            shells = values[1:].reshape(len(steps), 2, n)
+            laps = [(plus - 2 * val + minus).sum() / (h * h)
+                    for (plus, minus), h in zip(shells, steps)]
+            out.append([abs(lap + factor * val) / (factor * abs(val)) for lap in laps])
+            if len(out) == points:
+                break
+    return out
+
+
 class TestLaplacian:
     def test_rank_one_closed_form(self):
         # 2cos(2*pi*x) has squared-norm label 1/2 in this normalization.
@@ -237,6 +367,30 @@ class TestLaplacian:
 
     def test_zero_weight_is_harmonic(self):
         assert analysis.laplacian_eigenvalue_check("C", (0, 0)) == 0.0
+
+    @pytest.mark.parametrize("draws", [25, 400])
+    @pytest.mark.parametrize("kind", ["C", "S"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_blocks_draw_and_keep_what_one_draw_at_a_time_does(self, n, kind, draws):
+        # 25 draws run out before 20 points pass at most ranks; 400 do not.
+        steps = (1e-3, 5e-4)
+        rng_blocks, rng_loop = np.random.default_rng(n), np.random.default_rng(n)
+        got = analysis._drawn_errors(kind, (1,) * n, rng_blocks, 20, draws, steps)
+        want = errors_by_draw(kind, (1,) * n, rng_loop, 20, draws, steps)
+        assert rng_blocks.bit_generator.state == rng_loop.bit_generator.state
+        assert len(got) == len(want) > 0
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind,lam", [("C", (1, 1)), ("S", (1, 2, 1)), ("E", (1,) * 4),
+                                          ("S", (1,) * 5)])
+    @pytest.mark.parametrize("given_x", [False, True])
+    def test_check_takes_the_first_passing_draw_of_its_block(self, kind, lam, given_x):
+        x = np.asarray(lie.alpha_to_e_point([0.37] * len(lam))) if given_x else None
+        rng_block, rng_loop = np.random.default_rng(4), np.random.default_rng(4)
+        got = analysis.laplacian_eigenvalue_check(kind, lam, x=x, rng=rng_block, retries=30)
+        want = errors_by_draw(kind, lam, rng_loop, 1, 30, (1e-3,), upfront=True, x=x)
+        assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+        assert got == pytest.approx(want[0][0], abs=1e-12)
 
     def test_a2_s_function(self):
         rng = np.random.default_rng(11)
@@ -326,8 +480,11 @@ class TestSymmetrySuite:
             odd = of._arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs < 0][:1], basis)
             return np.vstack([rows[:-1], odd]), coeffs
 
+        # Every call sums its table, where the odd row is: a batch of 20
+        # points at rank 5 would otherwise take the column expansion.
         with mock.patch.object(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND)), \
-                mock.patch.object(of, "_even_table", odd_row):
+                mock.patch.object(of, "_even_table", odd_row), \
+                mock.patch.object(of, "_costs", lambda dom, kind: (float("inf"),)):
             for n in range(2, 6):
                 assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n
             assert analysis.symmetry_suite((1,), trials=20).passed

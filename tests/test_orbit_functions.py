@@ -3,6 +3,7 @@ determinant / alternating exponential forms."""
 import cmath
 import contextlib
 import itertools
+from fractions import Fraction
 from math import cos, factorial, pi, sin
 
 import numpy as np
@@ -273,14 +274,9 @@ class TestOrbitTables:
 @contextlib.contextmanager
 def every_label_expands():
     """Every label takes the column expansion, whatever its size."""
-    of._expansion.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(of, "EXPANSION_BASE_ROWS", -1)
-            patch.setattr(of, "PRODUCTS_PER_ROW", 1 << 40)
-            yield
-    finally:
-        of._expansion.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(of, "_costs", lambda dom, kind: (1,))  # break even at one point
+        yield
 
 
 EVALUATORS = {"C": of.eval_c, "S": of.eval_s, "E": of.eval_e}
@@ -360,6 +356,69 @@ class TestColumnExpansion:
             for lam in itertools.product((0, 1), repeat=n):
                 kinds = ("C", "S", "E") if all(lam) else ("C", "E")
                 assert not any(of.expands(lam, kind) for kind in kinds)
+
+    def test_one_point_chooses_as_the_label_alone_did(self):
+        # The single-point rule before batches counted: the table up to
+        # EXPANSION_BASE_ROWS rows and up to that plus the products / 8.
+        def by_label(lam, kind):
+            p = lie.suffix_sums(lam)
+            distinct = sorted(set(p), reverse=True)
+            generic = len(distinct) == len(p)
+            rows = weyl.orbit_size(lam) // (2 if kind == "E" and generic else 1)
+            if rows <= 800:
+                return False
+            work = of._column_plan(tuple(map(p.count, distinct)), kind != "C" and generic)[2]
+            return rows > 800 + work // 8
+
+        for n in range(1, 9):
+            for lam in itertools.product((0, 1), repeat=n):
+                for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
+                    assert of.expands(lam, kind) == of.expands(lam, kind, 1) == by_label(lam, kind)
+
+    def test_break_even_solves_the_cost_model(self):
+        # The products counted from the multiplicities are the plan's, and
+        # the cached break-even batch is where the two costs cross.
+        for n in range(4, 8):
+            for lam in itertools.product((0, 1), repeat=n):
+                for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
+                    break_even, rows, per_point, exps = of._costs(lam, kind)
+                    if rows <= of.TABLE_FLOOR_ROWS:
+                        assert not of.expands(lam, kind, 10 ** 6)
+                        continue
+                    p = lie.suffix_sums(lam)
+                    distinct = sorted(set(p), reverse=True)
+                    split = kind != "C" and len(distinct) == len(p)
+                    work = of._column_plan(tuple(map(p.count, distinct)), split)[2]
+                    assert per_point * of.PRODUCTS_PER_ROW == work
+                    # The cost difference is linear in m: checking both sides
+                    # of the cached break-even checks every m.
+                    near = () if break_even == float("inf") else (break_even - 1, break_even)
+                    for m in {1, 2, 10 ** 4, *near} - {0}:
+                        cheaper = Fraction(m * rows) > (of.EXPANSION_BASE_ROWS
+                                                        + m * Fraction(work, of.PRODUCTS_PER_ROW) + (m - 1) * exps)
+                        assert of.expands(lam, kind, m) == cheaper
+
+    def test_no_label_of_rank_three_or_less_expands_at_any_batch(self):
+        for n in range(1, 4):
+            for lam in itertools.product((0, 1), repeat=n):
+                for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
+                    assert not any(of.expands(lam, kind, m) for m in (1, 2, 10, 1000, 10 ** 5))
+
+    @pytest.mark.parametrize("kind,lam", [("C", (1, 2, 1, 3)), ("S", (2, 1, 1, 1)),
+                                          ("C", (1, 0, 2, 1)), ("C", (1, 2, 1, 1, 2)),
+                                          ("S", (1, 1, 3, 1, 1)), ("E", (2, 1, 1, 1, 1)),
+                                          ("E", (1, 0, 1, 1, 2))])
+    def test_quadrature_batches_of_rank_four_and_five_expand(self, kind, lam):
+        # Each label gets the ortho suite's N=16 grid as one batch.
+        n = len(lam)
+        nodes = [1242, 3896][n - 4]
+        assert of.expands(lam, kind, nodes) and not of.expands(lam, kind)
+        rng = np.random.default_rng(n)
+        x = np.array([e_point(rng, n) for _ in range(nodes)])
+        got = EVALUATORS[kind](lam, x, basis="e")
+        want = exp_sum(lam, kind).evaluate(x, basis="e")
+        assert np.abs(got - want).max() <= 1e-12 * weyl.orbit_size(lam)
+        assert not np.array_equal(got, want)  # the expansion, not the table, gave them
 
     @pytest.mark.parametrize("lam", [(1,) * 6, (1,) * 7, (2, 1, 0, 1, 1, 0, 1), (1,) * 8])
     def test_large_orbits_expand(self, lam):

@@ -101,6 +101,20 @@ class TestSharedCore:
         assert (s - s).terms == {}
         assert not s - s
 
+    @given(term_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_results_own_their_terms_and_the_constructor_copies(self, case):
+        rank, a, b, k = case
+        given_terms = dict(a)
+        x, y = ExpSum(rank, given_terms), ExpSum(rank, b)
+        given_terms[(99,) * rank] = 7  # the caller still holds its dict
+        assert x.terms == {w: c for w, c in a.items() if c}
+        results = [x + y, x - y, x * y, x.scale(k), x.scale(0)]
+        for r in results:
+            assert 0 not in r.terms.values()
+            assert r == ExpSum(rank, dict(r.terms)) and type(r) is ExpSum
+        assert len({id(r.terms) for r in results} | {id(x.terms), id(y.terms)}) == 7
+
     @pytest.mark.parametrize("cls", ALL_TYPES)
     @given(term_pairs())
     @settings(max_examples=20, deadline=None)
