@@ -244,12 +244,17 @@ def poly_u(lam: Sequence[int]) -> XPolynomial:
     multiplicities, so this is the multiplicity-weighted sum of poly_t's.
     """
     lam = lie.dominant_weight(lam, "poly_u")
-    chi = exp_ring.character(lam)
-    n = len(lam)
-    total = XPolynomial(n, {})
-    for nu, mult in chi.terms.items():
-        total = total + poly_t(nu).scale(mult)
-    return total
+    terms: dict = {}
+    # One dict for the whole sum; a key is dropped the moment it cancels,
+    # so the terms keep the order of the same sum folded with + and scale.
+    for nu, mult in exp_ring.character(lam).terms.items():
+        for d, c in poly_t(nu).terms.items():
+            left = terms.get(d, 0) + mult * c
+            if left:
+                terms[d] = left
+            else:
+                del terms[d]
+    return XPolynomial._adopt(len(lam), terms)
 
 
 def substitute_p(lam: Sequence[int], kind: str) -> YLaurent:
@@ -260,7 +265,7 @@ def substitute_p(lam: Sequence[int], kind: str) -> YLaurent:
     S-sum live in the coefficients, never an explicit imaginary factor).
     """
     s = exp_sum(lam, kind)
-    return YLaurent(s.rank, dict(s.terms))
+    return YLaurent._adopt(s.rank, s.terms)
 
 
 @dataclass(frozen=True)

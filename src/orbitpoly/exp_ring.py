@@ -21,6 +21,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Sequence
 
 from . import lie, weyl
@@ -232,8 +233,10 @@ class OrbitDecomposition(TermMap):
                                   for p in weyl.orbit(lam).points})
 
     def weight_count(self) -> int:
-        """sum of multiplicity * orbit size (e.g. a character's dimension)."""
-        return sum(m * weyl.orbit_size(lam) for lam, m in self.terms.items())
+        """sum of multiplicity * orbit size (e.g. a character's dimension);
+        the keys are dominant weights, as every producer makes them."""
+        full = factorial(self.rank + 1)
+        return sum(m * (full // weyl._stabilizer_order(lam)) for lam, m in self.terms.items())
 
 
 def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
@@ -241,7 +244,7 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
     lam = lie.as_weight(lam)
     if kind == "C":
         orb = weyl.orbit(lie.dominant_weight(lam, "C"))
-        return ExpSum._adopt(orb.rank, {p: 1 for p in orb.points})
+        return ExpSum._adopt(orb.rank, dict.fromkeys(orb.points, 1))
     if kind == "S":
         if not lie.is_strictly_dominant(lam):
             raise ValueError(f"S requires a strictly dominant weight, got {lam}")
@@ -249,7 +252,7 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
         return ExpSum._adopt(orb.rank, dict(orb.items()))
     if kind == "E":
         orb = weyl.orbit(weyl.e_label_dominant(lam))
-        return ExpSum._adopt(orb.rank, {p: 1 for p in orb.even_points})
+        return ExpSum._adopt(orb.rank, dict.fromkeys(orb.even_points, 1))
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
@@ -261,7 +264,7 @@ def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
     orbits have disjoint supports, so the result is the unique
     decomposition: each dominant weight lam present, in descending
     graded-lex order, has the multiplicity of its own coefficient, and its
-    group is complete when it holds ``weyl.orbit_size(lam)`` weights none
+    group is complete when it holds the orbit size of lam in weights, none
     of which falls below that multiplicity.  Valid input thus builds no
     orbit.  Non-invariant input raises what greedy extraction would (each
     orbit extracted in turn, largest dominant weight first): a negative
@@ -291,6 +294,7 @@ def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
             groups[dom] += ws
         else:
             groups[dom] = ws
+    full = factorial(s.rank + 1)
     out: dict = {}
     rem: dict = {}
     for lam in sorted(groups, key=grlex_key, reverse=True):
@@ -304,7 +308,7 @@ def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
                 f"negative multiplicity {mult} at dominant weight {lam}", lam
             )
         coeffs = [terms[w] for w in group]
-        if len(group) != weyl.orbit_size(lam) or min(coeffs) < mult:
+        if len(group) * weyl._stabilizer_order(lam) != full or min(coeffs) < mult:
             # Incomplete: some point falls short; name the first in orbit order.
             for p in weyl.orbit(lam).points:
                 c = terms.get(p, 0) - mult
@@ -427,8 +431,9 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
-    if weyl.stabilizer_order(a) < weyl.stabilizer_order(b):
-        a, b = b, a
+    stab_a, stab_b = weyl._stabilizer_order(a), weyl._stabilizer_order(b)
+    if stab_a < stab_b:
+        a, b, stab_b = b, a, stab_a
     # Suffix sums in reversed position order (p_{n+1}, p_n, ..., p_1): the
     # order is immaterial once sorted, as long as both summands share it.
     base = (0, *itertools.accumulate(reversed(b)))
@@ -438,10 +443,9 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
                    reverse=True)
         dom = tuple(map(operator.sub, p, p[1:]))
         counts[dom] = counts.get(dom, 0) + 1
-    stab_b = weyl.stabilizer_order(b)
     terms = {}
     for dom in sorted(counts, key=grlex_key, reverse=True):
-        mult, rest = divmod(counts[dom] * weyl.stabilizer_order(dom), stab_b)
+        mult, rest = divmod(counts[dom] * weyl._stabilizer_order(dom), stab_b)
         if rest:
             raise ArithmeticError(
                 f"orbit count of {dom} in C_{a} * C_{b} is not divisible by |W_b| = {stab_b}"

@@ -7,11 +7,18 @@ point carries a parity sign.
 Orbit generation works on the integer suffix sums p_j = lam_j + ... + lam_n
 (p_{n+1} = 0) of ``lie.suffix_sums``, which are the e-coordinates shifted by
 a constant: the omega coordinates of an arrangement are its consecutive
-differences, exact integers with no scaling.  Picking the distinct
-remaining values in descending order at each position yields the
-arrangements already in descending lexicographic order, and picking value v
-adds to the inversion count the number of remaining values greater than v,
-so the sign is carried along instead of recomputed per point.
+differences, exact integers with no scaling.  The distinct arrangements of
+p depend only on which of its values repeat, its multiplicity pattern (the
+counts of equal values: all ones for a strictly dominant weight, and a
+block of r zero coordinates makes a count r+1), not on the values
+themselves.  So each pattern has one template, built once and cached by
+the rows it holds (``TEMPLATE_ROW_BOUND``): the arrangements as rows of
+value indices in ascending lexicographic order (index 0 the largest value,
+so the values descend lexicographically and the dominant point comes
+first), stored as the index pairs of consecutive positions, with their
+sign and even-point tuples, which every orbit of the pattern shares.  An
+orbit reads its points through one ``itemgetter`` over the differences of
+its distinct values.
 
 Sign convention.  The sign of a point is the parity of the permutation
 carrying the dominant arrangement of e-coordinates to the point's
@@ -27,7 +34,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from . import lie
@@ -88,57 +95,158 @@ class SignedOrbit:
 
     @property
     def even_points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p for p, e in zip(self.points, self.even) if e)
+        return tuple(itertools.compress(self.points, self.even))
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return zip(self.points, self.signs)
 
 
-def _signed_arrangements(values: tuple[int, ...], memo: dict) -> list:
-    """(omega point, first value, sign) for every distinct arrangement of
-    the descending multiset ``values``, the arrangements in descending
-    lexicographic order.
+#: Rows of arrangement templates the cache may hold, summed over the
+#: multiplicity patterns held: room for the 9! rows of the largest pattern
+#: (a strictly dominant weight of rank ``lie.MAX_RANK``) and more.
+TEMPLATE_ROW_BOUND = 1 << 19
+#: Cells (rows x (n+1)) an orbit reads through one ``itemgetter`` call; a
+#: larger template is read block by block, so that the transient tuples
+#: stay small beside the returned points.
+_BLOCK_CELLS = 1 << 15
+#: Parity bytes 0 <-> 1, for ``bytes.translate``.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+#: ``_SKIP[i]`` adds one to every index from i on, for ``bytes.translate``.
+_SKIP = [bytes(range(i)) + bytes(range(i + 1, 256)) + b"\xff" for i in range(lie.MAX_RANK + 1)]
 
-    The sign is the parity of the arrangement's inversions (pairs whose
-    earlier value is smaller), i.e. of its stable descending sort.  Value
-    v at index i of the descending list has exactly i larger values left.
-    The arrangements of a sub-multiset do not depend on the prefix before
-    it, so each is built once per orbit and shared through ``memo``.
+
+def _arrangements(counts: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
+    """(rows, parities) of the distinct arrangements of the index multiset
+    with the given positive counts: one flat ``bytes`` of indices, sum(counts)
+    a row, in ascending lexicographic order, and one parity byte (0 even,
+    1 odd) a row.
+
+    The arrangements starting with index i are i followed by those of the
+    counts less one i, so each block is filled by strided copies, one per
+    column.  When that leaves no i, the sub-multiset is built on indices
+    0, 1, ... and relabelled past i (``_SKIP``), which keeps the order and
+    the parity.  Putting i first passes the sum_{j<i} counts[j] smaller
+    indices, i.e. larger values, behind it: that many inversions (pairs
+    whose earlier value is smaller), so the block's parities are the sub-
+    multiset's, flipped when that sum is odd.  Sub-multisets recur across
+    blocks and are built once per call through ``memo``.
     """
-    got = memo.get(values)
+    got = memo.get(counts)
     if got is not None:
         return got
-    if len(values) == 1:
-        out = [((), values[0], 1)]
+    width = sum(counts)
+    if width == 1:
+        got = b"\x00", b"\x00"
     else:
-        out = []
-        for i, v in enumerate(values):
-            if i and v == values[i - 1]:
-                continue
-            flip = -1 if i % 2 else 1
-            rest = _signed_arrangements(values[:i] + values[i + 1:], memo)
-            out += [((v - first,) + point, v, flip * sign) for point, first, sign in rest]
-    memo[values] = out
-    return out
+        out = bytearray(factorial(width) // prod(map(factorial, counts)) * width)
+        parities = bytearray()
+        start = below = 0
+        for i, c in enumerate(counts):
+            if c > 1:
+                sub, sub_parities = _arrangements(counts[:i] + (c - 1,) + counts[i + 1:], memo)
+            else:
+                sub, sub_parities = _arrangements(counts[:i] + counts[i + 1:], memo)
+                sub = sub.translate(_SKIP[i])
+            stop = start + len(sub_parities) * width
+            out[start:stop:width] = bytes((i,)) * len(sub_parities)
+            for j in range(width - 1):
+                out[start + 1 + j:stop:width] = sub[j::width - 1]
+            parities += sub_parities.translate(_FLIP) if below % 2 else sub_parities
+            below += c
+            start = stop
+        got = bytes(out), bytes(parities)
+    memo[counts] = got
+    return got
+
+
+def _template(counts: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], tuple[bool, ...]]:
+    """(pairs, signs, even) of the multiplicity pattern ``counts``: its
+    distinct arrangements of value indices (index 0 the largest value),
+    shared by every orbit of the pattern.
+
+    The rows, n+1 cells each, are in ascending lexicographic order of the
+    indices, which is descending lexicographic order of the values.  Cell
+    j of a row in ``pairs`` is the consecutive pair (i_j, i_{j+1}) of its
+    indices as i_j * k + i_{j+1}, k the number of distinct values; the
+    last cell of a row is never read.  ``signs`` and ``even`` are the orbit
+    tuples of the same name.
+    """
+    rows, parities = _arrangements(counts, {})
+    if max(counts) == 1:
+        # Generic: the even-subgroup orbit is exactly the +1-parity half.
+        even = tuple(map((True, False).__getitem__, parities))
+    else:
+        # An equal pair puts an odd element in the stabilizer, so every
+        # arrangement is reachable by an even permutation as well.
+        even = (True,) * len(parities)
+    # The pair cells are added as the digits of two big-endian ints: each
+    # digit sum is below k * k <= 81, so none carries.
+    k = len(counts)
+    scaled = rows.translate(bytes(range(0, k * k, k)).ljust(256, b"\x00"))
+    pairs = (int.from_bytes(scaled, "big")
+             + int.from_bytes(rows[1:] + b"\x00", "big")).to_bytes(len(rows), "big")
+    return pairs, tuple(map((1, -1).__getitem__, parities)), even
+
+
+class _TemplateCache:
+    """Templates per multiplicity pattern.  While the rows held pass
+    ``bound`` the least recently used pattern is dropped first (the dict
+    keeps use order: a call moves its pattern to the end); a template
+    larger than the bound is held alone."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.rows_held = 0
+        self._templates: dict = {}  # counts -> (pairs, signs, even)
+
+    def template(self, counts: tuple[int, ...]) -> tuple[bytes, tuple, tuple]:
+        got = self._templates.pop(counts, None)
+        if got is None:
+            got = _template(counts)
+            rows = len(got[1])
+            while self._templates and self.rows_held + rows > self.bound:
+                self.rows_held -= len(self._templates.pop(next(iter(self._templates)))[1])
+            self.rows_held += rows
+        self._templates[counts] = got
+        return got
+
+
+_TEMPLATES = _TemplateCache(TEMPLATE_ROW_BOUND)
 
 
 @lru_cache(maxsize=128)
 def orbit(lam: tuple[int, ...]) -> SignedOrbit:
-    """Signed Weyl orbit of a dominant weight (eagerly materialized)."""
+    """Signed Weyl orbit of a dominant weight (eagerly materialized).
+
+    The distinct suffix-sum values, largest first, and their counts (a zero
+    coordinate repeats the value before it) pick the template; a point's
+    coordinates are its row's pairs read from the table of differences of
+    those values.
+    """
     lam = lie.dominant_weight(lam, "orbit")
-    entries = _signed_arrangements(suffix_sums(lam), {})
-    signs = tuple(sign for _, _, sign in entries)
-    if lie.is_strictly_dominant(lam):
-        # Generic: the even-subgroup orbit is exactly the +1-parity half.
-        even = tuple(s > 0 for s in signs)
-    else:
-        # An equal pair puts an odd element in the stabilizer, so every
-        # arrangement is reachable by an even permutation as well.
-        even = (True,) * len(entries)
+    p = suffix_sums(lam)
+    values, counts, run = [p[0]], [], 1
+    for c, v in zip(lam, p[1:]):
+        if c:
+            values.append(v)
+            counts.append(run)
+            run = 1
+        else:
+            run += 1
+    counts.append(run)
+    pairs, signs, even = _TEMPLATES.template(tuple(counts))
+    differences = [a - b for a in values for b in values]
+    n = len(lam)
+    width = n + 1
+    step = _BLOCK_CELLS - _BLOCK_CELLS % width
+    points = []
+    for start in range(0, len(pairs), step):
+        diffs = operator.itemgetter(*pairs[start:start + step])(differences)
+        points += [diffs[k:k + n] for k in range(0, len(diffs), width)]
     return SignedOrbit(
-        rank=len(lam),
+        rank=n,
         dominant=lam,
-        points=tuple(point for point, _, _ in entries),
+        points=tuple(points),
         signs=signs,
         even=even,
     )
@@ -187,9 +295,14 @@ def stabilizer_order(lam: Sequence[int]) -> int:
     coordinates, so a maximal run of r zeros is a block of r+1 equal
     coordinates and contributes (r+1)!, built up one factor per zero.
     """
-    lam = lie.dominant_weight(lam, "orbit_size")
+    return _stabilizer_order(lie.dominant_weight(lam, "orbit_size"))
+
+
+def _stabilizer_order(dom: Sequence[int]) -> int:
+    """``stabilizer_order`` of a weight its caller knows to be dominant,
+    such as the differences of descending suffix sums, unchecked."""
     order = run = 1
-    for c in lam:
+    for c in dom:
         run = 1 if c else run + 1
         order *= run
     return order

@@ -306,6 +306,17 @@ class TestPolyU:
         for lam in itertools.product(range(U_TABLE_BOXES[n] + 1), repeat=n):
             assert ch.poly_u(lam) == poly_u_by_dual_jacobi_trudi(lam), lam
 
+    @pytest.mark.parametrize("n", [1, *sorted(U_TABLE_BOXES)])
+    def test_terms_in_the_order_of_the_fold(self, n):
+        # The sum of mult * T_nu folded with TermMap's + and scale, one
+        # copy of the total per dominant weight: same terms, same order.
+        top = 20 if n == 1 else U_TABLE_BOXES[n]
+        for lam in itertools.product(range(top + 1), repeat=n):
+            total = ch.XPolynomial(n, {})
+            for nu, mult in exp_ring.character(lam).terms.items():
+                total = total + ch.poly_t(nu).scale(mult)
+            assert list(ch.poly_u(lam).terms.items()) == list(total.terms.items()), lam
+
     def test_a2_adjoint_via_multiplicities(self):
         one = ch.XPolynomial(2, {(0, 0): 1})
         assert ch.poly_u((1, 1)) == ch.poly_t((1, 1)) + one.scale(2)

@@ -1,11 +1,14 @@
 """Orbit generation, parity signs, dominant representatives, even sub-orbits."""
+import ast
+import itertools
+import pathlib
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import lie, weyl
+from orbitpoly import exp_ring, lie, weyl
 from conftest import dominant_weights, strict_weights, weights
 
 
@@ -204,6 +207,77 @@ class TestOrbit:
             assert set(orb.even_points) == {p for p, s in orb.items() if s == 1}
         else:
             assert orb.even_points == orb.points
+
+
+#: The polynomial-table boxes, rank -> largest coordinate.
+TABLE_BOXES = {1: 20, 2: 8, 3: 6, 4: 3, 5: 1}
+
+
+class TestOrbitTemplates:
+    @pytest.mark.parametrize("n", sorted(TABLE_BOXES))
+    def test_matches_sorting_oracle_on_table_boxes(self, n):
+        for lam in itertools.product(range(TABLE_BOXES[n] + 1), repeat=n):
+            orb = weyl.orbit(lam)
+            assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam), lam
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_sorting_oracle_on_zero_one_labels(self, n):
+        # Every multiplicity pattern of the rank: all of them at rank 6,
+        # those with at most 7! points at ranks 7 and 8.
+        for lam in itertools.product((0, 1), repeat=n):
+            if n == 6 or weyl.orbit_size(lam) <= factorial(7):
+                orb = weyl.orbit.__wrapped__(lam)
+                assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam), lam
+
+    @pytest.mark.parametrize("a,b", [((2, 1), (5, 3)), ((1, 0, 2), (4, 0, 1)),
+                                     ((0, 3, 0, 1), (0, 1, 0, 7)), ((3, 0), (1, 0))])
+    def test_one_pattern_shares_signs_and_even(self, a, b):
+        orb_a, orb_b = weyl.orbit(a), weyl.orbit(b)
+        assert orb_a.points != orb_b.points
+        assert orb_a.signs is orb_b.signs
+        assert orb_a.even is orb_b.even
+
+    def test_template_cache_stays_within_its_bound(self, monkeypatch):
+        cache = weyl._TemplateCache(30)
+        monkeypatch.setattr(weyl, "_TEMPLATES", cache)
+        for lam in [(1, 1, 1), (1, 0, 1), (2, 0, 0), (1, 1, 1, 1), (3, 1), (0, 2, 0), (1, 2, 1)]:
+            orb = weyl.orbit.__wrapped__(lam)
+            assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
+            held = [len(signs) for _, signs, _ in cache._templates.values()]
+            assert cache.rows_held == sum(held)
+            # A template over the bound (the 120 rows of (1, 1, 1, 1)) is held alone.
+            assert cache.rows_held <= cache.bound or len(held) == 1
+
+
+def module_level_imports(module) -> list[str]:
+    """Modules imported when ``module`` is imported: every import outside a
+    function body, relative ones as ``orbitpoly.<name>``."""
+    out = []
+    stack = list(ast.parse(pathlib.Path(module.__file__).read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                out += ([f"orbitpoly.{node.module}"] if node.module
+                        else [f"orbitpoly.{alias.name}" for alias in node.names])
+            else:
+                out.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_exact_modules_import_no_numpy():
+    # weyl and exp_ring, and the package modules they import, are exact:
+    # importing them must not import numpy.
+    exact = {"orbitpoly.lie": lie, "orbitpoly.weyl": weyl, "orbitpoly.exp_ring": exp_ring}
+    for name, module in exact.items():
+        imported = module_level_imports(module)
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], name
+        assert {m for m in imported if m.startswith("orbitpoly.")} <= set(exact), name
 
 
 class TestOrbitSize:
