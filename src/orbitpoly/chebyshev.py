@@ -207,7 +207,7 @@ def _build_t(
             j = pick(w)
             mu = tuple(c - 1 if k == j else c for k, c in enumerate(w))
             omega_j = tuple(1 if k == j else 0 for k in range(n))
-            dec = exp_ring.orbit_product(omega_j, mu)
+            dec = exp_ring._orbit_product(omega_j, mu)
             if dec.terms.get(w) != 1:
                 raise AssertionError(
                     f"expected multiplicity 1 for {w} in X_{j + 1} * C_{mu}"
@@ -248,7 +248,7 @@ def poly_u(lam: Sequence[int]) -> XPolynomial:
     # One dict for the whole sum; a key is dropped the moment it cancels,
     # so the terms keep the order of the same sum folded with + and scale.
     for nu, mult in exp_ring.character(lam).terms.items():
-        for d, c in poly_t(nu).terms.items():
+        for d, c in _build_t(nu, _first_positive, _T_MEMO).terms.items():
             left = terms.get(d, 0) + mult * c
             if left:
                 terms[d] = left
@@ -302,7 +302,7 @@ def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
     if not 1 <= j <= n:
         raise ValueError(f"fundamental index {j} out of range 1..{n}")
     omega_j = tuple(1 if k == j - 1 else 0 for k in range(n))
-    return RecursionRelation(rank=n, j=j, a=a, rhs=exp_ring.orbit_product(omega_j, a))
+    return RecursionRelation(rank=n, j=j, a=a, rhs=exp_ring._orbit_product(omega_j, a))
 
 
 def a1_z_coefficients(poly: XPolynomial) -> tuple[int, ...]:

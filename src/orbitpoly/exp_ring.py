@@ -3,10 +3,13 @@
 :class:`TermMap` is the sparse integer map shared by every exact object in
 the package.  An :class:`ExpSum` is a finite integer combination of formal
 lattice exponentials, keyed by omega-coordinate weights.  Products are exact
-convolutions, run on keys packed into single ints (Kronecker substitution);
-W-invariant sums decompose uniquely into orbit sums (distinct orbits have
-disjoint supports), found by grouping the terms by dominant representative
-without building an orbit; and the ring admits exact long division.
+convolutions, run on keys packed into single ints (Kronecker substitution)
+and, when every coefficient is +-1 as in every orbit sum, counted with one
+``collections.Counter`` over the packed pair sums; W-invariant sums
+decompose uniquely into orbit sums (distinct orbits have disjoint
+supports), found by counting the terms per dominant representative, read
+off column-wise suffix sums, without building an orbit; and the ring
+admits exact long division.
 Products of orbit sums and Weyl characters are computed on dominant weights
 alone (``orbit_product``, ``character``); the convolution, decomposition and
 division of whole sums are their independent oracles.
@@ -16,6 +19,7 @@ coefficients grow combinatorially and must never overflow silently.
 """
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import json
@@ -158,30 +162,103 @@ def _convolve(a: dict, b: dict) -> dict:
     Each operand's keys are shifted by its coordinate-wise minimum and
     packed into one int by Horner's rule in radix 1 + max_i(range_a[i] +
     range_b[i]), so that adding two packed keys adds the shifted tuples
-    with no carry: the pair loop adds ints.  The key tuple is built once per
-    distinct key, when it is first met, so the keys come out in the order of
-    their first occurrence, as from a loop that adds the tuples of every
-    pair.  The packed index is local, freed on return; the product keeps
-    the result dict itself (``TermMap._adopt``).
+    with no carry.  The keys come out in the order of their first
+    occurrence, as from a loop that adds the tuples of every pair.  When
+    every coefficient is +-1, as in every C-, S- and E-orbit sum, and
+    there are at least 64 term pairs, the pairs are counted at C speed
+    (``_count_units``); other products take a pair loop that adds ints and
+    builds each key tuple once, when the key is first met.  The packed keys
+    are local, freed on return; the product keeps the result dict itself
+    (``TermMap._adopt``).
     """
+    if not (a and b):
+        return {}
+    (low_a, range_a), (low_b, range_b) = _box(a), _box(b)
+    radix = 1 + max(map(operator.add, range_a, range_b), default=0)
+    packed_a, packed_b = _packed(a, low_a, radix), _packed(b, low_b, radix)
+    # Counting has a fixed cost (the Counter, the unpacking) that the pair
+    # loop only exceeds from about 50 term pairs on.
+    if (len(a) * len(b) >= 64
+            and {1, -1}.issuperset(a.values()) and {1, -1}.issuperset(b.values())):
+        return _count_units(a, b, packed_a, packed_b,
+                            list(map(operator.add, low_a, low_b)), radix)
     coeffs: dict = {}  # packed key -> coefficient
     keys: dict = {}  # packed key -> key, in the same insertion order
-    if a and b:
-        (low_a, range_a), (low_b, range_b) = _box(a), _box(b)
-        radix = 1 + max(map(operator.add, range_a, range_b), default=0)
-        right = _packed(b, low_b, radix)
-        get = coeffs.get
-        add = operator.add
-        for pa, wa, ca in _packed(a, low_a, radix):
-            for pb, wb, cb in right:
-                k = pa + pb
-                c = get(k)
-                if c is None:
-                    keys[k] = tuple(map(add, wa, wb))
-                    coeffs[k] = ca * cb
-                else:
-                    coeffs[k] = c + ca * cb
+    get = coeffs.get
+    add = operator.add
+    right = list(zip(packed_b, b, b.values()))
+    for pa, wa, ca in zip(packed_a, a, a.values()):
+        for pb, wb, cb in right:
+            k = pa + pb
+            c = get(k)
+            if c is None:
+                keys[k] = tuple(map(add, wa, wb))
+                coeffs[k] = ca * cb
+            else:
+                coeffs[k] = c + ca * cb
     return dict(zip(keys.values(), coeffs.values()))
+
+
+def _count_units(a: dict, b: dict, packed_a: list[int], packed_b: list[int],
+                 low: list[int], radix: int) -> dict:
+    """The convolution of two term dicts whose coefficients are all +-1.
+
+    One ``Counter`` over the sums of every pair of packed keys, pairs in
+    the pair loop's order, counts the pairs per key and keeps the keys in
+    first-occurrence order.  When a coefficient is -1, each packed key
+    first gains a base-3 digit below its others, 1 for a -1 term and 0 for
+    a +1 term: a pair's digit sum is 1 exactly when its product is -1, so
+    the counts of each key's digit sums 0, 1 and 2 make its coefficient.
+    The distinct packed keys are read back as tuples whose coordinates
+    start at ``low`` (``_unpacked``).
+    """
+    add = operator.add
+    signed = -1 in a.values() or -1 in b.values()
+    if signed:
+        packed_a, packed_b = _sign_digit(packed_a, a), _sign_digit(packed_b, b)
+    counts = collections.Counter(itertools.starmap(add, itertools.product(packed_a, packed_b)))
+    if signed:
+        coeffs: dict = {}
+        get = coeffs.get
+        for k, count in counts.items():
+            k, digits = divmod(k, 3)
+            coeffs[k] = get(k, 0) + (-count if digits == 1 else count)
+        counts = coeffs
+    keys = _unpacked(list(counts), low, radix, len(a) * len(b))
+    return dict(zip(keys, counts.values()))
+
+
+def _sign_digit(packed: list[int], terms: dict) -> list[int]:
+    """Each packed key times 3, plus 1 where the coefficient is -1."""
+    return list(map(operator.add, map(operator.mul, packed, itertools.repeat(3)),
+                    map(operator.lt, terms.values(), itertools.repeat(0))))
+
+
+def _unpacked(packed: list[int], low: Sequence[int], radix: int, pairs: int):
+    """The keys, each read back from its digits in the given radix plus low.
+
+    Two digit tables, of radix^ceil(n/2) rows for the leading coordinates
+    and radix^floor(n/2) for the rest, turn a packed key k into
+    ``high[k // m] + rest[k % m]``, two lookups and one tuple concatenation
+    at C speed; they are built only when they hold no more rows than the
+    product has term pairs.  Wider keys are split one coordinate at a time
+    with ``divmod``-style column passes.
+    """
+    n = len(low)
+    cut = n - n // 2
+    m = radix ** (n // 2)
+    if radix ** cut + m <= pairs:
+        high = list(itertools.product(*[range(lo, lo + radix) for lo in low[:cut]]))
+        rest = list(itertools.product(*[range(lo, lo + radix) for lo in low[cut:]]))
+        return map(operator.add,
+                   map(high.__getitem__, map(operator.floordiv, packed, itertools.repeat(m))),
+                   map(rest.__getitem__, map(operator.mod, packed, itertools.repeat(m))))
+    columns = []
+    for lo in reversed(low):
+        columns.append(map(operator.add, map(operator.mod, packed, itertools.repeat(radix)),
+                           itertools.repeat(lo)))
+        packed = list(map(operator.floordiv, packed, itertools.repeat(radix)))
+    return zip(*reversed(columns))
 
 
 def _box(terms: dict) -> tuple[list[int], list[int]]:
@@ -191,15 +268,15 @@ def _box(terms: dict) -> tuple[list[int], list[int]]:
     return low, list(map(operator.sub, map(max, columns), low))
 
 
-def _packed(terms: dict, low: Sequence[int], radix: int) -> list[tuple[int, tuple, int]]:
-    """(packed key, key, coefficient) per term: the key minus low, read as
-    the digits of one int in the given radix (Horner's rule)."""
+def _packed(terms: dict, low: Sequence[int], radix: int) -> list[int]:
+    """Each key minus low, read as the digits of one int in the given radix
+    (Horner's rule)."""
     out = []
-    for w, c in terms.items():
+    for w in terms:
         v = 0
         for x, lo in zip(w, low):
             v = v * radix + x - lo
-        out.append((v, w, c))
+        out.append(v)
     return out
 
 
@@ -259,43 +336,43 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
 def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
     """Decompose a W-invariant sum into orbit sums with multiplicities.
 
-    One pass over the terms groups them by dominant representative, read
-    off the sorted integer suffix sums as in ``orbit_product``.  Distinct
-    orbits have disjoint supports, so the result is the unique
+    The terms are grouped by dominant representative, read off the sorted
+    integer suffix sums as in ``orbit_product``: the suffix sums are built
+    column by column and sorted per term, and one ``Counter`` counts the
+    terms per pair of sorted sums and coefficient, all at C speed.
+    Distinct orbits have disjoint supports, so the result is the unique
     decomposition: each dominant weight lam present, in descending
-    graded-lex order, has the multiplicity of its own coefficient, and its
-    group is complete when it holds the orbit size of lam in weights, none
-    of which falls below that multiplicity.  Valid input thus builds no
-    orbit.  Non-invariant input raises what greedy extraction would (each
-    orbit extracted in turn, largest dominant weight first): a negative
-    multiplicity, else the first short point of an incomplete group in orbit
-    order (the only case that walks ``weyl.orbit``), else the graded-lex
-    largest leftover weight.  Leftovers are the members whose coefficient
-    differs from their multiplicity, and every member of a group whose
-    dominant weight is absent.
+    graded-lex order, with the multiplicity of its own coefficient.  The
+    input is accepted when every counted coefficient equals the positive
+    coefficient of its dominant weight and every orbit holds the orbit size
+    of its dominant weight in terms; valid input thus builds neither a
+    group nor an orbit, and only the distinct pairs are visited in Python.
+
+    Other input raises what greedy extraction would (each orbit extracted
+    in turn, largest dominant weight first): a negative multiplicity, else
+    the first short point of an incomplete group in orbit order (the only
+    case that walks ``weyl.orbit``), else the graded-lex largest leftover
+    weight.  Leftovers are the members whose coefficient differs from
+    their multiplicity, and every member of a group whose dominant weight
+    is absent.
     """
     terms = s.terms
-    by_sums: dict = {}  # ascending suffix sums -> weights
-    get = by_sums.get
-    for w in terms:
-        # Suffix sums in reversed position order, as in orbit_product.
-        sums = tuple(sorted(itertools.accumulate(reversed(w), initial=0)))
-        group = get(sums)
-        if group is None:
-            by_sums[sums] = [w]
-        else:
-            group.append(w)
-    # The sums of one orbit agree up to a shift; the dominant weight is the
-    # differences of its sums in descending order, which drop the shift.
-    groups: dict = {}  # dominant weight -> the weights of its orbit
-    for sums, ws in by_sums.items():
-        dom = tuple(map(operator.sub, sums[:0:-1], sums[-2::-1]))
-        if dom in groups:
-            groups[dom] += ws
-        else:
-            groups[dom] = ws
+    counts = collections.Counter(zip(_sorted_sums(terms), terms.values()))
+    sizes: dict = {}  # dominant weight -> its terms
+    valid = True
+    for (sums, c), count in counts.items():
+        lam = _dominant(sums)
+        sizes[lam] = sizes.get(lam, 0) + count
+        valid = valid and 0 < c == terms.get(lam)
     full = factorial(s.rank + 1)
-    out: dict = {}
+    if valid and all(count * weyl._stabilizer_order(lam) == full
+                     for lam, count in sizes.items()):
+        return OrbitDecomposition._adopt(s.rank, {
+            lam: terms[lam] for lam in sorted(sizes, key=grlex_key, reverse=True)})
+    # Invalid input: raise the first error that greedy extraction meets.
+    groups: dict = {}  # dominant weight -> the weights of its orbit
+    for w, sums in zip(terms, _sorted_sums(terms)):
+        groups.setdefault(_dominant(sums), []).append(w)
     rem: dict = {}
     for lam in sorted(groups, key=grlex_key, reverse=True):
         group = groups[lam]
@@ -320,15 +397,28 @@ def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
                     )
         if max(coeffs) > mult:
             rem.update((w, c - mult) for w, c in zip(group, coeffs) if c != mult)
-        out[lam] = mult
-    if rem:
-        w_bad = max(rem, key=grlex_key)
-        raise NotInvariantError(
-            f"no dominant weight left but {w_bad} remains with "
-            f"coefficient {rem[w_bad]}",
-            w_bad,
-        )
-    return OrbitDecomposition(s.rank, out)
+    w_bad = max(rem, key=grlex_key)
+    raise NotInvariantError(
+        f"no dominant weight left but {w_bad} remains with "
+        f"coefficient {rem[w_bad]}",
+        w_bad,
+    )
+
+
+def _sorted_sums(terms: dict):
+    """Per key, its integer suffix sums in reversed position order (as in
+    ``orbit_product``) and 0, in ascending order: built column by column,
+    then sorted per key.  The sums of one orbit agree up to a shift."""
+    sums = []
+    for column in reversed(list(zip(*terms))):
+        sums.append(list(map(operator.add, sums[-1], column)) if sums else column)
+    return map(tuple, map(sorted, zip(itertools.repeat(0, len(terms)), *sums)))
+
+
+def _dominant(sums: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant weight of sorted suffix sums: their differences in
+    descending order, which drop the shift."""
+    return tuple(map(operator.sub, sums[:0:-1], sums[-2::-1]))
 
 
 def _heap_entry(w: tuple[int, ...]) -> tuple:
@@ -431,6 +521,12 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
+    return _orbit_product(a, b)
+
+
+def _orbit_product(a: tuple[int, ...], b: tuple[int, ...]) -> OrbitDecomposition:
+    """``orbit_product`` of two dominant weight tuples of one rank, which it
+    does not check: the kernel for callers that made the weights themselves."""
     stab_a, stab_b = weyl._stabilizer_order(a), weyl._stabilizer_order(b)
     if stab_a < stab_b:
         a, b, stab_b = b, a, stab_a

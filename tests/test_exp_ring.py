@@ -138,14 +138,20 @@ INVARIANT_TERM_CAP = 5_000
 
 
 @st.composite
-def invariant_sums(draw, max_rank=5):
-    """Products of two orbit sums, or sums of orbit sums with multiplicities.
-    Coordinates run to 2 up to rank 4 and to 1 at rank 5, where the second
-    factor loses its last nonzero coordinate until the product multiplies
-    at most INVARIANT_TERM_CAP term pairs."""
+def invariant_sums(draw, max_rank=6):
+    """Products of two C-orbit sums or of two S-orbit sums, or sums of orbit
+    sums with multiplicities.  Coordinates run to 2 up to rank 4 and to 1
+    at ranks 5-6; a second C factor loses its last nonzero coordinate until
+    the product multiplies at most INVARIANT_TERM_CAP term pairs, and S
+    factors, whose labels are strictly dominant, are drawn at ranks 1-3."""
     n = draw(st.integers(1, max_rank))
     dom = st.tuples(*[st.integers(0, 2 if n < 5 else 1)] * n)
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(["C x C", "S x S", "orbit sums"] if n <= 3
+                               else ["C x C", "orbit sums"]))
+    if how == "S x S":
+        strict = st.tuples(*[st.integers(1, 2)] * n)
+        return exp_sum(draw(strict), "S") * exp_sum(draw(strict), "S")
+    if how == "C x C":
         a, b = draw(dom), list(draw(dom))
         while weyl.orbit_size(a) * weyl.orbit_size(tuple(b)) > INVARIANT_TERM_CAP:
             b[max(k for k, c in enumerate(b) if c)] = 0
@@ -157,15 +163,24 @@ def invariant_sums(draw, max_rank=5):
 @st.composite
 def perturbed_sums(draw):
     """An invariant sum with a few coefficients moved, added or removed,
-    with one coefficient raised (an excess inside a complete orbit), or with
-    one dominant weight removed."""
+    with one coefficient raised (an excess inside a complete orbit), with
+    one dominant weight removed, or with a coefficient moved from one term
+    to another, neither of which cancels, so that every orbit keeps its
+    term count."""
     s = draw(invariant_sums())
     terms = dict(s.terms)
-    how = draw(st.sampled_from(["moved", "excess", "dominant removed"]))
+    how = draw(st.sampled_from(["moved", "excess", "dominant removed", "counts kept"]))
     if how == "excess":
         terms[draw(st.sampled_from(sorted(terms)))] += draw(st.integers(1, 2))
     elif how == "dominant removed":
         del terms[draw(st.sampled_from(sorted(filter(lie.is_dominant, terms))))]
+    elif how == "counts kept":
+        pairs = [(v, w) for v in terms for w in terms if v != w]
+        v, w = draw(st.sampled_from(pairs)) if pairs else (None, None)
+        d = draw(st.sampled_from([-2, -1, 1, 2]))
+        if v is not None and terms[v] + d and terms[w] - d:
+            terms[v] += d
+            terms[w] -= d
     else:
         keys = st.sampled_from(sorted(terms)) | st.tuples(*[st.integers(-3, 3)] * s.rank)
         for _ in range(draw(st.integers(1, 3))):

@@ -1,12 +1,16 @@
 """The shared sparse core (TermMap) and the one exponential-sum kernel."""
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import lie, orbit_functions as of, weyl
+from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.chebyshev import ClassicalPoly, XPolynomial, YLaurent
 from orbitpoly.exp_ring import (
+    KINDS,
     ExpSum,
     InexactDivisionError,
     OrbitDecomposition,
@@ -37,7 +41,7 @@ def alpha_points(draw, n):
 ALL_TYPES = (ExpSum, OrbitDecomposition, XPolynomial, YLaurent)
 
 
-def convolve_by_tuples(a: dict, b: dict) -> dict:
+def convolve_by_pairs(a: dict, b: dict) -> dict:
     """Convolution oracle: add the key tuples of every pair, pairs in the
     order of a's terms, then b's; keys stay in first-occurrence order and
     cancelled coefficients stay as zeros."""
@@ -70,6 +74,50 @@ def convolution_operands(draw):
         return cls(rank, draw(st.dictionaries(keys, COEFFS, max_size=size)))
 
     return operand(), operand()
+
+
+@functools.cache
+def unit_labels(n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(kind, label) of the C-, S- and E-orbit sums of rank n with
+    coordinates up to 2 (up to 1 from rank 4), smallest orbits first."""
+    coord = 2 if n <= 3 else 1
+    labels = [(kind, lam) for lam in itertools.product(range(coord + 1), repeat=n)
+              for kind in KINDS if kind != "S" or all(lam)]
+    return sorted(labels, key=lambda kl: weyl.orbit_size(kl[1]))
+
+
+#: A +-1 map with 8 terms far apart.
+WIDE = {(100 * k, 7 * k % 3): (-1) ** k for k in range(8)}
+
+#: Largest number of term pairs in a product drawn by ``unit_operands``.
+UNIT_PAIR_CAP = 20_000
+
+
+@st.composite
+def unit_operands(draw):
+    """Two +-1 maps of one rank 1-6: C-, S- and E-orbit sums, and sums and
+    differences of two such on distinct dominant labels (disjoint
+    supports); the second operand is drawn small enough that the product
+    multiplies at most UNIT_PAIR_CAP term pairs."""
+    n = draw(st.integers(1, 6))
+
+    def orbit_sum(max_terms, but=None):
+        fits = [kl for kl in unit_labels(n) if weyl.orbit_size(kl[1]) <= max_terms
+                and kl[1] != but]
+        kind, lam = draw(st.sampled_from(fits))
+        return exp_sum(lam, kind), lam
+
+    def operand(max_terms):
+        how = draw(st.sampled_from(["orbit sum", "sum", "difference"]))
+        first, lam = orbit_sum(max_terms if how == "orbit sum" else max(max_terms // 2, 1))
+        left = max_terms - len(first.terms)
+        if how == "orbit sum" or left < weyl.orbit_size((1,) + (0,) * (n - 1)):
+            return first
+        second = orbit_sum(left, but=lam)[0]
+        return first + second if how == "sum" else first - second
+
+    a = operand(UNIT_PAIR_CAP)
+    return a, operand(UNIT_PAIR_CAP // len(a.terms))
 
 
 class TestSharedCore:
@@ -157,10 +205,47 @@ class TestSharedCore:
     def test_product_is_the_tuple_convolution(self, operands):
         a, b = operands
         got = a * b
-        want = type(a)(a.rank, convolve_by_tuples(a.terms, b.terms))
+        want = type(a)(a.rank, convolve_by_pairs(a.terms, b.terms))
         assert type(got) is type(a)
-        assert got == want
-        assert list(got.terms) == list(want.terms)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    @given(unit_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_product_is_the_pair_convolution(self, operands):
+        a, b = operands
+        assert {1, -1}.issuperset(a.terms.values())
+        assert {1, -1}.issuperset(b.terms.values())
+        want = ExpSum(a.rank, convolve_by_pairs(a.terms, b.terms))
+        assert list((a * b).terms.items()) == list(want.terms.items())
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_both_unpackings_invert_the_packing(self, n, data):
+        keys = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                                  min_size=1, max_size=30, unique=True))
+        terms = dict.fromkeys(keys, 1)
+        low, spread = exp_ring._box(terms)
+        radix = 1 + max(spread)
+        packed = exp_ring._packed(terms, low, radix)
+        # Enough term pairs for the digit tables, and none.
+        by_tables = list(exp_ring._unpacked(packed, low, radix, 2 * radix ** n))
+        by_columns = list(exp_ring._unpacked(packed, low, radix, 0))
+        assert by_tables == by_columns == keys
+
+    @pytest.mark.parametrize("a, b", [
+        ({(100, 0): 1, (0, 0): -1}, {(100, 0): 1, (0, 0): -1}),
+        (WIDE, WIDE),
+        ({(2, -1): 1}, {(-3, 5): -1}),
+        ({(2, -1): 1}, {}),
+        ({}, {(0, 0): 1}),
+        ({(1, 1): 3, (0, -2): -1}, {(1, 1): -1, (2, 0): 1}),
+    ])
+    def test_product_keeps_the_pair_loop_order(self, a, b):
+        # WIDE x WIDE is counted (64 term pairs of +-1 maps) and wide (radix
+        # 1401, two 1401-row digit tables), so its keys are read back one
+        # coordinate at a time.
+        want = ExpSum(2, convolve_by_pairs(a, b))
+        assert list((ExpSum(2, a) * ExpSum(2, b)).terms.items()) == list(want.terms.items())
 
     def test_product_edge_cases(self):
         one, z = ClassicalPoly.of(1), ClassicalPoly.of(0, 1)
