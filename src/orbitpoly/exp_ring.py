@@ -4,8 +4,8 @@
 the package.  An :class:`ExpSum` is a finite integer combination of formal
 lattice exponentials, keyed by omega-coordinate weights.  Products are exact
 convolutions, run on keys packed into single ints (Kronecker substitution)
-and, when every coefficient is +-1 as in every orbit sum, counted with one
-``collections.Counter`` over the packed pair sums; W-invariant sums
+and, when every coefficient is 1 as in every C- and E-orbit sum, counted
+with one ``collections.Counter`` over the packed pair sums; W-invariant sums
 decompose uniquely into orbit sums (distinct orbits have disjoint
 supports), found by counting the terms per dominant representative, read
 off column-wise suffix sums, without building an orbit; and the ring
@@ -164,9 +164,11 @@ def _convolve(a: dict, b: dict) -> dict:
     range_b[i]), so that adding two packed keys adds the shifted tuples
     with no carry.  The keys come out in the order of their first
     occurrence, as from a loop that adds the tuples of every pair.  When
-    every coefficient is +-1, as in every C-, S- and E-orbit sum, and
-    there are at least 64 term pairs, the pairs are counted at C speed
-    (``_count_units``); other products take a pair loop that adds ints and
+    every coefficient is 1, as in every C- and E-orbit sum, and there are
+    at least 64 term pairs, one ``Counter`` over the sums of every pair of
+    packed keys, pairs in the pair loop's order, counts the product at C
+    speed, and the distinct packed keys are read back as tuples
+    (``_unpacked``); other products take a pair loop that adds ints and
     builds each key tuple once, when the key is first met.  The packed keys
     are local, freed on return; the product keeps the result dict itself
     (``TermMap._adopt``).
@@ -176,12 +178,14 @@ def _convolve(a: dict, b: dict) -> dict:
     (low_a, range_a), (low_b, range_b) = _box(a), _box(b)
     radix = 1 + max(map(operator.add, range_a, range_b), default=0)
     packed_a, packed_b = _packed(a, low_a, radix), _packed(b, low_b, radix)
+    pairs = len(a) * len(b)
     # Counting has a fixed cost (the Counter, the unpacking) that the pair
     # loop only exceeds from about 50 term pairs on.
-    if (len(a) * len(b) >= 64
-            and {1, -1}.issuperset(a.values()) and {1, -1}.issuperset(b.values())):
-        return _count_units(a, b, packed_a, packed_b,
-                            list(map(operator.add, low_a, low_b)), radix)
+    if pairs >= 64 and {1}.issuperset(a.values()) and {1}.issuperset(b.values()):
+        counts = collections.Counter(
+            itertools.starmap(operator.add, itertools.product(packed_a, packed_b)))
+        low = list(map(operator.add, low_a, low_b))
+        return dict(zip(_unpacked(list(counts), low, radix, pairs), counts.values()))
     coeffs: dict = {}  # packed key -> coefficient
     keys: dict = {}  # packed key -> key, in the same insertion order
     get = coeffs.get
@@ -197,41 +201,6 @@ def _convolve(a: dict, b: dict) -> dict:
             else:
                 coeffs[k] = c + ca * cb
     return dict(zip(keys.values(), coeffs.values()))
-
-
-def _count_units(a: dict, b: dict, packed_a: list[int], packed_b: list[int],
-                 low: list[int], radix: int) -> dict:
-    """The convolution of two term dicts whose coefficients are all +-1.
-
-    One ``Counter`` over the sums of every pair of packed keys, pairs in
-    the pair loop's order, counts the pairs per key and keeps the keys in
-    first-occurrence order.  When a coefficient is -1, each packed key
-    first gains a base-3 digit below its others, 1 for a -1 term and 0 for
-    a +1 term: a pair's digit sum is 1 exactly when its product is -1, so
-    the counts of each key's digit sums 0, 1 and 2 make its coefficient.
-    The distinct packed keys are read back as tuples whose coordinates
-    start at ``low`` (``_unpacked``).
-    """
-    add = operator.add
-    signed = -1 in a.values() or -1 in b.values()
-    if signed:
-        packed_a, packed_b = _sign_digit(packed_a, a), _sign_digit(packed_b, b)
-    counts = collections.Counter(itertools.starmap(add, itertools.product(packed_a, packed_b)))
-    if signed:
-        coeffs: dict = {}
-        get = coeffs.get
-        for k, count in counts.items():
-            k, digits = divmod(k, 3)
-            coeffs[k] = get(k, 0) + (-count if digits == 1 else count)
-        counts = coeffs
-    keys = _unpacked(list(counts), low, radix, len(a) * len(b))
-    return dict(zip(keys, counts.values()))
-
-
-def _sign_digit(packed: list[int], terms: dict) -> list[int]:
-    """Each packed key times 3, plus 1 where the coefficient is -1."""
-    return list(map(operator.add, map(operator.mul, packed, itertools.repeat(3)),
-                    map(operator.lt, terms.values(), itertools.repeat(0))))
 
 
 def _unpacked(packed: list[int], low: Sequence[int], radix: int, pairs: int):

@@ -40,6 +40,9 @@ def alpha_points(draw, n):
 
 ALL_TYPES = (ExpSum, OrbitDecomposition, XPolynomial, YLaurent)
 
+#: The key unpacking of counted products, before any test wraps it.
+UNPACKED = exp_ring._unpacked
+
 
 def convolve_by_pairs(a: dict, b: dict) -> dict:
     """Convolution oracle: add the key tuples of every pair, pairs in the
@@ -86,8 +89,8 @@ def unit_labels(n: int) -> list[tuple[str, tuple[int, ...]]]:
     return sorted(labels, key=lambda kl: weyl.orbit_size(kl[1]))
 
 
-#: A +-1 map with 8 terms far apart.
-WIDE = {(100 * k, 7 * k % 3): (-1) ** k for k in range(8)}
+#: A map of 8 terms far apart, every coefficient 1.
+WIDE = dict.fromkeys(((100 * k, 7 * k % 3) for k in range(8)), 1)
 
 #: Largest number of term pairs in a product drawn by ``unit_operands``.
 UNIT_PAIR_CAP = 20_000
@@ -97,7 +100,8 @@ UNIT_PAIR_CAP = 20_000
 def unit_operands(draw):
     """Two +-1 maps of one rank 1-6: C-, S- and E-orbit sums, and sums and
     differences of two such on distinct dominant labels (disjoint
-    supports); the second operand is drawn small enough that the product
+    supports), so that both the counted products of maps whose coefficients
+    are all 1 and the pair loop are drawn; the second operand is drawn small enough that the product
     multiplies at most UNIT_PAIR_CAP term pairs."""
     n = draw(st.integers(1, 6))
 
@@ -212,6 +216,7 @@ class TestSharedCore:
     @given(unit_operands())
     @settings(max_examples=60, deadline=None)
     def test_unit_product_is_the_pair_convolution(self, operands):
+        # C and E sums (coefficients 1) are counted, the rest take the pair loop.
         a, b = operands
         assert {1, -1}.issuperset(a.terms.values())
         assert {1, -1}.issuperset(b.terms.values())
@@ -241,11 +246,32 @@ class TestSharedCore:
         ({(1, 1): 3, (0, -2): -1}, {(1, 1): -1, (2, 0): 1}),
     ])
     def test_product_keeps_the_pair_loop_order(self, a, b):
-        # WIDE x WIDE is counted (64 term pairs of +-1 maps) and wide (radix
-        # 1401, two 1401-row digit tables), so its keys are read back one
-        # coordinate at a time.
+        # WIDE x WIDE is counted (64 term pairs, every coefficient 1) and
+        # wide (radix 1401, two 1401-row digit tables), so its keys are read
+        # back one coordinate at a time.
         want = ExpSum(2, convolve_by_pairs(a, b))
         assert list((ExpSum(2, a) * ExpSum(2, b)).terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("a, b, counted", [
+        (exp_sum((1, 1, 1), "C"), exp_sum((2, 1, 1), "C"), True),
+        (exp_sum((1, 1, 1), "E"), exp_sum((2, 1, 1), "E"), True),
+        (exp_sum((1, 1, 1), "S"), exp_sum((2, 1, 1), "S"), False),
+        (exp_sum((1, 1, 1), "C"), exp_sum((2, 1, 1), "S"), False),
+        (exp_sum((1, 1, 1), "C").scale(2), exp_sum((2, 1, 1), "C"), False),
+        (exp_sum((1, 0, 0), "C"), exp_sum((0, 1, 0), "C"), False),  # 24 term pairs
+    ])
+    def test_only_products_of_ones_are_counted(self, monkeypatch, a, b, counted):
+        # Only the counted path reads its keys back from packed ints.
+        calls = []
+
+        def unpacked(*args):
+            calls.append(args)
+            return UNPACKED(*args)
+
+        monkeypatch.setattr(exp_ring, "_unpacked", unpacked)
+        want = ExpSum(a.rank, convolve_by_pairs(a.terms, b.terms))
+        assert list((a * b).terms.items()) == list(want.terms.items())
+        assert bool(calls) is counted
 
     def test_product_edge_cases(self):
         one, z = ClassicalPoly.of(1), ClassicalPoly.of(0, 1)
