@@ -40,8 +40,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("tables"))
     args = parser.parse_args(argv)
+    try:
+        lie.check_rank(args.rank)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.max_coord < 0:
+        parser.error(f"--max-coord must be >= 0, got {args.max_coord}")
 
-    lie.check_rank(args.rank)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for kind in args.kinds:
         table = build_table(args.rank, args.max_coord, kind)

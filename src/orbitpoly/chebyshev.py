@@ -2,10 +2,13 @@
 
 Two constructions live here.  ``poly_t`` / ``poly_u`` express orbit sums and
 characters as exact integer polynomials in the fundamental variables
-X_1..X_n (the orbit sums of the fundamental weights), found by recursively
-decomposing products X_j * C_mu in the group ring.  ``substitute_p`` applies
-the exponential change of variables y_j = exp(2*pi*i x_j), turning each
-orbit exponential into a Laurent monomial.
+X_1..X_n (the orbit sums of the fundamental weights), by one recursion on
+the products X_j * P_mu: for T the product X_j * C_mu decomposed into orbit
+sums in the group ring, for U the Pieri rule X_j * U_mu = sum of U_{mu+w},
+one term per weight w of the minuscule omega_j with mu + w dominant.
+``substitute_p`` applies the exponential change of variables
+y_j = exp(2*pi*i x_j), turning each orbit exponential into a Laurent
+monomial.
 
 The one-variable classical Chebyshev polynomials, rank-1 polynomials in z,
 are kept alongside as the reduction oracle: at rank 1, T-polynomials are
@@ -14,6 +17,8 @@ the classical second kind.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -165,17 +170,21 @@ def _x_monomial(n: int, j: int) -> XPolynomial:
     return XPolynomial(n, {deg: 1})
 
 
-def _build_t(
+def _build(
     lam: tuple[int, ...],
     pick: Callable[[tuple[int, ...]], int],
+    others: Callable[[tuple[int, ...], int, tuple[int, ...]], list],
     memo: dict,
 ) -> XPolynomial:
-    """T-polynomial of lam by the X_j * C_mu induction, memoized per weight.
+    """Polynomial of lam by the step X_{j+1} * P_mu = P_lam + sum mult * P_nu,
+    memoized per weight; the one recursion behind both kinds.
 
+    j = pick(lam) is a coordinate with lam_j > 0, mu = lam - omega_{j+1},
+    and others(lam, j, mu) lists the (nu, mult) of the step other than lam.
     Depth-first on an explicit stack, since the depth equals the degree: a
-    weight's product is decomposed on first reach, mu and the product's
-    other orbits are built in order, then the weight is solved for; the
-    same order, and the same memo, as plain recursion.
+    weight's step is taken on first reach, mu and the step's other weights
+    are built in order, then the weight is solved for; the same order, and
+    the same memo, as plain recursion.
     """
     n = len(lam)
     pending: dict = {}
@@ -185,19 +194,18 @@ def _build_t(
         if w in memo:
             stack.pop()
         elif w in pending:
-            j, mu, dec = pending.pop(w)
-            # X_j * T_mu minus mult * T_nu for the other orbits, in place; a
+            j, mu, rest = pending.pop(w)
+            # X_{j+1} * P_mu minus mult * P_nu for the other weights, in place; a
             # key is dropped the moment it cancels, so the terms keep the
             # order of the same steps done with TermMap's - and scale.
             terms = {d[:j] + (d[j] + 1,) + d[j + 1:]: c for d, c in memo[mu].terms.items()}
-            for nu, mult in dec.terms.items():
-                if nu != w:
-                    for d, c in memo[nu].terms.items():
-                        left = terms.get(d, 0) - mult * c
-                        if left:
-                            terms[d] = left
-                        else:
-                            del terms[d]
+            for nu, mult in rest:
+                for d, c in memo[nu].terms.items():
+                    left = terms.get(d, 0) - mult * c
+                    if left:
+                        terms[d] = left
+                    else:
+                        del terms[d]
             memo[w] = XPolynomial(n, terms)
         elif not any(w):
             memo[w] = XPolynomial(n, {(0,) * n: 1})
@@ -206,18 +214,64 @@ def _build_t(
         else:
             j = pick(w)
             mu = tuple(c - 1 if k == j else c for k, c in enumerate(w))
-            omega_j = tuple(1 if k == j else 0 for k in range(n))
-            dec = exp_ring._orbit_product(omega_j, mu)
-            if dec.terms.get(w) != 1:
-                raise AssertionError(
-                    f"expected multiplicity 1 for {w} in X_{j + 1} * C_{mu}"
-                )
-            pending[w] = (j, mu, dec)
-            stack += reversed([mu] + [nu for nu in dec.terms if nu != w])
+            rest = others(w, j, mu)
+            pending[w] = (j, mu, rest)
+            stack += reversed([mu] + [nu for nu, _ in rest])
     return memo[lam]
 
 
+def _orbit_terms(lam: tuple[int, ...], j: int, mu: tuple[int, ...]) -> list:
+    """The first kind's step: the orbit sums of X_{j+1} * C_mu but C_lam."""
+    omega_j = tuple(1 if k == j else 0 for k in range(len(mu)))
+    dec = exp_ring._orbit_product(omega_j, mu)
+    if dec.terms.get(lam) != 1:
+        raise AssertionError(
+            f"expected multiplicity 1 for {lam} in X_{j + 1} * C_{mu}"
+        )
+    return [(nu, mult) for nu, mult in dec.terms.items() if nu != lam]
+
+
+@lru_cache(maxsize=None)
+def _pieri_shifts(n: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The weights of omega_{j+1} but omega_{j+1} itself, in omega
+    coordinates: the consecutive differences of the 0/1 vectors s with j+1
+    ones among n+1 places, the places in lexicographic order."""
+    shifts = []
+    for ones in itertools.islice(itertools.combinations(range(n + 1), j + 1), 1, None):
+        s = [int(k in ones) for k in range(n + 1)]
+        shifts.append(tuple(map(operator.sub, s, s[1:])))
+    return tuple(shifts)
+
+
+def _pieri_terms(lam: tuple[int, ...], j: int, mu: tuple[int, ...]) -> list:
+    """The second kind's step, the Pieri rule: X_{j+1} * U_mu is the sum of
+    U_{mu+w}, each once, over the weights w of omega_{j+1} with mu + w
+    dominant (in suffix sums, p + s non-increasing).  lam is the
+    w = omega_{j+1} term, which the shifts leave out."""
+    shifted = (tuple(map(operator.add, mu, w)) for w in _pieri_shifts(len(mu), j))
+    return [(nu, 1) for nu in shifted if min(nu) >= 0]
+
+
+def _build_t(
+    lam: tuple[int, ...],
+    pick: Callable[[tuple[int, ...]], int],
+    memo: dict,
+) -> XPolynomial:
+    """T-polynomial of lam by the X_j * C_mu induction, memoized per weight."""
+    return _build(lam, pick, _orbit_terms, memo)
+
+
+def _build_u(
+    lam: tuple[int, ...],
+    pick: Callable[[tuple[int, ...]], int],
+    memo: dict,
+) -> XPolynomial:
+    """U-polynomial of lam by the Pieri step, memoized per weight."""
+    return _build(lam, pick, _pieri_terms, memo)
+
+
 _T_MEMO: dict[tuple[int, ...], XPolynomial] = {}
+_U_MEMO: dict[tuple[int, ...], XPolynomial] = {}
 
 
 def _first_positive(lam: tuple[int, ...]) -> int:
@@ -240,21 +294,15 @@ def poly_t(lam: Sequence[int]) -> XPolynomial:
 def poly_u(lam: Sequence[int]) -> XPolynomial:
     """Second-kind polynomial: the character of lam in the X variables.
 
-    The character decomposes into C-functions with dominant-weight
-    multiplicities, so this is the multiplicity-weighted sum of poly_t's.
+    Built like poly_t, with the character U in place of the orbit sum C:
+    every omega_j of A_n is minuscule, so X_j * U_mu is the sum of U_{mu+w}
+    over the weights w of omega_j with mu + w dominant, each with
+    multiplicity one (the Pieri rule X_j = e_j, U = s_lam; Macdonald I.5),
+    and lam = mu + omega_j is one of them.  Results are memoized per
+    weight; ``exp_ring.character`` is not called, it is the tests' oracle.
     """
     lam = lie.dominant_weight(lam, "poly_u")
-    terms: dict = {}
-    # One dict for the whole sum; a key is dropped the moment it cancels,
-    # so the terms keep the order of the same sum folded with + and scale.
-    for nu, mult in exp_ring.character(lam).terms.items():
-        for d, c in _build_t(nu, _first_positive, _T_MEMO).terms.items():
-            left = terms.get(d, 0) + mult * c
-            if left:
-                terms[d] = left
-            else:
-                del terms[d]
-    return XPolynomial._adopt(len(lam), terms)
+    return _build_u(lam, _first_positive, _U_MEMO)
 
 
 def substitute_p(lam: Sequence[int], kind: str) -> YLaurent:

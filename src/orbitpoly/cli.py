@@ -51,8 +51,14 @@ def _require_dominant(lam: tuple[int, ...]) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # A precondition error: exit 2 with one line, not a traceback.
+            err = click.FileError(out, exc.strerror or str(exc))
+            err.exit_code = 2
+            raise err
         click.echo(f"written to {out}")
     else:
         click.echo(text)

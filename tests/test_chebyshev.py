@@ -2,7 +2,7 @@
 exponential-substitution Laurent polynomials."""
 import itertools
 from functools import lru_cache
-from math import comb, cos, pi, sin
+from math import comb, cos, pi, prod, sin
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ RNG = np.random.default_rng(90125)
 def poly_t_pick_last(lam):
     """poly_t built by splitting off the last positive fundamental weight
     instead of the first, on a fresh memo: the choice-independence oracle."""
-    return ch._build_t(tuple(lam), lambda w: max(k for k, c in enumerate(w) if c > 0), {})
+    return ch._build_t(tuple(lam), last_positive, {})
 
 
 def build_t_recursive(lam, memo):
@@ -42,6 +42,45 @@ def build_t_recursive(lam, memo):
                 result = result - build_t_recursive(nu, memo).scale(mult)
     memo[lam] = result
     return result
+
+
+def last_positive(lam):
+    return max(k for k, c in enumerate(lam) if c > 0)
+
+
+def build_u_recursive(lam, memo):
+    """poly_u by plain recursion on the Pieri rule: the memo-order oracle for
+    ``_build_u``.  X_{j+1} * U_mu is the sum of U_nu over the 0/1 vectors s
+    with j+1 ones among the n+1 places that keep the suffix sums p + s of mu
+    non-increasing, nu the consecutive differences of p + s."""
+    if lam in memo:
+        return memo[lam]
+    n = len(lam)
+    if not any(lam):
+        result = ch.XPolynomial(n, {(0,) * n: 1})
+    elif sum(lam) == 1:
+        result = ch._x_monomial(n, lam.index(1))
+    else:
+        j = ch._first_positive(lam)
+        mu = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
+        p = lie.suffix_sums(mu)
+        result = ch._x_monomial(n, j) * build_u_recursive(mu, memo)
+        for ones in itertools.combinations(range(n + 1), j + 1):
+            q = [c + (k in ones) for k, c in enumerate(p)]
+            nu = tuple(a - b for a, b in zip(q, q[1:]))
+            if min(nu) >= 0 and nu != lam:
+                result = result - build_u_recursive(nu, memo)
+    memo[lam] = result
+    return result
+
+
+def poly_u_by_character_fold(lam):
+    """Second-kind oracle from Freudenthal's formula: the sum of
+    mult * T_nu over the dominant weights nu of the character of lam."""
+    total = ch.XPolynomial(len(lam), {})
+    for nu, mult in exp_ring.character(lam).terms.items():
+        total = total + ch.poly_t(nu).scale(mult)
+    return total
 
 
 def poly_u_by_dual_jacobi_trudi(lam):
@@ -307,15 +346,38 @@ class TestPolyU:
             assert ch.poly_u(lam) == poly_u_by_dual_jacobi_trudi(lam), lam
 
     @pytest.mark.parametrize("n", [1, *sorted(U_TABLE_BOXES)])
-    def test_terms_in_the_order_of_the_fold(self, n):
-        # The sum of mult * T_nu folded with TermMap's + and scale, one
-        # copy of the total per dominant weight: same terms, same order.
+    def test_terms_in_the_order_of_the_pieri_recursion(self, n):
+        # Same weights, same memo order and same term order as plain
+        # recursion on the Pieri rule, over the whole box.
         top = 20 if n == 1 else U_TABLE_BOXES[n]
+        memo, oracle = {}, {}
         for lam in itertools.product(range(top + 1), repeat=n):
-            total = ch.XPolynomial(n, {})
-            for nu, mult in exp_ring.character(lam).terms.items():
-                total = total + ch.poly_t(nu).scale(mult)
-            assert list(ch.poly_u(lam).terms.items()) == list(total.terms.items()), lam
+            got = ch._build_u(lam, ch._first_positive, memo)
+            want = build_u_recursive(lam, oracle)
+            assert list(got.terms.items()) == list(want.terms.items()), lam
+            assert list(ch.poly_u(lam).terms.items()) == list(want.terms.items()), lam
+        assert list(memo.items()) == list(oracle.items())
+        assert [list(p.terms) for p in memo.values()] == [list(p.terms) for p in oracle.values()]
+
+    @pytest.mark.parametrize("n,top", [(1, 20), *U_TABLE_BOXES.items(), (5, 2), (6, 1)])
+    def test_matches_character_fold(self, n, top):
+        for lam in itertools.product(range(top + 1), repeat=n):
+            assert ch.poly_u(lam) == poly_u_by_character_fold(lam), lam
+
+    @pytest.mark.parametrize("lam", [(2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 0, 1),
+                                     (0, 2, 1, 1), (1, 0, 1, 0, 2)])
+    def test_choice_of_fundamental_does_not_matter(self, lam):
+        assert ch._build_u(lam, last_positive, {}) == ch.poly_u(lam)
+
+    @given(dominant_weights(max_rank=6, max_coord=2))
+    @settings(max_examples=40, deadline=None)
+    def test_dimension_at_the_identity(self, lam):
+        # At the identity X_j is the orbit size C(n+1, j) of omega_j and
+        # U_lam the dimension of V_lam.
+        n = len(lam)
+        value = sum(c * prod(comb(n + 1, j) ** d for j, d in enumerate(deg, start=1))
+                    for deg, c in ch.poly_u(lam).terms.items())
+        assert value == lie.weyl_dimension(lam)
 
     def test_a2_adjoint_via_multiplicities(self):
         one = ch.XPolynomial(2, {(0, 0): 1})

@@ -258,6 +258,21 @@ class TestVerifyCommand:
         assert json.loads(target.read_text())[0]["passed"] is True
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("args", [["orbit", "-l", "1,1"],
+                                      ["verify", "-s", "chebyshev"]])
+    @pytest.mark.parametrize("where", ["missing/x", "."])
+    def test_exits_2_with_one_line(self, runner, tmp_path, args, where):
+        # A missing directory, and a directory in place of the file.
+        target = tmp_path / where
+        result = runner.invoke(cli.main, [*args, "--out", str(target)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"Error: Could not open file '{target}'")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
