@@ -3,9 +3,10 @@
 Two constructions live here.  ``poly_t`` / ``poly_u`` express orbit sums and
 characters as exact integer polynomials in the fundamental variables
 X_1..X_n (the orbit sums of the fundamental weights), by one recursion on
-the products X_j * P_mu: for T the product X_j * C_mu decomposed into orbit
-sums in the group ring, for U the Pieri rule X_j * U_mu = sum of U_{mu+w},
-one term per weight w of the minuscule omega_j with mu + w dominant.
+the products X_j * P_mu over the weights mu + w, w a weight of the
+minuscule omega_j with mu + w dominant: for U the Pieri rule
+X_j * U_mu = sum of U_{mu+w}, for T the same sum of orbit sums C_{mu+w},
+each weighted by a ratio of stabilizer orders.
 ``substitute_p`` applies the exponential change of variables
 y_j = exp(2*pi*i x_j), turning each orbit exponential into a Laurent
 monomial.
@@ -21,10 +22,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
-from . import exp_ring, lie
+from . import exp_ring, lie, weyl
 from .exp_ring import OrbitDecomposition, TermMap, exp_sum
 
 
@@ -165,9 +166,14 @@ def check_classical_identities(m: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # Recursive construction.
 
-def _x_monomial(n: int, j: int) -> XPolynomial:
-    deg = tuple(1 if k == j else 0 for k in range(n))
-    return XPolynomial(n, {deg: 1})
+#: One tuple per distinct monomial, shared by both kinds' memos.
+_MONOMIALS: dict[tuple[int, ...], tuple[int, ...]] = {}
+#: (rank, j) -> {monomial: the monomial times X_{j+1}}, filled on first use.
+_SHIFTS: dict[tuple[int, int], dict] = {}
+
+
+def _monomial(deg: tuple[int, ...]) -> tuple[int, ...]:
+    return _MONOMIALS.setdefault(deg, deg)
 
 
 def _build(
@@ -184,7 +190,8 @@ def _build(
     Depth-first on an explicit stack, since the depth equals the degree: a
     weight's step is taken on first reach, mu and the step's other weights
     are built in order, then the weight is solved for; the same order, and
-    the same memo, as plain recursion.
+    the same memo, as plain recursion.  X_{j+1} * P_mu maps each monomial
+    through ``_SHIFTS``, so the memos hold one tuple per distinct monomial.
     """
     n = len(lam)
     pending: dict = {}
@@ -195,10 +202,18 @@ def _build(
             stack.pop()
         elif w in pending:
             j, mu, rest = pending.pop(w)
+            src = memo[mu].terms
+            shift = _SHIFTS.setdefault((n, j), {})
+            try:
+                terms = dict(zip(map(shift.__getitem__, src), src.values()))
+            except KeyError:
+                for d in src:
+                    if d not in shift:
+                        shift[d] = _monomial(d[:j] + (d[j] + 1,) + d[j + 1:])
+                terms = dict(zip(map(shift.__getitem__, src), src.values()))
             # X_{j+1} * P_mu minus mult * P_nu for the other weights, in place; a
             # key is dropped the moment it cancels, so the terms keep the
             # order of the same steps done with TermMap's - and scale.
-            terms = {d[:j] + (d[j] + 1,) + d[j + 1:]: c for d, c in memo[mu].terms.items()}
             for nu, mult in rest:
                 for d, c in memo[nu].terms.items():
                     left = terms.get(d, 0) - mult * c
@@ -206,11 +221,9 @@ def _build(
                         terms[d] = left
                     else:
                         del terms[d]
-            memo[w] = XPolynomial(n, terms)
-        elif not any(w):
-            memo[w] = XPolynomial(n, {(0,) * n: 1})
-        elif sum(w) == 1:
-            memo[w] = _x_monomial(n, w.index(1))
+            memo[w] = XPolynomial._adopt(n, terms)
+        elif sum(w) <= 1:
+            memo[w] = XPolynomial._adopt(n, {_monomial(w): 1})
         else:
             j = pick(w)
             mu = tuple(c - 1 if k == j else c for k, c in enumerate(w))
@@ -220,36 +233,70 @@ def _build(
     return memo[lam]
 
 
+@lru_cache(maxsize=None)
+def _pieri_steps(support: tuple[bool, ...], j: int) -> tuple[list, list]:
+    """The weights w of omega_{j+1} with mu + w dominant, for every mu of
+    this support (which coordinates are nonzero): (steps, order).
+
+    mu's suffix sums fall into blocks of equal values, of sizes b_i (a zero
+    coordinate joins its place to the block before), its multiplicity
+    pattern.  A weight of omega_{j+1} adds a 0/1 vector with j+1 ones to
+    them, and mu + w is dominant exactly when block i gets its k_i ones in
+    its first places.  ``steps`` lists (w, prod_i k_i! (b_i - k_i)!) for
+    each such k with sum j+1, in descending lexicographic order of k, which
+    is the lexicographic order of the places of the ones; the first is
+    omega_{j+1} itself.  ``order`` indexes the other steps in descending
+    graded-lex order of w, which is that of mu + w for any mu.
+    """
+    blocks, run = [], 1
+    for nonzero in support:
+        if nonzero:
+            blocks.append(run)
+            run = 1
+        else:
+            run += 1
+    blocks.append(run)
+    steps = []
+    for k in itertools.product(*(range(b, -1, -1) for b in blocks)):
+        if sum(k) == j + 1:
+            s = [bit for b, c in zip(blocks, k) for bit in [1] * c + [0] * (b - c)]
+            steps.append((tuple(map(operator.sub, s, s[1:])),
+                          prod(factorial(c) * factorial(b - c) for b, c in zip(blocks, k))))
+    order = sorted(range(1, len(steps)), key=lambda i: exp_ring.grlex_key(steps[i][0]),
+                   reverse=True)
+    return steps, order
+
+
 def _orbit_terms(lam: tuple[int, ...], j: int, mu: tuple[int, ...]) -> list:
-    """The first kind's step: the orbit sums of X_{j+1} * C_mu but C_lam."""
-    omega_j = tuple(1 if k == j else 0 for k in range(len(mu)))
-    dec = exp_ring._orbit_product(omega_j, mu)
-    if dec.terms.get(lam) != 1:
+    """The first kind's step: the orbit sums of X_{j+1} * C_mu but C_lam,
+    in descending graded-lex order.
+
+    In the stabilizer form of the product (``exp_ring.orbit_product``),
+    (1/|W_mu|) sum over the weights q of omega_{j+1} of |W_nu| C_nu with
+    nu = dom(mu + q), the q that give one nu of ``_pieri_steps`` are the
+    prod_i C(b_i, k_i) ways to place k_i ones in each block, and
+    |W_mu| = prod_i b_i!: so C_nu has multiplicity
+    |W_nu| / prod_i k_i! (b_i - k_i)!, over the same nu as the Pieri rule.
+    """
+    steps, order = _pieri_steps(tuple(map(bool, mu)), j)
+    if weyl._stabilizer_order(lam) != steps[0][1]:
         raise AssertionError(
             f"expected multiplicity 1 for {lam} in X_{j + 1} * C_{mu}"
         )
-    return [(nu, mult) for nu, mult in dec.terms.items() if nu != lam]
-
-
-@lru_cache(maxsize=None)
-def _pieri_shifts(n: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """The weights of omega_{j+1} but omega_{j+1} itself, in omega
-    coordinates: the consecutive differences of the 0/1 vectors s with j+1
-    ones among n+1 places, the places in lexicographic order."""
-    shifts = []
-    for ones in itertools.islice(itertools.combinations(range(n + 1), j + 1), 1, None):
-        s = [int(k in ones) for k in range(n + 1)]
-        shifts.append(tuple(map(operator.sub, s, s[1:])))
-    return tuple(shifts)
+    out = []
+    for i in order:
+        w, ways = steps[i]
+        nu = tuple(map(operator.add, mu, w))
+        out.append((nu, weyl._stabilizer_order(nu) // ways))
+    return out
 
 
 def _pieri_terms(lam: tuple[int, ...], j: int, mu: tuple[int, ...]) -> list:
     """The second kind's step, the Pieri rule: X_{j+1} * U_mu is the sum of
     U_{mu+w}, each once, over the weights w of omega_{j+1} with mu + w
-    dominant (in suffix sums, p + s non-increasing).  lam is the
-    w = omega_{j+1} term, which the shifts leave out."""
-    shifted = (tuple(map(operator.add, mu, w)) for w in _pieri_shifts(len(mu), j))
-    return [(nu, 1) for nu in shifted if min(nu) >= 0]
+    dominant.  lam is the w = omega_{j+1} term, which is left out."""
+    steps, _ = _pieri_steps(tuple(map(bool, mu)), j)
+    return [(tuple(map(operator.add, mu, w)), 1) for w, _ in steps[1:]]
 
 
 def _build_t(
@@ -283,9 +330,10 @@ def poly_t(lam: Sequence[int]) -> XPolynomial:
     the fundamental variables X_j = C at the j-th fundamental weight.
 
     Built by induction: split off the first fundamental weight with a
-    positive coordinate, decompose the product X_j * C_mu into orbit sums
-    (lam enters with multiplicity one), and solve for C_lam.  Results are
-    memoized per weight; any valid choice of j yields the same polynomial.
+    positive coordinate, write the product X_j * C_mu as orbit sums by the
+    Pieri rule's weights (``_orbit_terms``; lam enters with multiplicity
+    one), and solve for C_lam.  Results are memoized per weight; any valid
+    choice of j yields the same polynomial.
     """
     lam = lie.dominant_weight(lam, "poly_t")
     return _build_t(lam, _first_positive, _T_MEMO)

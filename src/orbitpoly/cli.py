@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import click
 import numpy as np
@@ -49,16 +50,32 @@ def _require_dominant(lam: tuple[int, ...]) -> None:
         raise click.UsageError(f"weight {lam} is not dominant")
 
 
+def _unwritable(out: str, exc: OSError) -> click.FileError:
+    # A precondition error: exit 2 with one line, not a traceback.
+    err = click.FileError(out, exc.strerror or str(exc))
+    err.exit_code = 2
+    return err
+
+
+def _check_writable(out: str) -> None:
+    """Refuse an --out path that cannot be opened for writing before any
+    work is done; a file the check creates is removed again."""
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise _unwritable(out, exc)
+    if not existed:
+        os.remove(out)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            # A precondition error: exit 2 with one line, not a traceback.
-            err = click.FileError(out, exc.strerror or str(exc))
-            err.exit_code = 2
-            raise err
+            raise _unwritable(out, exc)
         click.echo(f"written to {out}")
     else:
         click.echo(text)
@@ -210,6 +227,8 @@ def verify(ctx, suite, rank_bound, coord_bound, seed, as_json, out):
         raise click.UsageError(f"rank bound must lie in 1..{lie.MAX_RANK}")
     if coord_bound is not None and coord_bound < 1:
         raise click.UsageError("coordinate bound must be >= 1")
+    if out:
+        _check_writable(out)
     try:
         reports = analysis.run_suite(suite, rank_bound=rank_bound,
                                      coord_bound=coord_bound, seed=seed)

@@ -183,27 +183,3 @@ def is_dominant(lam: Sequence[int]) -> bool:
 
 def is_strictly_dominant(lam: Sequence[int]) -> bool:
     return all(c > 0 for c in lam)
-
-
-def alpha_to_e_point(x: Sequence[float]) -> tuple[float, ...]:
-    """Real vector in the alpha basis -> e-coordinates (zero-sum)."""
-    x = tuple(x)
-    n = len(x)
-    prev = 0.0
-    out = []
-    for j in range(n):
-        out.append(x[j] - prev)
-        prev = x[j]
-    out.append(-x[n - 1])
-    return tuple(out)
-
-
-def e_to_alpha_point(coords: Sequence[float]) -> tuple[float, ...]:
-    """Real zero-sum e-point -> alpha coordinates (partial sums)."""
-    coords = tuple(coords)
-    out = []
-    run = 0.0
-    for c in coords[:-1]:
-        run += c
-        out.append(run)
-    return tuple(out)

@@ -17,8 +17,12 @@ value indices in ascending lexicographic order (index 0 the largest value,
 so the values descend lexicographically and the dominant point comes
 first), stored as the index pairs of consecutive positions, with their
 sign and even-point tuples, which every orbit of the pattern shares.  An
-orbit reads its points through one ``itemgetter`` over the differences of
-its distinct values.
+orbit reads its points column by column, one ``itemgetter`` a coordinate
+over the template's pair cells applied to the differences of its distinct
+values, and zips the columns into points.  Orbits are cached per weight
+and bounded by the points held (``ORBIT_POINT_BOUND``), as templates are
+by their rows, so a round that revisits a few thousand small orbits builds
+each once while a rank-8 orbit is held alone.
 
 Sign convention.  The sign of a point is the parity of the permutation
 carrying the dominant arrangement of e-coordinates to the point's
@@ -33,29 +37,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from . import lie
 from .lie import suffix_sums
-
-
-def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
-    """Yield (arrangement, parity) for all permutations of distinct items.
-
-    Parity is relative to the input order.  Built by inserting the head
-    element into every gap of each sub-permutation; an insertion that skips
-    p elements costs p adjacent transpositions.
-    """
-    if len(items) <= 1:
-        yield items, 1
-        return
-    head, rest = items[0], items[1:]
-    for sub, s in signed_permutations(rest):
-        for pos in range(len(sub) + 1):
-            sign = s if pos % 2 == 0 else -s
-            yield sub[:pos] + (head,) + sub[pos:], sign
 
 
 def stable_sort_sign(arrangement: Sequence) -> int:
@@ -105,9 +92,13 @@ class SignedOrbit:
 #: multiplicity patterns held: room for the 9! rows of the largest pattern
 #: (a strictly dominant weight of rank ``lie.MAX_RANK``) and more.
 TEMPLATE_ROW_BOUND = 1 << 19
-#: Cells (rows x (n+1)) an orbit reads through one ``itemgetter`` call; a
-#: larger template is read block by block, so that the transient tuples
-#: stay small beside the returned points.
+#: Orbit points the orbit cache may hold, summed over the orbits held:
+#: room for three generic rank-7 orbits; a larger orbit (a generic rank-8
+#: one has 9! points) is held alone.
+ORBIT_POINT_BOUND = 1 << 17
+#: Cells (rows x (n+1)) an orbit reads column by column at a time; a larger
+#: template is read block by block, so that the transient columns stay
+#: small beside the returned points.
 _BLOCK_CELLS = 1 << 15
 #: Parity bytes 0 <-> 1, for ``bytes.translate``.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -188,41 +179,54 @@ def _template(counts: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], tuple[bo
     return pairs, tuple(map((1, -1).__getitem__, parities)), even
 
 
-class _TemplateCache:
-    """Templates per multiplicity pattern.  While the rows held pass
-    ``bound`` the least recently used pattern is dropped first (the dict
-    keeps use order: a call moves its pattern to the end); a template
-    larger than the bound is held alone."""
+class _BoundedCache:
+    """Values of ``build`` per key, least recently used dropped first while
+    the sizes held pass ``bound`` (the dict keeps use order: a call moves
+    its key to the end); a value larger than the bound is held alone.
+    Hits and misses are counted as ``lru_cache`` counts them."""
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.rows_held = 0
-        self._templates: dict = {}  # counts -> (pairs, signs, even)
+    def __init__(self, build, size, bound: int):
+        self.build, self.size, self.bound = build, size, bound
+        self.held = self.hits = self.misses = 0
+        self._values: dict = {}
 
-    def template(self, counts: tuple[int, ...]) -> tuple[bytes, tuple, tuple]:
-        got = self._templates.pop(counts, None)
+    def __call__(self, key):
+        got = self._values.pop(key, None)
         if got is None:
-            got = _template(counts)
-            rows = len(got[1])
-            while self._templates and self.rows_held + rows > self.bound:
-                self.rows_held -= len(self._templates.pop(next(iter(self._templates)))[1])
-            self.rows_held += rows
-        self._templates[counts] = got
+            self.misses += 1
+            got = self.build(key)
+            size = self.size(got)
+            while self._values and self.held + size > self.bound:
+                self.held -= self.size(self._values.pop(next(iter(self._values))))
+            self.held += size
+        else:
+            self.hits += 1
+        self._values[key] = got
         return got
 
+    def cache_info(self) -> SimpleNamespace:
+        return SimpleNamespace(hits=self.hits, misses=self.misses,
+                               currsize=len(self._values), held=self.held)
 
-_TEMPLATES = _TemplateCache(TEMPLATE_ROW_BOUND)
+    def cache_clear(self) -> None:
+        self._values.clear()
+        self.held = self.hits = self.misses = 0
 
 
-@lru_cache(maxsize=128)
-def orbit(lam: tuple[int, ...]) -> SignedOrbit:
-    """Signed Weyl orbit of a dominant weight (eagerly materialized).
+_TEMPLATES = _BoundedCache(_template, lambda t: len(t[1]), TEMPLATE_ROW_BOUND)
 
-    The distinct suffix-sum values, largest first, and their counts (a zero
-    coordinate repeats the value before it) pick the template; a point's
-    coordinates are its row's pairs read from the table of differences of
-    those values.
-    """
+
+def _column(cells: bytes, table: list) -> tuple:
+    """table[c] for every cell c, as one tuple (``itemgetter`` of one cell
+    returns it bare)."""
+    return operator.itemgetter(*cells)(table) if len(cells) > 1 else (table[cells[0]],)
+
+
+def _orbit(lam: tuple[int, ...]) -> SignedOrbit:
+    """``orbit`` uncached.  The distinct suffix-sum values, largest first,
+    and their counts (a zero coordinate repeats the value before it) pick
+    the template; coordinate j of every point is read from the table of
+    differences of those values through the template's column of pairs."""
     lam = lie.dominant_weight(lam, "orbit")
     p = suffix_sums(lam)
     values, counts, run = [p[0]], [], 1
@@ -234,22 +238,32 @@ def orbit(lam: tuple[int, ...]) -> SignedOrbit:
         else:
             run += 1
     counts.append(run)
-    pairs, signs, even = _TEMPLATES.template(tuple(counts))
+    pairs, signs, even = _TEMPLATES(tuple(counts))
     differences = [a - b for a in values for b in values]
     n = len(lam)
     width = n + 1
     step = _BLOCK_CELLS - _BLOCK_CELLS % width
     points = []
     for start in range(0, len(pairs), step):
-        diffs = operator.itemgetter(*pairs[start:start + step])(differences)
-        points += [diffs[k:k + n] for k in range(0, len(diffs), width)]
-    return SignedOrbit(
-        rank=n,
-        dominant=lam,
-        points=tuple(points),
-        signs=signs,
-        even=even,
-    )
+        block = pairs[start:start + step]
+        points += zip(*(_column(block[j::width], differences) for j in range(n)))
+    return SignedOrbit(rank=n, dominant=lam, points=tuple(points), signs=signs, even=even)
+
+
+_ORBITS = _BoundedCache(_orbit, lambda orb: len(orb.points), ORBIT_POINT_BOUND)
+
+
+def orbit(lam: tuple[int, ...]) -> SignedOrbit:
+    """Signed Weyl orbit of a dominant weight (eagerly materialized), cached
+    per weight and bounded by the points held (``ORBIT_POINT_BOUND``).
+    Like ``lru_cache`` it has ``cache_info`` (hits and misses counted the
+    same way), ``cache_clear`` and ``__wrapped__`` (the uncached builder)."""
+    return _ORBITS(lam)
+
+
+orbit.cache_info = lambda: _ORBITS.cache_info()
+orbit.cache_clear = lambda: _ORBITS.cache_clear()
+orbit.__wrapped__ = _orbit
 
 
 def dominant_representative(mu: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from orbitpoly import analysis, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights
+from oracles import alpha_to_e_point, signed_permutations
 
 
 class TestTorusInnerProduct:
@@ -255,7 +256,7 @@ def grid_residues(n: int, n_points: int) -> list[tuple[int, ...]]:
 def even_orbit_key(r: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest rearrangement of r by an even permutation: one key per W+-orbit."""
     return min(tuple(r[i] for i in perm)
-               for perm, sign in weyl.signed_permutations(tuple(range(len(r)))) if sign > 0)
+               for perm, sign in signed_permutations(tuple(range(len(r)))) if sign > 0)
 
 
 SMALL_GRIDS = [(1, 1), (1, 2), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
@@ -385,7 +386,7 @@ class TestLaplacian:
                                           ("S", (1,) * 5)])
     @pytest.mark.parametrize("given_x", [False, True])
     def test_check_takes_the_first_passing_draw_of_its_block(self, kind, lam, given_x):
-        x = np.asarray(lie.alpha_to_e_point([0.37] * len(lam))) if given_x else None
+        x = np.asarray(alpha_to_e_point([0.37] * len(lam))) if given_x else None
         rng_block, rng_loop = np.random.default_rng(4), np.random.default_rng(4)
         got = analysis.laplacian_eigenvalue_check(kind, lam, x=x, rng=rng_block, retries=30)
         want = errors_by_draw(kind, lam, rng_loop, 1, 30, (1e-3,), upfront=True, x=x)
@@ -398,7 +399,7 @@ class TestLaplacian:
         assert err is not None and err < 1e-4
 
     def test_h_squared_scaling(self):
-        x = np.asarray(lie.alpha_to_e_point((0.23, 0.61)))
+        x = np.asarray(alpha_to_e_point((0.23, 0.61)))
         e1 = analysis.laplacian_eigenvalue_check("C", (1, 1), x=x, h=1e-3)
         e2 = analysis.laplacian_eigenvalue_check("C", (1, 1), x=x, h=5e-4)
         assert e1 is not None and e2 is not None
@@ -435,7 +436,7 @@ class TestLaplacian:
 
     def test_frame_choice_is_irrelevant(self):
         lam = (1, 1)
-        x = np.asarray(lie.alpha_to_e_point((0.19, 0.41)))
+        x = np.asarray(alpha_to_e_point((0.19, 0.41)))
         out = []
         for rev in (False, True):
             frame = analysis.hyperplane_frame(2, reverse=rev)

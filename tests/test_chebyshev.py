@@ -15,6 +15,11 @@ from conftest import dominant_weights
 RNG = np.random.default_rng(90125)
 
 
+def x_monomial(n, j):
+    """The polynomial X_{j+1} of rank n."""
+    return ch.XPolynomial(n, {tuple(int(k == j) for k in range(n)): 1})
+
+
 def poly_t_pick_last(lam):
     """poly_t built by splitting off the last positive fundamental weight
     instead of the first, on a fresh memo: the choice-independence oracle."""
@@ -29,14 +34,14 @@ def build_t_recursive(lam, memo):
     if not any(lam):
         result = ch.XPolynomial(n, {(0,) * n: 1})
     elif sum(lam) == 1:
-        result = ch._x_monomial(n, lam.index(1))
+        result = x_monomial(n, lam.index(1))
     else:
         j = ch._first_positive(lam)
         mu = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
         omega_j = tuple(1 if k == j else 0 for k in range(n))
         dec = exp_ring.decompose_into_c(
             exp_ring.exp_sum(omega_j, "C") * exp_ring.exp_sum(mu, "C"))
-        result = ch._x_monomial(n, j) * build_t_recursive(mu, memo)
+        result = x_monomial(n, j) * build_t_recursive(mu, memo)
         for nu, mult in dec.terms.items():
             if nu != lam:
                 result = result - build_t_recursive(nu, memo).scale(mult)
@@ -59,12 +64,12 @@ def build_u_recursive(lam, memo):
     if not any(lam):
         result = ch.XPolynomial(n, {(0,) * n: 1})
     elif sum(lam) == 1:
-        result = ch._x_monomial(n, lam.index(1))
+        result = x_monomial(n, lam.index(1))
     else:
         j = ch._first_positive(lam)
         mu = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
         p = lie.suffix_sums(mu)
-        result = ch._x_monomial(n, j) * build_u_recursive(mu, memo)
+        result = x_monomial(n, j) * build_u_recursive(mu, memo)
         for ones in itertools.combinations(range(n + 1), j + 1):
             q = [c + (k in ones) for k, c in enumerate(p)]
             nu = tuple(a - b for a, b in zip(q, q[1:]))
@@ -101,7 +106,7 @@ def poly_u_by_dual_jacobi_trudi(lam):
     def e(k):
         if k in (0, n + 1):
             return one
-        return ch._x_monomial(n, k - 1) if 1 <= k <= n else None
+        return x_monomial(n, k - 1) if 1 <= k <= n else None
 
     matrix = [[e(conj[i] - i + j) for j in range(size)] for i in range(size)]
 
@@ -123,8 +128,20 @@ def poly_u_by_dual_jacobi_trudi(lam):
     return minor(tuple(range(size)))
 
 
+def orbit_terms_by_product(lam, j, mu):
+    """The first kind's step through the general orbit product, the
+    stabilizer form summed over the orbit points: ``_orbit_terms``' oracle."""
+    omega_j = tuple(1 if k == j else 0 for k in range(len(mu)))
+    dec = exp_ring._orbit_product(omega_j, mu)
+    assert dec.terms.get(lam) == 1
+    return [(nu, mult) for nu, mult in dec.terms.items() if nu != lam]
+
+
 #: Second-kind table boxes, rank -> largest coordinate.
 U_TABLE_BOXES = {2: 8, 3: 3, 4: 1}
+#: The tables workload's boxes for the two kinds (``bench/workloads.py``).
+T_BOXES = {1: 20, 2: 8, 3: 6, 4: 3, 5: 1}
+U_BOXES = {1: 20, **U_TABLE_BOXES}
 
 
 class TestClassicalPolynomials:
@@ -327,6 +344,42 @@ class TestPolyT:
         first = ch.poly_t((2, 1))
         again = ch.poly_t((2, 1))
         assert first is again
+
+
+class TestPieriSteps:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_t_step_matches_orbit_product(self, n):
+        # Every (mu, j) of the ranks 1-6 boxes, the (nu, mult) list in order.
+        for mu in itertools.product(range({**T_BOXES, 6: 1}[n] + 1), repeat=n):
+            for j in range(n):
+                lam = tuple(c + (k == j) for k, c in enumerate(mu))
+                assert ch._orbit_terms(lam, j, mu) == orbit_terms_by_product(lam, j, mu), (mu, j)
+
+    @pytest.mark.parametrize("kind, n", [("T", n) for n in T_BOXES] + [("U", n) for n in U_BOXES])
+    def test_table_boxes_match_recursion_from_scratch(self, kind, n):
+        poly, build, boxes = {"T": (ch.poly_t, build_t_recursive, T_BOXES),
+                              "U": (ch.poly_u, build_u_recursive, U_BOXES)}[kind]
+        oracle = {}
+        for lam in itertools.product(range(boxes[n] + 1), repeat=n):
+            assert list(poly(lam).terms.items()) == list(build(lam, oracle).terms.items()), lam
+
+    def test_both_kinds_share_one_steps_table(self):
+        # Both recursions take the same steps from lam, so the second kind
+        # finds every (support, j) it needs already enumerated.
+        ch._pieri_steps.cache_clear()
+        ch._build_t((2, 0, 3, 1), ch._first_positive, {})
+        after_t = ch._pieri_steps.cache_info()
+        ch._build_u((2, 0, 3, 1), ch._first_positive, {})
+        after_u = ch._pieri_steps.cache_info()
+        assert after_u.misses == after_t.misses and after_u.hits > after_t.hits
+
+    def test_memos_hold_one_tuple_per_monomial(self):
+        for lam in itertools.product(range(4), repeat=3):
+            ch.poly_t(lam)
+            ch.poly_u(lam)
+        keys = [d for memo in (ch._T_MEMO, ch._U_MEMO)
+                for lam, p in memo.items() if len(lam) == 3 for d in p.terms]
+        assert len({id(d) for d in keys}) == len(set(keys)) < len(keys)
 
 
 class TestPolyU:

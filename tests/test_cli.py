@@ -272,6 +272,35 @@ class TestUnwritableOut:
         assert result.stderr.count("\n") == 1
         assert result.stderr.startswith(f"Error: Could not open file '{target}'")
 
+    @pytest.mark.parametrize("where", ["missing/x", "."])
+    def test_verify_refuses_before_any_suite_runs(self, runner, tmp_path, monkeypatch, where):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the --out check")
+
+        monkeypatch.setattr(analysis, "run_suite", must_not_run)
+        target = tmp_path / where
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "4", "--out", str(target)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"Error: Could not open file '{target}'")
+
+    def test_check_leaves_no_file_behind(self, runner, tmp_path):
+        # A writable target, then a suite refused up front (exit 2): the
+        # check's probe does not stay behind as an empty file.
+        target = tmp_path / "report.txt"
+        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "6", "--out", str(target)])
+        assert result.exit_code == 2
+        assert "GiB" in result.output
+        assert not target.exists()
+        target.write_text("kept\n")
+        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "6", "--out", str(target)])
+        assert result.exit_code == 2
+        assert target.read_text() == "kept\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, strict_weights
+from oracles import alpha_to_e_point, signed_permutations
 
 RNG = np.random.default_rng(20259)
 
@@ -22,7 +23,7 @@ def permanent_naive(a: np.ndarray) -> complex:
     """Permanent by direct expansion over all permutations: the independent
     oracle for the inclusion-exclusion path."""
     total = 0j
-    for perm, _ in weyl.signed_permutations(tuple(range(a.shape[0]))):
+    for perm, _ in signed_permutations(tuple(range(a.shape[0]))):
         prod = 1.0 + 0j
         for i, j in enumerate(perm):
             prod *= a[i, j]
@@ -34,14 +35,14 @@ def d_alt_loop(l, x) -> complex:
     """The alternating form as one exponential per even permutation summed
     in a loop: the independent oracle for the kernel path."""
     total = 0j
-    for perm, sign in weyl.signed_permutations(tuple(range(len(l)))):
+    for perm, sign in signed_permutations(tuple(range(len(l)))):
         if sign == 1:
             total += cmath.exp(2j * pi * sum(l[i] * x[j] for i, j in enumerate(perm)))
     return total
 
 
 def e_point(rng, n):
-    return np.asarray(lie.alpha_to_e_point(rng.random(n)), dtype=float)
+    return np.asarray(alpha_to_e_point(rng.random(n)), dtype=float)
 
 
 class TestRankOneClosedForms:
@@ -121,13 +122,13 @@ class TestDomainHandling:
     def test_basis_entry_points_agree(self):
         lam = (2, 1)
         x = (0.17, 0.62)
-        xe = lie.alpha_to_e_point(x)
+        xe = alpha_to_e_point(x)
         assert of.eval_c(lam, xe, basis="e") == pytest.approx(of.eval_c(lam, x))
         assert of.eval_s(lam, xe, basis="e") == pytest.approx(of.eval_s(lam, x))
 
     def test_e_point_shift_along_ones_is_irrelevant(self):
         lam = (1, 1)
-        xe = np.array(lie.alpha_to_e_point((0.2, 0.5)))
+        xe = np.array(alpha_to_e_point((0.2, 0.5)))
         shifted = xe + 0.77
         assert of.eval_c(lam, shifted, basis="e") == pytest.approx(
             of.eval_c(lam, xe, basis="e")
@@ -153,7 +154,7 @@ class TestBatches:
         rng = np.random.default_rng(100 * n + m)
         xs = rng.random((m, n)) * 4 - 2
         if basis == "e":
-            xs = np.array([lie.alpha_to_e_point(row) for row in xs]) + rng.random((m, 1))
+            xs = np.array([alpha_to_e_point(row) for row in xs]) + rng.random((m, 1))
         for lam in batch_labels(kind, n, rng):
             values = f(lam, xs, basis=basis)
             assert isinstance(values, np.ndarray) and values.shape == (m,)
@@ -297,7 +298,7 @@ def assert_matches_exp_sum(lam, rng, points=3):
     n = len(lam)
     size = weyl.orbit_size(lam)
     xs = rng.random((points, n)) * 4 - 2
-    x_e = np.array([lie.alpha_to_e_point(row) for row in xs]) + rng.random((points, 1))
+    x_e = np.array([alpha_to_e_point(row) for row in xs]) + rng.random((points, 1))
     for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
         want = exp_sum(lam, kind).evaluate(xs)
         labels = [lam, weyl.reflect_weight(int(rng.integers(1, n + 1)), lam)] if kind == "E" else [lam]
@@ -596,7 +597,7 @@ class TestFormBatches:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_even_permutations_in_lexicographic_order(self, m):
         even = of._even_permutations(m)
-        expect = sorted(p for p, sign in weyl.signed_permutations(tuple(range(m))) if sign > 0)
+        expect = sorted(p for p, sign in signed_permutations(tuple(range(m))) if sign > 0)
         assert even.dtype == np.int8 and not even.flags.writeable
         assert [tuple(row) for row in even.tolist()] == expect
 

@@ -1,5 +1,6 @@
 """Orbit generation, parity signs, dominant representatives, even sub-orbits."""
 import ast
+import functools
 import itertools
 import pathlib
 from math import factorial
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import exp_ring, lie, weyl
+from orbitpoly import chebyshev, exp_ring, lie, weyl
 from conftest import dominant_weights, strict_weights, weights
+from oracles import signed_permutations
 
 
 def a2_generic_signed_orbit(m1, m2):
@@ -58,7 +60,7 @@ def orbit_by_sorting(lam):
     n = len(lam)
     scaled = omega_to_e_scaled(lam)
     if len(set(scaled)) == len(scaled):
-        entries = [(arr, s, s > 0) for arr, s in weyl.signed_permutations(scaled)]
+        entries = [(arr, s, s > 0) for arr, s in signed_permutations(scaled)]
     else:
         entries = [(arr, weyl.stable_sort_sign(arr), True)
                    for arr in _multiset_arrangements(scaled)]
@@ -238,15 +240,80 @@ class TestOrbitTemplates:
         assert orb_a.even is orb_b.even
 
     def test_template_cache_stays_within_its_bound(self, monkeypatch):
-        cache = weyl._TemplateCache(30)
+        cache = weyl._BoundedCache(weyl._template, lambda t: len(t[1]), 30)
         monkeypatch.setattr(weyl, "_TEMPLATES", cache)
         for lam in [(1, 1, 1), (1, 0, 1), (2, 0, 0), (1, 1, 1, 1), (3, 1), (0, 2, 0), (1, 2, 1)]:
             orb = weyl.orbit.__wrapped__(lam)
             assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
-            held = [len(signs) for _, signs, _ in cache._templates.values()]
-            assert cache.rows_held == sum(held)
+            held = [len(signs) for _, signs, _ in cache._values.values()]
+            assert cache.held == sum(held)
             # A template over the bound (the 120 rows of (1, 1, 1, 1)) is held alone.
-            assert cache.rows_held <= cache.bound or len(held) == 1
+            assert cache.held <= cache.bound or len(held) == 1
+
+
+class TestOrbitCache:
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """A fresh orbit cache of 30 points in place of the module's."""
+        cache = weyl._BoundedCache(weyl._orbit, lambda orb: len(orb.points), 30)
+        monkeypatch.setattr(weyl, "_ORBITS", cache)
+        return cache
+
+    def test_stays_within_its_bound(self, cache):
+        for lam in [(1, 1), (1, 0, 1), (2, 0, 0), (1, 1, 1, 1), (3, 1), (0, 2, 0), (1, 2, 1),
+                    (0, 2, 0), (1, 1)]:
+            orb = weyl.orbit(lam)
+            assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
+            held = [orb.size for orb in cache._values.values()]
+            assert cache.held == sum(held)
+            # An orbit over the bound (the 120 points of (1, 1, 1, 1)) is held alone.
+            assert cache.held <= cache.bound or len(held) == 1
+        # The hit on (0, 2, 0) made (1, 2, 1) the least recently used.
+        assert list(cache._values) == [(0, 2, 0), (1, 1)]
+
+    def test_hits_and_misses_as_lru_cache_counts_them(self, cache):
+        lru = functools.lru_cache(maxsize=None)(weyl._orbit)
+        calls = [(1, 1), (1, 1), (2, 1), (1, 1), [1, 2], (1, -1), (1, -1), (0,)]
+        for lam in calls:
+            for f in (weyl.orbit, lru):
+                try:
+                    f(lam)
+                except (TypeError, ValueError) as exc:
+                    error = type(exc)
+            info = weyl.orbit.cache_info()
+            assert (info.hits, info.misses) == (lru.cache_info().hits, lru.cache_info().misses)
+        assert error is ValueError
+        assert (info.hits, info.misses, info.currsize, info.held) == (2, 5, 3, 13)
+        assert weyl.orbit((2, 1)) is weyl.orbit((2, 1))
+
+    def test_cache_clear_empties_it(self, cache):
+        weyl.orbit((1, 2))
+        weyl.orbit((1, 2))
+        weyl.orbit.cache_clear()
+        info = weyl.orbit.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.held) == (0, 0, 0, 0)
+        assert cache._values == {}
+
+    def test_wrapped_is_the_uncached_builder(self, cache):
+        assert weyl.orbit.__wrapped__ is weyl._orbit
+        orb = weyl.orbit.__wrapped__((1, 0, 2))
+        assert orb is not weyl.orbit.__wrapped__((1, 0, 2))
+        assert cache.misses == 0
+
+    def test_pc_then_ps_pass_builds_each_orbit_once(self, monkeypatch):
+        # The tables job's substitution passes over the rank-4 box, on the
+        # module's own bound.
+        monkeypatch.setattr(weyl, "_ORBITS", weyl._BoundedCache(
+            weyl._orbit, lambda orb: len(orb.points), weyl.ORBIT_POINT_BOUND))
+        box = list(itertools.product(range(4), repeat=4))
+        for lam in box:
+            chebyshev.substitute_p(lam, "C")
+        for lam in box:
+            if min(lam) > 0:
+                chebyshev.substitute_p(lam, "S")
+        info = weyl.orbit.cache_info()
+        assert info.misses == len(box)
+        assert info.hits == sum(min(lam) > 0 for lam in box)
 
 
 def module_level_imports(module) -> list[str]:
@@ -379,11 +446,11 @@ class TestDominantRepresentativeOracle:
 
 class TestSignedPermutations:
     def test_small(self):
-        got = dict(weyl.signed_permutations((0, 1)))
+        got = dict(signed_permutations((0, 1)))
         assert got == {(0, 1): 1, (1, 0): -1}
 
     def test_counts_by_parity(self):
-        perms = list(weyl.signed_permutations((0, 1, 2, 3)))
+        perms = list(signed_permutations((0, 1, 2, 3)))
         assert len(perms) == 24
         assert sum(s for _, s in perms) == 0
 
