@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Sequence
 
@@ -199,11 +200,15 @@ def quadrature_inner_product(
 # ---------------------------------------------------------------------------
 # Laplacian eigenvalue checks.
 
+@lru_cache(maxsize=None)
 def hyperplane_frame(n: int, reverse: bool = False) -> np.ndarray:
-    """Orthonormal frame of the zero-sum hyperplane in R^{n+1}.
+    """Orthonormal frame of the zero-sum hyperplane in R^{n+1}, as (n, n+1)
+    rows.
 
     Gram-Schmidt on the difference vectors e_i - e_{i+1} (reversed order
     when asked; the Laplacian is frame-independent and tests exploit that).
+    The frame is computed once per argument and cached: the returned array
+    is shared and read-only.
     """
     basis = [np.eye(n + 1)[i] - np.eye(n + 1)[i + 1] for i in range(n)]
     if reverse:
@@ -214,7 +219,9 @@ def hyperplane_frame(n: int, reverse: bool = False) -> np.ndarray:
         for u in frame:
             w = w - (w @ u) * u
         frame.append(w / np.linalg.norm(w))
-    return np.array(frame)
+    out = np.array(frame)
+    out.flags.writeable = False
+    return out
 
 
 _EVALUATORS = {
@@ -228,8 +235,10 @@ def _random_e_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """m uniform points of the alpha-basis unit cube as (m, n+1) e-points;
     the same stream as m draws of ``rng.random(n)``."""
     alpha = rng.random((m, n))
-    zero = np.zeros((m, 1))
-    return np.hstack([alpha, zero]) - np.hstack([zero, alpha])
+    out = np.zeros((m, n + 1))
+    out[:, :n] = alpha
+    out[:, 1:] -= alpha
+    return out
 
 
 def _fd_block(

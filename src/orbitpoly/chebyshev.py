@@ -121,14 +121,30 @@ _Z = ClassicalPoly.of(0, 1)
 _ONE = ClassicalPoly.of(1)
 
 
+#: Per kind, keyed by P_1's coefficients: the last (k, P_{k-1}, P_k) that
+#: the three-term recursion reached.  One pair, not every degree, so the
+#: memory stays that of the two polynomials the recursion holds anyway.
+_LAST: dict[tuple[int, ...], tuple[int, ClassicalPoly, ClassicalPoly]] = {}
+
+
 def _three_term(m: int, first: ClassicalPoly) -> ClassicalPoly:
-    """P_m of the recursion P_{k+1} = 2z P_k - P_{k-1}, P_0 = 1, P_1 = first,
-    started one step back at P_{-1} = 2z - first."""
+    """P_m of the recursion P_{k+1} = 2z P_k - P_{k-1}, P_0 = 1, P_1 = first.
+
+    It steps on from the last pair it reached for this P_1, and starts
+    again, one step back at P_{-1} = 2z - first, only for a lower degree.
+    """
     if m < 0:
         raise ValueError("degree must be >= 0")
-    prev, cur = _Z.scale(2) - first, _ONE
-    for _ in range(m):
-        prev, cur = cur, _Z.scale(2) * cur - prev
+    kind = first.coeffs
+    k, prev, cur = _LAST.get(kind, (0, None, None))
+    if prev is None or m < k:
+        k, prev, cur = 0, _Z.scale(2) - first, _ONE
+    for _ in range(m - k):
+        # 2z * P_k shifts every degree up by one: the terms of the product
+        # 2z * P_k, in its order, without a convolution.
+        two_z_cur = ClassicalPoly._adopt(1, {(d + 1,): 2 * c for (d,), c in cur.terms.items()})
+        prev, cur = cur, two_z_cur - prev
+    _LAST[kind] = (m, prev, cur)
     return cur
 
 
@@ -397,8 +413,15 @@ def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
     n = len(a)
     if not 1 <= j <= n:
         raise ValueError(f"fundamental index {j} out of range 1..{n}")
-    omega_j = tuple(1 if k == j - 1 else 0 for k in range(n))
-    return RecursionRelation(rank=n, j=j, a=a, rhs=exp_ring._orbit_product(omega_j, a))
+    # X_j * C_a by the first kind's Pieri step, with lam = a + omega_j (the
+    # one term of multiplicity 1 it leaves out) put at its graded-lex place.
+    lam = tuple(c + (k == j - 1) for k, c in enumerate(a))
+    terms = _orbit_terms(lam, j - 1, a)
+    key = exp_ring.grlex_key(lam)
+    at = next((i for i, (nu, _) in enumerate(terms) if exp_ring.grlex_key(nu) < key),
+              len(terms))
+    terms.insert(at, (lam, 1))
+    return RecursionRelation(rank=n, j=j, a=a, rhs=OrbitDecomposition._adopt(n, dict(terms)))
 
 
 def a1_z_coefficients(poly: XPolynomial) -> tuple[int, ...]:

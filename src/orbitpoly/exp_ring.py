@@ -490,12 +490,6 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
-    return _orbit_product(a, b)
-
-
-def _orbit_product(a: tuple[int, ...], b: tuple[int, ...]) -> OrbitDecomposition:
-    """``orbit_product`` of two dominant weight tuples of one rank, which it
-    does not check: the kernel for callers that made the weights themselves."""
     stab_a, stab_b = weyl._stabilizer_order(a), weyl._stabilizer_order(b)
     if stab_a < stab_b:
         a, b, stab_b = b, a, stab_a

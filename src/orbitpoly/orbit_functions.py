@@ -60,8 +60,17 @@ def _in_basis(rows: np.ndarray, basis: str) -> np.ndarray:
     if basis == "alpha":
         return rows
     if basis == "e":
-        return rows @ np.array(lie.omega_to_e_matrix(rows.shape[1]), dtype=float).T
+        return rows @ _omega_to_e(rows.shape[1]).T
     raise ValueError(f"unknown basis {basis!r}")
+
+
+@lru_cache(maxsize=None)
+def _omega_to_e(n: int) -> np.ndarray:
+    """``lie.omega_to_e_matrix(n)`` as an (n+1, n) float array, read-only:
+    every e-basis table shares it."""
+    matrix = np.array(lie.omega_to_e_matrix(n), dtype=float)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
@@ -451,18 +460,33 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
 
     The row sums over every nonempty column subset are one product with the
     (m, 2^m - 1) 0/1 mask matrix; their product over the rows is summed with
-    sign (-1)^(m - |subset|).
+    sign (-1)^(m - |subset|).  A 0 x 0 matrix has permanent 1.
     """
     a = np.asarray(a)
     m = a.shape[-1] if a.ndim else 0
     if a.ndim < 2 or a.shape[-2] != m:
         raise ValueError("permanent requires a square matrix")
-    if m > 9:
-        raise ValueError(f"permanent limited to order 9, got {m}")
-    masks = (np.arange(1, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
-    signs = (-1.0) ** (m - masks.sum(axis=0))
+    masks, signs = _ryser(m)
     total = (a @ masks).prod(axis=-2) @ signs
     return complex(total) if total.ndim == 0 else total
+
+
+@lru_cache(maxsize=None)
+def _ryser(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, signs) of Ryser's formula at order m <= 9, read-only: the 0/1
+    matrix of the column subsets, one column each, and their signs.
+
+    The empty subset's term is the product of m zero row sums, 0 for m >= 1,
+    so it is left out there; at m = 0 it is the empty product 1, and it is
+    the only subset.
+    """
+    if m > 9:
+        raise ValueError(f"permanent limited to order 9, got {m}")
+    masks = (np.arange(1 if m else 0, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
+    signs = (-1.0) ** (m - masks.sum(axis=0))
+    for shared in (masks, signs):
+        shared.flags.writeable = False
+    return masks, signs
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 conversions that the package itself does not need."""
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Sequence
 
 
@@ -44,3 +45,16 @@ def e_to_alpha_point(coords: Sequence[float]) -> tuple[float, ...]:
         run += c
         out.append(run)
     return tuple(out)
+
+
+def three_term_coeffs(m: int, first: Sequence[int]) -> tuple[int, ...]:
+    """Dense coefficients of P_m for P_0 = 1, P_1 = first (dense) and
+    P_{k+1} = 2z P_k - P_{k-1}: the classical Chebyshev recursion on plain
+    integer lists, from P_0 on every call.  ``first`` is (0, 1) for the
+    first kind and (0, 2) for the second."""
+    prev, cur = [1], list(first)
+    if m == 0:
+        return tuple(prev)
+    for _ in range(m - 1):
+        prev, cur = cur, list(map(operator.sub, [0] + [2 * c for c in cur], prev + [0, 0]))
+    return tuple(cur)

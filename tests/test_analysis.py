@@ -322,6 +322,32 @@ class TestHyperplaneFrame:
         assert np.allclose(frame @ frame.T, np.eye(n), atol=1e-12)
         assert np.allclose(frame @ np.ones(n + 1), 0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cached_read_only_and_fresh(self, n, reverse):
+        frame = analysis.hyperplane_frame(n, reverse)
+        fresh = analysis.hyperplane_frame.__wrapped__(n, reverse)
+        assert frame is not fresh and analysis.hyperplane_frame(n, reverse) is frame
+        assert not frame.flags.writeable
+        assert frame.shape == fresh.shape and frame.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
+
+
+class TestRandomEPoints:
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_two_stacks(self, m, n):
+        # The construction it replaced, on the same seeded stream.
+        rng, again = np.random.default_rng(404), np.random.default_rng(404)
+        points = analysis._random_e_points(rng, m, n)
+        alpha = again.random((m, n))
+        zero = np.zeros((m, 1))
+        stacked = np.hstack([alpha, zero]) - np.hstack([zero, alpha])
+        assert points.shape == stacked.shape == (m, n + 1)
+        assert points.tobytes() == stacked.tobytes()
+        assert rng.bit_generator.state == again.bit_generator.state
+
 
 def errors_by_draw(kind, lam, rng, points, draws, steps, upfront=False, x=None):
     """The per-draw loop: one point drawn and its stencil evaluated at a

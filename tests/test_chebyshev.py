@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from orbitpoly import chebyshev as ch, exp_ring, lie, orbit_functions as of, weyl
 from conftest import dominant_weights
+from oracles import three_term_coeffs
 
 RNG = np.random.default_rng(90125)
 
@@ -132,7 +133,7 @@ def orbit_terms_by_product(lam, j, mu):
     """The first kind's step through the general orbit product, the
     stabilizer form summed over the orbit points: ``_orbit_terms``' oracle."""
     omega_j = tuple(1 if k == j else 0 for k in range(len(mu)))
-    dec = exp_ring._orbit_product(omega_j, mu)
+    dec = exp_ring.orbit_product(omega_j, mu)
     assert dec.terms.get(lam) == 1
     return [(nu, mult) for nu, mult in dec.terms.items() if nu != lam]
 
@@ -181,6 +182,77 @@ class TestClassicalPolynomials:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             ch.classical_t(-1)
+
+
+@pytest.fixture
+def cold_classical():
+    """The classical polynomials with no cached degree and no pair to
+    resume from, before and after the test."""
+    def clear():
+        ch.classical_t.cache_clear()
+        ch.classical_u.cache_clear()
+        ch._LAST.clear()
+    clear()
+    yield
+    clear()
+
+
+#: P_1 of each kind, dense.
+FIRST = {"T": (0, 1), "U": (0, 2)}
+CLASSICAL = {"T": ch.classical_t, "U": ch.classical_u}
+
+
+@pytest.mark.usefixtures("cold_classical")
+class TestResumedRecursion:
+    """The three-term recursion steps on from the last pair it reached, so
+    the order of the requests must not change any polynomial."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_any_order_matches_from_scratch(self, order):
+        degrees = range(41) if order == "ascending" else range(40, -1, -1)
+        for m in degrees:
+            for kind in "TU":
+                assert CLASSICAL[kind](m).coeffs == three_term_coeffs(m, FIRST[kind]), (kind, m)
+
+    def test_interleaved_order_matches_from_scratch(self):
+        rng = np.random.default_rng(31)
+        for _ in range(120):
+            kind, m = "TU"[rng.integers(2)], int(rng.integers(45))
+            assert CLASSICAL[kind](m).coeffs == three_term_coeffs(m, FIRST[kind]), (kind, m)
+
+    @pytest.mark.parametrize("kind", "TU")
+    def test_degree_3000(self, kind):
+        # An explicit loop, not recursion: no depth limit at high degree.
+        assert CLASSICAL[kind](3000).coeffs == three_term_coeffs(3000, FIRST[kind])
+
+    def test_ascending_sweep_steps_once_per_degree(self, monkeypatch):
+        # One subtraction per step, plus one for the start P_{-1} = 2z - P_1.
+        calls = []
+        sub = ch.ClassicalPoly.__sub__
+        monkeypatch.setattr(ch.ClassicalPoly, "__sub__",
+                            lambda a, b: calls.append(1) or sub(a, b))
+        for m in range(22):
+            ch.classical_t(m)
+        assert len(calls) == 21 + 1
+        ch.classical_t(5)  # cached: no step
+        assert len(calls) == 22
+
+    def test_lower_degree_restarts_and_keeps_one_pair(self):
+        ch.classical_t(30)
+        assert ch._LAST[FIRST["T"]][0] == 30
+        assert ch.classical_t(7).coeffs == three_term_coeffs(7, FIRST["T"])
+        m, prev, cur = ch._LAST[FIRST["T"]]
+        assert (m, prev, cur) == (7, ch.classical_t(6), ch.classical_t(7))
+        assert list(ch._LAST) == [FIRST["T"]]
+
+    @pytest.mark.parametrize("kind", "TU")
+    def test_negative_degree_rejected_after_a_step(self, kind):
+        CLASSICAL[kind](12)
+        with pytest.raises(ValueError):
+            CLASSICAL[kind](-1)
+        with pytest.raises(ValueError):
+            ch._three_term(-3, ch.ClassicalPoly.of(*FIRST[kind]))
+        assert CLASSICAL[kind](13).coeffs == three_term_coeffs(13, FIRST[kind])
 
 
 class TestClassicalIdentities:
@@ -543,6 +615,30 @@ class TestRecursionRelation:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             ch.recursion_relation(3, (1, 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_orbit_product_on_the_boxes(self, n):
+        # Every (j, a) of the ranks 1-6 boxes: the terms and their order.
+        for a in itertools.product(range({**T_BOXES, 6: 1}[n] + 1), repeat=n):
+            for j in range(1, n + 1):
+                omega_j = tuple(int(k == j - 1) for k in range(n))
+                rhs = ch.recursion_relation(j, a).rhs
+                expected = exp_ring.orbit_product(omega_j, a)
+                assert type(rhs) is type(expected)
+                assert list(rhs.terms.items()) == list(expected.terms.items()), (j, a)
+
+    def test_lam_at_its_graded_lex_place(self):
+        # lam = a + omega_j is not always first: C_(2,0,2) comes before it.
+        rel = ch.recursion_relation(2, (1, 1, 1))
+        assert list(rel.rhs.terms.items())[:2] == [((2, 0, 2), 2), ((1, 2, 1), 1)]
+
+    def test_takes_the_pieri_step(self, monkeypatch):
+        expected = exp_ring.orbit_product((0, 1, 0, 0), (3, 0, 2, 1))
+
+        def no_product(a, b):
+            raise AssertionError("recursion_relation ran the general orbit product")
+        monkeypatch.setattr(exp_ring, "orbit_product", no_product)
+        assert ch.recursion_relation(2, (3, 0, 2, 1)).rhs == expected
 
 
 class TestSerialization:

@@ -205,6 +205,22 @@ def assert_tables_match_the_exact_path(lam):
             assert signs.tolist() == list(weyl.orbit(lam).signs)
 
 
+class TestOmegaToE:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cached_float_matrix_is_read_only_and_fresh(self, n):
+        matrix = of._omega_to_e(n)
+        fresh = np.array(lie.omega_to_e_matrix(n), dtype=float)
+        assert not matrix.flags.writeable
+        assert matrix.shape == fresh.shape == (n + 1, n)
+        assert matrix.tobytes() == fresh.tobytes()
+        assert of._omega_to_e(n) is matrix
+
+    def test_e_rows_match_the_fraction_matrix(self):
+        rows = RNG.integers(-3, 4, size=(7, 4)).astype(float)
+        fresh = rows @ np.array(lie.omega_to_e_matrix(4), dtype=float).T
+        assert of._in_basis(rows, "e").tobytes() == fresh.tobytes()
+
+
 class TestOrbitTables:
     """``_table`` builds the rows from the permutation table; ``weyl.orbit``
     and ``exp_sum`` are the exact path it must equal bit for bit."""
@@ -507,6 +523,24 @@ class TestPermanent:
             of.permanent(np.ones(3))
         with pytest.raises(ValueError):
             of.permanent(np.ones((10, 10)))
+
+    def test_empty_matrix_is_one(self):
+        # Ryser's empty product, as the determinant of the 0 x 0 matrix.
+        assert of.permanent(np.zeros((0, 0))) == 1 == np.linalg.det(np.zeros((0, 0)))
+        assert isinstance(of.permanent(np.zeros((0, 0))), complex)
+        assert of.permanent(np.zeros((2, 3, 0, 0))).tolist() == [[1, 1, 1], [1, 1, 1]]
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_cached_masks_are_read_only_and_fresh(self, m):
+        masks, signs = of._ryser(m)
+        fresh = (np.arange(1, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
+        assert not masks.flags.writeable and not signs.flags.writeable
+        assert masks.dtype == fresh.dtype and masks.shape == fresh.shape == (m, 2 ** m - 1)
+        assert masks.tobytes() == fresh.tobytes()
+        assert signs.tobytes() == ((-1.0) ** (m - fresh.sum(axis=0))).tobytes()
+        assert of._ryser(m)[0] is masks
+        with pytest.raises(ValueError):
+            masks[0, 0] = 2.0
 
 
 class TestExponentialForms:
