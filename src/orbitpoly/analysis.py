@@ -496,13 +496,17 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
 
     - the orbit-function tables of the labels whose evaluation sums table
       rows (``orbit_functions.expands`` is false), at every rank k <= n:
-      C/S rows and E's even half, at most ``orbit_functions.TABLE_ROW_BOUND``
-      rows in all, 8(m+2) bytes a row (m e-coordinates, a coefficient and a
-      wall label's own signs); labels that expand hold none;
-    - the cached permutation tables of every m' <= m, m'!(2m'+8) bytes each
-      (``_permutation_table``: int8 permutations and inverses, float
-      parities), and the even permutations of ``_even_permutations``, mN/2
-      as int8, with ``d_alt``'s float copy l[even], 4mN;
+      C/S rows and E's even half, each table also counted at
+      ``orbit_functions.TABLE_ENTRY_ROWS``, at most
+      ``orbit_functions.TABLE_ROW_BOUND`` rows in all, 8(m+2) bytes a row
+      (m e-coordinates, a coefficient and the table's own signs); labels
+      that expand hold none;
+    - the arrangements the tables read and the orbit templates, at most
+      ``weyl.TEMPLATE_ROW_BOUND`` rows each: m+1 bytes a row (index row and
+      parity byte) and m+16 (pair cells and the 8-byte slots of the sign
+      and even tuples);
+    - the even permutations of ``_even_permutations``, mN/2 bytes, with
+      ``d_alt``'s float copy l[even], 4mN;
     - the largest transient: building one table, 24mN (the int64
       arrangements, their differences as int64 and as float, the e-basis
       product), or the kernel's phase and exponential arrays, 32 bytes a
@@ -514,16 +518,16 @@ def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
     m = n + 1
     size = factorial(m)
     labels = min(samples, coord_bound ** n) + 1
-    rows = n * orbit_functions.TABLE_ENTRY_ROWS
+    rows = 0
     for k in range(1, n + 1):  # every strictly dominant label of rank k takes rho's paths
         rho = (1,) * k
         if not (orbit_functions.expands(rho, "C") and orbit_functions.expands(rho, "S")):
-            rows += factorial(k + 1)
+            rows += factorial(k + 1) + orbit_functions.TABLE_ENTRY_ROWS
         if not orbit_functions.expands(rho, "E"):
-            rows += factorial(k + 1) // 2
+            rows += factorial(k + 1) // 2 + orbit_functions.TABLE_ENTRY_ROWS
     rows = min(orbit_functions.TABLE_ROW_BOUND, labels * rows)
-    tables = sum(factorial(k) * (2 * k + 8) for k in range(2, m + 1))
-    held = 8 * (m + 2) * rows + tables + m * size // 2 + 4 * m * size
+    templates = (2 * m + 17) * weyl.TEMPLATE_ROW_BOUND
+    held = 8 * (m + 2) * rows + templates + m * size // 2 + 4 * m * size
     per_sample = 16 * (2 * (m + 1) * 2 ** m + m * m)
     return held + max(24 * m * size, 32 * size * samples) + per_sample * samples
 

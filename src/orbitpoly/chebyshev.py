@@ -119,6 +119,7 @@ class ClassicalPoly(Polynomial):
 
 _Z = ClassicalPoly.of(0, 1)
 _ONE = ClassicalPoly.of(1)
+_ONE_MINUS_Z2 = _ONE - _Z * _Z
 
 
 #: Per kind, keyed by P_1's coefficients: the last (k, P_{k-1}, P_k) that
@@ -170,7 +171,7 @@ def check_classical_identities(m: int) -> dict[str, bool]:
     if m >= 1:
         out["derivative"] = classical_t(m).derivative() == classical_u(m - 1).scale(m)
         out["mixed_step"] = classical_t(m + 1) == (
-            _Z * classical_t(m) - (_ONE - _Z * _Z) * classical_u(m - 1)
+            _Z * classical_t(m) - _ONE_MINUS_Z2 * classical_u(m - 1)
         )
         out["u_minus_zu"] = classical_t(m) == classical_u(m) - _Z * classical_u(m - 1)
     if m >= 2:
@@ -315,24 +316,6 @@ def _pieri_terms(lam: tuple[int, ...], j: int, mu: tuple[int, ...]) -> list:
     return [(tuple(map(operator.add, mu, w)), 1) for w, _ in steps[1:]]
 
 
-def _build_t(
-    lam: tuple[int, ...],
-    pick: Callable[[tuple[int, ...]], int],
-    memo: dict,
-) -> XPolynomial:
-    """T-polynomial of lam by the X_j * C_mu induction, memoized per weight."""
-    return _build(lam, pick, _orbit_terms, memo)
-
-
-def _build_u(
-    lam: tuple[int, ...],
-    pick: Callable[[tuple[int, ...]], int],
-    memo: dict,
-) -> XPolynomial:
-    """U-polynomial of lam by the Pieri step, memoized per weight."""
-    return _build(lam, pick, _pieri_terms, memo)
-
-
 _T_MEMO: dict[tuple[int, ...], XPolynomial] = {}
 _U_MEMO: dict[tuple[int, ...], XPolynomial] = {}
 
@@ -352,7 +335,7 @@ def poly_t(lam: Sequence[int]) -> XPolynomial:
     choice of j yields the same polynomial.
     """
     lam = lie.dominant_weight(lam, "poly_t")
-    return _build_t(lam, _first_positive, _T_MEMO)
+    return _build(lam, _first_positive, _orbit_terms, _T_MEMO)
 
 
 def poly_u(lam: Sequence[int]) -> XPolynomial:
@@ -366,7 +349,7 @@ def poly_u(lam: Sequence[int]) -> XPolynomial:
     weight; ``exp_ring.character`` is not called, it is the tests' oracle.
     """
     lam = lie.dominant_weight(lam, "poly_u")
-    return _build_u(lam, _first_positive, _U_MEMO)
+    return _build(lam, _first_positive, _pieri_terms, _U_MEMO)
 
 
 def substitute_p(lam: Sequence[int], kind: str) -> YLaurent:

@@ -90,48 +90,17 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Weight rows of the orbit functions, straight from one permutation table
-# per m = n+1; ``weyl.orbit`` and ``exp_sum`` stay the exact path and are
-# never built here.
+# Weight rows of the orbit functions, read from ``weyl``'s arrangements,
+# the one owner of orbit point order and signs; ``weyl.orbit`` and
+# ``exp_sum`` stay the exact path and are never built here.
 
 #: Most weight rows the orbit-function tables hold, summed over every cached
-#: label and basis; one rank-8 label's C/S rows and E half (9! * 3/2) fit,
-#: although ``eval_*`` builds tables only for labels that do not expand.
-#: A label also counts ``TABLE_ENTRY_ROWS`` for its Python objects, so many
-#: small orbits cannot hold more memory than the bound's worth of rows.
+#: entry; one rank-8 label's C/S rows and E half (9! * 3/2) fit, although
+#: ``eval_*`` builds tables only for labels that do not expand.  An entry
+#: also counts ``TABLE_ENTRY_ROWS`` for its Python objects, so many small
+#: orbits cannot hold more memory than the bound's worth of rows.
 TABLE_ROW_BOUND = 1 << 20
 TABLE_ENTRY_ROWS = 16
-
-
-@lru_cache(maxsize=None)
-def _permutation_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perms, parity, inverse) for the m! permutations of range(m).
-
-    ``perms`` is the (m!, m) int8 index table in lexicographic order, built
-    by putting each first index f before the (m-1)-table with f skipped;
-    ``parity`` the permutations' signs as +-1.0 (f adds f inversions); and
-    ``inverse[k, i]`` the position of index i in row k.
-    """
-    perms = np.zeros((1, 0), np.int8)
-    parity = np.ones(1)
-    for k in range(1, m + 1):
-        first = np.arange(k, dtype=np.int8)[:, None, None]
-        rest = perms + (perms >= first)
-        perms = np.concatenate([np.broadcast_to(first, rest.shape[:2] + (1,)), rest],
-                               axis=2).reshape(-1, k)
-        parity = (np.where(np.arange(k) % 2, -1.0, 1.0)[:, None] * parity).reshape(-1)
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms.astype(np.intp), np.arange(m, dtype=np.int8), axis=1)
-    for shared in (perms, parity, inverse):  # parity is every generic S table's coefficients
-        shared.flags.writeable = False
-    return perms, parity, inverse
-
-
-def _arrangement_rows(p: np.ndarray, perms: np.ndarray, basis: str) -> np.ndarray:
-    """Rows in ``basis`` of the weights whose suffix sums are the
-    arrangements p[perms]: their consecutive differences."""
-    q = p[perms]
-    return _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
 
 
 @lru_cache(maxsize=64)
@@ -142,77 +111,40 @@ def _ones(length: int) -> np.ndarray:
     return ones
 
 
-def _orbit_tables(dom: tuple[int, ...], basis: str) -> dict:
-    """{"C": (rows, ones), "S": (rows, signs)} of the dominant weight dom,
-    plus "E" on a chamber wall, in ``exp_sum``'s term order.
+@weyl._bounded_cache(lambda table: len(table[0]) + TABLE_ENTRY_ROWS, TABLE_ROW_BOUND)
+def _tables(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, ones, signs) of the key (dom, even, basis), a dominant dom:
+    the weight rows in ``basis`` of its orbit in ``exp_sum``'s term order,
+    or of the even half of a strictly dominant dom's orbit when ``even``,
+    with unit coefficients and the rows' parity signs.
 
-    The suffix sums p of dom descend, so the lexicographic permutations give
-    their arrangements in descending lexicographic order, each sign the
-    permutation's parity.  A zero coordinate i makes p_i = p_{i+1}; keeping
-    the permutations that place index i before index i+1 at every such i
-    keeps each distinct arrangement once, in the same order, with the sign
-    of its stable descending sort.  On a wall every point lies in the even
-    orbit, so E is C there.
+    The rows are ``weyl._arrangements`` of dom's distinct suffix-sum
+    values, whose consecutive differences are the weights; the signs are
+    their parities as +-1, the sign of each point's stable descending sort.
+    Cached by the rows held (``TABLE_ROW_BOUND``).
     """
-    perms, signs, inverse = _permutation_table(len(dom) + 1)
-    zeros = [i for i, c in enumerate(dom) if c == 0]
-    if zeros:
-        keep = np.logical_and.reduce([inverse[:, i] < inverse[:, i + 1] for i in zeros])
-        perms, signs = perms[keep], signs[keep]
-    rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms, basis)
-    tables = {"C": (rows, _ones(len(rows))), "S": (rows, signs)}
-    if zeros:
-        tables["E"] = tables["C"]
-    return tables
-
-
-def _even_table(dom: tuple[int, ...], basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """E of a strictly dominant dom: the rows of the even permutations."""
-    perms, signs, _ = _permutation_table(len(dom) + 1)
-    rows = _arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs > 0], basis)
-    return rows, _ones(len(rows))
-
-
-class _TableCache:
-    """Orbit-function tables per (dominant label, basis).  While the rows
-    held pass ``bound`` the least recently used label is dropped first (the
-    dict keeps use order: a call moves its label to the end); a label larger
-    than the bound is held alone."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.rows_held = 0
-        self._labels: dict = {}  # (dom, basis) -> (rows held, {kind: table})
-
-    def table(self, dom: tuple[int, ...], kind: str, basis: str):
-        key = (dom, basis)
-        held, tables = self._labels.pop(key, (0, {}))
-        if kind not in tables:
-            self.rows_held -= held
-            if not tables:
-                tables = _orbit_tables(dom, basis)
-                held = len(tables["C"][0]) + TABLE_ENTRY_ROWS
-            if kind not in tables:
-                tables[kind] = _even_table(dom, basis)
-                held += len(tables[kind][0])
-            while self._labels and self.rows_held + held > self.bound:
-                self.rows_held -= self._labels.pop(next(iter(self._labels)))[0]
-            self.rows_held += held
-        self._labels[key] = held, tables
-        return tables[kind]
-
-
-_TABLES = _TableCache(TABLE_ROW_BOUND)
+    dom, even, basis = key
+    values, counts = weyl.value_counts(dom)
+    rows, parities = weyl._arrangements(counts)
+    index = np.frombuffer(rows, np.uint8).reshape(-1, len(dom) + 1)
+    parity = np.frombuffer(parities, np.uint8)
+    if even:
+        index, parity = index[parity == 0], parity[parity == 0]
+    q = np.array(values)[index]
+    weights = _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
+    return weights, _ones(len(weights)), 1.0 - 2.0 * parity
 
 
 def _table(dom: tuple[int, ...], kind: str, basis: str):
     """(weight rows, coefficients) of ``exp_sum(dom, kind)`` for a dominant
     dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
-    to the same bits.  ``eval_*`` reads it only for calls that do not
-    expand (``expands``); a label evaluated only expanded never builds one.
-    On a chamber wall S carries the orbit's signs (``weyl.orbit(dom).signs``),
-    although ``eval_s`` never sums it there."""
-    return _TABLES.table(dom, kind, basis)
+    to the same bits.  C and S share rows, and so does E on a chamber wall,
+    where every point lies in the even orbit.  ``eval_*`` reads it only for
+    calls that do not expand (``expands``); a label evaluated only expanded
+    never builds one.  On a chamber wall S carries the orbit's signs
+    (``weyl.orbit(dom).signs``), although ``eval_s`` never sums it there."""
+    rows, ones, signs = _tables((dom, kind == "E" and 0 not in dom, basis))
+    return rows, signs if kind == "S" else ones
 
 
 def _points(x, width: int, basis: str) -> np.ndarray:
@@ -326,15 +258,14 @@ def _costs(dom: tuple[int, ...], kind: str) -> tuple:
     counted from the value multiplicities, so no plan is built for a label
     that stays on the table.  E is C on a wall, and S is never summed there.
     """
-    p = lie.suffix_sums(dom)
-    distinct = set(p)
-    generic = len(distinct) == len(p)
+    values, counts = weyl.value_counts(dom)
+    generic = max(counts) == 1
     rows = weyl.orbit_size(dom) // (2 if kind == "E" and generic else 1)
     if rows <= TABLE_FLOOR_ROWS:
         return inf, rows, inf, 0
     parities = 2 if kind != "C" and generic else 1
-    work = len(distinct) * parities * (prod(p.count(v) + 1 for v in distinct) - 1)
-    exponentials = len(distinct) * len(p)
+    work = len(values) * parities * (prod(c + 1 for c in counts) - 1)
+    exponentials = len(values) * (len(dom) + 1)
     slope = PRODUCTS_PER_ROW * (rows - exponentials) - work
     offset = PRODUCTS_PER_ROW * (EXPANSION_BASE_ROWS - exponentials)
     break_even = max(1, offset // slope + 1) if slope > 0 else inf
@@ -346,10 +277,8 @@ def _expansion(dom: tuple[int, ...], kind: str):
     """(values, plan) of the column expansion of ``exp_sum(dom, kind)`` for
     a dominant dom: its distinct suffix-sum values, descending, and
     ``_column_plan`` of their multiplicities."""
-    p = lie.suffix_sums(dom)
-    distinct = sorted(set(p), reverse=True)
-    plan = _column_plan(tuple(map(p.count, distinct)), kind != "C" and len(distinct) == len(p))
-    return np.array(distinct, dtype=float), plan
+    values, counts = weyl.value_counts(dom)
+    return np.array(values, dtype=float), _column_plan(counts, kind != "C" and max(counts) == 1)
 
 
 def expands(dom: tuple[int, ...], kind: str, points: int = 1) -> bool:
@@ -491,12 +420,13 @@ def _ryser(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _even_permutations(m: int) -> np.ndarray:
-    """(m!/2, m) int8 index table of the even permutations of range(m): the
-    parity +1 rows of ``_permutation_table(m)``, in its order; m <= 9."""
+    """(m!/2, m) uint8 index table of the even permutations of range(m),
+    in lexicographic order: the parity-0 rows of ``weyl._arrangements`` of
+    m distinct values; m <= 9."""
     if m > 9:
         raise ValueError(f"alternating form limited to order 9, got {m}")
-    perms, parity, _ = _permutation_table(m)
-    even = perms[parity > 0]
+    rows, parities = weyl._arrangements((1,) * m)
+    even = np.frombuffer(rows, np.uint8).reshape(-1, m)[np.frombuffer(parities, np.uint8) == 0]
     even.flags.writeable = False  # cached: every d_alt call shares it
     return even
 

@@ -11,18 +11,22 @@ differences, exact integers with no scaling.  The distinct arrangements of
 p depend only on which of its values repeat, its multiplicity pattern (the
 counts of equal values: all ones for a strictly dominant weight, and a
 block of r zero coordinates makes a count r+1), not on the values
-themselves.  So each pattern has one template, built once and cached by
-the rows it holds (``TEMPLATE_ROW_BOUND``): the arrangements as rows of
-value indices in ascending lexicographic order (index 0 the largest value,
-so the values descend lexicographically and the dominant point comes
-first), stored as the index pairs of consecutive positions, with their
-sign and even-point tuples, which every orbit of the pattern shares.  An
+themselves.  So each pattern has one list of arrangements, built once and
+cached by the rows it holds (``TEMPLATE_ROW_BOUND``): rows of value
+indices in ascending lexicographic order (index 0 the largest value, so
+the values descend lexicographically and the dominant point comes first)
+with one parity byte a row.  They are the one owner of orbit point order
+and signs: each pattern's template, cached the same way, stores them as
+the index pairs of consecutive positions with the sign and even-point
+tuples that every orbit of the pattern shares, and ``orbit_functions``
+builds its numeric tables from the same index rows and parities.  An
 orbit reads its points column by column, one ``itemgetter`` a coordinate
 over the template's pair cells applied to the differences of its distinct
-values, and zips the columns into points.  Orbits are cached per weight
-and bounded by the points held (``ORBIT_POINT_BOUND``), as templates are
-by their rows, so a round that revisits a few thousand small orbits builds
-each once while a rank-8 orbit is held alone.
+values, and zips the columns into points.
+Orbits are cached per weight and bounded by the points held
+(``ORBIT_POINT_BOUND``), as templates are by their rows, so a round that
+revisits a few thousand small orbits builds each once while a rank-8 orbit
+is held alone.
 
 Sign convention.  The sign of a point is the parity of the permutation
 carrying the dominant arrangement of e-coordinates to the point's
@@ -34,6 +38,7 @@ even-point rule, since antisymmetrized sums vanish on them identically.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -88,9 +93,10 @@ class SignedOrbit:
         return zip(self.points, self.signs)
 
 
-#: Rows of arrangement templates the cache may hold, summed over the
-#: multiplicity patterns held: room for the 9! rows of the largest pattern
-#: (a strictly dominant weight of rank ``lie.MAX_RANK``) and more.
+#: Rows that the arrangement cache, and the template cache, may each hold,
+#: summed over the multiplicity patterns held: room for the 9! rows of the
+#: largest pattern (a strictly dominant weight of rank ``lie.MAX_RANK``)
+#: and more.
 TEMPLATE_ROW_BOUND = 1 << 19
 #: Orbit points the orbit cache may hold, summed over the orbits held:
 #: room for three generic rank-7 orbits; a larger orbit (a generic rank-8
@@ -106,11 +112,58 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _SKIP = [bytes(range(i)) + bytes(range(i + 1, 256)) + b"\xff" for i in range(lie.MAX_RANK + 1)]
 
 
-def _arrangements(counts: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
+def _bounded_cache(size, bound: int):
+    """Decorator caching a one-argument builder per key, the least recently
+    used dropped first while the sizes held (``size`` of each value) pass
+    ``bound``; a value larger than the bound is held alone.  A hit is one
+    ``dict.pop`` and one re-insert, which moves the key to the end of the
+    dict's use order.  Like ``lru_cache`` the cached function has
+    ``cache_info()`` (hits and misses counted as ``lru_cache`` counts them,
+    ``currsize`` and the sizes ``held``), ``cache_clear()`` and
+    ``__wrapped__``; ``entries`` is the dict it holds, least recently used
+    first, for reading."""
+    def decorate(build):
+        entries: dict = {}
+        pop = entries.pop
+        hits = misses = held = 0
+
+        def cached(key):
+            nonlocal hits, misses, held
+            got = pop(key, None)
+            if got is None:
+                misses += 1
+                got = build(key)
+                grown = size(got)
+                while entries and held + grown > bound:
+                    held -= size(pop(next(iter(entries))))
+                held += grown
+            else:
+                hits += 1
+            entries[key] = got
+            return got
+
+        def cache_info() -> SimpleNamespace:
+            return SimpleNamespace(hits=hits, misses=misses, currsize=len(entries), held=held)
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, held
+            entries.clear()
+            hits = misses = held = 0
+
+        cached.cache_info, cached.cache_clear, cached.entries = cache_info, cache_clear, entries
+        return functools.update_wrapper(cached, build)
+
+    return decorate
+
+
+@_bounded_cache(lambda got: len(got[1]), TEMPLATE_ROW_BOUND)
+def _arrangements(counts: tuple[int, ...]) -> tuple[bytes, bytes]:
     """(rows, parities) of the distinct arrangements of the index multiset
     with the given positive counts: one flat ``bytes`` of indices, sum(counts)
     a row, in ascending lexicographic order, and one parity byte (0 even,
-    1 odd) a row.
+    1 odd) a row.  The one enumeration of orbit point order and signs: the
+    templates of ``weyl.orbit`` and the tables of ``orbit_functions`` both
+    read it.
 
     The arrangements starting with index i are i followed by those of the
     counts less one i, so each block is filled by strided copies, one per
@@ -119,41 +172,38 @@ def _arrangements(counts: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
     the parity.  Putting i first passes the sum_{j<i} counts[j] smaller
     indices, i.e. larger values, behind it: that many inversions (pairs
     whose earlier value is smaller), so the block's parities are the sub-
-    multiset's, flipped when that sum is odd.  Sub-multisets recur across
-    blocks and are built once per call through ``memo``.
+    multiset's, flipped when that sum is odd.  Sub-multisets are patterns
+    too; they recur across blocks and across patterns, and the cache, by
+    the rows held (``TEMPLATE_ROW_BOUND``), builds each once.
     """
-    got = memo.get(counts)
-    if got is not None:
-        return got
     width = sum(counts)
     if width == 1:
-        got = b"\x00", b"\x00"
-    else:
-        out = bytearray(factorial(width) // prod(map(factorial, counts)) * width)
-        parities = bytearray()
-        start = below = 0
-        for i, c in enumerate(counts):
-            if c > 1:
-                sub, sub_parities = _arrangements(counts[:i] + (c - 1,) + counts[i + 1:], memo)
-            else:
-                sub, sub_parities = _arrangements(counts[:i] + counts[i + 1:], memo)
-                sub = sub.translate(_SKIP[i])
-            stop = start + len(sub_parities) * width
-            out[start:stop:width] = bytes((i,)) * len(sub_parities)
-            for j in range(width - 1):
-                out[start + 1 + j:stop:width] = sub[j::width - 1]
-            parities += sub_parities.translate(_FLIP) if below % 2 else sub_parities
-            below += c
-            start = stop
-        got = bytes(out), bytes(parities)
-    memo[counts] = got
-    return got
+        return b"\x00", b"\x00"
+    out = bytearray(factorial(width) // prod(map(factorial, counts)) * width)
+    parities = bytearray()
+    start = below = 0
+    for i, c in enumerate(counts):
+        if c > 1:
+            sub, sub_parities = _arrangements(counts[:i] + (c - 1,) + counts[i + 1:])
+        else:
+            sub, sub_parities = _arrangements(counts[:i] + counts[i + 1:])
+            sub = sub.translate(_SKIP[i])
+        stop = start + len(sub_parities) * width
+        out[start:stop:width] = bytes((i,)) * len(sub_parities)
+        for j in range(width - 1):
+            out[start + 1 + j:stop:width] = sub[j::width - 1]
+        parities += sub_parities.translate(_FLIP) if below % 2 else sub_parities
+        below += c
+        start = stop
+    return bytes(out), bytes(parities)
 
 
+@_bounded_cache(lambda template: len(template[1]), TEMPLATE_ROW_BOUND)
 def _template(counts: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], tuple[bool, ...]]:
     """(pairs, signs, even) of the multiplicity pattern ``counts``: its
-    distinct arrangements of value indices (index 0 the largest value),
-    shared by every orbit of the pattern.
+    distinct arrangements of value indices (``_arrangements``, index 0 the
+    largest value), shared by every orbit of the pattern, cached by the
+    rows held (``TEMPLATE_ROW_BOUND``).
 
     The rows, n+1 cells each, are in ascending lexicographic order of the
     indices, which is descending lexicographic order of the values.  Cell
@@ -162,7 +212,7 @@ def _template(counts: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], tuple[bo
     last cell of a row is never read.  ``signs`` and ``even`` are the orbit
     tuples of the same name.
     """
-    rows, parities = _arrangements(counts, {})
+    rows, parities = _arrangements(counts)
     if max(counts) == 1:
         # Generic: the even-subgroup orbit is exactly the +1-parity half.
         even = tuple(map((True, False).__getitem__, parities))
@@ -179,41 +229,21 @@ def _template(counts: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], tuple[bo
     return pairs, tuple(map((1, -1).__getitem__, parities)), even
 
 
-class _BoundedCache:
-    """Values of ``build`` per key, least recently used dropped first while
-    the sizes held pass ``bound`` (the dict keeps use order: a call moves
-    its key to the end); a value larger than the bound is held alone.
-    Hits and misses are counted as ``lru_cache`` counts them."""
-
-    def __init__(self, build, size, bound: int):
-        self.build, self.size, self.bound = build, size, bound
-        self.held = self.hits = self.misses = 0
-        self._values: dict = {}
-
-    def __call__(self, key):
-        got = self._values.pop(key, None)
-        if got is None:
-            self.misses += 1
-            got = self.build(key)
-            size = self.size(got)
-            while self._values and self.held + size > self.bound:
-                self.held -= self.size(self._values.pop(next(iter(self._values))))
-            self.held += size
+def value_counts(dom: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """(values, counts) of a weight its caller knows to be dominant: its
+    distinct suffix sums, largest first, and how often each occurs, its
+    multiplicity pattern (a zero coordinate repeats the value before it)."""
+    p = suffix_sums(dom)
+    values, counts, run = [p[0]], [], 1
+    for c, v in zip(dom, p[1:]):
+        if c:
+            values.append(v)
+            counts.append(run)
+            run = 1
         else:
-            self.hits += 1
-        self._values[key] = got
-        return got
-
-    def cache_info(self) -> SimpleNamespace:
-        return SimpleNamespace(hits=self.hits, misses=self.misses,
-                               currsize=len(self._values), held=self.held)
-
-    def cache_clear(self) -> None:
-        self._values.clear()
-        self.held = self.hits = self.misses = 0
-
-
-_TEMPLATES = _BoundedCache(_template, lambda t: len(t[1]), TEMPLATE_ROW_BOUND)
+            run += 1
+    counts.append(run)
+    return values, tuple(counts)
 
 
 def _column(cells: bytes, table: list) -> tuple:
@@ -222,23 +252,20 @@ def _column(cells: bytes, table: list) -> tuple:
     return operator.itemgetter(*cells)(table) if len(cells) > 1 else (table[cells[0]],)
 
 
-def _orbit(lam: tuple[int, ...]) -> SignedOrbit:
-    """``orbit`` uncached.  The distinct suffix-sum values, largest first,
-    and their counts (a zero coordinate repeats the value before it) pick
-    the template; coordinate j of every point is read from the table of
-    differences of those values through the template's column of pairs."""
+@_bounded_cache(lambda orb: len(orb.points), ORBIT_POINT_BOUND)
+def orbit(lam: tuple[int, ...]) -> SignedOrbit:
+    """Signed Weyl orbit of a dominant weight (eagerly materialized), cached
+    per weight and bounded by the points held (``ORBIT_POINT_BOUND``); its
+    ``__wrapped__`` builds one uncached.
+
+    The weight's distinct suffix-sum values and their counts
+    (``value_counts``) pick the template; coordinate j of every point is
+    read from the table of differences of those values through the
+    template's column of pairs.
+    """
     lam = lie.dominant_weight(lam, "orbit")
-    p = suffix_sums(lam)
-    values, counts, run = [p[0]], [], 1
-    for c, v in zip(lam, p[1:]):
-        if c:
-            values.append(v)
-            counts.append(run)
-            run = 1
-        else:
-            run += 1
-    counts.append(run)
-    pairs, signs, even = _TEMPLATES(tuple(counts))
+    values, counts = value_counts(lam)
+    pairs, signs, even = _template(counts)
     differences = [a - b for a in values for b in values]
     n = len(lam)
     width = n + 1
@@ -248,22 +275,6 @@ def _orbit(lam: tuple[int, ...]) -> SignedOrbit:
         block = pairs[start:start + step]
         points += zip(*(_column(block[j::width], differences) for j in range(n)))
     return SignedOrbit(rank=n, dominant=lam, points=tuple(points), signs=signs, even=even)
-
-
-_ORBITS = _BoundedCache(_orbit, lambda orb: len(orb.points), ORBIT_POINT_BOUND)
-
-
-def orbit(lam: tuple[int, ...]) -> SignedOrbit:
-    """Signed Weyl orbit of a dominant weight (eagerly materialized), cached
-    per weight and bounded by the points held (``ORBIT_POINT_BOUND``).
-    Like ``lru_cache`` it has ``cache_info`` (hits and misses counted the
-    same way), ``cache_clear`` and ``__wrapped__`` (the uncached builder)."""
-    return _ORBITS(lam)
-
-
-orbit.cache_info = lambda: _ORBITS.cache_info()
-orbit.cache_clear = lambda: _ORBITS.cache_clear()
-orbit.__wrapped__ = _orbit
 
 
 def dominant_representative(mu: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -499,18 +499,21 @@ class TestSymmetrySuite:
         """One odd arrangement swapped into the E rows breaks the even
         element invariance from rank 2 on; at rank 1 the single even row and
         the single odd one are exchanged by r_1, so nothing can see it."""
-        real = of._even_table
+        real = of._tables.__wrapped__
 
-        def odd_row(dom, basis):
-            rows, coeffs = real(dom, basis)
-            perms, signs, _ = of._permutation_table(len(dom) + 1)
-            odd = of._arrangement_rows(np.array(lie.suffix_sums(dom)), perms[signs < 0][:1], basis)
-            return np.vstack([rows[:-1], odd]), coeffs
+        def odd_row(key):
+            rows, ones, signs = real(key)
+            dom, even, basis = key
+            if even:
+                whole, _, whole_signs = real((dom, False, basis))
+                rows = np.vstack([rows[:-1], whole[whole_signs < 0][:1]])
+            return rows, ones, signs
 
+        # A fresh cache holds the altered tables, so none outlives the check.
         # Every call sums its table, where the odd row is: a batch of 20
         # points at rank 5 would otherwise take the column expansion.
-        with mock.patch.object(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND)), \
-                mock.patch.object(of, "_even_table", odd_row), \
+        with mock.patch.object(of, "_tables", weyl._bounded_cache(
+                lambda table: len(table[0]), of.TABLE_ROW_BOUND)(odd_row)), \
                 mock.patch.object(of, "_costs", lambda dom, kind: (float("inf"),)):
             for n in range(2, 6):
                 assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n

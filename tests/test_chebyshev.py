@@ -24,11 +24,12 @@ def x_monomial(n, j):
 def poly_t_pick_last(lam):
     """poly_t built by splitting off the last positive fundamental weight
     instead of the first, on a fresh memo: the choice-independence oracle."""
-    return ch._build_t(tuple(lam), last_positive, {})
+    return ch._build(tuple(lam), last_positive, ch._orbit_terms, {})
 
 
 def build_t_recursive(lam, memo):
-    """poly_t by plain recursion: the memo-order oracle for ``_build_t``."""
+    """poly_t by plain recursion: the memo-order oracle for ``_build`` with
+    ``_orbit_terms``."""
     if lam in memo:
         return memo[lam]
     n = len(lam)
@@ -56,9 +57,10 @@ def last_positive(lam):
 
 def build_u_recursive(lam, memo):
     """poly_u by plain recursion on the Pieri rule: the memo-order oracle for
-    ``_build_u``.  X_{j+1} * U_mu is the sum of U_nu over the 0/1 vectors s
-    with j+1 ones among the n+1 places that keep the suffix sums p + s of mu
-    non-increasing, nu the consecutive differences of p + s."""
+    ``_build`` with ``_pieri_terms``.  X_{j+1} * U_mu is the sum of U_nu
+    over the 0/1 vectors s with j+1 ones among the n+1 places that keep the
+    suffix sums p + s of mu non-increasing, nu the consecutive differences
+    of p + s."""
     if lam in memo:
         return memo[lam]
     n = len(lam)
@@ -407,7 +409,7 @@ class TestPolyT:
     @pytest.mark.parametrize("lam", [(4, 3), (2, 0, 3), (1, 2, 0, 1), (5,), (0, 2, 2)])
     def test_stack_memoizes_like_recursion(self, lam):
         memo, oracle = {}, {}
-        got = ch._build_t(lam, ch._first_positive, memo)
+        got = ch._build(lam, ch._first_positive, ch._orbit_terms, memo)
         assert got == build_t_recursive(lam, oracle)
         assert list(memo.items()) == list(oracle.items())
         assert [list(p.terms) for p in memo.values()] == [list(p.terms) for p in oracle.values()]
@@ -439,9 +441,9 @@ class TestPieriSteps:
         # Both recursions take the same steps from lam, so the second kind
         # finds every (support, j) it needs already enumerated.
         ch._pieri_steps.cache_clear()
-        ch._build_t((2, 0, 3, 1), ch._first_positive, {})
+        ch._build((2, 0, 3, 1), ch._first_positive, ch._orbit_terms, {})
         after_t = ch._pieri_steps.cache_info()
-        ch._build_u((2, 0, 3, 1), ch._first_positive, {})
+        ch._build((2, 0, 3, 1), ch._first_positive, ch._pieri_terms, {})
         after_u = ch._pieri_steps.cache_info()
         assert after_u.misses == after_t.misses and after_u.hits > after_t.hits
 
@@ -477,7 +479,7 @@ class TestPolyU:
         top = 20 if n == 1 else U_TABLE_BOXES[n]
         memo, oracle = {}, {}
         for lam in itertools.product(range(top + 1), repeat=n):
-            got = ch._build_u(lam, ch._first_positive, memo)
+            got = ch._build(lam, ch._first_positive, ch._pieri_terms, memo)
             want = build_u_recursive(lam, oracle)
             assert list(got.terms.items()) == list(want.terms.items()), lam
             assert list(ch.poly_u(lam).terms.items()) == list(want.terms.items()), lam
@@ -492,7 +494,7 @@ class TestPolyU:
     @pytest.mark.parametrize("lam", [(2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 0, 1),
                                      (0, 2, 1, 1), (1, 0, 1, 0, 2)])
     def test_choice_of_fundamental_does_not_matter(self, lam):
-        assert ch._build_u(lam, last_positive, {}) == ch.poly_u(lam)
+        assert ch._build(lam, last_positive, ch._pieri_terms, {}) == ch.poly_u(lam)
 
     @given(dominant_weights(max_rank=6, max_coord=2))
     @settings(max_examples=40, deadline=None)

@@ -192,6 +192,14 @@ def exact_table(lam, kind, basis):
             np.array(list(s.terms.values()), dtype=float))
 
 
+@pytest.fixture
+def tables():
+    """The module's table cache, emptied before and after the test."""
+    of._tables.cache_clear()
+    yield of._tables
+    of._tables.cache_clear()
+
+
 def assert_tables_match_the_exact_path(lam):
     for basis in ("alpha", "e"):
         for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
@@ -222,8 +230,9 @@ class TestOmegaToE:
 
 
 class TestOrbitTables:
-    """``_table`` builds the rows from the permutation table; ``weyl.orbit``
-    and ``exp_sum`` are the exact path it must equal bit for bit."""
+    """``_table`` builds the rows from ``weyl``'s arrangement templates;
+    ``weyl.orbit`` and ``exp_sum`` are the exact path it must equal bit for
+    bit."""
 
     @pytest.mark.parametrize("lam", [(1,) * 7, (2, 1, 1, 3, 1, 2, 1), (1, 0, 2, 0, 1, 1, 0),
                                      (0,) * 7, (0, 3, 0), (5,), (0,)])
@@ -235,18 +244,25 @@ class TestOrbitTables:
     def test_random_labels(self, lam):
         assert_tables_match_the_exact_path(lam)
 
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_permutation_table(self, m):
-        perms, parity, inverse = of._permutation_table(m)
-        rows = [tuple(row) for row in perms.tolist()]
-        assert rows == list(itertools.permutations(range(m)))  # m! rows, lexicographic
-        # A permutation's parity is the sign of its arrangement of descending values.
-        assert parity.tolist() == [weyl.stable_sort_sign([-i for i in row]) for row in rows]
-        assert (np.take_along_axis(inverse, perms.astype(np.intp), axis=1)
-                == np.arange(m)).all()
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_zero_pattern(self, n):
+        # Every pattern of zero coordinates is its own template; hypothesis
+        # samples only a few of the 254 at ranks 1-7.
+        for zeros in itertools.product((False, True), repeat=n):
+            assert_tables_match_the_exact_path(
+                tuple(0 if zero else 1 + i % 3 for i, zero in enumerate(zeros)))
 
-    def test_eval_builds_no_orbit(self, monkeypatch):
-        monkeypatch.setattr(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND))
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_permutation_table(self, m):
+        # The arrangements of m distinct values are the permutation table.
+        rows, parities = weyl._arrangements((1,) * m)
+        perms = [tuple(rows[i:i + m]) for i in range(0, len(rows), m)]
+        assert perms == list(itertools.permutations(range(m)))  # m! rows, lexicographic
+        # A permutation's parity is the sign of its arrangement of descending values.
+        assert [1 - 2 * parity for parity in parities] == [
+            weyl.stable_sort_sign([-i for i in row]) for row in perms]
+
+    def test_eval_builds_no_orbit(self, monkeypatch, tables):
         calls = []
         monkeypatch.setattr(exp_ring, "exp_sum", lambda *args: calls.append(args))
         before = weyl.orbit.cache_info()
@@ -262,30 +278,28 @@ class TestOrbitTables:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert calls == []
         # The rank-7 labels expand: only the rank-6 ones hold table rows.
-        assert {lam for lam, _ in of._TABLES._labels} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
+        assert {dom for dom, _, _ in tables.entries} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
 
-    def test_cache_holds_at_most_its_bound(self, monkeypatch):
-        assert of.TABLE_ROW_BOUND >= 3 * factorial(9) // 2 + of.TABLE_ENTRY_ROWS
-        cache = of._TableCache(of.TABLE_ROW_BOUND)
-        monkeypatch.setattr(of, "_TABLES", cache)
+    def test_cache_holds_at_most_its_bound(self, tables):
+        assert of.TABLE_ROW_BOUND >= 3 * factorial(9) // 2 + 2 * of.TABLE_ENTRY_ROWS
         rng = np.random.default_rng(77)
         labels = list(dict.fromkeys(tuple(rng.integers(1, 4, size=7).tolist()) for _ in range(25)))
         labels.insert(10, (1, 0, 2, 0, 1, 1, 0))
         for lam in labels:
             for kind in ("C", "E"):
                 of._table(lam, kind, "alpha")
-                recount = sum(
-                    sum(len(rows) for rows in {id(r): r for r, _ in tables.values()}.values())
-                    + of.TABLE_ENTRY_ROWS for _, tables in cache._labels.values())
-                assert cache.rows_held == recount <= of.TABLE_ROW_BOUND
-        kept = [lam for lam, _ in cache._labels]
+                recount = sum(len(rows) + of.TABLE_ENTRY_ROWS
+                              for rows, _, _ in tables.entries.values())
+                assert tables.cache_info().held == recount <= of.TABLE_ROW_BOUND
+        kept = list(dict.fromkeys(dom for dom, _, _ in tables.entries))
         assert 1 < len(kept) < len(labels) and kept == labels[-len(kept):]
 
     def test_kinds_share_rows(self):
         lam, wall = (2, 1, 3), (2, 0, 1)
         for basis in ("alpha", "e"):
             assert of._table(lam, "S", basis)[0] is of._table(lam, "C", basis)[0]
-            assert of._table(wall, "E", basis) is of._table(wall, "C", basis)
+            assert all(e is c for e, c in zip(of._table(wall, "E", basis),
+                                              of._table(wall, "C", basis)))
 
 
 @contextlib.contextmanager
@@ -442,14 +456,13 @@ class TestColumnExpansion:
         kinds = ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E")
         assert all(of.expands(lam, kind) for kind in kinds)
 
-    def test_expanding_label_holds_no_table(self, monkeypatch):
-        monkeypatch.setattr(of, "_TABLES", of._TableCache(of.TABLE_ROW_BOUND))
+    def test_expanding_label_holds_no_table(self, tables):
         lam = (2, 1, 1, 3, 1, 2, 1)
         x = RNG.random((3, 7))
         for f in EVALUATORS.values():
             f(lam, x)
             f(lam, x[0], basis="alpha")
-        assert of._TABLES._labels == {} and of._TABLES.rows_held == 0
+        assert tables.entries == {} and tables.cache_info().held == 0
 
     def test_overflowing_phases_raise(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -632,7 +645,7 @@ class TestFormBatches:
     def test_even_permutations_in_lexicographic_order(self, m):
         even = of._even_permutations(m)
         expect = sorted(p for p, sign in signed_permutations(tuple(range(m))) if sign > 0)
-        assert even.dtype == np.int8 and not even.flags.writeable
+        assert even.dtype == np.uint8 and not even.flags.writeable
         assert [tuple(row) for row in even.tolist()] == expect
 
     def test_even_permutations_limited_to_order_nine(self):

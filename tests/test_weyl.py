@@ -240,23 +240,23 @@ class TestOrbitTemplates:
         assert orb_a.even is orb_b.even
 
     def test_template_cache_stays_within_its_bound(self, monkeypatch):
-        cache = weyl._BoundedCache(weyl._template, lambda t: len(t[1]), 30)
-        monkeypatch.setattr(weyl, "_TEMPLATES", cache)
+        cache = weyl._bounded_cache(lambda t: len(t[1]), 30)(weyl._template.__wrapped__)
+        monkeypatch.setattr(weyl, "_template", cache)
         for lam in [(1, 1, 1), (1, 0, 1), (2, 0, 0), (1, 1, 1, 1), (3, 1), (0, 2, 0), (1, 2, 1)]:
             orb = weyl.orbit.__wrapped__(lam)
             assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
-            held = [len(signs) for _, signs, _ in cache._values.values()]
-            assert cache.held == sum(held)
+            held = [len(signs) for _, signs, _ in cache.entries.values()]
+            assert cache.cache_info().held == sum(held)
             # A template over the bound (the 120 rows of (1, 1, 1, 1)) is held alone.
-            assert cache.held <= cache.bound or len(held) == 1
+            assert cache.cache_info().held <= 30 or len(held) == 1
 
 
 class TestOrbitCache:
     @pytest.fixture
     def cache(self, monkeypatch):
         """A fresh orbit cache of 30 points in place of the module's."""
-        cache = weyl._BoundedCache(weyl._orbit, lambda orb: len(orb.points), 30)
-        monkeypatch.setattr(weyl, "_ORBITS", cache)
+        cache = weyl._bounded_cache(lambda orb: len(orb.points), 30)(weyl.orbit.__wrapped__)
+        monkeypatch.setattr(weyl, "orbit", cache)
         return cache
 
     def test_stays_within_its_bound(self, cache):
@@ -264,15 +264,15 @@ class TestOrbitCache:
                     (0, 2, 0), (1, 1)]:
             orb = weyl.orbit(lam)
             assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam)
-            held = [orb.size for orb in cache._values.values()]
-            assert cache.held == sum(held)
+            held = [orb.size for orb in cache.entries.values()]
+            assert cache.cache_info().held == sum(held)
             # An orbit over the bound (the 120 points of (1, 1, 1, 1)) is held alone.
-            assert cache.held <= cache.bound or len(held) == 1
+            assert cache.cache_info().held <= 30 or len(held) == 1
         # The hit on (0, 2, 0) made (1, 2, 1) the least recently used.
-        assert list(cache._values) == [(0, 2, 0), (1, 1)]
+        assert list(cache.entries) == [(0, 2, 0), (1, 1)]
 
     def test_hits_and_misses_as_lru_cache_counts_them(self, cache):
-        lru = functools.lru_cache(maxsize=None)(weyl._orbit)
+        lru = functools.lru_cache(maxsize=None)(weyl.orbit.__wrapped__)
         calls = [(1, 1), (1, 1), (2, 1), (1, 1), [1, 2], (1, -1), (1, -1), (0,)]
         for lam in calls:
             for f in (weyl.orbit, lru):
@@ -292,19 +292,20 @@ class TestOrbitCache:
         weyl.orbit.cache_clear()
         info = weyl.orbit.cache_info()
         assert (info.hits, info.misses, info.currsize, info.held) == (0, 0, 0, 0)
-        assert cache._values == {}
+        assert cache.entries == {}
 
     def test_wrapped_is_the_uncached_builder(self, cache):
-        assert weyl.orbit.__wrapped__ is weyl._orbit
+        assert not hasattr(weyl.orbit.__wrapped__, "cache_info")
         orb = weyl.orbit.__wrapped__((1, 0, 2))
         assert orb is not weyl.orbit.__wrapped__((1, 0, 2))
-        assert cache.misses == 0
+        assert cache.cache_info().misses == 0
+        assert orb == weyl.orbit((1, 0, 2))
 
     def test_pc_then_ps_pass_builds_each_orbit_once(self, monkeypatch):
         # The tables job's substitution passes over the rank-4 box, on the
         # module's own bound.
-        monkeypatch.setattr(weyl, "_ORBITS", weyl._BoundedCache(
-            weyl._orbit, lambda orb: len(orb.points), weyl.ORBIT_POINT_BOUND))
+        monkeypatch.setattr(weyl, "orbit", weyl._bounded_cache(
+            lambda orb: len(orb.points), weyl.ORBIT_POINT_BOUND)(weyl.orbit.__wrapped__))
         box = list(itertools.product(range(4), repeat=4))
         for lam in box:
             chebyshev.substitute_p(lam, "C")
