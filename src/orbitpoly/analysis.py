@@ -467,8 +467,7 @@ def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]
     return [tuple(w) for w in itertools.product(range(1, coord_bound + 1), repeat=n)]
 
 
-#: Most bytes the ortho suite's quadrature cross-check, or the detforms
-#: suite's tables and arrays, may hold at once.
+#: Most bytes the ortho suite's quadrature cross-check may hold at once.
 QUADRATURE_BYTE_BUDGET = 1 << 30
 
 
@@ -477,59 +476,15 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
 
     Complex values (16 B) at the W+-orbit nodes, at most twice
     ``grid_orbit_count``: every label's values, weighted and conjugated for
-    the Gram product, and the kernel's phase and exponential arrays for the
-    largest orbit, (n+1)! points (a bound: labels whose batch takes the
-    column expansion hold far less); the Gram matrix, its prediction and two
-    temporaries; and the exact sums and their folds, at most (n+1)! dict
-    terms a label at 160 B a term (~140 B measured).
+    the Gram product; the Gram matrix, its prediction and two temporaries;
+    the exact sums and their folds, at most (n+1)! dict terms a label at
+    160 B a term (~140 B measured); and one evaluation chunk's transients,
+    ~24 B a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
     """
     labels = (coord_bound + 1) ** n
     nodes = 2 * grid_orbit_count(n, n_points)
     exact = 2 * 160 * labels * factorial(n + 1)
-    return 16 * (nodes * (3 * labels + 2 * factorial(n + 1)) + 4 * labels * labels) + exact
-
-
-def detforms_bytes(n: int, coord_bound: int, samples: int) -> int:
-    """Upper bound on the bytes the rank-n detforms checks hold, with
-    m = n+1, N = m! and L = min(samples, coord_bound^n) + 1 labels a rank
-    (the samples' and the wall's; no lower rank draws more):
-
-    - the orbit-function tables of the labels whose evaluation sums table
-      rows (``orbit_functions.expands`` is false), at every rank k <= n:
-      C/S rows and E's even half, each table also counted at
-      ``orbit_functions.TABLE_ENTRY_ROWS``, at most
-      ``orbit_functions.TABLE_ROW_BOUND`` rows in all, 8(m+2) bytes a row
-      (m e-coordinates, a coefficient and the table's own signs); labels
-      that expand hold none;
-    - the arrangements the tables read and the orbit templates, at most
-      ``weyl.TEMPLATE_ROW_BOUND`` rows each: m+1 bytes a row (index row and
-      parity byte) and m+16 (pair cells and the 8-byte slots of the sign
-      and even tuples);
-    - the even permutations of ``_even_permutations``, mN/2 bytes, with
-      ``d_alt``'s float copy l[even], 4mN;
-    - the largest transient: building one table, 24mN (the int64
-      arrangements, their differences as int64 and as float, the e-basis
-      product), or the kernel's phase and exponential arrays, 32 bytes a
-      point and sample when every sample draws the same label;
-    - per sample, the column expansion's d*m matrix and 2^(m+1) states with
-      the gather of a level's predecessors, and the permanent's row sums
-      over 2^m column masks: 16(2(m+1)2^m + m^2) bytes.
-    """
-    m = n + 1
-    size = factorial(m)
-    labels = min(samples, coord_bound ** n) + 1
-    rows = 0
-    for k in range(1, n + 1):  # every strictly dominant label of rank k takes rho's paths
-        rho = (1,) * k
-        if not (orbit_functions.expands(rho, "C") and orbit_functions.expands(rho, "S")):
-            rows += factorial(k + 1) + orbit_functions.TABLE_ENTRY_ROWS
-        if not orbit_functions.expands(rho, "E"):
-            rows += factorial(k + 1) // 2 + orbit_functions.TABLE_ENTRY_ROWS
-    rows = min(orbit_functions.TABLE_ROW_BOUND, labels * rows)
-    templates = (2 * m + 17) * weyl.TEMPLATE_ROW_BOUND
-    held = 8 * (m + 2) * rows + templates + m * size // 2 + 4 * m * size
-    per_sample = 16 * (2 * (m + 1) * 2 ** m + m * m)
-    return held + max(24 * m * size, 32 * size * samples) + per_sample * samples
+    return 16 * (3 * nodes * labels + 4 * labels * labels) + exact + 24 * orbit_functions.CHUNK_CELLS
 
 
 #: Most work the ortho suite may take, in table rows (one exponential at one
@@ -577,17 +532,6 @@ def quadrature_work(n: int, coord_bound: int, n_points: int) -> int:
     return int(work)
 
 
-def _refuse_over_budget(need: int, what: str, work: int = 0) -> None:
-    """Raise ValueError, naming the estimate, when ``need`` bytes pass
-    QUADRATURE_BYTE_BUDGET or ``work`` table rows QUADRATURE_WORK_BUDGET."""
-    if need > QUADRATURE_BYTE_BUDGET:
-        raise ValueError(f"{what} would hold about {need / 2**30:.1f} GiB, "
-                         f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
-    if work > QUADRATURE_WORK_BUDGET:
-        raise ValueError(f"{what} would take about {work:.1e} table rows of work, "
-                         f"over the {QUADRATURE_WORK_BUDGET:.1e} budget")
-
-
 def run_ortho_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
     n_points: int = 16,
@@ -599,10 +543,15 @@ def run_ortho_suite(
     take more than QUADRATURE_WORK_BUDGET table rows of work.
     """
     if rank_bound >= 2:
-        _refuse_over_budget(quadrature_bytes(rank_bound, coord_bound, n_points),
-                            f"ortho quadrature at rank {rank_bound}, coordinate bound "
-                            f"{coord_bound}, N={n_points}",
-                            quadrature_work(rank_bound, coord_bound, n_points))
+        what = f"ortho quadrature at rank {rank_bound}, coordinate bound {coord_bound}, N={n_points}"
+        need = quadrature_bytes(rank_bound, coord_bound, n_points)
+        if need > QUADRATURE_BYTE_BUDGET:
+            raise ValueError(f"{what} would hold about {need / 2**30:.1f} GiB, "
+                             f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
+        work = quadrature_work(rank_bound, coord_bound, n_points)
+        if work > QUADRATURE_WORK_BUDGET:
+            raise ValueError(f"{what} would take about {work:.1e} table rows of work, "
+                             f"over the {QUADRATURE_WORK_BUDGET:.1e} budget")
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -833,13 +782,10 @@ def run_detforms_suite(
     """Permanent/determinant/alternating forms against C, S, E functions.
 
     Each form sums (n+1)! unit exponentials, so deviations are compared
-    against tolerance * (n+1)!.  The samples are evaluated once per label.
-    Raises ValueError before any work when ``detforms_bytes`` at the top
-    rank exceeds QUADRATURE_BYTE_BUDGET.
+    against tolerance * (n+1)!.  The samples are evaluated once per label,
+    as one batch: ``samples`` scales memory as a batch size does, while the
+    tables, arrangements and evaluation chunks are bounded by constants.
     """
-    _refuse_over_budget(detforms_bytes(rank_bound, coord_bound, samples),
-                        f"detforms at rank {rank_bound}, coordinate bound "
-                        f"{coord_bound}, {samples} samples")
     report = SuiteReport("detforms", seed)
     rng = np.random.default_rng(seed)
     for n in range(1, rank_bound + 1):

@@ -7,7 +7,9 @@ as a real e-point of length n+1; adding a multiple of (1,...,1) to an
 e-point never changes a value because weights sum to zero there.  An
 (m, n) or (m, n+1) array is a batch of m points with one value each; a
 batch row may differ from the same point evaluated alone in the last bits
-(a matrix-matrix against a matrix-vector product).
+(a matrix-matrix against a matrix-vector product).  A batch is evaluated in
+chunks of whole points (``CHUNK_CELLS``), never one point alone, so its
+transients are bounded by a constant and each row keeps its one-shot bits.
 
 An orbit function takes one of two paths, chosen per call by a cost model
 (``EXPANSION_BASE_ROWS``) from cost terms cached per (dominant label, kind)
@@ -73,20 +75,46 @@ def _omega_to_e(n: int) -> np.ndarray:
     return matrix
 
 
+#: Most cells (points x weight rows in ``exp_kernel``, points x states x
+#: values in ``_expand``) one evaluation chunk holds, at ~24 bytes a cell.
+CHUNK_CELLS = 1 << 20
+
+
+def _chunked(values, points: np.ndarray, cells: int, shape: tuple = ()) -> np.ndarray:
+    """The (m, *shape) array of values(chunk) over chunks of whole points of
+    the batch, ``cells`` cells a point, at most CHUNK_CELLS cells a chunk
+    but never one point of a larger batch: one point takes BLAS's
+    matrix-vector product, whose last bits can differ from the
+    matrix-matrix product of a larger chunk."""
+    out = np.empty((len(points),) + shape, dtype=complex)
+    step = max(2, CHUNK_CELLS // max(cells, 1))
+    starts = range(0, max(len(points) - 1, 1), step)
+    for start, stop in zip(starts, [*starts[1:], len(points)]):
+        out[start:stop] = values(points[start:stop])
+    return out
+
+
 def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     """sum_mu coeff_mu * exp(2*pi*i <mu, x>) over the rows mu of ``weights``.
 
     ``points`` is one point x (a scalar result) or an (m, n) grid of them
-    (m results).  Every exponential sum over weight rows goes through here
-    -- the table path of ``eval_*`` (and so of the quadrature grids of
-    ``analysis``), ``ExpSum.evaluate``, ``d_alt`` -- so the same weights,
-    coefficients and point give the same bits whichever function asked.
-    Orbit functions on the column expansion do not sum rows and do not come
-    here.
+    (m results, in ``_chunked``).  Every exponential sum over weight rows
+    goes through here -- the table path of ``eval_*`` (and so of the
+    quadrature grids of ``analysis``), ``ExpSum.evaluate``, ``d_alt`` -- so
+    the same weights, coefficients and point give the same bits whichever
+    function asked.  Orbit functions on the column expansion do not sum rows
+    and do not come here.
     """
-    terms = np.exp(2j * np.pi * (points @ weights.T))
-    terms *= coeffs  # in place: the same bits as coeffs * terms, one array fewer
-    return terms.sum(axis=-1)
+    if points.ndim == 2:
+        return _chunked(lambda chunk: _exp_sums(weights, coeffs, chunk), points, len(weights))
+    return _exp_sums(weights, coeffs, points)
+
+
+def _exp_sums(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+    terms = np.multiply(points @ weights.T, 2j * np.pi)
+    np.exp(terms, out=terms)
+    terms *= coeffs  # in place: the same bits as coeffs * terms
+    return np.add.reduce(terms, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +149,20 @@ def _tables(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The rows are ``weyl._arrangements`` of dom's distinct suffix-sum
     values, whose consecutive differences are the weights; the signs are
     their parities as +-1, the sign of each point's stable descending sort.
-    Cached by the rows held (``TABLE_ROW_BOUND``).
+    The even half is the rows of sign +1 of dom's own table.  Cached by the
+    rows held (``TABLE_ROW_BOUND``).
     """
     dom, even, basis = key
+    if even:
+        rows, _, signs = _tables((dom, False, basis))
+        rows = rows[signs > 0]
+        return rows, _ones(len(rows)), _ones(len(rows))
     values, counts = weyl.value_counts(dom)
     rows, parities = weyl._arrangements(counts)
     index = np.frombuffer(rows, np.uint8).reshape(-1, len(dom) + 1)
-    parity = np.frombuffer(parities, np.uint8)
-    if even:
-        index, parity = index[parity == 0], parity[parity == 0]
     q = np.array(values)[index]
     weights = _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
-    return weights, _ones(len(weights)), 1.0 - 2.0 * parity
+    return weights, _ones(len(weights)), 1.0 - 2.0 * np.frombuffer(parities, np.uint8)
 
 
 def _table(dom: tuple[int, ...], kind: str, basis: str):
@@ -313,15 +343,20 @@ def _columns(x, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _expand(values: np.ndarray, plan: tuple, y: np.ndarray) -> np.ndarray:
     """The full even and odd states' sums at the column coordinates y: an
-    array (2,) for one point, (m, 2) for a batch."""
+    array (2,) for one point, (m, 2) for a batch (in ``_chunked``)."""
     steps, finals, _ = plan
-    # mat[..., k, i, 0] = M[i, k]: each column a (d, 1) matrix for matmul.
-    mat = np.exp(2j * np.pi * (y[..., None, None] * values[:, None]))
-    dp = np.zeros(y.shape[:-1] + (steps[-1][1] + 1,), dtype=complex)  # the last state stays 0
-    dp[..., 0] = 1
-    for k, (start, stop, pred) in enumerate(steps):
-        np.matmul(dp.take(pred, axis=-1), mat[..., k, :, :], out=dp[..., start:stop, None])
-    return dp[..., finals]
+    states = steps[-1][1] + 1  # the last state stays 0
+
+    def sums(y):
+        # mat[..., k, i, 0] = M[i, k]: each column a (d, 1) matrix for matmul.
+        mat = np.exp(2j * np.pi * (y[..., None, None] * values[:, None]))
+        dp = np.zeros(y.shape[:-1] + (states,), dtype=complex)
+        dp[..., 0] = 1
+        for k, (start, stop, pred) in enumerate(steps):
+            np.matmul(dp.take(pred, axis=-1), mat[..., k, :, :], out=dp[..., start:stop, None])
+        return dp[..., finals]
+
+    return sums(y) if y.ndim == 1 else _chunked(sums, y, states * len(values), (2,))
 
 
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:

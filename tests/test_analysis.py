@@ -559,18 +559,6 @@ class TestSuiteRunners:
         report = analysis.run_detforms_suite(rank_bound=7, samples=1)
         assert report.passed, report.render_text()
 
-    def test_detforms_memory_estimate(self):
-        budget = analysis.QUADRATURE_BYTE_BUDGET
-        assert analysis.detforms_bytes(7, 3, 100) < budget
-        assert analysis.detforms_bytes(7, 9, 100) == analysis.detforms_bytes(7, 3, 100)
-        # Rank 8 fits with 25 samples.  At 100, the kernel's arrays alone pass
-        # the budget when every sample draws the same label.
-        assert analysis.detforms_bytes(8, 3, 25) < budget
-        assert analysis.detforms_bytes(8, 3, 100) > budget
-        assert analysis.detforms_bytes(8, 1, 100) > budget
-        with pytest.raises(ValueError, match="GiB"):
-            analysis.run_detforms_suite(rank_bound=8)
-
     def test_detforms_evaluates_once_per_label(self, monkeypatch):
         calls = {}
         for name in ("d_plus", "d_minus", "d_alt", "eval_c", "eval_s", "eval_e"):

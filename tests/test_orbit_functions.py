@@ -3,6 +3,7 @@ determinant / alternating exponential forms."""
 import cmath
 import contextlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import cos, factorial, pi, sin
 
@@ -672,3 +673,104 @@ class TestFormBatches:
                 f(l, batch)
         with pytest.raises(ValueError, match="e-vector"):
             f(np.zeros((1, 3)), (0.1, 0.0, -0.1))
+
+
+#: Points a chunk holds in ``TestChunks``: CHUNK_CELLS is patched to this
+#: many points' cells.
+STEP = 3
+
+
+def chunk_cases():
+    """(name, evaluate a batch, cells a point of that batch): the table
+    path, the column expansion, d_alt and ExpSum.evaluate."""
+    table_lam, wide_lam = (1, 2, 1), (1, 2, 1, 1, 3, 1)
+    values, plan = of._expansion(wide_lam, "S")
+    l = np.array([float(v) for v in lie.omega_to_e((2, 1, 3, 1))])
+    s = exp_sum((2, 1, 3), "E")
+    return [
+        ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(of._table(table_lam, "C", "alpha")[0])),
+        ("table E, e basis", lambda x: of.eval_e(table_lam, x[:, :4], basis="e"),
+         len(of._table(table_lam, "E", "e")[0])),
+        ("expansion S", lambda x: of.eval_s(wide_lam, x[:, :6]), (plan[0][-1][1] + 1) * len(values)),
+        ("d_alt", lambda x: of.d_alt(l, x[:, :5]), factorial(5) // 2),
+        ("ExpSum.evaluate", lambda x: s.evaluate(x[:, :3]), len(s.terms)),
+    ]
+
+
+class TestChunks:
+    """A batch is evaluated in chunks of whole points, at most CHUNK_CELLS
+    cells a chunk and never one point alone, so its bits do not depend on
+    where the chunks start."""
+
+    @pytest.mark.parametrize("cells", [1, 5, 1000, of.CHUNK_CELLS // 3, of.CHUNK_CELLS, 3 * of.CHUNK_CELLS])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 7, 1000])
+    def test_chunks_keep_whole_points_and_never_one_alone(self, cells, m):
+        points = np.arange(2.0 * m).reshape(m, 2)
+        seen = []
+        out = of._chunked(lambda chunk: seen.append(chunk) or chunk[:, 0] + 1j, points, cells)
+        assert out.tolist() == (points[:, 0] + 1j).tolist()
+        assert np.concatenate(seen).tolist() == points.tolist()
+        sizes = [len(chunk) for chunk in seen]
+        step = max(2, of.CHUNK_CELLS // cells)
+        if m < 2:
+            assert sizes == [m]
+        else:
+            assert all(size <= step for size in sizes[:-1])
+            assert 2 <= min(sizes) and sizes[-1] <= step + 1
+
+    @pytest.mark.parametrize("m", range(1, 3 * STEP + 2))
+    @pytest.mark.parametrize("case", range(len(chunk_cases())))
+    def test_chunk_boundaries_keep_the_bits(self, monkeypatch, case, m):
+        name, evaluate, cells = chunk_cases()[case]
+        x = np.random.default_rng(m).random((m, 6)) * 4 - 2
+        whole = evaluate(x)  # one chunk: m * cells is far below CHUNK_CELLS
+        monkeypatch.setattr(of, "CHUNK_CELLS", STEP * cells)
+        chunked = evaluate(x)
+        assert chunked.shape == (m,) and chunked.tobytes() == whole.tobytes(), name
+
+    def test_no_chunk_holds_one_point_of_a_batch(self, monkeypatch):
+        # BLAS's matrix-vector product, which one point alone takes, can
+        # round otherwise than the matrix-matrix one: put such a point last
+        # in a batch of step + 1 points.
+        weights, coeffs = of._table((1, 2, 1, 1, 3, 1, 2), "E", "e")  # 2 520 rows
+        x = np.random.default_rng(5).random((40, 8))
+        whole = of.exp_kernel(weights, coeffs, x)
+        alone = np.array([of.exp_kernel(weights, coeffs, row) for row in x])
+        differ = np.flatnonzero(alone != whole)
+        if not len(differ):
+            pytest.skip("this BLAS rounds both products alike")
+        pick = [0, 1, differ[0]]
+        monkeypatch.setattr(of, "CHUNK_CELLS", 2 * len(weights))
+        assert of.exp_kernel(weights, coeffs, x[pick]).tobytes() == whole[pick].tobytes()
+
+
+class TestBoundedTransients:
+    """Whatever the batch size, an evaluation allocates, beyond its output
+    and the batch's own column coordinates, about 24 bytes a cell of one
+    chunk."""
+
+    def peak(self, evaluate):
+        tracemalloc.start()
+        try:
+            out = evaluate()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_exp_kernel(self, monkeypatch):
+        monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 16)
+        weights, coeffs = of._table((1, 2, 1, 1, 3), "C", "alpha")  # 720 rows
+        x = np.random.default_rng(1).random((6000, 5))  # 66 chunks
+        out, peak = self.peak(lambda: of.exp_kernel(weights, coeffs, x))
+        assert out.shape == (6000,)
+        assert peak - out.nbytes <= 32 * of.CHUNK_CELLS
+
+    def test_eval_c_expanded(self, monkeypatch):
+        monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 16)
+        lam = (1, 2, 1, 1, 3, 1)
+        assert of.expands(lam, "C", 6000)
+        of._expansion(lam, "C")  # the cached plan is not a transient
+        x = np.random.default_rng(2).random((6000, 6))
+        out, peak = self.peak(lambda: of.eval_c(lam, x))
+        columns = x.shape[0] * (x.shape[1] + 1) * 8
+        assert peak - out.nbytes - columns <= 32 * of.CHUNK_CELLS
