@@ -1,6 +1,7 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
 import inspect
 import re
+import tracemalloc
 from math import factorial
 from unittest import mock
 
@@ -558,6 +559,28 @@ class TestSuiteRunners:
         # Each form sums 8! unit exponentials: the bound scales with (n+1)!.
         report = analysis.run_detforms_suite(rank_bound=7, samples=1)
         assert report.passed, report.render_text()
+
+    def test_detforms_memory_estimate(self, monkeypatch):
+        # A label's batch of P points holds at most one kernel chunk, never
+        # its P * (n+1)!/2 alternating-form terms, plus per point what the
+        # permanent keeps: the matrix (m^2 complex, m = n+1), Ryser's row
+        # sums over the 2^m - 1 column subsets and their products, and a
+        # few per-point results.
+        monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 14)
+        lam, m, count = (1, 2, 1, 1, 1, 1), 7, 400
+        rng = np.random.default_rng(3)
+        xs = np.array([analysis._random_e_points(rng, 1, 6)[0] for _ in range(count)])
+        analysis._form_deviations(lam, xs[:3])  # the cached tables are not transients
+        tracemalloc.start()
+        try:
+            devs = analysis._form_deviations(lam, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(devs.values()) < 1e-9 * factorial(m)
+        per_point = 16 * ((m + 1) * ((1 << m) - 1) + m * m) + 16 * 8
+        assert peak <= 32 * of.CHUNK_CELLS + count * per_point
+        assert peak < count * (factorial(m) // 2) * 24  # one shot's kernel terms
 
     def test_detforms_evaluates_once_per_label(self, monkeypatch):
         calls = {}

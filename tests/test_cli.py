@@ -234,6 +234,21 @@ class TestVerifyCommand:
         need = analysis.quadrature_work(4, 3, 16)
         assert f"about {need:.1e} table rows of work, over the 1.0e+06 budget" in result.output
 
+    def test_oversized_detforms_refused_up_front(self, runner, monkeypatch):
+        # Rank 8 runs (below); past lie.MAX_RANK the bound is refused before
+        # any label is drawn.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        monkeypatch.setattr(analysis, "_form_deviations", must_not_run)
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, ["verify", "-s", "detforms", "-n", "9"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "rank bound must lie in 1..8" in result.output
+
     def test_detforms_at_rank_eight_runs_in_bounded_memory(self):
         # With -c 1 all 100 samples of a rank draw rho, one 100-point batch
         # over rank 8's 9!/2 even rows: 40 bytes a term in one shot (~700
