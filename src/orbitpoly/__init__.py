@@ -3,10 +3,7 @@ Chebyshev-type polynomials they generate."""
 
 from .lie import (
     MAX_RANK,
-    cartan_inverse,
-    cartan_matrix,
     congruence_number,
-    e_to_omega,
     inner_product,
     is_dominant,
     is_strictly_dominant,

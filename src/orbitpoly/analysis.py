@@ -785,6 +785,14 @@ def run_detforms_suite(
     against tolerance * (n+1)!.  The samples are evaluated once per label,
     as one batch: ``samples`` scales memory as a batch size does, while the
     tables, arrangements and evaluation chunks are bounded by constants.
+
+    On the column expansion S is also a determinant, yet "determinant form
+    = S" still compares two computations: ``d_minus`` builds its matrix
+    from ``lie.omega_to_e`` and the raw e-point, ``eval_s`` from the integer
+    suffix sums and y = x - mean(x), so a fault in either matrix shows (the
+    two differ by ~1e-12 at rank 6 from rounding alone).  numpy's LU itself
+    is pinned by "alternating = (permanent + determinant)/2", which checks
+    it against Ryser's permanent and ``exp_kernel``'s even-permutation sum.
     """
     report = SuiteReport("detforms", seed)
     rng = np.random.default_rng(seed)

@@ -4,10 +4,10 @@ Weights are plain tuples of integers giving coordinates in the omega basis
 (fundamental weights).  e-basis coordinates are exact ``fractions.Fraction``
 values on the hyperplane where all n+1 coordinates sum to zero; every exact
 e-space computation works on the integer ``suffix_sums`` instead, which are
-the e-coordinates shifted by a constant.  The Cartan matrix, its inverse and
-the omega-to-e matrix are kept as public reference data.  Everything
-here is exact rational arithmetic; floating point enters only at evaluation
-time in :mod:`orbitpoly.orbit_functions` and :mod:`orbitpoly.analysis`.
+the e-coordinates shifted by a constant; the omega-to-e matrix converts
+float rows.  Everything here is exact rational arithmetic; floating point
+enters only at evaluation time in :mod:`orbitpoly.orbit_functions` and
+:mod:`orbitpoly.analysis`.
 """
 from __future__ import annotations
 
@@ -49,29 +49,6 @@ def as_weight(coords: Sequence[int]) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """n x n Cartan matrix: 2 on the diagonal, -1 on the sub/super-diagonal."""
-    check_rank(n)
-    return tuple(
-        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse Cartan matrix, entries min(i,j)*(n+1-max(i,j))/(n+1)."""
-    check_rank(n)
-    return tuple(
-        tuple(
-            Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1)
-            for j in range(1, n + 1)
-        )
-        for i in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def omega_to_e_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """(n+1) x n conversion matrix from omega to e coordinates.
 
@@ -105,27 +82,6 @@ def omega_to_e(lam: Sequence[int]) -> tuple[Fraction, ...]:
     p = suffix_sums(lam)
     total = sum(p)
     return tuple(Fraction(len(p) * c - total, len(p)) for c in p)
-
-
-def e_to_omega(coords: Sequence) -> tuple:
-    """Inverse conversion on the zero-sum hyperplane: lam_i = l_i - l_{i+1}.
-
-    Exact inputs (int/Fraction) must sum to exactly zero; float inputs are
-    accepted within a small tolerance.
-    """
-    coords = tuple(coords)
-    if len(coords) < 2:
-        raise ValueError("e-coordinates need length rank+1 >= 2")
-    total = sum(coords)
-    exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    if exact:
-        if total != 0:
-            raise ValueError(f"e-coordinates must sum to zero, got {total}")
-    else:
-        scale = max(1.0, max(abs(float(c)) for c in coords))
-        if abs(float(total)) > 1e-9 * scale:
-            raise ValueError(f"e-coordinates must sum to ~zero, got {total}")
-    return tuple(coords[i] - coords[i + 1] for i in range(len(coords) - 1))
 
 
 def inner_product(lam: Sequence[int], mu: Sequence[int]) -> Fraction:

@@ -22,14 +22,15 @@ and the number of points in the call:
   ``ExpSum.evaluate``'s value bit for bit.  Every label of rank <= 3
   (``TABLE_FLOOR_ROWS``) takes it whatever the batch, and so does every
   label of rank <= 5 at one point.
-- the column expansion (``_expand``) fills the permanent or determinant of
-  exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time,
-  with d*m exponentials and at most 2^m * m products a point instead of
-  |W lam| exponentials: orbits of more than about 800 points (every
-  generic label from rank 6 on) take it at one point, and most orbits of
-  rank 4 and 5 in a batch (from 11 points for a generic rank-4 C, from 2
-  for a generic rank-5 C).  Its values agree with the table's within
-  1e-12 * |W lam|, not bit for bit.
+- the column expansion (``_expand``) fills the permanent of
+  exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time for
+  C, with d*m exponentials and at most 2^m * m products a point instead of
+  |W lam| exponentials; S is the determinant of the same matrix (one LU),
+  and a generic E is (C + S)/2.  Orbits of more than about 800 points
+  (every generic label from rank 6 on) take it at one point, and most
+  orbits of rank 4 and 5 in a batch (from 11 points for a generic rank-4
+  C, from 2 for a generic rank-5 C).  Its values agree with the table's
+  within 1e-12 * |W lam|, not bit for bit.
 """
 from __future__ import annotations
 
@@ -76,7 +77,8 @@ def _omega_to_e(n: int) -> np.ndarray:
 
 
 #: Most cells (points x weight rows in ``exp_kernel``, points x states x
-#: values in ``_expand``) one evaluation chunk holds, at ~24 bytes a cell.
+#: values in ``_expand``, m * 2^m or m^2 a point in ``d_plus``/``d_minus``)
+#: one evaluation chunk holds, at ~24 bytes a cell.
 CHUNK_CELLS = 1 << 20
 
 
@@ -170,8 +172,8 @@ def _table(dom: tuple[int, ...], kind: str, basis: str):
     dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
     to the same bits.  C and S share rows, and so does E on a chamber wall,
     where every point lies in the even orbit.  ``eval_*`` reads it only for
-    calls that do not expand (``expands``); a label evaluated only expanded
-    never builds one.  On a chamber wall S carries the orbit's signs
+    calls that do not expand; a label evaluated only expanded never builds
+    one.  On a chamber wall S carries the orbit's signs
     (``weyl.orbit(dom).signs``), although ``eval_s`` never sums it there."""
     rows, ones, signs = _tables((dom, kind == "E" and 0 not in dom, basis))
     return rows, signs if kind == "S" else ones
@@ -214,10 +216,8 @@ def _finite(values, x: np.ndarray):
 # only on how many copies u_i of each value are placed,
 #     dp[u] = sum_i dp[u - e_i] * M[i, |u| - 1],
 # so each distinct arrangement is counted once: d*m exponentials and at most
-# 2^m * m products a point.  Placing v_i after u' = u - e_i adds
-# sum_{j>i} u'_j inversions of the descending order, so S and E keep the
-# states of each parity apart: E is the even part, S the even minus the odd
-# part (the determinant).
+# 2^m * m products a point.  For a strictly dominant dom M is the square
+# matrix of the alternant, so S is its determinant and E = (C + S)/2.
 
 #: The per-call cost model that picks a label's path, in table rows.  A call
 #: at m points sums m * |rows| table rows; the expansion costs about
@@ -237,40 +237,31 @@ TABLE_FLOOR_ROWS = 24
 
 
 @lru_cache(maxsize=None)
-def _column_plan(counts: tuple[int, ...], split: bool) -> tuple[tuple, tuple[int, int], int]:
-    """(steps, finals, work) of the column expansion of a multiset whose
-    distinct values, in descending order, occur counts[i] times.
+def _column_plan(counts: tuple[int, ...]) -> tuple[tuple, int]:
+    """(steps, work) of the column expansion of a multiset whose distinct
+    values, in descending order, occur counts[i] times.
 
-    The states (u, parity), u <= counts and the parity 0 unless ``split``,
-    are numbered by level |u| (the columns filled), the empty even state
-    first.  A step (start, stop, pred) fills one level: pred[s, i] numbers
-    the predecessor of state start + s through value i, or is -1 (a row
-    kept zero) where u_i = 0.  ``finals`` numbers the full even and odd
-    states (-1 for no odd one); ``work`` counts the products of all steps.
+    The states u <= counts are numbered by level |u| (the columns filled),
+    the empty state first and the full one last.  A step (start, stop,
+    pred) fills one level: pred[s, i] numbers the predecessor u - e_i of
+    state start + s, or is -1 (a row kept zero) where u_i = 0.  ``work``
+    counts the products of all steps.
     """
     d, size = len(counts), prod(c + 1 for c in counts)
     u = np.indices([c + 1 for c in counts]).reshape(d, size).T  # mixed radix, last fastest
     stride = np.cumprod([1] + [c + 1 for c in counts[:0:-1]])[::-1]
-    parities = 2 if split else 1
-    level = np.tile(u.sum(axis=1), parities)
-    parity = np.repeat(np.arange(parities), size)
-    order = np.lexsort((parity, level))
+    level = u.sum(axis=1)
+    order = np.argsort(level, kind="stable")
     number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    # The predecessor through value i: u - e_i, its parity flipped when
-    # sum_{j>i} u_j values below v_i came first.
-    flip = (u[:, ::-1].cumsum(axis=1)[:, ::-1] - u) & 1 if split else 0
-    source = (parity[:, None] ^ np.tile(flip, (parities, 1))) * size \
-        + np.tile(np.arange(size)[:, None] - stride, (parities, 1))
-    pred = np.where(np.tile(u, (parities, 1)) > 0, number[source % (parities * size)], -1)
+    number[order] = np.arange(size)
+    pred = np.where(u > 0, number[(np.arange(size)[:, None] - stride) % size], -1)
     bounds = np.searchsorted(level[order], np.arange(sum(counts) + 2))
     steps = []
     for start, stop in zip(bounds[1:-1], bounds[2:]):
         rows = pred[order[start:stop]]
         rows.flags.writeable = False
         steps.append((int(start), int(stop), rows))
-    finals = tuple(int(number[p * size + size - 1]) for p in range(parities)) + (-1,) * (2 - parities)
-    return tuple(steps), finals, d * (len(order) - parities)
+    return tuple(steps), d * (size - 1)
 
 
 @lru_cache(maxsize=4096)
@@ -286,15 +277,15 @@ def _costs(dom: tuple[int, ...], kind: str) -> tuple:
     + (m - 1) * exponentials, solved in integers; inf where it never is, as
     for every orbit of at most ``TABLE_FLOOR_ROWS`` rows.  The products are
     counted from the value multiplicities, so no plan is built for a label
-    that stays on the table.  E is C on a wall, and S is never summed there.
+    that stays on the table.  Every kind is priced by C's products: the
+    determinant that S takes instead, and a generic E besides, is one LU of
+    about m^3/3 products, fewer than the m * (2^m - 1) of the expansion.
     """
     values, counts = weyl.value_counts(dom)
-    generic = max(counts) == 1
-    rows = weyl.orbit_size(dom) // (2 if kind == "E" and generic else 1)
+    rows = weyl.orbit_size(dom) // (2 if kind == "E" and max(counts) == 1 else 1)
     if rows <= TABLE_FLOOR_ROWS:
         return inf, rows, inf, 0
-    parities = 2 if kind != "C" and generic else 1
-    work = len(values) * parities * (prod(c + 1 for c in counts) - 1)
+    work = len(values) * (prod(c + 1 for c in counts) - 1)
     exponentials = len(values) * (len(dom) + 1)
     slope = PRODUCTS_PER_ROW * (rows - exponentials) - work
     offset = PRODUCTS_PER_ROW * (EXPANSION_BASE_ROWS - exponentials)
@@ -303,19 +294,12 @@ def _costs(dom: tuple[int, ...], kind: str) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _expansion(dom: tuple[int, ...], kind: str):
-    """(values, plan) of the column expansion of ``exp_sum(dom, kind)`` for
-    a dominant dom: its distinct suffix-sum values, descending, and
-    ``_column_plan`` of their multiplicities."""
+def _expansion(dom: tuple[int, ...]):
+    """(values, plan) of the column expansion of a dominant dom: its
+    distinct suffix-sum values, descending, and ``_column_plan`` of their
+    multiplicities."""
     values, counts = weyl.value_counts(dom)
-    return np.array(values, dtype=float), _column_plan(counts, kind != "C" and max(counts) == 1)
-
-
-def expands(dom: tuple[int, ...], kind: str, points: int = 1) -> bool:
-    """Whether ``eval_*`` evaluates ``exp_sum(dom, kind)`` of a dominant dom
-    at a batch of ``points`` points by the column expansion rather than by
-    summing its table rows."""
-    return points >= _costs(dom, kind)[0]
+    return np.array(values, dtype=float), _column_plan(counts)
 
 
 def call_rows(dom: tuple[int, ...], kind: str, points: int) -> float:
@@ -341,22 +325,26 @@ def _columns(x, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _expand(values: np.ndarray, plan: tuple, y: np.ndarray) -> np.ndarray:
-    """The full even and odd states' sums at the column coordinates y: an
-    array (2,) for one point, (m, 2) for a batch (in ``_chunked``)."""
-    steps, finals, _ = plan
+def _expand(values: np.ndarray, plan: tuple, kind: str, y: np.ndarray) -> np.ndarray:
+    """C at the column coordinates y, or for a strictly dominant label the
+    determinant S (kind "S") or (C + S)/2 (kind "E"): a scalar for one
+    point, (m,) for a batch (in ``_chunked``)."""
+    steps, _ = plan
     states = steps[-1][1] + 1  # the last state stays 0
 
     def sums(y):
         # mat[..., k, i, 0] = M[i, k]: each column a (d, 1) matrix for matmul.
         mat = np.exp(2j * np.pi * (y[..., None, None] * values[:, None]))
+        if kind == "S":
+            return np.linalg.det(mat[..., 0])
         dp = np.zeros(y.shape[:-1] + (states,), dtype=complex)
         dp[..., 0] = 1
         for k, (start, stop, pred) in enumerate(steps):
             np.matmul(dp.take(pred, axis=-1), mat[..., k, :, :], out=dp[..., start:stop, None])
-        return dp[..., finals]
+        c = dp[..., -2]
+        return c if kind == "C" else (c + np.linalg.det(mat[..., 0])) / 2
 
-    return sums(y) if y.ndim == 1 else _chunked(sums, y, states * len(values), (2,))
+    return sums(y) if y.ndim == 1 else _chunked(sums, y, states * len(values))
 
 
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
@@ -366,8 +354,8 @@ def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.nd
         x = _shaped(x, weights.shape[1], basis)
         return _finite(exp_kernel(weights, coeffs, x), x)
     x, y = _columns(x, len(dom), basis)
-    sums = _expand(*_expansion(dom, kind), y)
-    return _finite(sums[..., 0] - sums[..., 1] if kind == "S" else sums[..., 0], x)
+    # On a chamber wall E is C: every orbit point lies in the even orbit.
+    return _finite(_expand(*_expansion(dom), "C" if 0 in dom else kind, y), x)
 
 
 def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
@@ -478,19 +466,23 @@ def _check_e_inputs(l: Sequence[float], x) -> tuple[np.ndarray, np.ndarray]:
     return l, _points(x, len(l), "e")
 
 
-def _exp_matrix(l: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i l_j x_k): one (n+1, n+1) matrix, or a stack of one per row of x."""
-    return np.exp(2j * np.pi * (l[:, None] * x[..., None, :]))
+def _matrix_form(form, l: np.ndarray, x: np.ndarray, cells: int):
+    """form of exp(2*pi*i l_j x_k), one (n+1, n+1) matrix per point of x,
+    a batch built and reduced in ``_chunked`` chunks of ``cells`` a point."""
+    def values(x):
+        return form(np.exp(2j * np.pi * (l[:, None] * x[..., None, :])))
+
+    return _finite(values(x) if x.ndim == 1 else _chunked(values, x, cells), x)
 
 
 def d_plus(l: Sequence[float], x) -> complex | np.ndarray:
     """Symmetric form: permanent of exp(2*pi*i l_j x_k).
 
     Equals the full group sum, hence (|W|/|W_lam|) times the C-function of
-    the same weight.
+    the same weight.  A point's Ryser row sums take m * 2^m cells.
     """
     l, x = _check_e_inputs(l, x)
-    return _finite(permanent(_exp_matrix(l, x)), x)
+    return _matrix_form(permanent, l, x, len(l) << len(l))
 
 
 def d_minus(l: Sequence[float], x) -> complex | np.ndarray:
@@ -500,7 +492,7 @@ def d_minus(l: Sequence[float], x) -> complex | np.ndarray:
     on non-generic ones.
     """
     l, x = _check_e_inputs(l, x)
-    return _finite(np.linalg.det(_exp_matrix(l, x)), x)
+    return _matrix_form(np.linalg.det, l, x, len(l) ** 2)
 
 
 def d_alt(l: Sequence[float], x) -> complex | np.ndarray:

@@ -3,7 +3,10 @@ conversions that the package itself does not need."""
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import Iterator, Sequence
+
+from orbitpoly.lie import check_rank
 
 
 def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
@@ -58,3 +61,46 @@ def three_term_coeffs(m: int, first: Sequence[int]) -> tuple[int, ...]:
     for _ in range(m - 1):
         prev, cur = cur, list(map(operator.sub, [0] + [2 * c for c in cur], prev + [0, 0]))
     return tuple(cur)
+
+
+def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """n x n Cartan matrix: 2 on the diagonal, -1 on the sub/super-diagonal."""
+    check_rank(n)
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse Cartan matrix, entries min(i,j)*(n+1-max(i,j))/(n+1)."""
+    check_rank(n)
+    return tuple(
+        tuple(
+            Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1)
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+
+
+def e_to_omega(coords: Sequence) -> tuple:
+    """Inverse of ``lie.omega_to_e`` on the zero-sum hyperplane:
+    lam_i = l_i - l_{i+1}.
+
+    Exact inputs (int/Fraction) must sum to exactly zero; float inputs are
+    accepted within a small tolerance.
+    """
+    coords = tuple(coords)
+    if len(coords) < 2:
+        raise ValueError("e-coordinates need length rank+1 >= 2")
+    total = sum(coords)
+    exact = all(isinstance(c, (int, Fraction)) for c in coords)
+    if exact:
+        if total != 0:
+            raise ValueError(f"e-coordinates must sum to zero, got {total}")
+    else:
+        scale = max(1.0, max(abs(float(c)) for c in coords))
+        if abs(float(total)) > 1e-9 * scale:
+            raise ValueError(f"e-coordinates must sum to ~zero, got {total}")
+    return tuple(coords[i] - coords[i + 1] for i in range(len(coords) - 1))

@@ -311,6 +311,13 @@ def every_label_expands():
         yield
 
 
+def expands(dom, kind, points=1):
+    """Whether ``eval_*`` evaluates ``exp_sum(dom, kind)`` of a dominant dom
+    at ``points`` points by the column expansion: from the break-even of
+    ``_costs`` on."""
+    return points >= of._costs(dom, kind)[0]
+
+
 EVALUATORS = {"C": of.eval_c, "S": of.eval_s, "E": of.eval_e}
 
 
@@ -368,7 +375,7 @@ class TestColumnExpansion:
     @pytest.mark.parametrize("lam", [(1,) * 8, (2, 1, 3, 1, 1, 2, 1, 1), (1, 0, 2, 1, 0, 0, 3, 1),
                                      (0, 2, 0, 0, 1, 0, 0, 0)])
     def test_rank_eight_against_the_forms(self, lam):
-        assert of.expands(lam, "C")
+        assert expands(lam, "C")
         rng = np.random.default_rng(8)
         l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
         xs = np.array([e_point(rng, 8) for _ in range(3)])
@@ -387,7 +394,7 @@ class TestColumnExpansion:
         for n in range(1, 6):
             for lam in itertools.product((0, 1), repeat=n):
                 kinds = ("C", "S", "E") if all(lam) else ("C", "E")
-                assert not any(of.expands(lam, kind) for kind in kinds)
+                assert not any(expands(lam, kind) for kind in kinds)
 
     def test_one_point_chooses_as_the_label_alone_did(self):
         # The single-point rule before batches counted: the table up to
@@ -399,13 +406,13 @@ class TestColumnExpansion:
             rows = weyl.orbit_size(lam) // (2 if kind == "E" and generic else 1)
             if rows <= 800:
                 return False
-            work = of._column_plan(tuple(map(p.count, distinct)), kind != "C" and generic)[2]
+            work = of._column_plan(tuple(map(p.count, distinct)))[1]
             return rows > 800 + work // 8
 
         for n in range(1, 9):
             for lam in itertools.product((0, 1), repeat=n):
                 for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
-                    assert of.expands(lam, kind) == of.expands(lam, kind, 1) == by_label(lam, kind)
+                    assert expands(lam, kind) == expands(lam, kind, 1) == by_label(lam, kind)
 
     def test_break_even_solves_the_cost_model(self):
         # The products counted from the multiplicities are the plan's, and
@@ -415,12 +422,11 @@ class TestColumnExpansion:
                 for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
                     break_even, rows, per_point, exps = of._costs(lam, kind)
                     if rows <= of.TABLE_FLOOR_ROWS:
-                        assert not of.expands(lam, kind, 10 ** 6)
+                        assert not expands(lam, kind, 10 ** 6)
                         continue
                     p = lie.suffix_sums(lam)
                     distinct = sorted(set(p), reverse=True)
-                    split = kind != "C" and len(distinct) == len(p)
-                    work = of._column_plan(tuple(map(p.count, distinct)), split)[2]
+                    work = of._column_plan(tuple(map(p.count, distinct)))[1]
                     assert per_point * of.PRODUCTS_PER_ROW == work
                     # The cost difference is linear in m: checking both sides
                     # of the cached break-even checks every m.
@@ -428,13 +434,13 @@ class TestColumnExpansion:
                     for m in {1, 2, 10 ** 4, *near} - {0}:
                         cheaper = Fraction(m * rows) > (of.EXPANSION_BASE_ROWS
                                                         + m * Fraction(work, of.PRODUCTS_PER_ROW) + (m - 1) * exps)
-                        assert of.expands(lam, kind, m) == cheaper
+                        assert expands(lam, kind, m) == cheaper
 
     def test_no_label_of_rank_three_or_less_expands_at_any_batch(self):
         for n in range(1, 4):
             for lam in itertools.product((0, 1), repeat=n):
                 for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
-                    assert not any(of.expands(lam, kind, m) for m in (1, 2, 10, 1000, 10 ** 5))
+                    assert not any(expands(lam, kind, m) for m in (1, 2, 10, 1000, 10 ** 5))
 
     @pytest.mark.parametrize("kind,lam", [("C", (1, 2, 1, 3)), ("S", (2, 1, 1, 1)),
                                           ("C", (1, 0, 2, 1)), ("C", (1, 2, 1, 1, 2)),
@@ -444,7 +450,7 @@ class TestColumnExpansion:
         # Each label gets the ortho suite's N=16 grid as one batch.
         n = len(lam)
         nodes = [1242, 3896][n - 4]
-        assert of.expands(lam, kind, nodes) and not of.expands(lam, kind)
+        assert expands(lam, kind, nodes) and not expands(lam, kind)
         rng = np.random.default_rng(n)
         x = np.array([e_point(rng, n) for _ in range(nodes)])
         got = EVALUATORS[kind](lam, x, basis="e")
@@ -455,7 +461,7 @@ class TestColumnExpansion:
     @pytest.mark.parametrize("lam", [(1,) * 6, (1,) * 7, (2, 1, 0, 1, 1, 0, 1), (1,) * 8])
     def test_large_orbits_expand(self, lam):
         kinds = ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E")
-        assert all(of.expands(lam, kind) for kind in kinds)
+        assert all(expands(lam, kind) for kind in kinds)
 
     def test_expanding_label_holds_no_table(self, tables):
         lam = (2, 1, 1, 3, 1, 2, 1)
@@ -682,16 +688,20 @@ STEP = 3
 
 def chunk_cases():
     """(name, evaluate a batch, cells a point of that batch): the table
-    path, the column expansion, d_alt and ExpSum.evaluate."""
+    path, the column expansion, the three forms and ExpSum.evaluate."""
     table_lam, wide_lam = (1, 2, 1), (1, 2, 1, 1, 3, 1)
-    values, plan = of._expansion(wide_lam, "S")
+    values, (steps, _) = of._expansion(wide_lam)
+    expanded = (steps[-1][1] + 1) * len(values)
     l = np.array([float(v) for v in lie.omega_to_e((2, 1, 3, 1))])
     s = exp_sum((2, 1, 3), "E")
     return [
         ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(of._table(table_lam, "C", "alpha")[0])),
         ("table E, e basis", lambda x: of.eval_e(table_lam, x[:, :4], basis="e"),
          len(of._table(table_lam, "E", "e")[0])),
-        ("expansion S", lambda x: of.eval_s(wide_lam, x[:, :6]), (plan[0][-1][1] + 1) * len(values)),
+        ("expansion S", lambda x: of.eval_s(wide_lam, x[:, :6]), expanded),
+        ("expansion E", lambda x: of.eval_e(wide_lam, x[:, :6]), expanded),
+        ("d_plus", lambda x: of.d_plus(l, x[:, :5]), 5 << 5),
+        ("d_minus", lambda x: of.d_minus(l, x[:, :5]), 5 * 5),
         ("d_alt", lambda x: of.d_alt(l, x[:, :5]), factorial(5) // 2),
         ("ExpSum.evaluate", lambda x: s.evaluate(x[:, :3]), len(s.terms)),
     ]
@@ -768,8 +778,8 @@ class TestBoundedTransients:
     def test_eval_c_expanded(self, monkeypatch):
         monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 16)
         lam = (1, 2, 1, 1, 3, 1)
-        assert of.expands(lam, "C", 6000)
-        of._expansion(lam, "C")  # the cached plan is not a transient
+        assert expands(lam, "C", 6000)
+        of._expansion(lam)  # the cached plan is not a transient
         x = np.random.default_rng(2).random((6000, 6))
         out, peak = self.peak(lambda: of.eval_c(lam, x))
         columns = x.shape[0] * (x.shape[1] + 1) * 8

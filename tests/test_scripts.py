@@ -38,3 +38,31 @@ class TestMakePolyTables:
         assert table[3]["terms"] == [{"deg": [1, 1], "coeff": 1}, {"deg": [0, 0], "coeff": -1}]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "A2_T_up_to_1.json", "A2_U_up_to_1.json"]
+
+
+class TestPathScan:
+    @pytest.mark.parametrize("args,message", [
+        (["--max-rank", "3"], "--max-rank must lie in 4..8, got 3"),
+        (["--max-rank", "9"], "--max-rank must lie in 4..8, got 9"),
+        (["--budget", "-1"], "--budget must be >= 0, got -1.0"),
+    ])
+    def test_bad_arguments_exit_2(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            load("path_scan").main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+    def test_one_row_per_kind_and_batch_with_the_chosen_path(self, capsys):
+        from orbitpoly import orbit_functions
+
+        assert load("path_scan").main(["--max-rank", "4", "--budget", "0"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["rank", "kind", "points", "table", "us/pt",
+                                  "expansion", "us/pt", "picks"]
+        cells = [row.split() for row in rows]
+        assert [(rank, kind, points) for rank, kind, points, *_ in cells] == [
+            ("4", kind, points) for kind in "CSE" for points in ("1", "20", "400")]
+        for _, kind, points, table, expansion, picks in cells:
+            assert float(table) > 0 and float(expansion) > 0
+            break_even = orbit_functions._costs((1,) * 4, kind)[0]
+            assert picks == ("expansion" if int(points) >= break_even else "table")
