@@ -4,11 +4,14 @@ up to --max-rank, at one point and at batches of 20 and 400 points, and
 report the path the cost model picks.
 
 Each row prints the microseconds a point of the table path (summing the
-orbit's exponentials) and of the column expansion, each path forced by
-patching ``orbit_functions._costs``, and the path ``_costs`` picks for
-that call.  A label's table or plan is built by one untimed call first;
-each timing is the best of the calls made within --budget seconds (at
-least one).  This is the evidence for the cost model's constants.
+orbit's exponentials) and of the column expansion, and the path that
+``orbit_functions._costs`` picks for that call.  Each path is forced by
+patching the break-even of ``_costs``, which a batch reads, and by a fresh
+``_tables`` cache, whose entry a one-point call reads, so that no entry
+built under the patch is left in the module's cache.  A label's table or
+plan is built by one untimed call first; each timing is the best of the
+calls made within --budget seconds (at least one).  This is the evidence
+for the cost model's constants.
 
 Example:
     python scripts/path_scan.py --max-rank 6
@@ -21,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 
-from orbitpoly import lie, orbit_functions
+from orbitpoly import lie, orbit_functions, weyl
 
 EVALUATORS = {"C": orbit_functions.eval_c, "S": orbit_functions.eval_s,
               "E": orbit_functions.eval_e}
@@ -33,7 +36,10 @@ def per_point_us(evaluate, x: np.ndarray, break_even, budget: float) -> float:
     """Best microseconds a point of evaluate(x), x one point or a batch,
     with every call breaking even at ``break_even`` points."""
     points = len(x) if x.ndim == 2 else 1
-    with mock.patch.object(orbit_functions, "_costs", lambda dom, kind: (break_even,)):
+    tables = weyl._bounded_cache(orbit_functions._entry_rows, orbit_functions.TABLE_ROW_BOUND)(
+        orbit_functions._tables.__wrapped__)
+    with mock.patch.object(orbit_functions, "_costs", lambda dom, kind: (break_even,)), \
+            mock.patch.object(orbit_functions, "_tables", tables):
         evaluate(x if x.ndim == 1 else x[0])  # builds the label's table or plan
         best, spent = inf, 0.0
         while best == inf or spent < budget:

@@ -38,14 +38,19 @@ def check_rank(n: int) -> None:
 
 
 def as_weight(coords: Sequence[int]) -> Weight:
-    """Validate and normalize omega-basis coordinates to a tuple of ints."""
-    out = []
-    for c in coords:
-        if isinstance(c, bool) or not isinstance(c, int):
+    """Validate and normalize omega-basis coordinates to a tuple of ints.
+
+    A plain int passes on its exact type; only another type goes on to the
+    ``isinstance`` check, which lets int subclasses other than bool pass and
+    names the first coordinate that is not an integer.
+    """
+    lam = tuple(coords)
+    for c in lam:
+        if type(c) is not int and (isinstance(c, bool) or not isinstance(c, int)):
             raise ValueError(f"weight coordinates must be integers, got {c!r}")
-        out.append(c)
-    check_rank(len(out))
-    return tuple(out)
+    if not 0 < len(lam) <= MAX_RANK:
+        check_rank(len(lam))
+    return lam
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +112,20 @@ def congruence_number(lam: Sequence[int]) -> int:
 
 
 def dominant_weight(coords: Sequence[int], what: str) -> Weight:
-    """``as_weight(coords)``; raises ValueError naming ``what`` unless dominant."""
-    lam = as_weight(coords)
+    """``as_weight(coords)``; raises ValueError naming ``what`` unless dominant.
+
+    Non-negative plain ints of an allowed rank pass one exact-type loop;
+    anything else takes ``as_weight``'s full check, so every error keeps
+    its message and its order (integers, then rank, then dominance).
+    """
+    lam = tuple(coords)
+    for c in lam:
+        if type(c) is not int or c < 0:
+            break
+    else:
+        if 0 < len(lam) <= MAX_RANK:
+            return lam
+    lam = as_weight(lam)
     if not is_dominant(lam):
         raise ValueError(f"{what} requires a dominant weight, got {lam}")
     return lam

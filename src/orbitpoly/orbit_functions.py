@@ -12,16 +12,21 @@ chunks of whole points (``CHUNK_CELLS``), never one point alone, so its
 transients are bounded by a constant and each row keeps its one-shot bits.
 
 An orbit function takes one of two paths, chosen per call by a cost model
-(``EXPANSION_BASE_ROWS``) from cost terms cached per (dominant label, kind)
-and the number of points in the call:
+(``EXPANSION_BASE_ROWS``) from the number of points in the call and the
+label's break-even (``_costs``).  A call validates its label once and
+reads one cached entry per (dominant label, kind, basis) (``_tables``):
+the table rows and coefficients where one point sums the table, nothing
+where it expands; only a batch large enough to expand reads the
+break-even alone.
 
 - the table path sums one exponential per orbit point, the rows of
   ``exp_sum(lam, kind)`` in its term order, in the one kernel
-  ``exp_kernel`` that also computes ``ExpSum.evaluate``.  It accumulates
-  with numpy reductions (pairwise summation), so a label on this path gives
-  ``ExpSum.evaluate``'s value bit for bit.  Every label of rank <= 3
-  (``TABLE_FLOOR_ROWS``) takes it whatever the batch, and so does every
-  label of rank <= 5 at one point.
+  ``exp_kernel`` that also computes ``ExpSum.evaluate``; the unit
+  coefficients of C and E are not multiplied, which keeps every bit.  It
+  accumulates with numpy reductions (pairwise summation), so a label on
+  this path gives ``ExpSum.evaluate``'s value bit for bit.  Every label of
+  rank <= 3 (``TABLE_FLOOR_ROWS``) takes it whatever the batch, and so does
+  every label of rank <= 5 at one point.
 - the column expansion (``_expand``) fills the permanent of
   exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time for
   C, with d*m exponentials and at most 2^m * m products a point instead of
@@ -96,8 +101,9 @@ def _chunked(values, points: np.ndarray, cells: int, shape: tuple = ()) -> np.nd
     return out
 
 
-def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
-    """sum_mu coeff_mu * exp(2*pi*i <mu, x>) over the rows mu of ``weights``.
+def exp_kernel(weights: np.ndarray, coeffs: np.ndarray | None, points: np.ndarray):
+    """sum_mu coeff_mu * exp(2*pi*i <mu, x>) over the rows mu of ``weights``;
+    ``coeffs`` None sums the exponentials unmultiplied, as unit coefficients.
 
     ``points`` is one point x (a scalar result) or an (m, n) grid of them
     (m results, in ``_chunked``).  Every exponential sum over weight rows
@@ -106,16 +112,22 @@ def exp_kernel(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
     the same weights, coefficients and point give the same bits whichever
     function asked.  Orbit functions on the column expansion do not sum rows
     and do not come here.
+
+    Leaving out a multiplication by 1 keeps every bit: it is exact on a
+    phase whose real part, cos(theta) at a float theta, is never exactly 0
+    and whose imaginary part is never -0 (theta = 2*pi*<mu, x> + 0 is
+    never -0, and sin(theta) is 0 only at theta = +0).
     """
     if points.ndim == 2:
         return _chunked(lambda chunk: _exp_sums(weights, coeffs, chunk), points, len(weights))
     return _exp_sums(weights, coeffs, points)
 
 
-def _exp_sums(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+def _exp_sums(weights: np.ndarray, coeffs: np.ndarray | None, points: np.ndarray):
     terms = np.multiply(points @ weights.T, 2j * np.pi)
     np.exp(terms, out=terms)
-    terms *= coeffs  # in place: the same bits as coeffs * terms
+    if coeffs is not None:
+        terms *= coeffs  # in place: the same bits as coeffs * terms
     return np.add.reduce(terms, axis=-1)
 
 
@@ -125,58 +137,68 @@ def _exp_sums(weights: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
 # ``exp_sum`` stay the exact path and are never built here.
 
 #: Most weight rows the orbit-function tables hold, summed over every cached
-#: entry; one rank-8 label's C/S rows and E half (9! * 3/2) fit, although
-#: ``eval_*`` builds tables only for labels that do not expand.  An entry
-#: also counts ``TABLE_ENTRY_ROWS`` for its Python objects, so many small
-#: orbits cannot hold more memory than the bound's worth of rows.
+#: entry; one rank-8 label's C and S entries (which share their rows but
+#: count them each) and E half (9! * 5/2) fit, although ``eval_*`` builds
+#: rows only for labels that do not expand.  An entry also counts
+#: ``TABLE_ENTRY_ROWS`` for its Python objects, so many small orbits cannot
+#: hold more memory than the bound's worth of rows.
 TABLE_ROW_BOUND = 1 << 20
 TABLE_ENTRY_ROWS = 16
 
 
-@lru_cache(maxsize=64)
-def _ones(length: int) -> np.ndarray:
-    """Read-only unit coefficients, shared by every table of that length."""
-    ones = np.ones(length)
-    ones.flags.writeable = False
-    return ones
+def _entry_rows(entry: tuple) -> int:
+    """Rows a ``_tables`` entry counts against ``TABLE_ROW_BOUND``."""
+    return TABLE_ENTRY_ROWS + (0 if entry[0] is None else len(entry[0]))
 
 
-@weyl._bounded_cache(lambda table: len(table[0]) + TABLE_ENTRY_ROWS, TABLE_ROW_BOUND)
-def _tables(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, ones, signs) of the key (dom, even, basis), a dominant dom:
-    the weight rows in ``basis`` of its orbit in ``exp_sum``'s term order,
-    or of the even half of a strictly dominant dom's orbit when ``even``,
-    with unit coefficients and the rows' parity signs.
+@weyl._bounded_cache(_entry_rows, TABLE_ROW_BOUND)
+def _tables(key: tuple) -> tuple:
+    """(weights, coefficients) that ``eval_*`` sums for the key (dom, kind,
+    basis), a dominant dom: one entry per call's label, cached by the rows
+    held (``TABLE_ROW_BOUND``).
 
-    The rows are ``weyl._arrangements`` of dom's distinct suffix-sum
-    values, whose consecutive differences are the weights; the signs are
-    their parities as +-1, the sign of each point's stable descending sort.
-    The even half is the rows of sign +1 of dom's own table.  Cached by the
-    rows held (``TABLE_ROW_BOUND``).
+    Where one point takes the table (``_costs``'s break-even above one
+    point), the weights are the rows in ``basis`` of ``exp_sum(dom, kind)``
+    in its term order, so that ``ExpSum.evaluate`` sums the same rows to the
+    same bits, and the coefficients are the parity signs for S and None for
+    C and E, whose unit coefficients ``exp_kernel`` never multiplies.
+    Where one point expands, both are None, so a label evaluated only
+    expanded never builds rows.  S and E read the C entry's rows: S, and E
+    on a chamber wall, where every point lies in the even orbit, share them
+    (their break-even is C's), and a generic E sums those of sign +1 (it
+    takes the table only where C does too, at every rank).  On a chamber
+    wall S carries the orbit's signs (``weyl.orbit(dom).signs``), although
+    ``eval_s`` never sums it there.
     """
-    dom, even, basis = key
-    if even:
-        rows, _, signs = _tables((dom, False, basis))
-        rows = rows[signs > 0]
-        return rows, _ones(len(rows)), _ones(len(rows))
+    dom, kind, basis = key
+    if _costs(dom, kind)[0] <= 1:
+        return None, None
+    if kind == "C":
+        return _orbit_rows(dom, basis), None
+    if kind == "E" and 0 in dom:
+        return _tables((dom, "C", basis))
+    rows = _tables((dom, "C", basis))[0]
+    signs = 1.0 - 2.0 * np.frombuffer(weyl._arrangements(weyl.value_counts(dom)[1])[1], np.uint8)
+    return (rows, signs) if kind == "S" else (rows[signs > 0], None)
+
+
+def _orbit_rows(dom: tuple[int, ...], basis: str) -> np.ndarray:
+    """The weight rows in ``basis`` of dom's orbit in ``exp_sum``'s term
+    order: ``weyl._arrangements`` of dom's distinct suffix-sum values, whose
+    consecutive differences are the weights."""
     values, counts = weyl.value_counts(dom)
-    rows, parities = weyl._arrangements(counts)
-    index = np.frombuffer(rows, np.uint8).reshape(-1, len(dom) + 1)
+    index = np.frombuffer(weyl._arrangements(counts)[0], np.uint8).reshape(-1, len(dom) + 1)
     q = np.array(values)[index]
-    weights = _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
-    return weights, _ones(len(weights)), 1.0 - 2.0 * np.frombuffer(parities, np.uint8)
+    return _in_basis((q[:, :-1] - q[:, 1:]).astype(float), basis)
 
 
-def _table(dom: tuple[int, ...], kind: str, basis: str):
-    """(weight rows, coefficients) of ``exp_sum(dom, kind)`` for a dominant
-    dom, in its term order, so that ``ExpSum.evaluate`` sums the same rows
-    to the same bits.  C and S share rows, and so does E on a chamber wall,
-    where every point lies in the even orbit.  ``eval_*`` reads it only for
-    calls that do not expand; a label evaluated only expanded never builds
-    one.  On a chamber wall S carries the orbit's signs
-    (``weyl.orbit(dom).signs``), although ``eval_s`` never sums it there."""
-    rows, ones, signs = _tables((dom, kind == "E" and 0 not in dom, basis))
-    return rows, signs if kind == "S" else ones
+def _width(n: int, basis: str) -> int:
+    """Coordinates of a rank-n point in ``basis``."""
+    if basis == "alpha":
+        return n
+    if basis == "e":
+        return n + 1
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def _points(x, width: int, basis: str) -> np.ndarray:
@@ -311,18 +333,14 @@ def call_rows(dom: tuple[int, ...], kind: str, points: int) -> float:
                EXPANSION_BASE_ROWS + points * per_point + (points - 1) * exponentials)
 
 
-def _columns(x, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """(x checked as by ``_points``, the column coordinates y of its points)."""
+def _columns(x: np.ndarray, basis: str) -> np.ndarray:
+    """The column coordinates y of the checked points x in ``basis``."""
     if basis == "alpha":
-        x = _points(x, n, basis)
-        y = np.zeros(x.shape[:-1] + (n + 1,))
+        y = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
         y[..., :-1] = x
         y[..., 1:] -= x
-        return x, y
-    if basis == "e":
-        x = _points(x, n + 1, basis)
-        return x, x - x.mean(axis=-1, keepdims=True)
-    raise ValueError(f"unknown basis {basis!r}")
+        return y
+    return x - x.mean(axis=-1, keepdims=True)
 
 
 def _expand(values: np.ndarray, plan: tuple, kind: str, y: np.ndarray) -> np.ndarray:
@@ -348,14 +366,15 @@ def _expand(values: np.ndarray, plan: tuple, kind: str, y: np.ndarray) -> np.nda
 
 
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if (len(x) if x.ndim == 2 else 1) < _costs(dom, kind)[0]:
-        weights, coeffs = _table(dom, kind, basis)
-        x = _shaped(x, weights.shape[1], basis)
-        return _finite(exp_kernel(weights, coeffs, x), x)
-    x, y = _columns(x, len(dom), basis)
+    x = _shaped(np.asarray(x, dtype=float), _width(len(dom), basis), basis)
+    # A batch that expands reads only the break-even; any other call reads
+    # its label's one table entry, which has no rows where one point expands.
+    if x.ndim == 1 or len(x) < _costs(dom, kind)[0]:
+        weights, coeffs = _tables((dom, kind, basis))
+        if weights is not None:
+            return _finite(exp_kernel(weights, coeffs, x), x)
     # On a chamber wall E is C: every orbit point lies in the even orbit.
-    return _finite(_expand(*_expansion(dom), "C" if 0 in dom else kind, y), x)
+    return _finite(_expand(*_expansion(dom), "C" if 0 in dom else kind, _columns(x, basis)), x)
 
 
 def eval_c(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
@@ -377,9 +396,9 @@ def eval_s(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
     than an error.  The points are checked as for any other label.
     """
     lam = lie.dominant_weight(lam, "S")
-    if lie.is_strictly_dominant(lam):
+    if 0 not in lam:
         return _evaluate(lam, "S", x, basis)
-    x = _points(x, weight_rows((), len(lam), basis).shape[1], basis)
+    x = _points(x, _width(len(lam), basis), basis)
     zeros = _finite(np.where(np.isfinite(x).all(axis=-1), 0j, np.nan), x)
     warnings.warn(
         f"S vanishes identically at the non-generic weight {lam}",
@@ -504,4 +523,4 @@ def d_alt(l: Sequence[float], x) -> complex | np.ndarray:
     their identities with the orbit functions check the kernel.
     """
     l, x = _check_e_inputs(l, x)
-    return _finite(exp_kernel(l[_even_permutations(len(l))], 1.0, x), x)
+    return _finite(exp_kernel(l[_even_permutations(len(l))], None, x), x)

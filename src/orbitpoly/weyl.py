@@ -112,16 +112,18 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _SKIP = [bytes(range(i)) + bytes(range(i + 1, 256)) + b"\xff" for i in range(lie.MAX_RANK + 1)]
 
 
-def _bounded_cache(size, bound: int):
+def _bounded_cache(size, bound: int, check=None):
     """Decorator caching a one-argument builder per key, the least recently
     used dropped first while the sizes held (``size`` of each value) pass
     ``bound``; a value larger than the bound is held alone.  A hit is one
     ``dict.pop`` and one re-insert, which moves the key to the end of the
-    dict's use order.  Like ``lru_cache`` the cached function has
-    ``cache_info()`` (hits and misses counted as ``lru_cache`` counts them,
-    ``currsize`` and the sizes ``held``), ``cache_clear()`` and
-    ``__wrapped__``; ``entries`` is the dict it holds, least recently used
-    first, for reading."""
+    dict's use order.  ``check``, if given, validates the argument and
+    returns the key before every lookup, so a hit never skips it.  Like
+    ``lru_cache`` the cached function has ``cache_info()`` (hits and misses
+    counted as ``lru_cache`` counts them, ``currsize`` and the sizes
+    ``held``), ``cache_clear()`` and ``__wrapped__`` (the builder, which
+    ``check`` does not guard); ``entries`` is the dict it holds, least
+    recently used first, for reading."""
     def decorate(build):
         entries: dict = {}
         pop = entries.pop
@@ -129,6 +131,8 @@ def _bounded_cache(size, bound: int):
 
         def cached(key):
             nonlocal hits, misses, held
+            if check is not None:
+                key = check(key)
             got = pop(key, None)
             if got is None:
                 misses += 1
@@ -252,18 +256,25 @@ def _column(cells: bytes, table: list) -> tuple:
     return operator.itemgetter(*cells)(table) if len(cells) > 1 else (table[cells[0]],)
 
 
-@_bounded_cache(lambda orb: len(orb.points), ORBIT_POINT_BOUND)
+#: The check ``orbit`` runs before every lookup: a label's key is its
+#: validated dominant tuple.
+_orbit_key = functools.partial(lie.dominant_weight, what="orbit")
+
+
+@_bounded_cache(lambda orb: len(orb.points), ORBIT_POINT_BOUND, _orbit_key)
 def orbit(lam: tuple[int, ...]) -> SignedOrbit:
     """Signed Weyl orbit of a dominant weight (eagerly materialized), cached
-    per weight and bounded by the points held (``ORBIT_POINT_BOUND``); its
-    ``__wrapped__`` builds one uncached.
+    per weight and bounded by the points held (``ORBIT_POINT_BOUND``).  The
+    label is validated and made a tuple before every lookup (``_orbit_key``),
+    so a list is accepted and an invalid label raises whatever is cached;
+    the ``__wrapped__`` builder takes a dominant tuple unchecked and builds
+    one uncached.
 
     The weight's distinct suffix-sum values and their counts
     (``value_counts``) pick the template; coordinate j of every point is
     read from the table of differences of those values through the
     template's column of pairs.
     """
-    lam = lie.dominant_weight(lam, "orbit")
     values, counts = value_counts(lam)
     pairs, signs, even = _template(counts)
     differences = [a - b for a in values for b in values]
@@ -299,13 +310,13 @@ def e_label_dominant(lam: Sequence[int]) -> tuple[int, ...]:
     Shared by ``exp_sum(lam, "E")`` and ``eval_e``.
     """
     lam = lie.as_weight(lam)
-    negative = [i for i, c in enumerate(lam, 1) if c < 0]
-    if not negative:
-        return lam
-    dom = reflect_weight(negative[0], lam)
-    if not lie.is_dominant(dom):
-        raise ValueError(f"E requires a weight in P+ or r_i P+, got {lam}")
-    return dom
+    for i, c in enumerate(lam, 1):
+        if c < 0:
+            dom = reflect_weight(i, lam)
+            if not lie.is_dominant(dom):
+                raise ValueError(f"E requires a weight in P+ or r_i P+, got {lam}")
+            return dom
+    return lam
 
 
 def orbit_size(lam: Sequence[int]) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from orbitpoly import analysis, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from conftest import dominant_weights
+from conftest import dominant_weights, forced_break_even
 from oracles import alpha_to_e_point, signed_permutations
 
 
@@ -419,7 +419,7 @@ class TestLaplacian:
         # than the 1e-12 compared here.
         x = np.asarray(alpha_to_e_point([0.37] * len(lam))) if given_x else None
         rng_block, rng_loop = np.random.default_rng(4), np.random.default_rng(4)
-        with mock.patch.object(of, "_costs", lambda dom, kind: (float("inf"),)):
+        with forced_break_even(float("inf")):
             got = analysis.laplacian_eigenvalue_check(kind, lam, x=x, rng=rng_block, retries=30)
             want = errors_by_draw(kind, lam, rng_loop, 1, 30, (1e-3,), upfront=True, x=x)
         assert rng_block.bit_generator.state == rng_loop.bit_generator.state
@@ -505,26 +505,26 @@ class TestSymmetrySuite:
         """One odd arrangement swapped into the E rows breaks the even
         element invariance from rank 2 on; at rank 1 the single even row and
         the single odd one are exchanged by r_1, so nothing can see it."""
-        real = of._tables.__wrapped__
-
-        def odd_row(key):
-            rows, ones, signs = real(key)
-            dom, even, basis = key
-            if even:
-                whole, _, whole_signs = real((dom, False, basis))
-                rows = np.vstack([rows[:-1], whole[whole_signs < 0][:1]])
-            return rows, ones, signs
-
-        # A fresh cache holds the altered tables, so none outlives the check.
         # Every call sums its table, where the odd row is: a batch of 20
-        # points at rank 5 would otherwise take the column expansion.
-        with mock.patch.object(of, "_tables", weyl._bounded_cache(
-                lambda table: len(table[0]), of.TABLE_ROW_BOUND)(odd_row)), \
-                mock.patch.object(of, "_costs", lambda dom, kind: (float("inf"),)):
-            for n in range(2, 6):
-                assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n
-            assert analysis.symmetry_suite((1,), trials=20).passed
-            assert not analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
+        # points at rank 5 would otherwise take the column expansion.  The
+        # fresh cache holds the altered tables, so none outlives the check.
+        with forced_break_even(float("inf")) as tables:
+            real = tables.__wrapped__
+
+            def odd_row(key):
+                weights, coeffs = real(key)
+                dom, kind, basis = key
+                if kind == "E" and 0 not in dom:
+                    whole, signs = of._tables((dom, "S", basis))
+                    weights = np.vstack([weights[:-1], whole[signs < 0][:1]])
+                return weights, coeffs
+
+            with mock.patch.object(of, "_tables", weyl._bounded_cache(
+                    of._entry_rows, of.TABLE_ROW_BOUND)(odd_row)):
+                for n in range(2, 6):
+                    assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n
+                assert analysis.symmetry_suite((1,), trials=20).passed
+                assert not analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
         assert analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
 
     def test_report_dict_carries_seed(self):

@@ -1,6 +1,9 @@
 """Cartan data, basis conversions, inner products and congruence numbers."""
+import enum
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -216,6 +219,58 @@ class TestDominantWeight:
     def test_integers_checked_first(self):
         with pytest.raises(ValueError, match="must be integers"):
             lie.dominant_weight((-1, 1.5), "orbit")
+
+
+class Coordinate(enum.IntEnum):
+    ZERO = 0
+    TWO = 2
+
+
+def checks():
+    """The two label validators, as one-argument functions."""
+    return {"as_weight": lie.as_weight, "dominant_weight": lambda c: lie.dominant_weight(c, "orbit")}
+
+
+class TestValidation:
+    """The exact-type loop accepts and rejects what the isinstance check
+    does, with the same messages in the same order."""
+
+    @pytest.mark.parametrize("check", checks())
+    def test_lists_and_int_subclasses_pass(self, check):
+        assert checks()[check]([2, 0, 1]) == (2, 0, 1)
+        got = checks()[check]((Coordinate.TWO, 1, Coordinate.ZERO))
+        assert got == (2, 1, 0) and got[0] is Coordinate.TWO
+
+    @pytest.mark.parametrize("check", checks())
+    @pytest.mark.parametrize("coords,bad", [
+        ((1, np.int64(2)), np.int64(2)), ((True, 1), True), ((1, 1.0), 1.0),
+        ((2, -1, 0.5), 0.5), ((1, Coordinate.TWO, False), False), ("12", "1"),
+    ])
+    def test_non_integers_are_named(self, check, coords, bad):
+        message = f"^weight coordinates must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            checks()[check](coords)
+
+    @pytest.mark.parametrize("check", checks())
+    def test_ranks_outside_the_cap(self, check, monkeypatch):
+        with pytest.raises(ValueError, match=r"^rank must be a positive integer, got 0$"):
+            checks()[check](())
+        with pytest.raises(ValueError, match=r"^rank 9 exceeds the configured maximum 8$"):
+            checks()[check]((1,) * 9)
+        # The rank is checked before dominance.
+        with pytest.raises(ValueError, match=r"^rank 9 exceeds"):
+            checks()[check]((-1,) * 9)
+        # MAX_RANK is read at call time.
+        monkeypatch.setattr(lie, "MAX_RANK", 3)
+        with pytest.raises(ValueError, match=r"^rank 4 exceeds the configured maximum 3$"):
+            checks()[check]((1,) * 4)
+        monkeypatch.setattr(lie, "MAX_RANK", 9)
+        assert checks()[check]((1,) * 9) == (1,) * 9
+
+    def test_dominance_is_checked_last(self):
+        assert lie.as_weight((1, -1)) == (1, -1)
+        with pytest.raises(ValueError, match=r"^S requires a dominant weight, got \(1, -1\)$"):
+            lie.dominant_weight([1, -1], "S")
 
 
 class TestWeylDimension:

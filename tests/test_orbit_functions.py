@@ -1,7 +1,6 @@
 """Numeric orbit-function values, their symmetries, and the permanent /
 determinant / alternating exponential forms."""
 import cmath
-import contextlib
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +13,7 @@ import hypothesis.strategies as st
 
 from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from conftest import dominant_weights, strict_weights
+from conftest import dominant_weights, forced_break_even, strict_weights
 from oracles import alpha_to_e_point, signed_permutations
 
 RNG = np.random.default_rng(20259)
@@ -201,17 +200,65 @@ def tables():
     of._tables.cache_clear()
 
 
+def table(lam, kind, basis):
+    """(weights, coefficients) of lam's table entry, built whatever the
+    label's size; None coefficients (C and E) are the unit ones, as floats."""
+    with forced_break_even(float("inf")):
+        weights, coeffs = of._tables((lam, kind, basis))
+    return weights, np.ones(len(weights)) if coeffs is None else coeffs
+
+
 def assert_tables_match_the_exact_path(lam):
     for basis in ("alpha", "e"):
         for kind in ("C", "S", "E") if lie.is_strictly_dominant(lam) else ("C", "E"):
-            for got, want in zip(of._table(lam, kind, basis), exact_table(lam, kind, basis)):
+            for got, want in zip(table(lam, kind, basis), exact_table(lam, kind, basis)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         if not lie.is_strictly_dominant(lam):
             # S is never summed on a wall, but its signs keep the orbit's
             # convention: the parity of each point's stable descending sort.
-            signs = of._table(lam, "S", basis)[1]
+            signs = table(lam, "S", basis)[1]
             assert signs.tolist() == list(weyl.orbit(lam).signs)
+
+
+def hexes(values) -> list[tuple[str, str]]:
+    """Every bit of a complex value or array, as float.hex pairs."""
+    return [(z.real.hex(), z.imag.hex()) for z in np.atleast_1d(values).tolist()]
+
+
+def assert_bits_match_exp_sum(lam, rng, points=None):
+    """eval_c/s/e of lam (every reflected label too for E) at one point, or
+    a batch of ``points``, in both bases, give ``exp_sum(lam,
+    kind).evaluate``'s bits."""
+    n = len(lam)
+    for basis, width in (("alpha", n), ("e", n + 1)):
+        x = rng.random(width if points is None else (points, width)) * 4 - 2
+        for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
+            want = hexes(exp_sum(lam, kind).evaluate(x, basis=basis))
+            labels = {lam}
+            if kind == "E":
+                labels |= {weyl.reflect_weight(i, lam) for i in range(1, n + 1)}
+            for label in labels:
+                assert hexes(EVALUATORS[kind](label, x, basis=basis)) == want, (label, kind, basis)
+
+
+class TestTableBits:
+    """A call that sums its table gives ``ExpSum.evaluate``'s value bit for
+    bit, as the README says: every one-point call up to rank 5 and every
+    batch up to rank 3 (``TABLE_FLOOR_ROWS``)."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_one_point_at_every_label_of_a_box(self, n):
+        rng = np.random.default_rng(n)
+        for lam in itertools.product(range(3), repeat=n):
+            assert_bits_match_exp_sum(lam, rng)
+
+    @pytest.mark.parametrize("points", [1, 3, 17])
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_batches_up_to_rank_three(self, n, points):
+        rng = np.random.default_rng(10 * n + points)
+        for lam in itertools.product(range(3), repeat=n):
+            assert_bits_match_exp_sum(lam, rng, points)
 
 
 class TestOmegaToE:
@@ -231,7 +278,7 @@ class TestOmegaToE:
 
 
 class TestOrbitTables:
-    """``_table`` builds the rows from ``weyl``'s arrangement templates;
+    """``_tables`` builds the rows from ``weyl``'s arrangement templates;
     ``weyl.orbit`` and ``exp_sum`` are the exact path it must equal bit for
     bit."""
 
@@ -279,36 +326,35 @@ class TestOrbitTables:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert calls == []
         # The rank-7 labels expand: only the rank-6 ones hold table rows.
-        assert {dom for dom, _, _ in tables.entries} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
+        assert {dom for (dom, _, _), (weights, _) in tables.entries.items()
+                if weights is not None} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
 
-    def test_cache_holds_at_most_its_bound(self, tables):
-        assert of.TABLE_ROW_BOUND >= 3 * factorial(9) // 2 + 2 * of.TABLE_ENTRY_ROWS
+    def test_cache_holds_at_most_its_bound(self):
+        assert of.TABLE_ROW_BOUND >= 5 * factorial(9) // 2 + 3 * of.TABLE_ENTRY_ROWS
         rng = np.random.default_rng(77)
         labels = list(dict.fromkeys(tuple(rng.integers(1, 4, size=7).tolist()) for _ in range(25)))
         labels.insert(10, (1, 0, 2, 0, 1, 1, 0))
-        for lam in labels:
-            for kind in ("C", "E"):
-                of._table(lam, kind, "alpha")
-                recount = sum(len(rows) + of.TABLE_ENTRY_ROWS
-                              for rows, _, _ in tables.entries.values())
-                assert tables.cache_info().held == recount <= of.TABLE_ROW_BOUND
-        kept = list(dict.fromkeys(dom for dom, _, _ in tables.entries))
+        with forced_break_even(float("inf")) as tables:
+            for lam in labels:
+                for kind in ("C", "E"):
+                    of._tables((lam, kind, "alpha"))
+                    recount = sum(len(weights) + of.TABLE_ENTRY_ROWS
+                                  for weights, _ in tables.entries.values())
+                    assert tables.cache_info().held == recount <= of.TABLE_ROW_BOUND
+            kept = list(dict.fromkeys(dom for dom, _, _ in tables.entries))
         assert 1 < len(kept) < len(labels) and kept == labels[-len(kept):]
 
     def test_kinds_share_rows(self):
         lam, wall = (2, 1, 3), (2, 0, 1)
         for basis in ("alpha", "e"):
-            assert of._table(lam, "S", basis)[0] is of._table(lam, "C", basis)[0]
-            assert all(e is c for e, c in zip(of._table(wall, "E", basis),
-                                              of._table(wall, "C", basis)))
+            assert of._tables((lam, "S", basis))[0] is of._tables((lam, "C", basis))[0]
+            assert all(e is c for e, c in zip(of._tables((wall, "E", basis)),
+                                              of._tables((wall, "C", basis))))
 
 
-@contextlib.contextmanager
 def every_label_expands():
     """Every label takes the column expansion, whatever its size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(of, "_costs", lambda dom, kind: (1,))  # break even at one point
-        yield
+    return forced_break_even(1)
 
 
 def expands(dom, kind, points=1):
@@ -436,6 +482,13 @@ class TestColumnExpansion:
                                                         + m * Fraction(work, of.PRODUCTS_PER_ROW) + (m - 1) * exps)
                         assert expands(lam, kind, m) == cheaper
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generic_e_sums_a_table_only_where_c_does(self, n):
+        # A generic E's table entry masks the C entry's rows, so C must not
+        # expand at one point where E does not; the break-even of a generic
+        # label depends on its rank alone.
+        assert expands((1,) * n, "E") or not expands((1,) * n, "C")
+
     def test_no_label_of_rank_three_or_less_expands_at_any_batch(self):
         for n in range(1, 4):
             for lam in itertools.product((0, 1), repeat=n):
@@ -469,7 +522,10 @@ class TestColumnExpansion:
         for f in EVALUATORS.values():
             f(lam, x)
             f(lam, x[0], basis="alpha")
-        assert tables.entries == {} and tables.cache_info().held == 0
+        # The one-point calls hold an entry each, without rows.
+        assert set(tables.entries) == {(lam, kind, "alpha") for kind in EVALUATORS}
+        assert all(entry == (None, None) for entry in tables.entries.values())
+        assert tables.cache_info().held == 3 * of.TABLE_ENTRY_ROWS
 
     def test_overflowing_phases_raise(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -695,9 +751,9 @@ def chunk_cases():
     l = np.array([float(v) for v in lie.omega_to_e((2, 1, 3, 1))])
     s = exp_sum((2, 1, 3), "E")
     return [
-        ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(of._table(table_lam, "C", "alpha")[0])),
+        ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(table(table_lam, "C", "alpha")[0])),
         ("table E, e basis", lambda x: of.eval_e(table_lam, x[:, :4], basis="e"),
-         len(of._table(table_lam, "E", "e")[0])),
+         len(table(table_lam, "E", "e")[0])),
         ("expansion S", lambda x: of.eval_s(wide_lam, x[:, :6]), expanded),
         ("expansion E", lambda x: of.eval_e(wide_lam, x[:, :6]), expanded),
         ("d_plus", lambda x: of.d_plus(l, x[:, :5]), 5 << 5),
@@ -742,7 +798,7 @@ class TestChunks:
         # BLAS's matrix-vector product, which one point alone takes, can
         # round otherwise than the matrix-matrix one: put such a point last
         # in a batch of step + 1 points.
-        weights, coeffs = of._table((1, 2, 1, 1, 3, 1, 2), "E", "e")  # 2 520 rows
+        weights, coeffs = table((1, 2, 1, 1, 3, 1, 2), "E", "e")  # 2 520 rows
         x = np.random.default_rng(5).random((40, 8))
         whole = of.exp_kernel(weights, coeffs, x)
         alone = np.array([of.exp_kernel(weights, coeffs, row) for row in x])
@@ -769,7 +825,7 @@ class TestBoundedTransients:
 
     def test_exp_kernel(self, monkeypatch):
         monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 16)
-        weights, coeffs = of._table((1, 2, 1, 1, 3), "C", "alpha")  # 720 rows
+        weights, coeffs = table((1, 2, 1, 1, 3), "C", "alpha")  # 720 rows
         x = np.random.default_rng(1).random((6000, 5))  # 66 chunks
         out, peak = self.peak(lambda: of.exp_kernel(weights, coeffs, x))
         assert out.shape == (6000,)

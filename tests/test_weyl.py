@@ -255,7 +255,8 @@ class TestOrbitCache:
     @pytest.fixture
     def cache(self, monkeypatch):
         """A fresh orbit cache of 30 points in place of the module's."""
-        cache = weyl._bounded_cache(lambda orb: len(orb.points), 30)(weyl.orbit.__wrapped__)
+        cache = weyl._bounded_cache(lambda orb: len(orb.points), 30,
+                                    weyl._orbit_key)(weyl.orbit.__wrapped__)
         monkeypatch.setattr(weyl, "orbit", cache)
         return cache
 
@@ -272,19 +273,38 @@ class TestOrbitCache:
         assert list(cache.entries) == [(0, 2, 0), (1, 1)]
 
     def test_hits_and_misses_as_lru_cache_counts_them(self, cache):
+        # The label is checked before the lookup: a list is looked up as its
+        # tuple, and an invalid label raises without counting anything.
         lru = functools.lru_cache(maxsize=None)(weyl.orbit.__wrapped__)
-        calls = [(1, 1), (1, 1), (2, 1), (1, 1), [1, 2], (1, -1), (1, -1), (0,)]
+        calls = [(1, 1), (1, 1), (2, 1), (1, 1), [1, 2], (1, -1), (True, 1), (0,)]
         for lam in calls:
-            for f in (weyl.orbit, lru):
-                try:
-                    f(lam)
-                except (TypeError, ValueError) as exc:
-                    error = type(exc)
+            try:
+                weyl.orbit(lam)
+            except ValueError:
+                continue
+            lru(tuple(lam))
             info = weyl.orbit.cache_info()
             assert (info.hits, info.misses) == (lru.cache_info().hits, lru.cache_info().misses)
-        assert error is ValueError
-        assert (info.hits, info.misses, info.currsize, info.held) == (2, 5, 3, 13)
+        info = weyl.orbit.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.held) == (2, 4, 4, 19)
         assert weyl.orbit((2, 1)) is weyl.orbit((2, 1))
+
+    @pytest.mark.parametrize("bad,good,message", [
+        ((True, 1), (1, 1), "must be integers, got True"),
+        ((1.0, 2), (1, 2), "must be integers, got 1.0"),
+        ((1, -2), (1, 2), r"^orbit requires a dominant weight, got \(1, -2\)$"),
+    ])
+    def test_invalid_labels_raise_cold_and_warm(self, bad, good, message):
+        # The module's own cache: (True, 1) and (1.0, 2) hash and compare
+        # equal to (1, 1) and (1, 2), so a check made only on a miss would
+        # let them through once the valid orbit is cached.
+        weyl.orbit.cache_clear()
+        for warm in (False, True):
+            assert (good in weyl.orbit.entries) is warm
+            with pytest.raises(ValueError, match=message):
+                weyl.orbit(bad)
+            weyl.orbit(good)
+        assert weyl.orbit(list(good)) is weyl.orbit(good)
 
     def test_cache_clear_empties_it(self, cache):
         weyl.orbit((1, 2))
@@ -305,7 +325,7 @@ class TestOrbitCache:
         # The tables job's substitution passes over the rank-4 box, on the
         # module's own bound.
         monkeypatch.setattr(weyl, "orbit", weyl._bounded_cache(
-            lambda orb: len(orb.points), weyl.ORBIT_POINT_BOUND)(weyl.orbit.__wrapped__))
+            lambda orb: len(orb.points), weyl.ORBIT_POINT_BOUND, weyl._orbit_key)(weyl.orbit.__wrapped__))
         box = list(itertools.product(range(4), repeat=4))
         for lam in box:
             chebyshev.substitute_p(lam, "C")
