@@ -8,7 +8,7 @@ values read off directly as orbit sizes for C, (n+1)! for S and the
 even-orbit size for E, with no fundamental-region volume factor involved.
 
 The quadrature cross-check sums one node per even-Weyl-group orbit of the
-grid (1/N)Q^v mod Q^v, weighted by the orbit size; ``fold`` predicts it.
+grid (1/N)Q^v mod Q^v, weighted by the orbit size; ``_folded_gram`` predicts it.
 
 Randomized checks draw from a numpy Generator seeded with DEFAULT_SEED
 unless told otherwise, and reports record the seed used.
@@ -19,12 +19,12 @@ import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from typing import Sequence
 
 import numpy as np
 
-from . import chebyshev, exp_ring, lie, orbit_functions, weyl
+from . import chebyshev, lie, orbit_functions, weyl
 from .exp_ring import ExpSum, exp_sum
 
 DEFAULT_SEED = 1729
@@ -74,23 +74,6 @@ def _sparse_gram(sums: Sequence[ExpSum]) -> dict[tuple[int, int], int]:
 def nyquist_points(a: ExpSum, b: ExpSum) -> int:
     """Smallest grid size per axis guaranteeing exact rectangle quadrature."""
     return 2 * max(a.support_bound(), b.support_bound()) + 1
-
-
-def fold(s: ExpSum, n_points: int) -> ExpSum:
-    """The sum with every weight reduced coordinatewise mod n_points.
-
-    The grid mean of exp(2*pi*i <w - v, x>) over the rectangle rule with
-    n_points per axis is 1 when w = v (mod n_points) coordinatewise and 0
-    otherwise, so the rule's value for a * conj(b) is exactly
-    ``torus_inner_product(fold(a, N), fold(b, N))``.  That equals the torus
-    integral once N reaches ``nyquist_points(a, b)`` and predicts the
-    aliased value below it.
-    """
-    out: dict = {}
-    for w, c in s.terms.items():
-        key = tuple(x % n_points for x in w)
-        out[key] = out.get(key, 0) + c
-    return ExpSum(s.rank, out)
 
 
 @dataclass
@@ -185,15 +168,10 @@ def quadrature_inner_product(
     frequency; below that bound an AliasingWarning is issued and the value
     may fold distinct frequencies together.
     """
-    a = exp_sum(lam_a, kind)
-    b = exp_sum(lam_b, kind)
-    if n_points < nyquist_points(a, b):
-        warnings.warn(
-            f"{n_points} points per axis is below the alias-free bound "
-            f"{nyquist_points(a, b)}",
-            AliasingWarning,
-            stacklevel=2,
-        )
+    bound = nyquist_points(exp_sum(lam_a, kind), exp_sum(lam_b, kind))
+    if n_points < bound:
+        warnings.warn(f"{n_points} points per axis is below the alias-free bound {bound}",
+                      AliasingWarning, stacklevel=2)
     return complex(quadrature_gram([(kind, lam_a), (kind, lam_b)], n_points)[0, 1])
 
 
@@ -472,29 +450,30 @@ QUADRATURE_BYTE_BUDGET = 1 << 30
 
 
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
-    """Upper bound on the bytes the rank-n quadrature cross-check holds.
+    """Upper bound on the bytes the rank-n ortho suite holds.
 
     Complex values (16 B) at the W+-orbit nodes, at most twice
     ``grid_orbit_count``: every label's values, weighted and conjugated for
     the Gram product; the Gram matrix, its prediction and two temporaries;
-    the exact sums and their folds, at most (n+1)! dict terms a label at
-    160 B a term (~140 B measured); and one evaluation chunk's transients,
-    ~24 B a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
+    the exact reports' sums and Gram index, at most (n+1)! terms a label
+    at 240 B a term (170-230 B measured by tracemalloc at ranks 4-5, orbit
+    cache cold); and one evaluation chunk's transients, ~24 B a cell of
+    ``orbit_functions.CHUNK_CELLS`` on either path.
     """
     labels = (coord_bound + 1) ** n
     nodes = 2 * grid_orbit_count(n, n_points)
-    exact = 2 * 160 * labels * factorial(n + 1)
+    exact = 240 * labels * factorial(n + 1)
     return 16 * (3 * nodes * labels + 4 * labels * labels) + exact + 24 * orbit_functions.CHUNK_CELLS
 
 
 #: Most work the ortho suite may take, in table rows (one exponential at one
 #: point, ``orbit_functions.call_rows``).  The suite at rank 5, coordinate
-#: bound 3, N=16 is estimated at 6.9e8 and took 19 s CPU on a 2-CPU x86
-#: host, so the budget is about half a minute there.
+#: bound 3, N=16 is estimated at 6.1e8 and took 11-13 s CPU on a 2-CPU x86
+#: host, so the budget is about 20 s there.
 QUADRATURE_WORK_BUDGET = 10 ** 9
 
-#: One exact dict term -- an orbit point built, stored and indexed, or
-#: folded -- costs about as much as this many table rows (~6 us a term).
+#: One exact dict term -- an orbit point built, stored and indexed -- costs
+#: about as much as this many table rows (~6 us a term).
 EXACT_TERM_ROWS = 100
 
 #: Multiply-adds of the dense Gram product per table row.
@@ -505,11 +484,11 @@ def quadrature_work(n: int, coord_bound: int, n_points: int) -> int:
     """Estimated work of ``run_ortho_suite`` up to rank n, in table rows.
 
     Per rank k: the exact terms of the C, S and E sums and of their Gram
-    index, at ``EXACT_TERM_ROWS`` a term; from k = 2 on, the C sums again
-    with their folds and folded Gram at twice that, every C label evaluated
-    at the nodes (at most twice ``grid_orbit_count``) at the cost its path
-    choice gives it (``orbit_functions.call_rows``), and the dense Gram
-    product.  The labels of one pattern of zero coordinates share orbit
+    index, at ``EXACT_TERM_ROWS`` a term; from k = 2 on, every C label
+    evaluated at the nodes (at most twice ``grid_orbit_count``) at the cost
+    its path choice gives it (``orbit_functions.call_rows``), and the dense
+    Gram product; the closed-form prediction, O(N k) a label, is not
+    counted.  The labels of one pattern of zero coordinates share orbit
     sizes and paths, so each pattern is counted once, with its c^(k-zeros)
     labels.
     """
@@ -523,12 +502,9 @@ def quadrature_work(n: int, coord_bound: int, n_points: int) -> int:
             c_terms += count * size
             e_terms += count * (size // 2 if all(pattern) else size)
             eval_rows += count * orbit_functions.call_rows(pattern, "C", nodes)
-        terms = c_terms + e_terms + coord_bound ** k * factorial(k + 1)
-        work += EXACT_TERM_ROWS * terms
+        work += EXACT_TERM_ROWS * (c_terms + e_terms + coord_bound ** k * factorial(k + 1))
         if k >= 2:
-            labels = (coord_bound + 1) ** k
-            work += 2 * EXACT_TERM_ROWS * c_terms + eval_rows
-            work += labels * labels * nodes // GRAM_MACS_PER_ROW
+            work += eval_rows + (coord_bound + 1) ** (2 * k) * nodes // GRAM_MACS_PER_ROW
     return int(work)
 
 
@@ -563,8 +539,7 @@ def run_ortho_suite(
             )
 
         if n >= 2:
-            c_sums = {w: exp_sum(w, "C") for w in dominant_weights(n, coord_bound)}
-            max_dev = _quadrature_gram_deviation("C", c_sums, n_points)
+            max_dev = _quadrature_gram_deviation(dominant_weights(n, coord_bound), n_points)
             report.add(
                 f"A{n} quadrature N={n_points} matches exact values",
                 max_dev < 1e-9,
@@ -596,15 +571,39 @@ def quadrature_gram(functions: Sequence[tuple[str, Sequence[int]]], n_points: in
     return (values * sizes) @ values.conj().T / n_points ** n
 
 
-def _quadrature_gram_deviation(kind: str, sums: dict, n_points: int) -> float:
-    """Largest distance of the grid Gram of the orbit functions of one kind,
-    ``sums`` mapping each label to its ``exp_sum``, from its exact folded
-    prediction."""
-    gram = quadrature_gram([(kind, lam) for lam in sums], n_points)
-    expect = np.zeros_like(gram)
-    for (i, j), value in _sparse_gram([fold(s, n_points) for s in sums.values()]).items():
-        expect[i, j] = expect[j, i] = value
-    return float(np.abs(gram - expect).max())
+def _folded_orbit(lam: tuple[int, ...], n_points: int) -> tuple[tuple[int, ...], int]:
+    """The key of the orbit onto which C_lam folds mod n_points, and the
+    order |W_a'| of its stabilizer (``_folded_gram``)."""
+    r = [p % n_points for p in lie.suffix_sums(lam)]
+    shifted = [sorted((p + t) % n_points for p in r) for t in range(n_points)]
+    order = shifted.count(shifted[0]) * prod(factorial(r.count(v)) for v in set(r))
+    return tuple(min(shifted)), order
+
+
+def _folded_gram(labels: Sequence[tuple[int, ...]], n_points: int) -> np.ndarray:
+    """The rectangle-rule Gram of the C-functions of the dominant labels, N =
+    n_points per axis, exact on any grid and from no orbit: a weight mod N is
+    its suffix sums r mod N up to a common shift t, so C_a folds onto the
+    W-orbit keyed by the least sorted (r + t) mod N, each of its |W|/|W_a'|
+    points |W_a'|/|W_a| times (|W_a'|: the t that permute r, times the
+    factorials of r's multiplicities), and C_a, C_b have entry
+    |W| |W_a'| / (|W_a| |W_b|) when their keys agree, else 0."""
+    ids: dict = {}
+    keys, weights, sizes = [], [], []
+    for lam in labels:
+        key, order = _folded_orbit(lam, n_points)
+        keys.append(ids.setdefault(key, len(ids)))
+        weights.append(order // weyl.stabilizer_order(lam))
+        sizes.append(factorial(len(lam) + 1) // order)
+    weights = np.array(weights, dtype=float)
+    return np.equal.outer(keys, keys) * np.outer(weights, weights * sizes)
+
+
+def _quadrature_gram_deviation(labels: Sequence[tuple[int, ...]], n_points: int) -> float:
+    """Largest distance of the grid Gram of the C-functions of the labels
+    from its closed-form prediction ``_folded_gram``."""
+    gram = quadrature_gram([("C", lam) for lam in labels], n_points)
+    return float(np.abs(gram - _folded_gram(labels, n_points)).max())
 
 
 def _laplace_cases(rank_bound: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -287,11 +287,11 @@ class OrbitDecomposition(TermMap):
 
 def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
     """Formal sum of a C-, S-, or E-orbit function (coefficients +-1)."""
-    lam = lie.as_weight(lam)
     if kind == "C":
         orb = weyl.orbit(lie.dominant_weight(lam, "C"))
         return ExpSum._adopt(orb.rank, dict.fromkeys(orb.points, 1))
     if kind == "S":
+        lam = lie.as_weight(lam)
         if not lie.is_strictly_dominant(lam):
             raise ValueError(f"S requires a strictly dominant weight, got {lam}")
         orb = weyl.orbit(lam)
@@ -299,6 +299,7 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
     if kind == "E":
         orb = weyl.orbit(weyl.e_label_dominant(lam))
         return ExpSum._adopt(orb.rank, dict.fromkeys(orb.even_points, 1))
+    lie.as_weight(lam)
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 

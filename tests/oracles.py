@@ -6,6 +6,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from orbitpoly.exp_ring import ExpSum
 from orbitpoly.lie import check_rank
 
 
@@ -48,6 +49,22 @@ def e_to_alpha_point(coords: Sequence[float]) -> tuple[float, ...]:
         run += c
         out.append(run)
     return tuple(out)
+
+
+def fold(s: ExpSum, n_points: int) -> ExpSum:
+    """The sum with every weight reduced coordinatewise mod n_points.
+
+    The grid mean of exp(2*pi*i <w - v, x>) over the rectangle rule with
+    n_points per axis is 1 when w = v (mod n_points) coordinatewise and 0
+    otherwise, so the rule's value for a * conj(b) is exactly
+    ``torus_inner_product(fold(a, N), fold(b, N))``: the orbit-by-orbit
+    oracle of ``analysis._folded_gram``.
+    """
+    out: dict = {}
+    for w, c in s.terms.items():
+        key = tuple(x % n_points for x in w)
+        out[key] = out.get(key, 0) + c
+    return ExpSum(s.rank, out)
 
 
 def three_term_coeffs(m: int, first: Sequence[int]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from orbitpoly import analysis, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even
-from oracles import alpha_to_e_point, signed_permutations
+from oracles import alpha_to_e_point, fold, signed_permutations
 
 
 class TestTorusInnerProduct:
@@ -87,7 +87,7 @@ class TestSparseGram:
     @pytest.mark.parametrize("n,kind", [(1, "C"), (2, "C"), (2, "S"), (3, "C"), (3, "E")])
     def test_equals_the_pair_loop_on_folded_sums(self, n, kind, n_points):
         # Folding merges weights, so sums meet off the diagonal.
-        sums = [analysis.fold(s, n_points) for s in family(kind, n, 3)]
+        sums = [fold(s, n_points) for s in family(kind, n, 3)]
         gram = analysis._sparse_gram(sums)
         assert gram == gram_by_pairs(sums)
         if n > 1 and n_points < 16:
@@ -109,16 +109,42 @@ class TestSparseGram:
         rep = analysis.orthogonality_report("C", 2, 2)
         assert rep.max_deviation == 3 and not rep.passed  # 5 + 4 against the orbit size 6
 
-    def test_one_flipped_coefficient_changes_the_quadrature_deviation(self):
-        # Below the alias-free bound folding adds weights of one sum or of two
-        # together, so one sign flipped in one exact sum moves the prediction
-        # away from the grid values, which eval_c computes without it.
+    def test_one_flipped_coefficient_changes_the_quadrature_deviation(self, monkeypatch):
+        # The prediction reads no exact sum and no grid value, so the sign
+        # flipped is one of one label's values at the nodes: it moves the
+        # grid Gram away from the prediction.
         labels = analysis.dominant_weights(3, 3)
-        sums = {lam: exp_sum(lam, "C") for lam in labels}
-        assert analysis._quadrature_gram_deviation("C", sums, 8) < 1e-9
-        top = sums[(3, 3, 3)]
-        sums[(3, 3, 3)] = type(top)(3, {**top.terms, (3, 3, 3): -1})
-        assert analysis._quadrature_gram_deviation("C", sums, 8) > 1
+        assert analysis._quadrature_gram_deviation(labels, 8) < 1e-9
+        real = analysis._EVALUATORS["C"]
+
+        def flipped(lam, x, basis):
+            values = real(lam, x, basis=basis)
+            if lam == (3, 3, 3):
+                top = np.argmax(np.abs(values))
+                values[top] = -values[top]
+            return values
+
+        monkeypatch.setitem(analysis._EVALUATORS, "C", flipped)
+        assert analysis._quadrature_gram_deviation(labels, 8) > 1
+
+    def test_a_wrong_folded_stabilizer_changes_the_quadrature_deviation(self, monkeypatch):
+        labels = analysis.dominant_weights(3, 3)
+        real = analysis._folded_orbit
+
+        def wrong(lam, n_points):
+            key, order = real(lam, n_points)
+            return key, 2 * order if lam == (1, 0, 1) else order
+
+        monkeypatch.setattr(analysis, "_folded_orbit", wrong)
+        assert analysis._quadrature_gram_deviation(labels, 8) > 1
+
+    def test_the_quadrature_cross_check_builds_no_exp_sum(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the cross-check built an ExpSum")
+
+        monkeypatch.setattr(analysis, "exp_sum", must_not_run)
+        monkeypatch.setattr(analysis.weyl, "orbit", must_not_run)
+        assert analysis._quadrature_gram_deviation(analysis.dominant_weights(3, 3), 8) < 1e-9
 
     def test_a_diagonal_the_index_never_reaches_counts_as_zero(self, monkeypatch):
         real = analysis.exp_sum
@@ -164,18 +190,18 @@ class TestFoldedQuadrature:
         labels = analysis.dominant_weights(3, 3)
         sums = [exp_sum(w, "C") for w in labels]
         gram = analysis.quadrature_gram([("C", w) for w in labels], 8)
-        folded = [analysis.fold(s, 8) for s in sums]
+        folded = [fold(s, 8) for s in sums]
         predicted = np.array([[analysis.torus_inner_product(a, b) for b in folded]
                               for a in folded])
         exact = np.array([[analysis.torus_inner_product(a, b) for b in sums] for a in sums])
         assert np.abs(gram - predicted).max() < 1e-9
         assert np.abs(gram - exact).max() == pytest.approx(72.0)
-        assert analysis._quadrature_gram_deviation("C", dict(zip(labels, sums)), 8) < 1e-9
+        assert analysis._quadrature_gram_deviation(labels, 8) < 1e-9
 
     def test_folding_is_exact_from_nyquist_on(self):
         sums = [exp_sum(w, "C") for w in analysis.dominant_weights(2, 3)]
         n_points = max(analysis.nyquist_points(s, s) for s in sums)
-        folded = [analysis.fold(s, n_points) for s in sums]
+        folded = [fold(s, n_points) for s in sums]
         for a, fa in zip(sums, folded):
             assert len(fa.terms) == len(a.terms)
             for b, fb in zip(sums, folded):
@@ -186,7 +212,26 @@ class TestFoldedQuadrature:
         with pytest.warns(analysis.AliasingWarning):
             value = analysis.quadrature_inner_product("C", (3,), (3,), 6)
         assert value.real == pytest.approx(
-            analysis.torus_inner_product(analysis.fold(a, 6), analysis.fold(a, 6)))
+            analysis.torus_inner_product(fold(a, 6), fold(a, 6)))
+
+    @pytest.mark.parametrize("n,coord_bound", [
+        (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 1), (5, 2)])
+    def test_closed_form_is_the_gram_of_the_folds(self, n, coord_bound):
+        # Aliased grids included: from N = 1, where every weight folds to 0.
+        labels = analysis.dominant_weights(n, coord_bound)
+        sums = [exp_sum(lam, "C") for lam in labels]
+        for n_points in (1, 2, 3, 4, 5, 6, 7, 16):
+            gram = analysis._folded_gram(labels, n_points)
+            rows, cols = np.nonzero(np.triu(gram))
+            closed = {(int(i), int(j)): int(gram[i, j]) for i, j in zip(rows, cols)}
+            assert closed == analysis._sparse_gram([fold(s, n_points) for s in sums]), n_points
+
+    def test_folded_stabilizer_counts_the_shifts(self):
+        # r = (3, 2, 1, 0) mod 4: every shift permutes r, so |W_a'| is 4, not 1,
+        # and C_(1,1,1) folds onto 24/4 = 6 points, 4 times each.
+        assert analysis._folded_orbit((1, 1, 1), 4) == ((0, 1, 2, 3), 4)
+        assert analysis._folded_gram([(1, 1, 1)], 4)[0, 0] == 6 * 4 * 4 == 4 * 24
+        assert analysis._folded_orbit((1, 1, 1), 16) == ((0, 1, 2, 3), 1)
 
     def test_memory_budget(self):
         # On the W+-orbit nodes rank 4 needs MiB and rank 5 fits; rank 6,

@@ -219,7 +219,7 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
-        assert "11.1 GiB, over the 1 GiB budget" in result.output
+        assert "9.5 GiB, over the 1 GiB budget" in result.output
 
     def test_ortho_over_the_work_budget_refused_up_front(self, runner, monkeypatch):
         def must_not_run(*args, **kwargs):

@@ -1,9 +1,12 @@
 """Group-ring arithmetic: formal sums, products, orbit decomposition,
 exact division and characters."""
+import enum
 import itertools
+import re
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -258,6 +261,47 @@ class TestExpSum:
             exp_sum((-1, -1), "E")
         with pytest.raises(ValueError):
             exp_sum((1,), "Q")
+
+    @pytest.mark.parametrize("kind", ["C", "S", "E", "Q"])
+    def test_label_messages(self, kind):
+        # Each label is checked once, by its kind's own check; a bad label
+        # is reported before an unknown kind.
+        class Coord(enum.IntEnum):
+            ONE = 1
+            TWO = 2
+
+        rejected = [  # pairs, not a dict: (1.0, 2) == (np.int64(1), 2)
+            ((1.0, 2), "weight coordinates must be integers, got 1.0"),
+            ((True, 1), "weight coordinates must be integers, got True"),
+            ((np.int64(1), 2), f"weight coordinates must be integers, got {np.int64(1)!r}"),
+            ((), "rank must be a positive integer, got 0"),
+            ((1,) * 9, "rank 9 exceeds the configured maximum 8"),
+        ]
+        for lam, message in rejected:
+            with pytest.raises(ValueError) as err:
+                exp_sum(lam, kind)
+            assert str(err.value) == message
+        bad_kind = "kind must be one of ('C', 'S', 'E'), got 'Q'"
+        wall = {"C": "C requires a dominant weight, got (2, -1)",
+                "S": "S requires a strictly dominant weight, got (2, -1)", "Q": bad_kind}
+        if kind == "E":
+            assert exp_sum((2, -1), "E") == exp_sum((1, 1), "E")
+        else:
+            with pytest.raises(ValueError) as err:
+                exp_sum((2, -1), kind)
+            assert str(err.value) == wall[kind]
+        for lam in [(Coord.ONE, Coord.TWO), [1, 2]]:
+            if kind == "Q":
+                with pytest.raises(ValueError, match=re.escape(bad_kind)):
+                    exp_sum(lam, kind)
+            else:
+                assert exp_sum(lam, kind) == exp_sum((1, 2), kind)
+
+    @pytest.mark.parametrize("kind,checks", [("C", 0), ("S", 1), ("E", 1)])
+    def test_a_plain_label_is_checked_once(self, kind, checks):
+        with mock.patch.object(lie, "as_weight", wraps=lie.as_weight) as as_weight:
+            exp_sum((1, 2), kind)
+        assert as_weight.call_count == checks
 
     def test_evaluate_matches_closed_form(self):
         import cmath
