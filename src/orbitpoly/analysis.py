@@ -212,11 +212,7 @@ _EVALUATORS = {
 def _random_e_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """m uniform points of the alpha-basis unit cube as (m, n+1) e-points;
     the same stream as m draws of ``rng.random(n)``."""
-    alpha = rng.random((m, n))
-    out = np.zeros((m, n + 1))
-    out[:, :n] = alpha
-    out[:, 1:] -= alpha
-    return out
+    return orbit_functions._columns(rng.random((m, n)), "alpha")
 
 
 def _fd_block(
@@ -448,6 +444,19 @@ def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]
 #: Most bytes the ortho suite's quadrature cross-check may hold at once.
 QUADRATURE_BYTE_BUDGET = 1 << 30
 
+#: Grid points per axis of the ortho suite's quadrature cross-check.
+ORTHO_POINTS = 16
+
+
+def _exact_terms(n: int, coord_bound: int) -> tuple[int, int]:
+    """Terms of the rank-n C and S sums of ``orthogonality_report`` (E has
+    at most C's).  The labels of one pattern of zero coordinates share
+    their orbit size, so each pattern counts once, with its
+    c^(nonzero coordinates) labels; each of the c^n S labels has (n+1)!."""
+    c_terms = sum(coord_bound ** sum(pattern) * weyl.orbit_size(pattern)
+                  for pattern in itertools.product((0, 1), repeat=n))
+    return c_terms, coord_bound ** n * factorial(n + 1)
+
 
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     """Upper bound on the bytes the rank-n ortho suite holds.
@@ -455,79 +464,33 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     Complex values (16 B) at the W+-orbit nodes, at most twice
     ``grid_orbit_count``: every label's values, weighted and conjugated for
     the Gram product; the Gram matrix, its prediction and two temporaries;
-    the exact reports' sums and Gram index, at most (n+1)! terms a label
-    at 240 B a term (170-230 B measured by tracemalloc at ranks 4-5, orbit
-    cache cold); and one evaluation chunk's transients, ~24 B a cell of
-    ``orbit_functions.CHUNK_CELLS`` on either path.
+    the exact reports' sums and Gram index, the larger family's terms
+    (``_exact_terms``) at 240 B a term (170-230 B measured by tracemalloc
+    at ranks 4-5, orbit cache cold); and one evaluation chunk's transients,
+    ~24 B a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
     """
     labels = (coord_bound + 1) ** n
     nodes = 2 * grid_orbit_count(n, n_points)
-    exact = 240 * labels * factorial(n + 1)
+    exact = 240 * max(_exact_terms(n, coord_bound))
     return 16 * (3 * nodes * labels + 4 * labels * labels) + exact + 24 * orbit_functions.CHUNK_CELLS
-
-
-#: Most work the ortho suite may take, in table rows (one exponential at one
-#: point, ``orbit_functions.call_rows``).  The suite at rank 5, coordinate
-#: bound 3, N=16 is estimated at 6.1e8 and took 11-13 s CPU on a 2-CPU x86
-#: host, so the budget is about 20 s there.
-QUADRATURE_WORK_BUDGET = 10 ** 9
-
-#: One exact dict term -- an orbit point built, stored and indexed -- costs
-#: about as much as this many table rows (~6 us a term).
-EXACT_TERM_ROWS = 100
-
-#: Multiply-adds of the dense Gram product per table row.
-GRAM_MACS_PER_ROW = 64
-
-
-def quadrature_work(n: int, coord_bound: int, n_points: int) -> int:
-    """Estimated work of ``run_ortho_suite`` up to rank n, in table rows.
-
-    Per rank k: the exact terms of the C, S and E sums and of their Gram
-    index, at ``EXACT_TERM_ROWS`` a term; from k = 2 on, every C label
-    evaluated at the nodes (at most twice ``grid_orbit_count``) at the cost
-    its path choice gives it (``orbit_functions.call_rows``), and the dense
-    Gram product; the closed-form prediction, O(N k) a label, is not
-    counted.  The labels of one pattern of zero coordinates share orbit
-    sizes and paths, so each pattern is counted once, with its c^(k-zeros)
-    labels.
-    """
-    work = 0
-    for k in range(1, n + 1):
-        nodes = 2 * grid_orbit_count(k, n_points)
-        c_terms = e_terms = eval_rows = 0
-        for pattern in itertools.product((0, 1), repeat=k):
-            count = coord_bound ** sum(pattern)
-            size = weyl.orbit_size(pattern)
-            c_terms += count * size
-            e_terms += count * (size // 2 if all(pattern) else size)
-            eval_rows += count * orbit_functions.call_rows(pattern, "C", nodes)
-        work += EXACT_TERM_ROWS * (c_terms + e_terms + coord_bound ** k * factorial(k + 1))
-        if k >= 2:
-            work += eval_rows + (coord_bound + 1) ** (2 * k) * nodes // GRAM_MACS_PER_ROW
-    return int(work)
 
 
 def run_ortho_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
-    n_points: int = 16,
 ) -> SuiteReport:
-    """Exact torus orthogonality for C/S/E plus quadrature cross-checks.
+    """Exact torus orthogonality for C/S/E plus quadrature cross-checks on
+    the grid of ``ORTHO_POINTS`` points per axis.
 
-    Raises ValueError before any work when the cross-check at the top rank
-    would hold more than QUADRATURE_BYTE_BUDGET bytes, or the suite would
-    take more than QUADRATURE_WORK_BUDGET table rows of work.
+    Raises ValueError before any work when the suite at the top rank would
+    hold more than QUADRATURE_BYTE_BUDGET bytes (``quadrature_bytes``).
     """
     if rank_bound >= 2:
-        what = f"ortho quadrature at rank {rank_bound}, coordinate bound {coord_bound}, N={n_points}"
-        need = quadrature_bytes(rank_bound, coord_bound, n_points)
+        need = quadrature_bytes(rank_bound, coord_bound, ORTHO_POINTS)
         if need > QUADRATURE_BYTE_BUDGET:
-            raise ValueError(f"{what} would hold about {need / 2**30:.1f} GiB, "
-                             f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
-        work = quadrature_work(rank_bound, coord_bound, n_points)
-        if work > QUADRATURE_WORK_BUDGET:
-            raise ValueError(f"{what} would take about {work:.1e} table rows of work, "
-                             f"over the {QUADRATURE_WORK_BUDGET:.1e} budget")
+            raise ValueError(
+                f"ortho quadrature at rank {rank_bound}, coordinate bound {coord_bound}, "
+                f"N={ORTHO_POINTS} would hold about {need / 2**30:.2f} GiB, "
+                f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -539,9 +502,9 @@ def run_ortho_suite(
             )
 
         if n >= 2:
-            max_dev = _quadrature_gram_deviation(dominant_weights(n, coord_bound), n_points)
+            max_dev = _quadrature_gram_deviation(dominant_weights(n, coord_bound), ORTHO_POINTS)
             report.add(
-                f"A{n} quadrature N={n_points} matches exact values",
+                f"A{n} quadrature N={ORTHO_POINTS} matches exact values",
                 max_dev < 1e-9,
                 f"max deviation {max_dev:.3e}",
             )

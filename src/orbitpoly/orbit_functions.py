@@ -324,15 +324,6 @@ def _expansion(dom: tuple[int, ...]):
     return np.array(values, dtype=float), _column_plan(counts)
 
 
-def call_rows(dom: tuple[int, ...], kind: str, points: int) -> float:
-    """The cost in table rows (one exponential at one point) that the path
-    choice assigns to an ``eval_*`` call of a dominant dom at ``points``
-    points: the cheaper path's."""
-    _, rows, per_point, exponentials = _costs(dom, kind)
-    return min(points * rows,
-               EXPANSION_BASE_ROWS + points * per_point + (points - 1) * exponentials)
-
-
 def _columns(x: np.ndarray, basis: str) -> np.ndarray:
     """The column coordinates y of the checked points x in ``basis``."""
     if basis == "alpha":

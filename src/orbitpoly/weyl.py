@@ -108,8 +108,6 @@ ORBIT_POINT_BOUND = 1 << 17
 _BLOCK_CELLS = 1 << 15
 #: Parity bytes 0 <-> 1, for ``bytes.translate``.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-#: ``_SKIP[i]`` adds one to every index from i on, for ``bytes.translate``.
-_SKIP = [bytes(range(i)) + bytes(range(i + 1, 256)) + b"\xff" for i in range(lie.MAX_RANK + 1)]
 
 
 def _bounded_cache(size, bound: int, check=None):
@@ -172,8 +170,9 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[bytes, bytes]:
     The arrangements starting with index i are i followed by those of the
     counts less one i, so each block is filled by strided copies, one per
     column.  When that leaves no i, the sub-multiset is built on indices
-    0, 1, ... and relabelled past i (``_SKIP``), which keeps the order and
-    the parity.  Putting i first passes the sum_{j<i} counts[j] smaller
+    0, 1, ... and relabelled past i (one ``bytes.translate``, its table
+    built here, so any rank's indices fit), which keeps the order and the
+    parity.  Putting i first passes the sum_{j<i} counts[j] smaller
     indices, i.e. larger values, behind it: that many inversions (pairs
     whose earlier value is smaller), so the block's parities are the sub-
     multiset's, flipped when that sum is odd.  Sub-multisets are patterns
@@ -191,7 +190,7 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[bytes, bytes]:
             sub, sub_parities = _arrangements(counts[:i] + (c - 1,) + counts[i + 1:])
         else:
             sub, sub_parities = _arrangements(counts[:i] + counts[i + 1:])
-            sub = sub.translate(_SKIP[i])
+            sub = sub.translate(bytes(range(i)) + bytes(range(i + 1, 256)) + b"\xff")
         stop = start + len(sub_parities) * width
         out[start:stop:width] = bytes((i,)) * len(sub_parities)
         for j in range(width - 1):

@@ -2,13 +2,14 @@
 import enum
 import re
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import lie
+from orbitpoly import lie, weyl
 from conftest import weights, weight_pairs
 from oracles import alpha_to_e_point, cartan_inverse, cartan_matrix, e_to_alpha_point, e_to_omega
 
@@ -83,6 +84,14 @@ class TestCartan:
             lie.as_weight((1, 0, 0))
         monkeypatch.setattr(lie, "MAX_RANK", 9)
         lie.check_rank(9)
+        # The arrangement enumerator sizes nothing by the cap at import.
+        try:
+            rows, parities = weyl._arrangements((1,) * 10)
+            assert len(parities) == factorial(10)
+            assert rows[:10] == bytes(range(10))
+            assert rows[-10:] == bytes(range(9, -1, -1))
+        finally:
+            weyl._arrangements.cache_clear()
 
 
 class TestConversions:
