@@ -7,9 +7,11 @@ are emitted in descending graded-lex order and floats use a fixed format.
 """
 from __future__ import annotations
 
+import atexit
 import json
 import math
 import os
+import sys
 
 import click
 import numpy as np
@@ -243,5 +245,29 @@ def verify(ctx, suite, rank_bound, coord_bound, seed, as_json, out):
         ctx.exit(1)
 
 
+def run() -> None:
+    """Console entry: run ``main`` and end the process once its output is
+    flushed, skipping module teardown and the final collection (~20 ms CPU).
+    It exits the normal way under a tracer or profiler (coverage, a debugger,
+    ``python -m cProfile``, which from Python 3.12 on hooks in through
+    ``sys.monitoring``), for an exit code that is not an int, or when a flush
+    fails."""
+    try:
+        main()
+    except SystemExit as done:
+        monitoring = getattr(sys, "monitoring", None)
+        hooked = sys.gettrace() or sys.getprofile() or (
+            monitoring and any(map(monitoring.get_tool, range(6))))
+        if hooked or not (done.code is None or isinstance(done.code, int)):
+            raise
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            raise done
+        os._exit(done.code or 0)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -327,6 +327,75 @@ class TestDeterminism:
         assert first.output == second.output
 
 
+def _console(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60)
+
+
+class TestConsoleEntry:
+    """``python -m orbitpoly.cli`` (and the ``orbitpoly`` script) runs
+    ``cli.run``, which ends the process once its output is flushed."""
+
+    @pytest.mark.parametrize("args", [
+        ["orbit", "-l", "2,1"],
+        ["eval", "-k", "S", "-l", "2,1", "-x", "0.3,0.4"],
+        ["decompose", "-a", "2,1", "-b", "1,0", "--json"],
+        ["poly", "-l", "2,1", "-k", "U", "--format", "csv"],
+        ["verify", "-s", "chebyshev"],
+        ["orbit", "-l", "1,-1"],
+    ])
+    def test_subprocess_matches_in_process(self, runner, args):
+        proc = _console("-m", "orbitpoly.cli", *args)
+        local = runner.invoke(cli.main, args, prog_name="python -m orbitpoly.cli")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            local.exit_code, local.stdout_bytes, local.stderr_bytes)
+        if proc.returncode:
+            assert proc.returncode == 2 and proc.stdout == b""
+            assert proc.stderr.decode().splitlines()[-1:] == ["Error: weight (1, -1) is not dominant"]
+            assert b"Traceback" not in proc.stderr
+
+    def test_out_file_holds_the_rendering(self, runner, tmp_path):
+        target = tmp_path / "orbit.txt"
+        proc = _console("-m", "orbitpoly.cli", "orbit", "-l", "2,1", "--out", str(target))
+        assert proc.returncode == 0
+        assert proc.stdout == f"written to {target}\n".encode()
+        assert target.read_bytes() == runner.invoke(cli.main, ["orbit", "-l", "2,1"]).stdout_bytes
+
+    def test_profiler_still_reports(self):
+        proc = _console("-m", "cProfile", "-m", "orbitpoly.cli", "orbit", "-l", "1,1")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"A2 orbit of (1, 1): size 6")
+        assert b"ncalls  tottime  percall  cumtime  percall" in proc.stdout
+
+    @pytest.mark.parametrize("args,code", [(["orbit", "-l", "1"], 0),
+                                           (["verify", "-s", "chebyshev"], 1)])
+    def test_atexit_runs_once_and_teardown_is_skipped(self, args, code):
+        # The chebyshev suite is swapped for one that fails.  ``Teardown.__del__``
+        # runs only when the interpreter clears the modules on a normal exit.
+        script = (
+            "import atexit, os, runpy, sys\n"
+            "from orbitpoly import analysis\n"
+            "def failing(seed, **bounds):\n"
+            "    report = analysis.SuiteReport('chebyshev', seed)\n"
+            "    report.add('planted failure', False)\n"
+            "    return report\n"
+            "analysis.SUITES['chebyshev'] = failing\n"
+            "class Teardown:\n"
+            "    def __del__(self, write=os.write):\n"
+            "        write(1, b'teardown\\n')\n"
+            "kept = Teardown()\n"
+            "atexit.register(print, 'atexit handler')\n"
+            f"sys.argv = ['orbitpoly', *{args!r}]\n"
+            "runpy.run_module('orbitpoly.cli', run_name='__main__')\n"
+        )
+        proc = _console("-c", script)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.count(b"atexit handler") == 1
+        assert proc.stdout.endswith(b"atexit handler\n")
+        assert b"teardown" not in proc.stdout
+        if code:
+            assert b"[FAIL] planted failure" in proc.stdout
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
 _JUNK = ["", " ", "nan", "inf", "1,,0", "a,b", "1.5", "0x1", "1;2"]

@@ -66,3 +66,35 @@ class TestPathScan:
             assert float(table) > 0 and float(expansion) > 0
             break_even = orbit_functions._costs((1,) * 4, kind)[0]
             assert picks == ("expansion" if int(points) >= break_even else "table")
+
+
+class TestStartupScan:
+    def test_bad_runs_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load("startup_scan").main(["--runs", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith("error: --runs must be >= 1, got 0")
+
+    def test_layers_are_differences_of_probe_medians(self, capsys, monkeypatch):
+        # Fake CPU times a probe: the untimed first call reads 1000 ms, the
+        # timed ones total + 0, 2, 1.  The real probes are smoke-run in CI.
+        scan = load("startup_scan")
+        totals = dict(zip((source for _, source in scan.PROBES), (50, 140, 150, 170, 173, 193)))
+        calls = []
+
+        def cpu_ms(argv, env):
+            assert argv[-5:] == ["decompose", "-a", "1", "-b", "1"] and env["PYTHONHASHSEED"] == "0"
+            seen = calls.count(argv)
+            calls.append(argv)
+            total = totals[argv[2]] if argv[1] == "-c" else 172
+            return 1000 if seen == 0 else total + (0, 2, 1)[seen - 1]
+
+        monkeypatch.setattr(scan, "cpu_ms", cpu_ms)
+        assert scan.main(["--runs", "3", "decompose", "-a", "1", "-b", "1"]) == 0
+        assert len(calls) == 7 * (1 + 3)
+        title, header, *rows = capsys.readouterr().out.splitlines()
+        assert title == "orbitpoly decompose -a 1 -b 1: CPU ms, median of 3"
+        assert [row.rsplit(None, 1) for row in rows] == [
+            ["interpreter", "51.0"], ["numpy", "90.0"], ["click", "10.0"], ["package", "20.0"],
+            ["command", "3.0"], ["teardown", "20.0"], ["total", "194.0"],
+            ["python -m orbitpoly.cli", "173.0"]]
