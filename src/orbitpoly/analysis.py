@@ -461,18 +461,19 @@ def _exact_terms(n: int, coord_bound: int) -> tuple[int, int]:
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     """Upper bound on the bytes the rank-n ortho suite holds.
 
-    Complex values (16 B) at the W+-orbit nodes, at most twice
-    ``grid_orbit_count``: every label's values, weighted and conjugated for
-    the Gram product; the Gram matrix, its prediction and two temporaries;
-    the exact reports' sums and Gram index, the larger family's terms
-    (``_exact_terms``) at 240 B a term (170-230 B measured by tracemalloc
-    at ranks 4-5, orbit cache cold); and one evaluation chunk's transients,
-    ~24 B a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
+    From rank 2 on (rank 1 has no grid), complex values (16 B) at the W+-orbit
+    nodes, at most twice ``grid_orbit_count``: every label's values, weighted
+    and conjugated for the Gram product; the Gram matrix, its prediction and
+    two temporaries.  At every rank, the exact reports' sums and Gram index:
+    240 B a term of the larger family (``_exact_terms``) and 480 B a label
+    (tracemalloc, orbit cache cold: 170-230 B a term at ranks 4-5, ~900 B a
+    two-term label at rank 1); and one evaluation chunk's transients, ~24 B
+    a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
     """
     labels = (coord_bound + 1) ** n
-    nodes = 2 * grid_orbit_count(n, n_points)
-    exact = 240 * max(_exact_terms(n, coord_bound))
-    return 16 * (3 * nodes * labels + 4 * labels * labels) + exact + 24 * orbit_functions.CHUNK_CELLS
+    grid = (6 * grid_orbit_count(n, n_points) + 4 * labels) * labels if n >= 2 else 0
+    exact = 240 * max(_exact_terms(n, coord_bound)) + 480 * labels
+    return 16 * grid + exact + 24 * orbit_functions.CHUNK_CELLS
 
 
 def run_ortho_suite(
@@ -484,13 +485,12 @@ def run_ortho_suite(
     Raises ValueError before any work when the suite at the top rank would
     hold more than QUADRATURE_BYTE_BUDGET bytes (``quadrature_bytes``).
     """
-    if rank_bound >= 2:
-        need = quadrature_bytes(rank_bound, coord_bound, ORTHO_POINTS)
-        if need > QUADRATURE_BYTE_BUDGET:
-            raise ValueError(
-                f"ortho quadrature at rank {rank_bound}, coordinate bound {coord_bound}, "
-                f"N={ORTHO_POINTS} would hold about {need / 2**30:.2f} GiB, "
-                f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
+    need = quadrature_bytes(rank_bound, coord_bound, ORTHO_POINTS)
+    if need > QUADRATURE_BYTE_BUDGET:
+        raise ValueError(
+            f"ortho quadrature at rank {rank_bound}, coordinate bound {coord_bound}, "
+            f"N={ORTHO_POINTS} would hold about {need / 2**30:.2f} GiB, "
+            f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
         for kind in ("C", "S", "E"):
@@ -646,13 +646,15 @@ def run_symmetry_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
     trials: int = 100, tolerance: float = 1e-11,
 ) -> SuiteReport:
+    if coord_bound ** rank_bound > np.iinfo(np.int64).max:
+        raise ValueError(f"symmetry labels: {coord_bound}^{rank_bound} exceed an int64 index")
     report = SuiteReport("symmetry", seed)
     rng = np.random.default_rng(seed)
     for n in range(1, rank_bound + 1):
         lams = {(1,) * n}
-        pool = strictly_dominant_weights(n, coord_bound)
-        idx = rng.choice(len(pool), size=min(2, len(pool)), replace=False)
-        lams.update(pool[i] for i in idx)
+        # Two entries of strictly_dominant_weights(n, c), drawn by index; the list is never built.
+        idx = rng.choice(coord_bound ** n, size=min(2, coord_bound ** n), replace=False)
+        lams.update(tuple(int(d) + 1 for d in np.unravel_index(i, (coord_bound,) * n)) for i in idx)
         lams.add(tuple(coord_bound if k == 0 else 0 for k in range(n)))
         for lam in sorted(lams):
             rep = symmetry_suite(lam, trials=trials, seed=seed, tolerance=tolerance)

@@ -164,14 +164,12 @@ def decompose(rank, weight_a, weight_b, as_json, out):
     _require_dominant(b)
     dec = exp_ring.orbit_product(a, b)
     congruence = (lie.congruence_number(a) + lie.congruence_number(b)) % (len(a) + 1)
-    payload = dec.to_json_dict()
-    payload["congruence"] = congruence
     if as_json:
-        _emit(json.dumps(payload), out)
+        _emit(json.dumps({**dec.to_json_dict(), "congruence": congruence}), out)
         return
+    # orbit_product builds its terms in descending graded-lex order.
     lines = [f"C_{a} * C_{b} (congruence class {congruence}):"]
-    for w, m in dec.sorted_terms():
-        lines.append(f"  {m} * C_{tuple(w)}")
+    lines.extend(f"  {m} * C_{w}" for w, m in dec.terms.items())
     _emit("\n".join(lines), out)
 
 

@@ -485,8 +485,8 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     C_a * C_b = (1/|W_b|) sum_{q in W a} |W_{dom(b+q)}| C_{dom(b+q)}, run
     over the smaller of the two orbits, so no orbit of the product is
     materialised.  dom(b+q) comes from sorting the integer suffix sums of
-    b + q.  Terms are in descending graded-lex order, as from
-    ``decompose_into_c`` applied to the convolution.
+    b + q.  The terms come in descending graded-lex order, as from
+    ``decompose_into_c`` applied to the convolution; callers print them as is.
     """
     a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
@@ -511,7 +511,7 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
                 f"orbit count of {dom} in C_{a} * C_{b} is not divisible by |W_b| = {stab_b}"
             )
         terms[dom] = mult
-    return OrbitDecomposition(len(a), terms)
+    return OrbitDecomposition._adopt(len(a), terms)
 
 
 def character(lam: Sequence[int]) -> OrbitDecomposition:
@@ -528,7 +528,7 @@ def character(lam: Sequence[int]) -> OrbitDecomposition:
     mu - alpha is the reflection of mu), and solved in descending
     |mu + rho|^2, which puts every dom(mu + k alpha) first.
     Every division is checked for exactness and the result against the
-    Weyl dimension formula.
+    Weyl dimension formula.  The terms come in descending graded-lex order.
     """
     lam = lie.dominant_weight(lam, "character")
     n = len(lam)
@@ -573,7 +573,7 @@ def character(lam: Sequence[int]) -> OrbitDecomposition:
                                   f"{top_norm - shifted_norm(p)} at {p}")
         mult[p] = m
     terms = {tuple(map(operator.sub, p, p[1:])): m for p, m in mult.items()}
-    dec = OrbitDecomposition(n, dict(sorted(
+    dec = OrbitDecomposition._adopt(n, dict(sorted(
         terms.items(), key=lambda wm: grlex_key(wm[0]), reverse=True)))
     if dec.weight_count() != lie.weyl_dimension(lam):
         raise ArithmeticError(

@@ -244,6 +244,11 @@ class TestFoldedQuadrature:
         assert analysis.quadrature_bytes(6, 3, 16) > budget
         assert analysis.quadrature_bytes(7, 1, 16) <= budget
         assert analysis.quadrature_bytes(6, 2, 16) > budget
+        # Rank 1 runs no grid: only its exact reports and one chunk count.
+        assert analysis.quadrature_bytes(1, 3, 16) == (
+            240 * max(analysis._exact_terms(1, 3)) + 480 * 4 + 24 * of.CHUNK_CELLS)
+        assert analysis.quadrature_bytes(1, 1_000_000, 16) <= budget
+        assert analysis.quadrature_bytes(1, 1_100_000, 16) > budget
         with pytest.raises(ValueError, match="GiB"):
             analysis.run_ortho_suite(rank_bound=6)
 
@@ -254,10 +259,11 @@ class TestFoldedQuadrature:
                 s_terms = len(analysis.strictly_dominant_weights(n, c)) * factorial(n + 1)
                 assert analysis._exact_terms(n, c) == (c_terms, s_terms), (n, c)
 
-    @pytest.mark.parametrize("n,c", [(4, 3), (5, 1)])
+    @pytest.mark.parametrize("n,c", [(4, 3), (5, 1), (1, 50000)])
     def test_suite_peak_stays_under_the_estimate(self, n, c):
         # Measured 17.2 MiB against 54.7 MiB at (4, 3), 12.0 against 35.1
-        # at (5, 1), on x86-64 Linux.
+        # at (5, 1), and 60.6 against 69.8 at (1, 50000), where charging
+        # the terms alone gave 46.9, on x86-64 Linux.
         tracemalloc.start()
         try:
             report = analysis.run_ortho_suite(rank_bound=n, coord_bound=c)
@@ -597,6 +603,31 @@ class TestSuiteRunners:
     def test_symmetry(self):
         report = analysis.run_symmetry_suite(rank_bound=2, coord_bound=2, trials=25)
         assert report.passed
+
+    @pytest.mark.parametrize("n,c,seed", [(3, 3, 1729), (2, 5, 7), (4, 2, 3), (3, 1, 1729)])
+    def test_symmetry_labels_are_the_pool_draw(self, n, c, seed):
+        # The draw as it was: two entries of the whole c^k pool, by the same rng.
+        rng = np.random.default_rng(seed)
+        names = []
+        for k in range(1, n + 1):
+            pool = analysis.strictly_dominant_weights(k, c)
+            idx = rng.choice(len(pool), size=min(2, len(pool)), replace=False)
+            lams = {(1,) * k, *(pool[i] for i in idx), (c,) + (0,) * (k - 1)}
+            names += [f"A{k} symmetry at {lam}" for lam in sorted(lams)]
+        with mock.patch.object(analysis, "strictly_dominant_weights",
+                               side_effect=AssertionError("the label pool was built")):
+            report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed, trials=3)
+        assert [check.name for check in report.checks] == names
+
+    def test_symmetry_at_a_pool_too_large_to_build(self):
+        # 20^8 labels: two are drawn by index, the pool is never built.
+        with mock.patch.object(analysis, "strictly_dominant_weights",
+                               side_effect=AssertionError("the label pool was built")):
+            report = analysis.run_symmetry_suite(rank_bound=8, coord_bound=20, trials=3)
+        assert report.passed, report.render_text()
+        assert report.checks[-1].name.startswith("A8 symmetry at ")
+        with pytest.raises(ValueError, match="int64"):
+            analysis.run_symmetry_suite(rank_bound=8, coord_bound=300)
 
     def test_chebyshev(self):
         assert analysis.run_chebyshev_suite().passed

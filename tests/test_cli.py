@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import analysis, cli, weyl
+from orbitpoly import analysis, cli, exp_ring, weyl
 
 
 @pytest.fixture
@@ -152,6 +153,21 @@ class TestDecomposeCommand:
         terms = json.loads(result.output)["terms"]
         assert sum(t["coeff"] * weyl.orbit_size(tuple(t["weight"])) for t in terms) == 720 ** 2
 
+    def test_text_renders_the_product_terms_unsorted(self, runner, monkeypatch):
+        # Text output builds no JSON payload and no sorted copy of the terms,
+        # and still matches every text golden.
+        def must_not_run(self):
+            raise AssertionError("text decompose built a sorted copy of the terms")
+
+        monkeypatch.setattr(exp_ring.TermMap, "to_json_dict", must_not_run)
+        monkeypatch.setattr(exp_ring.TermMap, "sorted_terms", must_not_run)
+        golden = json.loads((pathlib.Path(__file__).parent / "golden" / "decompose.json").read_text())
+        texts = [entry for entry in golden if "--json" not in entry["args"]]
+        assert texts
+        for entry in texts:
+            result = runner.invoke(cli.main, entry["args"])
+            assert (result.exit_code, result.stdout) == (entry["exit_code"], entry["stdout"])
+
     def test_invalid_exits_2(self, runner):
         assert runner.invoke(cli.main, ["decompose", "-a", "1,-1", "-b", "1,0"]).exit_code == 2
         assert runner.invoke(cli.main, ["decompose", "-a", "1", "-b", "1,0"]).exit_code == 2
@@ -220,6 +236,25 @@ class TestVerifyCommand:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "6.93 GiB, over the 1 GiB budget" in result.output
+
+    def test_rank_one_ortho_refused_up_front(self, runner, monkeypatch):
+        # Rank 1 has no quadrature grid; its exact reports alone are charged.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
+        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "1", "-c", "3000000"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "rank 1, coordinate bound 3000000, N=16 would hold about 2.71 GiB" in result.output
+
+    def test_symmetry_index_range_refused(self, runner):
+        # 300^8 labels cannot be drawn by an int64 index: exit 2, no traceback.
+        result = runner.invoke(cli.main, ["verify", "-s", "symmetry", "-n", "8", "-c", "300"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "300^8 exceed an int64 index" in result.output
 
     def test_oversized_detforms_refused_up_front(self, runner, monkeypatch):
         # Rank 8 runs (below); past lie.MAX_RANK the bound is refused before
