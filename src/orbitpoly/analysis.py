@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
 from typing import Sequence
@@ -25,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import chebyshev, lie, orbit_functions, weyl
+from ._record import Record
 from .exp_ring import ExpSum, exp_sum
 
 DEFAULT_SEED = 1729
@@ -76,20 +76,17 @@ def nyquist_points(a: ExpSum, b: ExpSum) -> int:
     return 2 * max(a.support_bound(), b.support_bound()) + 1
 
 
-@dataclass
-class OrthogonalityReport:
+class OrthogonalityReport(Record):
     """Outcome of pairing every orbit sum of one kind against every other."""
 
-    kind: str
-    rank: int
-    coord_bound: int
-    pairs_tested: int
-    max_deviation: int
-    expected_diagonal: str
-    passed: bool
+    _fields = ("kind", "rank", "coord_bound", "pairs_tested", "max_deviation",
+               "expected_diagonal", "passed")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+    def __init__(self, kind: str, rank: int, coord_bound: int, pairs_tested: int,
+                 max_deviation: int, expected_diagonal: str, passed: bool):
+        self.kind, self.rank, self.coord_bound = kind, rank, coord_bound
+        self.pairs_tested, self.max_deviation = pairs_tested, max_deviation
+        self.expected_diagonal, self.passed = expected_diagonal, passed
 
 
 def orthogonality_report(kind: str, rank: int, coord_bound: int) -> OrthogonalityReport:
@@ -258,6 +255,13 @@ def fd_laplacian(
     return _fd_values(kind, lam, x_e, (h,), frame)[1][0]
 
 
+def _norm_sq(lam: Sequence[int]) -> float:
+    """``float(lie.norm_sq(lam))``: its integer numerator divided by n+1,
+    with no ``Fraction`` built (nor ``fractions`` imported)."""
+    p = lie.suffix_sums(lam)
+    return (len(p) * sum(c * c for c in p) - sum(p) ** 2) / len(p)
+
+
 def _relative_errors(
     kind: str, lam: tuple[int, ...], candidates: np.ndarray, steps: Sequence[float],
     min_abs: float | None = None, frame: np.ndarray | None = None,
@@ -274,7 +278,7 @@ def _relative_errors(
     if min_abs is None:
         size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
         min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
-    factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
+    factor = 4 * np.pi * np.pi * _norm_sq(lam)
     values, laps = _fd_block(kind, lam, candidates, steps, frame)
     kept = np.abs(values) >= min_abs
     errs = np.abs(laps[kept] + factor * values[kept, None]) / (factor * np.abs(values[kept, None]))
@@ -313,7 +317,7 @@ def laplacian_eigenvalue_check(
     if not 0 < h <= 0.01:
         raise ValueError("step h must lie in (0, 0.01]")
     lam = lie.as_weight(lam)
-    if lie.norm_sq(lam) == 0:
+    if _norm_sq(lam) == 0:
         return 0.0
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
@@ -329,16 +333,16 @@ def laplacian_eigenvalue_check(
 # ---------------------------------------------------------------------------
 # Symmetry identities.
 
-@dataclass
-class SymmetryReport:
-    lam: tuple[int, ...]
-    trials: int
-    seed: int
-    scale: float
-    max_c_dev: float = 0.0
-    max_s_dev: float = 0.0
-    max_e_dev: float = 0.0
-    tolerance: float = 1e-12
+class SymmetryReport(Record):
+    _fields = ("lam", "trials", "seed", "scale", "max_c_dev", "max_s_dev", "max_e_dev",
+               "tolerance")
+
+    def __init__(self, lam: tuple[int, ...], trials: int, seed: int, scale: float,
+                 max_c_dev: float = 0.0, max_s_dev: float = 0.0, max_e_dev: float = 0.0,
+                 tolerance: float = 1e-12):
+        self.lam, self.trials, self.seed, self.scale = lam, trials, seed, scale
+        self.max_c_dev, self.max_s_dev, self.max_e_dev = max_c_dev, max_s_dev, max_e_dev
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:
@@ -346,7 +350,7 @@ class SymmetryReport:
         return max(self.max_c_dev, self.max_s_dev, self.max_e_dev) < bound
 
     def as_dict(self) -> dict:
-        fields = asdict(self)
+        fields = super().as_dict()
         return {"lambda": list(fields.pop("lam")), **fields, "passed": self.passed}
 
 
@@ -395,18 +399,19 @@ def symmetry_suite(
 # ---------------------------------------------------------------------------
 # Named verification suites (consumed by the CLI).
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(Record):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    checks: list = field(default_factory=list)
+class SuiteReport(Record):
+    _fields = ("suite", "seed", "checks")
+
+    def __init__(self, suite: str, seed: int, checks: list | None = None):
+        self.suite, self.seed = suite, seed
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -420,7 +425,7 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c.as_dict() for c in self.checks],
         }
 
     def render_text(self) -> str:
@@ -633,7 +638,7 @@ def run_laplace_suite(
     x = _random_e_points(np.random.default_rng(seed), 1, len(lam))[0]
     centre, (l1,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam)))
     _, (l2,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam), reverse=True))
-    scale = 4 * np.pi * np.pi * float(lie.norm_sq(lam)) * abs(centre)
+    scale = 4 * np.pi * np.pi * _norm_sq(lam) * abs(centre)
     report.add(
         "Laplacian independent of the orthonormal frame",
         abs(l1 - l2) < 1e-4 * scale,
@@ -726,7 +731,8 @@ def _form_deviations(lam: tuple[int, ...], xs: np.ndarray) -> dict[str, float]:
     forms of the dominant label lam to its orbit functions: the permanent is
     stabilizer * C, the determinant S (zero on a chamber wall), the
     alternating form (permanent + determinant)/2 and, off the walls, E."""
-    l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
+    p = lie.suffix_sums(lam)  # the floats of lie.omega_to_e(lam), p - mean(p)
+    l_e = np.array([(len(p) * c - sum(p)) / len(p) for c in p])
     dp = orbit_functions.d_plus(l_e, xs)
     dm = orbit_functions.d_minus(l_e, xs)
     da = orbit_functions.d_alt(l_e, xs)

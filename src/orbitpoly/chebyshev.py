@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from . import exp_ring, lie, weyl
+from ._record import Frozen, set_field
 from .exp_ring import OrbitDecomposition, TermMap, exp_sum
 
 
@@ -363,14 +363,17 @@ def substitute_p(lam: Sequence[int], kind: str) -> YLaurent:
     return YLaurent._adopt(s.rank, s.terms)
 
 
-@dataclass(frozen=True)
-class RecursionRelation:
-    """Decomposition of X_j * C_a, the step underlying poly_t."""
+class RecursionRelation(Frozen):
+    """Decomposition of X_j * C_a, the step underlying poly_t; j is the
+    1-based fundamental-variable index."""
 
-    rank: int
-    j: int  # 1-based fundamental-variable index
-    a: tuple[int, ...]
-    rhs: OrbitDecomposition
+    __slots__ = _fields = ("rank", "j", "a", "rhs")
+
+    def __init__(self, rank: int, j: int, a: tuple[int, ...], rhs: OrbitDecomposition):
+        set_field(self, "rank", rank)
+        set_field(self, "j", j)
+        set_field(self, "a", a)
+        set_field(self, "rhs", rhs)
 
     @property
     def total_terms(self) -> int:

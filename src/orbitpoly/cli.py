@@ -8,7 +8,6 @@ are emitted in descending graded-lex order and floats use a fixed format.
 from __future__ import annotations
 
 import atexit
-import json
 import math
 import os
 import sys
@@ -71,6 +70,11 @@ def _check_writable(out: str) -> None:
         os.remove(out)
 
 
+def _json(payload, **options) -> str:
+    import json  # the --json branches alone need it
+    return json.dumps(payload, **options)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -109,7 +113,7 @@ def orbit(rank, lam_text, as_json, out):
                 for p, s, e in zip(orb.points, orb.signs, orb.even)
             ],
         }
-        _emit(json.dumps(payload), out)
+        _emit(_json(payload), out)
         return
     lines = [
         f"A{orb.rank} orbit of {orb.dominant}: size {orb.size}, "
@@ -144,8 +148,8 @@ def eval_cmd(rank, kind, lam_text, point_text, as_json, out):
     re_s = _FLOAT.format(value.real)
     im_s = _FLOAT.format(value.imag)
     if as_json:
-        _emit(json.dumps({"kind": kind, "lambda": list(lam),
-                          "x": list(x), "re": value.real, "im": value.imag}), out)
+        _emit(_json({"kind": kind, "lambda": list(lam),
+                     "x": list(x), "re": value.real, "im": value.imag}), out)
     else:
         _emit(f"{kind}_{lam}({x}) = {re_s} {'+' if value.imag >= 0 else '-'} {im_s.lstrip('-')}i", out)
 
@@ -165,7 +169,7 @@ def decompose(rank, weight_a, weight_b, as_json, out):
     dec = exp_ring.orbit_product(a, b)
     congruence = (lie.congruence_number(a) + lie.congruence_number(b)) % (len(a) + 1)
     if as_json:
-        _emit(json.dumps({**dec.to_json_dict(), "congruence": congruence}), out)
+        _emit(_json({**dec.to_json_dict(), "congruence": congruence}), out)
         return
     # orbit_product builds its terms in descending graded-lex order.
     lines = [f"C_{a} * C_{b} (congruence class {congruence}):"]
@@ -198,7 +202,7 @@ def poly(rank, lam_text, kind, fmt, as_json, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        _emit(json.dumps(p.to_json_dict(lam, kind)), out)
+        _emit(_json(p.to_json_dict(lam, kind)), out)
     elif fmt == "csv":
         n = p.rank
         header = ",".join(f"deg_{j}" for j in range(1, n + 1)) + ",coeff"
@@ -235,7 +239,7 @@ def verify(ctx, suite, rank_bound, coord_bound, seed, as_json, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if as_json:
-        text = json.dumps([r.as_dict() for r in reports], indent=2)
+        text = _json([r.as_dict() for r in reports], indent=2)
     else:
         text = "\n".join(r.render_text() for r in reports)
     _emit(text, out)

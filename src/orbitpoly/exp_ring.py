@@ -20,15 +20,13 @@ coefficients grow combinatorially and must never overflow silently.
 from __future__ import annotations
 
 import collections
-import heapq
 import itertools
-import json
 import operator
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Sequence
 
 from . import lie, weyl
+from ._record import Frozen, set_field
 
 KINDS = ("C", "S", "E")
 
@@ -59,8 +57,7 @@ def grlex_key(w: Sequence[int]) -> tuple:
     return (sum(w), tuple(w))
 
 
-@dataclass(frozen=True)
-class TermMap:
+class TermMap(Frozen):
     """Finite map from integer-tuple keys to nonzero int coefficients.
 
     The one sparse core behind exponential sums, orbit decompositions and
@@ -71,14 +68,13 @@ class TermMap:
     operand's type.
     """
 
-    rank: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = _fields = ("rank", "terms")
 
-    def __post_init__(self):
-        terms = self.terms
+    def __init__(self, rank: int, terms: dict = {}):  # the default is only read
         # A plain copy runs at C speed; most maps have no zero to drop.
         clean = dict(terms) if 0 not in terms.values() else {w: c for w, c in terms.items() if c != 0}
-        object.__setattr__(self, "terms", clean)
+        set_field(self, "rank", rank)
+        set_field(self, "terms", clean)
 
     @classmethod
     def _adopt(cls, rank: int, terms: dict):
@@ -89,8 +85,8 @@ class TermMap:
             for w in [w for w, c in terms.items() if c == 0]:
                 del terms[w]
         out = cls.__new__(cls)
-        object.__setattr__(out, "rank", rank)
-        object.__setattr__(out, "terms", terms)
+        set_field(out, "rank", rank)
+        set_field(out, "terms", terms)
         return out
 
     def __bool__(self) -> bool:
@@ -144,11 +140,13 @@ class TermMap:
         }
 
     def to_json(self) -> str:
+        import json
         # The base schema even where a subclass labels its to_json_dict.
         return json.dumps(TermMap.to_json_dict(self))
 
     @classmethod
     def from_json(cls, text: str):
+        import json
         data = json.loads(text)
         return cls(
             int(data["rank"]),
@@ -416,6 +414,7 @@ def exact_divide(num: ExpSum, den: ExpSum) -> ExpSum:
     once, so a non-divisible input cannot drift sideways within one total
     degree, and the loop runs at most once per point of the box.
     """
+    import heapq
     num._check_rank(den)
     if not den.terms:
         raise ZeroDivisionError("division by the zero sum")

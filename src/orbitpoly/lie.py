@@ -4,18 +4,21 @@ Weights are plain tuples of integers giving coordinates in the omega basis
 (fundamental weights).  e-basis coordinates are exact ``fractions.Fraction``
 values on the hyperplane where all n+1 coordinates sum to zero; every exact
 e-space computation works on the integer ``suffix_sums`` instead, which are
-the e-coordinates shifted by a constant; the omega-to-e matrix converts
-float rows.  Everything here is exact rational arithmetic; floating point
-enters only at evaluation time in :mod:`orbitpoly.orbit_functions` and
-:mod:`orbitpoly.analysis`.
+the e-coordinates shifted by a constant.  Everything here is exact
+rational arithmetic, ``fractions`` imported only by the functions that
+return a ``Fraction``; floating point enters only at evaluation time in
+:mod:`orbitpoly.orbit_functions` and :mod:`orbitpoly.analysis`, which
+divide the same integer numerators once instead.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Default cap on the rank.  At n = 8 a generic orbit already has
 #: 9! = 362880 points; operations never assume small rank structurally,
@@ -60,6 +63,7 @@ def omega_to_e_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     Row j, column k is (n+1-k)/(n+1) for k >= j and -k/(n+1) for k < j;
     column k is the e-coordinate vector of the k-th fundamental weight.
     """
+    from fractions import Fraction
     check_rank(n)
     return tuple(
         tuple(
@@ -84,6 +88,7 @@ def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
 
 def omega_to_e(lam: Sequence[int]) -> tuple[Fraction, ...]:
     """e-basis coordinates of a weight, p - mean(p); they sum to exactly zero."""
+    from fractions import Fraction
     p = suffix_sums(lam)
     total = sum(p)
     return tuple(Fraction(len(p) * c - total, len(p)) for c in p)
@@ -96,6 +101,7 @@ def inner_product(lam: Sequence[int], mu: Sequence[int]) -> Fraction:
     basis has Gram matrix C^{-1} because every simple root has squared
     length 2), which on suffix sums is sum p*q - sum p * sum q / (n+1).
     """
+    from fractions import Fraction
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam)} vs {len(mu)}")
     p, q = suffix_sums(lam), suffix_sums(mu)

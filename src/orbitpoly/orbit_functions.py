@@ -75,8 +75,11 @@ def _in_basis(rows: np.ndarray, basis: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _omega_to_e(n: int) -> np.ndarray:
     """``lie.omega_to_e_matrix(n)`` as an (n+1, n) float array, read-only:
-    every e-basis table shares it."""
-    matrix = np.array(lie.omega_to_e_matrix(n), dtype=float)
+    every e-basis table shares it.  Each entry is its integer numerator
+    divided by n+1, the correctly rounded float of the exact entry, with no
+    ``Fraction`` built (nor ``fractions`` imported)."""
+    k = np.arange(1, n + 1)
+    matrix = np.where(k >= np.arange(1, n + 2)[:, None], n + 1 - k, -k) / (n + 1)
     matrix.flags.writeable = False
     return matrix
 

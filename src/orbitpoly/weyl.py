@@ -41,12 +41,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import OrderedDict
 from math import factorial, prod
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from . import lie
+from ._record import Frozen, set_field
 from .lie import suffix_sums
 
 
@@ -60,8 +61,7 @@ def stable_sort_sign(arrangement: Sequence) -> int:
     return -1 if sum(a < b for a, b in itertools.combinations(arrangement, 2)) % 2 else 1
 
 
-@dataclass(frozen=True)
-class SignedOrbit:
+class SignedOrbit(Frozen):
     """A Weyl orbit with parity signs and the even-subgroup sub-orbit.
 
     Points are omega-coordinate weights ordered by descending lexicographic
@@ -71,11 +71,15 @@ class SignedOrbit:
     e-coordinates) every point is, otherwise exactly the sign +1 points are.
     """
 
-    rank: int
-    dominant: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-    signs: tuple[int, ...]
-    even: tuple[bool, ...]
+    __slots__ = _fields = ("rank", "dominant", "points", "signs", "even")
+
+    def __init__(self, rank: int, dominant: tuple[int, ...], points: tuple[tuple[int, ...], ...],
+                 signs: tuple[int, ...], even: tuple[bool, ...]):
+        set_field(self, "rank", rank)
+        set_field(self, "dominant", dominant)
+        set_field(self, "points", points)
+        set_field(self, "signs", signs)
+        set_field(self, "even", even)
 
     @property
     def size(self) -> int:
@@ -113,35 +117,37 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 def _bounded_cache(size, bound: int, check=None):
     """Decorator caching a one-argument builder per key, the least recently
     used dropped first while the sizes held (``size`` of each value) pass
-    ``bound``; a value larger than the bound is held alone.  A hit is one
-    ``dict.pop`` and one re-insert, which moves the key to the end of the
-    dict's use order.  ``check``, if given, validates the argument and
-    returns the key before every lookup, so a hit never skips it.  Like
-    ``lru_cache`` the cached function has ``cache_info()`` (hits and misses
-    counted as ``lru_cache`` counts them, ``currsize`` and the sizes
-    ``held``), ``cache_clear()`` and ``__wrapped__`` (the builder, which
-    ``check`` does not guard); ``entries`` is the dict it holds, least
-    recently used first, for reading."""
+    ``bound``; a value larger than the bound is held alone.  The entries
+    are an ``OrderedDict`` in use order: a hit is one ``get`` and one
+    ``move_to_end``, and an eviction one ``popitem(last=False)``, O(1)
+    however many keys were dropped before.  ``check``, if given, validates
+    the argument and returns the key before every lookup, so a hit never
+    skips it.  Like ``lru_cache`` the cached function has ``cache_info()``
+    (hits and misses counted as ``lru_cache`` counts them, ``currsize`` and
+    the sizes ``held``), ``cache_clear()`` and ``__wrapped__`` (the builder,
+    which ``check`` does not guard); ``entries`` is the ``OrderedDict`` it
+    holds, least recently used first, for reading."""
     def decorate(build):
-        entries: dict = {}
-        pop = entries.pop
+        entries = OrderedDict()
+        get, to_end, evict = entries.get, entries.move_to_end, entries.popitem
         hits = misses = held = 0
 
         def cached(key):
             nonlocal hits, misses, held
             if check is not None:
                 key = check(key)
-            got = pop(key, None)
+            got = get(key)
             if got is None:
                 misses += 1
                 got = build(key)
                 grown = size(got)
                 while entries and held + grown > bound:
-                    held -= size(pop(next(iter(entries))))
+                    held -= size(evict(last=False)[1])
                 held += grown
+                entries[key] = got
             else:
                 hits += 1
-            entries[key] = got
+                to_end(key)
             return got
 
         def cache_info() -> SimpleNamespace:

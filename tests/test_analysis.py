@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from orbitpoly import analysis, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from conftest import dominant_weights, forced_break_even
+from conftest import dominant_weights, forced_break_even, weights
 from oracles import alpha_to_e_point, fold, signed_permutations
 
 
@@ -443,6 +443,10 @@ class TestLaplacian:
             "C", (1,), x=np.array([0.2, -0.2]), h=1e-3
         )
         assert err is not None and err < 1e-4
+
+    @given(weights(max_rank=8, min_coord=-10**9, max_coord=10**12))
+    def test_float_norm_is_the_rounded_fraction(self, lam):
+        assert analysis._norm_sq(lam) == float(lie.norm_sq(lam))
 
     def test_zero_weight_is_harmonic(self):
         assert analysis.laplacian_eigenvalue_check("C", (0, 0)) == 0.0

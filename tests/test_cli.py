@@ -501,3 +501,26 @@ class TestFuzz:
         assert result.exit_code == 0
         assert result.exception is None
         assert result.output.startswith("X1^1000 - 1000*X1^998 + ")
+
+
+def test_package_import_loads_no_unused_stdlib_modules():
+    # After numpy and click, ``import orbitpoly.cli`` adds the package, not
+    # the standard modules no import needs: nothing uses dataclasses, and
+    # fractions (which loads decimal), json and heapq are imported inside
+    # the functions that use them.  numpy stays loaded, with ``analysis``,
+    # until the exact commands stop importing it (ROADMAP item 2).
+    script = (
+        "import sys\n"
+        "import numpy, click\n"
+        "before = set(sys.modules)\n"
+        "import orbitpoly.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "print('orbitpoly.analysis' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added, loaded = proc.stdout.splitlines()
+    unused = {"dataclasses", "fractions", "decimal", "json", "heapq"}
+    assert not unused & set(added.split()), added
+    assert loaded == "True True"
