@@ -7,8 +7,10 @@ integer (distinct lattice exponentials integrate to zero), so the diagonal
 values read off directly as orbit sizes for C, (n+1)! for S and the
 even-orbit size for E, with no fundamental-region volume factor involved.
 
-The quadrature cross-check sums one node per even-Weyl-group orbit of the
-grid (1/N)Q^v mod Q^v, weighted by the orbit size; ``_folded_gram`` predicts it.
+The quadrature cross-check of the C-functions sums one node per Weyl-group
+orbit of the grid (1/N)Q^v mod Q^v, weighted by the orbit size;
+``_folded_gram`` predicts it.  A Gram with S- or E-functions takes one node
+per even-Weyl-group orbit, on which those are invariant.
 
 Randomized checks draw from a numpy Generator seeded with DEFAULT_SEED
 unless told otherwise, and reports record the seed used.
@@ -126,21 +128,24 @@ def orthogonality_report(kind: str, rank: int, coord_bound: int) -> Orthogonalit
     )
 
 
-def grid_orbits(n: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """One e-point per orbit of the even Weyl group W+ on the rank-n grid,
-    and the orbit sizes (they sum to N^n, N = n_points).  The grid is the
-    residues r in Z_N^{n+1} summing to 0 mod N, permuted by W = S_{n+1}.  A
-    non-increasing r is one W+-orbit if a residue repeats, else two: r and r
+def grid_orbits(n: int, n_points: int, even: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """One e-point per orbit of the even Weyl group W+ (of W itself when not
+    even) on the rank-n grid, and the orbit sizes (they sum to N^n, N =
+    n_points).  The grid is the residues r in Z_N^{n+1} summing to 0 mod N,
+    permuted by W = S_{n+1}; one non-increasing r is one W-orbit.  Its first
+    n residues fix the last, -sum mod N, kept when it is at most the n-th.
+    The W-orbit of r is one W+-orbit if a residue repeats, else two: r and r
     with its last two entries swapped.  Its node is k/N, k being r with N
     taken from its first sum(r)/N entries, so that k sums to zero."""
     nodes, sizes = [], []
-    for r in itertools.combinations_with_replacement(range(n_points - 1, -1, -1), n + 1):
-        if sum(r) % n_points:
+    for head in itertools.combinations_with_replacement(range(n_points - 1, -1, -1), n):
+        r = head + (-sum(head) % n_points,)
+        if r[-1] > head[-1]:
             continue
         k = [c - n_points * (i < sum(r) // n_points) for i, c in enumerate(r)]
         # The steps of a non-increasing r are a dominant weight with r's stabilizer.
         size = weyl.orbit_size([a - b for a, b in zip(r, r[1:])])
-        reps = [k, k[:-2] + k[:-3:-1]] if size == factorial(n + 1) else [k]
+        reps = [k, k[:-2] + k[:-3:-1]] if even and size == factorial(n + 1) else [k]
         nodes += reps
         sizes += [size // len(reps)] * len(reps)
     return np.array(nodes, dtype=float) / n_points, np.array(sizes, dtype=float)
@@ -149,7 +154,7 @@ def grid_orbits(n: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
 def grid_orbit_count(n: int, n_points: int) -> int:
     """W-orbits of the rank-n grid: multisets of m = n+1 residues mod N
     summing to 0 mod N, (1/N) sum of phi(d) C(N/d + m/d - 1, m/d) over the d
-    dividing gcd(N, m) (roots-of-unity filter); ``grid_orbits`` has <= 2x."""
+    dividing gcd(N, m) (roots-of-unity filter): the nodes of ``grid_orbits(n, N, False)``."""
     m, g = n + 1, gcd(n_points, n + 1)
     phi = lambda d: sum(gcd(j, d) == 1 for j in range(1, d + 1))
     return sum(phi(d) * comb((n_points + m) // d - 1, m // d)
@@ -466,10 +471,11 @@ def _exact_terms(n: int, coord_bound: int) -> tuple[int, int]:
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     """Upper bound on the bytes the rank-n ortho suite holds.
 
-    From rank 2 on (rank 1 has no grid), complex values (16 B) at the W+-orbit
-    nodes, at most twice ``grid_orbit_count``: every label's values, weighted
-    and conjugated for the Gram product; the Gram matrix, its prediction and
-    two temporaries.  At every rank, the exact reports' sums and Gram index:
+    From rank 2 on (rank 1 has no grid), complex values (16 B) at twice
+    ``grid_orbit_count`` nodes, at least the W+-orbit nodes, although the
+    suite's C Gram takes only the W-orbit ones: every label's values,
+    weighted and conjugated for the Gram product; the Gram matrix, its
+    prediction and two temporaries.  At every rank, the exact reports' sums and Gram index:
     240 B a term of the larger family (``_exact_terms``) and 480 B a label
     (tracemalloc, orbit cache cold: 170-230 B a term at ranks 4-5, ~900 B a
     two-term label at rank 1); and one evaluation chunk's transients, ~24 B
@@ -530,11 +536,13 @@ def quadrature_gram(functions: Sequence[tuple[str, Sequence[int]]], n_points: in
     """Rectangle-rule Gram matrix of the orbit functions, given as (kind,
     label) pairs, n_points per axis, over the nodes of ``grid_orbits``
     weighted by their orbit sizes.  Every orbit function is W+-invariant,
-    so each product f * conj(g) is constant on the orbits.  The values at
-    the nodes come from ``eval_c``/``eval_s``/``eval_e``, one batch per
-    function, so each label takes the path its batch size makes cheaper."""
+    so each product f * conj(g) is constant on the W+-orbits; a C-function
+    sums the whole of W, so when every function is a C-function the nodes
+    are one per W-orbit.  The values at the nodes come from
+    ``eval_c``/``eval_s``/``eval_e``, one batch per function, so each label
+    takes the path its batch size makes cheaper."""
     n = len(functions[0][1])
-    nodes, sizes = grid_orbits(n, n_points)
+    nodes, sizes = grid_orbits(n, n_points, even=any(kind != "C" for kind, _ in functions))
     values = np.array([_EVALUATORS[kind](lam, nodes, basis="e") for kind, lam in functions])
     return (values * sizes) @ values.conj().T / n_points ** n
 
@@ -752,9 +760,10 @@ def run_detforms_suite(
     """Permanent/determinant/alternating forms against C, S, E functions.
 
     Each form sums (n+1)! unit exponentials, so deviations are compared
-    against tolerance * (n+1)!.  The samples are evaluated once per label,
-    as one batch: ``samples`` scales memory as a batch size does, while the
-    tables, arrangements and evaluation chunks are bounded by constants.
+    against tolerance * (n+1)!.  A rank draws its samples' labels first,
+    then their points, and evaluates the samples once per label, as one
+    batch: ``samples`` scales memory as a batch size does, while the tables,
+    arrangements and evaluation chunks are bounded by constants.
 
     On the column expansion S is also a determinant, yet "determinant form
     = S" still compares two computations: ``d_minus`` builds its matrix
@@ -768,10 +777,10 @@ def run_detforms_suite(
     rng = np.random.default_rng(seed)
     for n in range(1, rank_bound + 1):
         bound = tolerance * factorial(n + 1)
+        labels = rng.integers(1, coord_bound + 1, size=(samples, n)).tolist()
         points: dict[tuple[int, ...], list] = {}
-        for _ in range(samples):
-            lam = tuple(int(c) for c in rng.integers(1, coord_bound + 1, size=n))
-            points.setdefault(lam, []).append(_random_e_points(rng, 1, n)[0])
+        for lam, x in zip(labels, _random_e_points(rng, samples, n)):
+            points.setdefault(tuple(lam), []).append(x)
         worst = dict.fromkeys(_FORM_CHECKS, 0.0)
         for lam, xs in points.items():
             for key, dev in _form_deviations(lam, np.array(xs)).items():

@@ -469,12 +469,13 @@ def _even_permutations(m: int) -> np.ndarray:
 
 def _check_e_inputs(l: Sequence[float], x) -> tuple[np.ndarray, np.ndarray]:
     l = np.asarray(l, dtype=float)
-    if l.ndim != 1:
+    if l.ndim != 1 or not l.size:
         raise ValueError(f"l must be an e-vector of length n+1, got shape {l.shape}")
-    scale = max(1.0, float(np.abs(l).max()))
-    if abs(l.sum()) > 1e-9 * scale:
+    v = l.tolist()  # a few entries: checked faster as Python floats than by numpy calls
+    scale = max(1.0, max(map(abs, v)))
+    if abs(sum(v)) > 1e-9 * scale:
         raise ValueError("l must sum to zero")
-    if np.any(l[:-1] < l[1:] - 1e-12 * scale):
+    if any(a < b - 1e-12 * scale for a, b in zip(v, v[1:])):
         raise ValueError("l must be weakly decreasing (dominant e-coordinates)")
     return l, _points(x, len(l), "e")
 

@@ -337,8 +337,21 @@ class TestReducedGrid:
         assert len(got) == len(nodes)
         assert got == orbits
 
+    @pytest.mark.parametrize("n,n_points", SMALL_GRIDS)
+    def test_one_node_per_weyl_orbit_weighted_by_its_size(self, n, n_points):
+        orbits: dict = {}
+        for r in grid_residues(n, n_points):
+            key = tuple(sorted(r))
+            orbits[key] = orbits.get(key, 0) + 1
+        nodes, sizes = analysis.grid_orbits(n, n_points, even=False)
+        got = {tuple(sorted(r)): size for r, size in zip(residues(nodes, n_points), sizes)}
+        assert len(got) == len(nodes)
+        assert got == orbits
+
     def test_node_counts_at_sixteen_points(self):
         assert [len(analysis.grid_orbits(n, 16)[0]) for n in (2, 3, 4)] == [86, 360, 1242]
+        assert [len(analysis.grid_orbits(n, 16, even=False)[0])
+                for n in (2, 3, 4)] == [51, 245, 969]
         assert [analysis.grid_orbit_count(n, 16) for n in (2, 3, 4)] == [51, 245, 969]
 
     @pytest.mark.parametrize("n,n_points", [(n, k) for n in range(1, 5) for k in range(1, 10)
@@ -346,7 +359,26 @@ class TestReducedGrid:
     def test_orbit_count_formula(self, n, n_points):
         w_orbits = {tuple(sorted(r)) for r in grid_residues(n, n_points)}
         assert analysis.grid_orbit_count(n, n_points) == len(w_orbits)
+        assert len(analysis.grid_orbits(n, n_points, even=False)[0]) == len(w_orbits)
         assert len(analysis.grid_orbits(n, n_points)[0]) <= 2 * len(w_orbits)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n_points", [6, 7, 16])
+    def test_c_gram_on_weyl_orbits_is_the_even_orbit_gram(self, n, n_points, monkeypatch):
+        nodes, sizes = analysis.grid_orbits(n, n_points, even=False)
+        assert len(nodes) == len(sizes) == analysis.grid_orbit_count(n, n_points)
+        assert sizes.sum() == n_points ** n
+        assert np.abs(nodes.sum(axis=1)).max() < 1e-12
+        labels = analysis.dominant_weights(n, 2 if n <= 3 else 1)
+        nodes, sizes = analysis.grid_orbits(n, n_points)
+        values = np.array([of.eval_c(lam, nodes, basis="e") for lam in labels])
+        even = (values * sizes) @ values.conj().T / n_points ** n
+        real, picked = analysis.grid_orbits, []
+        monkeypatch.setattr(analysis, "grid_orbits", lambda n, N, even=True: (
+            picked.append(even) or real(n, N, even)))
+        gram = analysis.quadrature_gram([("C", lam) for lam in labels], n_points)
+        assert picked == [False]
+        assert np.abs(gram - even).max() < 1e-12 * factorial(n + 1)
 
     @pytest.mark.parametrize("n,points", [(1, (3, 6, 16)), (2, (4, 7, 16)), (3, (3, 8, 16))])
     def test_gram_equals_the_full_grid(self, n, points):
@@ -360,9 +392,16 @@ class TestReducedGrid:
         sums = [exp_sum(w, kind) for kind, w in functions]
         bound = max(analysis.nyquist_points(s, s) for s in sums)
         assert min(points) < bound <= max(points)
+        e_only = [i for i, (kind, _) in enumerate(functions) if kind == "E"]
         for n_points in points:
+            full = full_grid_gram(sums, n_points)
             reduced = analysis.quadrature_gram(functions, n_points)
-            assert np.abs(reduced - full_grid_gram(sums, n_points)).max() < 1e-11
+            assert np.abs(reduced - full).max() < 1e-11
+            reduced = analysis.quadrature_gram([functions[i] for i in e_only], n_points)
+            assert np.abs(reduced - full[np.ix_(e_only, e_only)]).max() < 1e-11
+            c_only = len(labels)  # the C-functions come first and take the W-orbit nodes
+            reduced = analysis.quadrature_gram(functions[:c_only], n_points)
+            assert np.abs(reduced - full[:c_only, :c_only]).max() < 1e-11
 
 
 class TestHyperplaneFrame:
@@ -667,24 +706,28 @@ class TestSuiteRunners:
         assert peak < count * (factorial(m) // 2) * 24  # one shot's kernel terms
 
     def test_detforms_evaluates_once_per_label(self, monkeypatch):
-        calls = {}
+        calls, drawn = {}, set()
         for name in ("d_plus", "d_minus", "d_alt", "eval_c", "eval_s", "eval_e"):
             def counted(*args, _f=getattr(of, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "eval_s":
+                    drawn.add(args[0])
                 return _f(*args, **kwargs)
             monkeypatch.setattr(of, name, counted)
-        report = analysis.run_detforms_suite(rank_bound=3, coord_bound=2, samples=30, seed=4)
+        report = analysis.run_detforms_suite(rank_bound=3, coord_bound=3, samples=6, seed=4)
         assert report.passed
-        # Replay the suite's draws: a label, then its point, per sample.
+        # Replay the suite's draws: a rank's labels, then their points, then
+        # the wall's points.  Six samples a rank leave most of the 3 + 9 + 27
+        # labels undrawn, so only the suite's own draw order finds its set.
         rng = np.random.default_rng(4)
         labels = set()
         for n in range(1, 4):
-            for _ in range(30):
-                labels.add(tuple(rng.integers(1, 3, size=n).tolist()))
-                rng.random(n)
+            labels.update(map(tuple, rng.integers(1, 4, size=(6, n)).tolist()))
+            rng.random((6, n))
             if n >= 2:
                 rng.random((10, n))
-        assert len(labels) < 90
+        assert len(labels) < 3 + 9 + 27
+        assert drawn == labels  # eval_s takes every drawn label, and only those
         per_label = dict.fromkeys(("d_plus", "d_minus", "d_alt", "eval_c"), len(labels) + 2)
         assert calls == {**per_label, "eval_s": len(labels), "eval_e": len(labels)}
 

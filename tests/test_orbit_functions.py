@@ -2,6 +2,7 @@
 determinant / alternating exponential forms."""
 import cmath
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from math import cos, factorial, pi, sin
@@ -652,6 +653,40 @@ class TestExponentialForms:
     def test_off_hyperplane_rejected(self):
         with pytest.raises(ValueError):
             of.d_plus((1.0, 0.0), (0.1, -0.1))
+
+    SHAPE, SUM, ORDER = ("l must be an e-vector of length n+1, got shape",
+                         "l must sum to zero",
+                         "l must be weakly decreasing (dominant e-coordinates)")
+
+    @pytest.mark.parametrize("l,message", [
+        ([[1.0, -1.0]], SHAPE + " (1, 2)"),
+        ([[1.0, 2.0]], SHAPE + " (1, 2)"),  # the shape first, before the sum and order
+        (0.0, SHAPE + " ()"),
+        ([], SHAPE + " (0,)"),
+        ([1.0, 2.0], SUM),  # the sum before the order
+        ([1.0, -1.0 + 2e-9], SUM),  # tolerance 1e-9 * max(1, max|l|)
+        ([-1.0 + 2e-9, 1.0], SUM),
+        ([10.0, -10.0 + 2e-8], SUM),
+        ([-1.0, 1.0], ORDER),
+        ([0.5, 0.5 + 2e-12, -1.0 - 2e-12], ORDER),  # tolerance 1e-12 * max(1, max|l|)
+        ([5.0, 5.0 + 2e-11, -10.0 - 2e-11], ORDER),
+    ])
+    def test_each_bad_weight_keeps_its_message(self, l, message):
+        for form in (of.d_plus, of.d_minus, of.d_alt):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                form(l, (0.1, -0.1))
+
+    @pytest.mark.parametrize("l", [
+        [1.0, -1.0 + 0.5e-9],
+        [10.0, -10.0 + 5e-9],  # within 1e-9 * 10, not 1e-9
+        [0.5, 0.5 + 0.5e-12, -1.0 - 0.5e-12],
+        [5.0, 5.0 + 5e-12, -10.0 - 5e-12],  # within 1e-12 * 10, not 1e-12
+        [0.0, 0.0],
+    ])
+    def test_weights_inside_the_tolerances_pass(self, l):
+        checked, x = of._check_e_inputs(l, np.zeros(len(l)))
+        assert checked.dtype == float and checked.tolist() == l
+        assert x.tolist() == [0.0] * len(l)
 
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1), (1, 3)])
     def test_equivalences_at_generic_weights(self, lam):
