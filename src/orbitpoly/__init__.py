@@ -33,12 +33,8 @@ from .exp_ring import (
     orbit_product,
 )
 from .chebyshev import (
-    ClassicalPoly,
     XPolynomial,
     YLaurent,
-    check_classical_identities,
-    classical_t,
-    classical_u,
     poly_t,
     poly_u,
     recursion_relation,

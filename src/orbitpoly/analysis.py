@@ -1,5 +1,6 @@
 """Verification harness: torus orthogonality, quadrature cross-checks,
-Laplacian eigenvalue tests, and symmetry identities.
+Laplacian eigenvalue tests, symmetry identities, and the rank-1 reduction
+of ``poly_t`` / ``poly_u`` to the classical Chebyshev polynomials.
 
 Orthogonality is tested on the full torus [0,1]^n in alpha coordinates.
 There the inner product of two formal exponential sums reduces to an exact
@@ -680,35 +681,49 @@ def run_symmetry_suite(
     return report
 
 
-def run_chebyshev_suite(
-    rank_bound: int | None = None, coord_bound: int | None = None,
-    seed: int = DEFAULT_SEED, max_degree: int = 20,
-) -> SuiteReport:
-    """Rank-1 reduction to the classical polynomials, exactly.  Nothing is
-    drawn at random and the rank is 1, so the bounds and the seed do not apply."""
+#: The top degree of the chebyshev suite's rank-1 checks.
+CHEBYSHEV_DEGREE = 20
+
+
+def _rank_one(m: int, first_kind: bool) -> dict:
+    """The closed forms in X of 2T_m(X/2), m >= 1, and of U_m(X/2): the
+    coefficient of X^(m-2k) is (-1)^k m/(m-k) C(m-k, k), resp. (-1)^k C(m-k, k)
+    (Mason & Handscomb, *Chebyshev Polynomials*, ch. 2)."""
+    return {(m - 2 * k,): (-1) ** k * (m * comb(m - k, k) // (m - k) if first_kind
+                                       else comb(m - k, k))
+            for k in range(m // 2 + 1)}
+
+
+def run_chebyshev_suite(rank_bound: int | None = None, coord_bound: int | None = None,
+                        seed: int = DEFAULT_SEED) -> SuiteReport:
+    """Rank-1 reduction to the classical polynomials, exactly: poly_t((m,)) is
+    2T_m(X/2) and poly_u((m,)) is U_m(X/2), compared with their closed forms,
+    and the classical identities tying the kinds hold on them in X.  Nothing
+    is drawn at random and the rank is 1, so the bounds and the seed do not
+    apply."""
+    top = CHEBYSHEV_DEGREE
     report = SuiteReport("chebyshev", DEFAULT_SEED)
-    ok_t = all(
-        chebyshev.a1_z_coefficients(chebyshev.poly_t((m,)))
-        == chebyshev.classical_t(m).scale(2).coeffs
-        for m in range(1, max_degree + 1)
-    )
-    report.add(
-        f"T-polynomials reduce to doubled first kind, m=1..{max_degree}", ok_t
-    )
-    report.add(
-        "T at m=0 is the unit (distinct-point normalization)",
-        chebyshev.a1_z_coefficients(chebyshev.poly_t((0,))) == (1,),
-    )
-    ok_u = all(
-        chebyshev.a1_z_coefficients(chebyshev.poly_u((m,)))
-        == chebyshev.classical_u(m).coeffs
-        for m in range(0, max_degree + 1)
-    )
-    report.add(f"U-polynomials reduce to second kind, m=0..{max_degree}", ok_u)
+    t = [chebyshev.poly_t((m,)) for m in range(top + 2)]
+    u = [chebyshev.poly_u((m,)) for m in range(top + 1)]
+    report.add(f"T-polynomials reduce to doubled first kind, m=1..{top}",
+               all(t[m].terms == _rank_one(m, True) for m in range(1, top + 1)))
+    report.add("T at m=0 is the unit (distinct-point normalization)",
+               t[0].terms == {(0,): 1})
+    report.add(f"U-polynomials reduce to second kind, m=0..{top}",
+               all(u[m].terms == _rank_one(m, False) for m in range(top + 1)))
+    # dT_m/dX = m U_{m-1}; 2T_{m+1} = X T_m - (4 - X^2) U_{m-1};
+    # T_m = 2U_m - X U_{m-1}; T_m = U_m - U_{m-2}.
+    x = chebyshev.XPolynomial(1, {(1,): 1})
+    four_minus_x2 = chebyshev.XPolynomial(1, {(0,): 4, (2,): -1})
     ok_ids = all(
-        chebyshev.check_classical_identities(m)["all"] for m in range(max_degree + 1)
+        chebyshev.XPolynomial(1, {(k - 1,): k * c for (k,), c in t[m].terms.items()})
+        == u[m - 1].scale(m)
+        and t[m + 1].scale(2) == x * t[m] - four_minus_x2 * u[m - 1]
+        and t[m] == u[m].scale(2) - x * u[m - 1]
+        and (m < 2 or t[m] == u[m] - u[m - 2])
+        for m in range(1, top + 1)
     )
-    report.add(f"classical identity suite exact, m<= {max_degree}", ok_ids)
+    report.add(f"classical identity suite exact, m<= {top}", ok_ids)
     fixed = {
         (2,): {(2,): 1, (0,): -2},
         (3,): {(3,): 1, (1,): -3},

@@ -6,15 +6,12 @@ X_1..X_n (the orbit sums of the fundamental weights), by one recursion on
 the products X_j * P_mu over the weights mu + w, w a weight of the
 minuscule omega_j with mu + w dominant: for U the Pieri rule
 X_j * U_mu = sum of U_{mu+w}, for T the same sum of orbit sums C_{mu+w},
-each weighted by a ratio of stabilizer orders.
+each weighted by a ratio of stabilizer orders.  At rank 1 they are the
+classical Chebyshev polynomials, poly_t((m,)) = 2T_m(X/2) for m >= 1 and
+poly_u((m,)) = U_m(X/2), as ``analysis``'s chebyshev suite checks.
 ``substitute_p`` applies the exponential change of variables
 y_j = exp(2*pi*i x_j), turning each orbit exponential into a Laurent
 monomial.
-
-The one-variable classical Chebyshev polynomials, rank-1 polynomials in z,
-are kept alongside as the reduction oracle: at rank 1, T-polynomials are
-twice the classical first kind under X = 2z, and U-polynomials are exactly
-the classical second kind.
 """
 from __future__ import annotations
 
@@ -81,103 +78,6 @@ class YLaurent(Polynomial):
     """Integer Laurent polynomial in y_1..y_n (exponents may be negative)."""
 
     VAR = "y"
-
-
-# ---------------------------------------------------------------------------
-# Classical one-variable polynomials, the rank-1 oracle.
-
-class ClassicalPoly(Polynomial):
-    """Integer polynomial in one variable z: the rank-1 polynomial keyed by
-    (k,) for z^k, with dense coefficients, a derivative and Horner
-    evaluation at a scalar."""
-
-    VAR = "z"
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "ClassicalPoly":
-        """The polynomial sum coeffs[k] * z^k."""
-        return cls(1, {(k,): c for k, c in enumerate(coeffs)})
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Dense coefficients up to the degree; coeffs[k] multiplies z^k."""
-        return tuple(self.terms.get((k,), 0) for k in range(self.degree + 1))
-
-    @property
-    def degree(self) -> int:
-        return max((k for (k,) in self.terms), default=-1)
-
-    def derivative(self) -> "ClassicalPoly":
-        return type(self)(1, {(k - 1,): k * c for (k,), c in self.terms.items()})
-
-    def __call__(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
-
-_Z = ClassicalPoly.of(0, 1)
-_ONE = ClassicalPoly.of(1)
-_ONE_MINUS_Z2 = _ONE - _Z * _Z
-
-
-#: Per kind, keyed by P_1's coefficients: the last (k, P_{k-1}, P_k) that
-#: the three-term recursion reached.  One pair, not every degree, so the
-#: memory stays that of the two polynomials the recursion holds anyway.
-_LAST: dict[tuple[int, ...], tuple[int, ClassicalPoly, ClassicalPoly]] = {}
-
-
-def _three_term(m: int, first: ClassicalPoly) -> ClassicalPoly:
-    """P_m of the recursion P_{k+1} = 2z P_k - P_{k-1}, P_0 = 1, P_1 = first.
-
-    It steps on from the last pair it reached for this P_1, and starts
-    again, one step back at P_{-1} = 2z - first, only for a lower degree.
-    """
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    kind = first.coeffs
-    k, prev, cur = _LAST.get(kind, (0, None, None))
-    if prev is None or m < k:
-        k, prev, cur = 0, _Z.scale(2) - first, _ONE
-    for _ in range(m - k):
-        # 2z * P_k shifts every degree up by one: the terms of the product
-        # 2z * P_k, in its order, without a convolution.
-        two_z_cur = ClassicalPoly._adopt(1, {(d + 1,): 2 * c for (d,), c in cur.terms.items()})
-        prev, cur = cur, two_z_cur - prev
-    _LAST[kind] = (m, prev, cur)
-    return cur
-
-
-@lru_cache(maxsize=None)
-def classical_t(m: int) -> ClassicalPoly:
-    """First-kind Chebyshev polynomial via the three-term recursion."""
-    return _three_term(m, _Z)
-
-
-@lru_cache(maxsize=None)
-def classical_u(m: int) -> ClassicalPoly:
-    """Second-kind Chebyshev polynomial via the three-term recursion."""
-    return _three_term(m, _Z.scale(2))
-
-
-def check_classical_identities(m: int) -> dict[str, bool]:
-    """Exact integer-identity checks tying the two classical kinds together.
-
-    Verifies, in their valid ranges: T_m' = m U_{m-1}; 2 T_m = U_m - U_{m-2};
-    T_{m+1} = z T_m - (1 - z^2) U_{m-1}; and T_m = U_m - z U_{m-1}.
-    """
-    out: dict[str, bool] = {}
-    if m >= 1:
-        out["derivative"] = classical_t(m).derivative() == classical_u(m - 1).scale(m)
-        out["mixed_step"] = classical_t(m + 1) == (
-            _Z * classical_t(m) - _ONE_MINUS_Z2 * classical_u(m - 1)
-        )
-        out["u_minus_zu"] = classical_t(m) == classical_u(m) - _Z * classical_u(m - 1)
-    if m >= 2:
-        out["u_difference"] = classical_u(m) - classical_u(m - 2) == classical_t(m).scale(2)
-    out["all"] = all(v for k, v in out.items())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +309,3 @@ def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
     terms.insert(at, (lam, 1))
     return RecursionRelation(rank=n, j=j, a=a, rhs=OrbitDecomposition._adopt(n, dict(terms)))
 
-
-def a1_z_coefficients(poly: XPolynomial) -> tuple[int, ...]:
-    """Coefficients in z after substituting X = 2z into a rank-1 polynomial."""
-    if poly.rank != 1:
-        raise ValueError("substitution X = 2z only applies at rank 1")
-    return ClassicalPoly(1, {d: c * 2 ** d[0] for d, c in poly.terms.items()}).coeffs

@@ -43,7 +43,7 @@ import cmath
 import itertools
 import warnings
 from functools import lru_cache
-from math import inf, prod
+from math import inf, isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -472,6 +472,8 @@ def _check_e_inputs(l: Sequence[float], x) -> tuple[np.ndarray, np.ndarray]:
     if l.ndim != 1 or not l.size:
         raise ValueError(f"l must be an e-vector of length n+1, got shape {l.shape}")
     v = l.tolist()  # a few entries: checked faster as Python floats than by numpy calls
+    if not all(map(isfinite, v)):
+        raise ValueError(f"l must be finite, got {tuple(v)}")
     scale = max(1.0, max(map(abs, v)))
     if abs(sum(v)) > 1e-9 * scale:
         raise ValueError("l must sum to zero")

@@ -121,3 +121,18 @@ def e_to_omega(coords: Sequence) -> tuple:
         if abs(float(total)) > 1e-9 * scale:
             raise ValueError(f"e-coordinates must sum to ~zero, got {total}")
     return tuple(coords[i] - coords[i + 1] for i in range(len(coords) - 1))
+
+
+def rank_one_in_x(m: int, kind: str) -> dict[tuple[int], int]:
+    """The rank-1 polynomial of the kind ("T" or "U") at degree m as
+    {(k,): coefficient of X^k}, from ``three_term_coeffs`` under z = X/2:
+    2T_m(X/2) for T at m >= 1, the unit for T at m = 0 (orbit sums count
+    distinct points), U_m(X/2) for U."""
+    scale = 2 if kind == "T" and m else 1
+    out = {}
+    for k, c in enumerate(three_term_coeffs(m, (0, 1) if kind == "T" else (0, 2))):
+        if c:
+            q, r = divmod(scale * c, 2 ** k)
+            assert not r, (m, kind, k)
+            out[(k,)] = q
+    return out

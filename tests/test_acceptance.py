@@ -9,7 +9,7 @@ import pytest
 
 from orbitpoly import analysis, chebyshev as ch, exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from oracles import alpha_to_e_point
+from oracles import alpha_to_e_point, rank_one_in_x
 
 SEED = analysis.DEFAULT_SEED
 
@@ -22,14 +22,10 @@ def report(num: int, description: str, passed: bool, detail: str = ""):
 
 
 def test_criterion_1_rank_one_chebyshev_equivalence():
-    ok = ch.a1_z_coefficients(ch.poly_t((0,))) == (1,)  # unit, not 2*T_0
-    for m in range(1, 21):
-        ok &= (
-            ch.a1_z_coefficients(ch.poly_t((m,)))
-            == ch.classical_t(m).scale(2).coeffs
-        )
-    for m in range(0, 21):
-        ok &= ch.a1_z_coefficients(ch.poly_u((m,))) == ch.classical_u(m).coeffs
+    # At rank 1, X = 2z: poly_t((m,)) is 2T_m(X/2) (the unit at m = 0) and
+    # poly_u((m,)) is U_m(X/2), with the three-term recursion as the oracle.
+    ok = all(ch.poly_t((m,)).terms == rank_one_in_x(m, "T") for m in range(0, 21))
+    ok &= all(ch.poly_u((m,)).terms == rank_one_in_x(m, "U") for m in range(0, 21))
     report(1, "rank-1 T/U polynomials reduce exactly to the classical kinds", ok)
 
 
@@ -44,7 +40,20 @@ def test_criterion_2_low_degree_tables_verbatim():
 
 
 def test_criterion_3_classical_identity_suite():
-    ok = all(ch.check_classical_identities(m)["all"] for m in range(21))
+    # On the package's own rank-1 polynomials in X, T = poly_t, U = poly_u:
+    # dT_m/dX = m U_{m-1}, 2T_{m+1} = X T_m - (4 - X^2) U_{m-1},
+    # T_m = 2U_m - X U_{m-1} and T_m = U_m - U_{m-2}.
+    t = [ch.poly_t((m,)) for m in range(22)]
+    u = [ch.poly_u((m,)) for m in range(21)]
+    x = ch.XPolynomial(1, {(1,): 1})
+    four_minus_x2 = ch.XPolynomial(1, {(0,): 4, (2,): -1})
+    ok = True
+    for m in range(1, 21):
+        dt = ch.XPolynomial(1, {(k - 1,): k * c for (k,), c in t[m].terms.items()})
+        ok &= dt == u[m - 1].scale(m)
+        ok &= t[m + 1].scale(2) == x * t[m] - four_minus_x2 * u[m - 1]
+        ok &= t[m] == u[m].scale(2) - x * u[m - 1]
+        ok &= m < 2 or t[m] == u[m] - u[m - 2]
     report(3, "classical derivative/difference/mixed identities exact, m <= 20", ok)
 
 

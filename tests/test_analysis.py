@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from orbitpoly import analysis, lie, orbit_functions as of, weyl
+from orbitpoly import analysis, chebyshev, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, weights
 from oracles import alpha_to_e_point, fold, signed_permutations
@@ -674,6 +674,27 @@ class TestSuiteRunners:
 
     def test_chebyshev(self):
         assert analysis.run_chebyshev_suite().passed
+
+    def test_chebyshev_identity_row_checks_the_package(self, monkeypatch):
+        # A first-kind step one multiplicity too high at (7,) must fail the
+        # identity row too, not only the closed-form row: the identities are
+        # checked on poly_t and poly_u themselves.
+        step = chebyshev._orbit_terms
+
+        def off_by_one(lam, j, mu):
+            terms = step(lam, j, mu)
+            return [(nu, mult + 1) for nu, mult in terms] if lam == (7,) else terms
+
+        monkeypatch.setattr(chebyshev, "_orbit_terms", off_by_one)
+        monkeypatch.setattr(chebyshev, "_T_MEMO", {})
+        rows = {c.name: c.passed for c in analysis.run_chebyshev_suite().checks}
+        assert rows == {
+            "T-polynomials reduce to doubled first kind, m=1..20": False,
+            "T at m=0 is the unit (distinct-point normalization)": True,
+            "U-polynomials reduce to second kind, m=0..20": True,
+            "classical identity suite exact, m<= 20": False,
+            "fixed low-degree coefficient tables": True,
+        }
 
     def test_detforms(self):
         report = analysis.run_detforms_suite(rank_bound=2, samples=25)

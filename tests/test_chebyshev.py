@@ -1,5 +1,6 @@
-"""Classical polynomials, the recursive multivariate construction, and the
-exponential-substitution Laurent polynomials."""
+"""The rank-1 reduction to the classical polynomials, the recursive
+multivariate construction, and the exponential-substitution Laurent
+polynomials."""
 import itertools
 from functools import lru_cache
 from math import comb, cos, pi, prod, sin
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import chebyshev as ch, exp_ring, lie, orbit_functions as of, weyl
+from orbitpoly import analysis, chebyshev as ch, exp_ring, lie, orbit_functions as of, weyl
 from conftest import dominant_weights
-from oracles import three_term_coeffs
+from oracles import rank_one_in_x
 
 RNG = np.random.default_rng(90125)
 
@@ -147,135 +148,153 @@ T_BOXES = {1: 20, 2: 8, 3: 6, 4: 3, 5: 1}
 U_BOXES = {1: 20, **U_TABLE_BOXES}
 
 
+def x_derivative(poly):
+    """d/dX of a rank-1 polynomial in X."""
+    return ch.XPolynomial(1, {(k - 1,): k * c for (k,), c in poly.terms.items()})
+
+
+X = ch.XPolynomial(1, {(1,): 1})
+KINDS = {"T": ch.poly_t, "U": ch.poly_u}
+
+
 class TestClassicalPolynomials:
+    """The closed forms of the chebyshev suite (``analysis._rank_one``):
+    2T_m(X/2) and U_m(X/2) as coefficient dicts in X."""
+
     def test_first_kind_table(self):
-        assert ch.classical_t(0).coeffs == (1,)
-        assert ch.classical_t(1).coeffs == (0, 1)
-        assert ch.classical_t(2).coeffs == (-1, 0, 2)
-        assert ch.classical_t(3).coeffs == (0, -3, 0, 4)
+        assert analysis._rank_one(1, True) == {(1,): 1}
+        assert analysis._rank_one(2, True) == {(2,): 1, (0,): -2}
+        assert analysis._rank_one(3, True) == {(3,): 1, (1,): -3}
+        assert analysis._rank_one(4, True) == {(4,): 1, (2,): -4, (0,): 2}
 
     def test_second_kind_table(self):
-        assert ch.classical_u(0).coeffs == (1,)
-        assert ch.classical_u(1).coeffs == (0, 2)
-        assert ch.classical_u(2).coeffs == (-1, 0, 4)
-        assert ch.classical_u(3).coeffs == (0, -4, 0, 8)
+        assert analysis._rank_one(0, False) == {(0,): 1}
+        assert analysis._rank_one(1, False) == {(1,): 1}
+        assert analysis._rank_one(2, False) == {(2,): 1, (0,): -1}
+        assert analysis._rank_one(3, False) == {(3,): 1, (1,): -2}
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_leading_coefficients(self, m):
-        assert ch.classical_t(m).coeffs[-1] == 2 ** (m - 1)
-        assert ch.classical_u(m).coeffs[-1] == 2 ** m
+        # Monic in X: the leading 2^(m-1) of T_m and 2^m of U_m cancel
+        # against (X/2)^m.
+        assert analysis._rank_one(m, True)[(m,)] == 1
+        assert analysis._rank_one(m, False)[(m,)] == 1
+        assert ch.poly_t((m,)).terms[(m,)] == ch.poly_u((m,)).terms[(m,)] == 1
 
     @pytest.mark.parametrize("m", range(0, 21))
     def test_terms_share_parity(self, m):
-        for poly in (ch.classical_t(m), ch.classical_u(m)):
-            assert all(
-                c == 0 for k, c in enumerate(poly.coeffs) if (k - m) % 2 != 0
-            )
+        for poly in (ch.poly_t((m,)), ch.poly_u((m,))):
+            assert all((k - m) % 2 == 0 for (k,) in poly.terms)
+
+    @pytest.mark.parametrize("m", range(0, 61))
+    def test_closed_forms_match_three_term_recursion(self, m):
+        if m:
+            assert analysis._rank_one(m, True) == rank_one_in_x(m, "T")
+        assert analysis._rank_one(m, False) == rank_one_in_x(m, "U")
+
+    @pytest.mark.parametrize("kind", "TU")
+    def test_degree_3000(self, kind):
+        assert analysis._rank_one(3000, kind == "T") == rank_one_in_x(3000, kind)
 
     @pytest.mark.parametrize("m", range(0, 15))
     def test_trigonometric_forms(self, m):
-        # Independent oracle: T_m(cos y) = cos(m y), U_m(cos y) weighted sine.
+        # Independent oracle: at X = 2cos(y), 2T_m(X/2) = 2cos(m y) and
+        # U_m(X/2) = sin((m+1) y) / sin(y), for the closed forms and the
+        # package's polynomials alike.
+        closed_u = ch.XPolynomial(1, analysis._rank_one(m, False))
+        closed_t = ch.XPolynomial(1, analysis._rank_one(m, True)) if m else None
         for y in (0.3, 1.1, 2.5):
-            assert ch.classical_t(m)(cos(y)) == pytest.approx(cos(m * y), abs=1e-10)
-            assert ch.classical_u(m)(cos(y)) == pytest.approx(
-                sin((m + 1) * y) / sin(y), abs=1e-9
-            )
+            x = [2 * cos(y)]
+            u = sin((m + 1) * y) / sin(y)
+            assert closed_u(x) == pytest.approx(u, abs=1e-9)
+            assert ch.poly_u((m,))(x) == pytest.approx(u, abs=1e-9)
+            if m:
+                t = 2 * cos(m * y)
+                assert closed_t(x) == pytest.approx(t, abs=1e-10)
+                assert ch.poly_t((m,))(x) == pytest.approx(t, abs=1e-10)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            ch.classical_t(-1)
+        for poly in KINDS.values():
+            with pytest.raises(ValueError):
+                poly((-1,))
 
 
 @pytest.fixture
-def cold_classical():
-    """The classical polynomials with no cached degree and no pair to
-    resume from, before and after the test."""
-    def clear():
-        ch.classical_t.cache_clear()
-        ch.classical_u.cache_clear()
-        ch._LAST.clear()
-    clear()
-    yield
-    clear()
+def cold_memos(monkeypatch):
+    """poly_t and poly_u on empty memos of their own, so that a test sees
+    every step and leaves the shared memos as they were."""
+    monkeypatch.setattr(ch, "_T_MEMO", {})
+    monkeypatch.setattr(ch, "_U_MEMO", {})
 
 
-#: P_1 of each kind, dense.
-FIRST = {"T": (0, 1), "U": (0, 2)}
-CLASSICAL = {"T": ch.classical_t, "U": ch.classical_u}
-
-
-@pytest.mark.usefixtures("cold_classical")
+@pytest.mark.usefixtures("cold_memos")
 class TestResumedRecursion:
-    """The three-term recursion steps on from the last pair it reached, so
-    the order of the requests must not change any polynomial."""
+    """At rank 1 the memoised recursion steps on from the degrees its memo
+    holds, so the order of the requests must not change any polynomial."""
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_any_order_matches_from_scratch(self, order):
         degrees = range(41) if order == "ascending" else range(40, -1, -1)
         for m in degrees:
-            for kind in "TU":
-                assert CLASSICAL[kind](m).coeffs == three_term_coeffs(m, FIRST[kind]), (kind, m)
+            for kind, poly in KINDS.items():
+                assert poly((m,)).terms == rank_one_in_x(m, kind), (kind, m)
 
     def test_interleaved_order_matches_from_scratch(self):
         rng = np.random.default_rng(31)
         for _ in range(120):
             kind, m = "TU"[rng.integers(2)], int(rng.integers(45))
-            assert CLASSICAL[kind](m).coeffs == three_term_coeffs(m, FIRST[kind]), (kind, m)
-
-    @pytest.mark.parametrize("kind", "TU")
-    def test_degree_3000(self, kind):
-        # An explicit loop, not recursion: no depth limit at high degree.
-        assert CLASSICAL[kind](3000).coeffs == three_term_coeffs(3000, FIRST[kind])
+            assert KINDS[kind]((m,)).terms == rank_one_in_x(m, kind), (kind, m)
 
     def test_ascending_sweep_steps_once_per_degree(self, monkeypatch):
-        # One subtraction per step, plus one for the start P_{-1} = 2z - P_1.
+        # One step for each degree from 2 on; degrees 0 and 1 are the
+        # recursion's base.
         calls = []
-        sub = ch.ClassicalPoly.__sub__
-        monkeypatch.setattr(ch.ClassicalPoly, "__sub__",
-                            lambda a, b: calls.append(1) or sub(a, b))
+        step = ch._orbit_terms
+        monkeypatch.setattr(ch, "_orbit_terms",
+                            lambda *args: calls.append(args) or step(*args))
         for m in range(22):
-            ch.classical_t(m)
-        assert len(calls) == 21 + 1
-        ch.classical_t(5)  # cached: no step
-        assert len(calls) == 22
-
-    def test_lower_degree_restarts_and_keeps_one_pair(self):
-        ch.classical_t(30)
-        assert ch._LAST[FIRST["T"]][0] == 30
-        assert ch.classical_t(7).coeffs == three_term_coeffs(7, FIRST["T"])
-        m, prev, cur = ch._LAST[FIRST["T"]]
-        assert (m, prev, cur) == (7, ch.classical_t(6), ch.classical_t(7))
-        assert list(ch._LAST) == [FIRST["T"]]
+            ch.poly_t((m,))
+        assert len(calls) == 20
+        ch.poly_t((5,))  # memoised: no step
+        assert len(calls) == 20
 
     @pytest.mark.parametrize("kind", "TU")
     def test_negative_degree_rejected_after_a_step(self, kind):
-        CLASSICAL[kind](12)
+        KINDS[kind]((12,))
         with pytest.raises(ValueError):
-            CLASSICAL[kind](-1)
-        with pytest.raises(ValueError):
-            ch._three_term(-3, ch.ClassicalPoly.of(*FIRST[kind]))
-        assert CLASSICAL[kind](13).coeffs == three_term_coeffs(13, FIRST[kind])
+            KINDS[kind]((-1,))
+        assert KINDS[kind]((13,)).terms == rank_one_in_x(13, kind)
 
 
 class TestClassicalIdentities:
+    """The classical identities on the package's own rank-1 polynomials in
+    X: T and U below are poly_t((m,)) = 2T_m(X/2) and poly_u((m,)) = U_m(X/2)."""
+
     @pytest.mark.parametrize("m", range(0, 21))
     def test_identity_suite_exact(self, m):
-        assert ch.check_classical_identities(m)["all"]
+        t, u = ch.poly_t, ch.poly_u
+        if m >= 1:
+            assert x_derivative(t((m,))) == u((m - 1,)).scale(m)
+            four_minus_x2 = ch.XPolynomial(1, {(0,): 4, (2,): -1})
+            assert t((m + 1,)).scale(2) == X * t((m,)) - four_minus_x2 * u((m - 1,))
+            assert t((m,)) == u((m,)).scale(2) - X * u((m - 1,))
+        if m >= 2:
+            assert t((m,)) == u((m,)) - u((m - 2,))
 
     def test_derivative_example(self):
-        # d/dz (4z^3 - 3z) = 12z^2 - 3 = 3 * (4z^2 - 1)
-        assert ch.classical_t(3).derivative().coeffs == (-3, 0, 12)
-        assert ch.classical_u(2).scale(3).coeffs == (-3, 0, 12)
+        # d/dX (X^3 - 3X) = 3X^2 - 3 = 3 * (X^2 - 1)
+        assert x_derivative(ch.poly_t((3,))).terms == {(2,): 3, (0,): -3}
+        assert ch.poly_u((2,)).scale(3).terms == {(2,): 3, (0,): -3}
 
     def test_half_difference_example(self):
-        diff = ch.classical_u(2) - ch.classical_u(0)
-        assert diff.coeffs == (-2, 0, 4)
-        assert ch.classical_t(2).coeffs == (-1, 0, 2)
+        diff = ch.poly_u((2,)) - ch.poly_u((0,))
+        assert diff.terms == {(2,): 1, (0,): -2}
+        assert ch.poly_t((2,)) == diff
 
     def test_mixed_relation_at_degree_one(self):
-        # T_1 = U_1 - z U_0 = 2z - z = z
-        lhs = ch.classical_u(1) - ch.ClassicalPoly.of(0, 1) * ch.classical_u(0)
-        assert lhs == ch.classical_t(1)
+        # T_1 = 2U_1 - X U_0 = 2X - X = X
+        lhs = ch.poly_u((1,)).scale(2) - X * ch.poly_u((0,))
+        assert lhs == ch.poly_t((1,)) == X
 
 
 def dense_trim(coeffs):
@@ -306,34 +325,34 @@ def dense_mul(a, b):
 dense_coeffs = st.lists(st.integers(-9, 9), max_size=8)
 
 
+def dense_poly(coeffs):
+    """The rank-1 polynomial sum coeffs[k] * X^k."""
+    return ch.XPolynomial(1, {(k,): c for k, c in enumerate(coeffs)})
+
+
 class TestClassicalPolyMap:
+    """One-variable polynomials are the rank-1 XPolynomials, keyed by (k,)
+    for X^k."""
+
     def test_is_a_rank_one_polynomial(self):
-        assert isinstance(ch.classical_t(3), ch.Polynomial)
-        assert ch.classical_t(3).rank == 1
-        assert ch.classical_t(3).terms == {(1,): -3, (3,): 4}
+        assert isinstance(ch.poly_t((3,)), ch.Polynomial)
+        assert ch.poly_t((3,)).rank == 1
+        assert ch.poly_t((3,)).terms == {(1,): -3, (3,): 1}
 
     def test_trailing_zeros_and_zero(self):
-        assert ch.ClassicalPoly.of(1, 2, 0, 0).coeffs == (1, 2)
-        assert ch.ClassicalPoly.of(1, 2, 0, 0).degree == 1
-        zero = ch.ClassicalPoly.of(0, 0)
-        assert zero.coeffs == () and zero.degree == -1 and not zero
-        assert zero(0.5) == 0
-        assert ch.ClassicalPoly.of(7).derivative() == zero
+        assert ch.XPolynomial(1, {(0,): 1, (1,): 2, (2,): 0}).terms == {(0,): 1, (1,): 2}
+        zero = ch.XPolynomial(1, {(0,): 0, (1,): 0})
+        assert zero.terms == {} and not zero
+        assert zero([0.5]) == 0
 
     @given(dense_coeffs, dense_coeffs)
     def test_arithmetic_matches_dense_lists(self, a, b):
-        pa, pb = ch.ClassicalPoly.of(*a), ch.ClassicalPoly.of(*b)
-        assert (pa + pb).coeffs == dense_add(a, b)
-        assert (pa - pb).coeffs == dense_add(a, b, -1)
-        assert (pa * pb).coeffs == dense_mul(a, b)
-        assert pa.scale(3).coeffs == dense_trim(3 * c for c in a)
-        assert pa.derivative().coeffs == dense_trim(k * c for k, c in enumerate(a) if k)
-        assert type(pa * pb) is ch.ClassicalPoly
-
-    @given(dense_coeffs, st.floats(-2, 2))
-    def test_horner_matches_power_sum(self, a, z):
-        value = ch.ClassicalPoly.of(*a)(z)
-        assert value == pytest.approx(sum(c * z ** k for k, c in enumerate(a)), abs=1e-9)
+        pa, pb = dense_poly(a), dense_poly(b)
+        assert (pa + pb) == dense_poly(dense_add(a, b))
+        assert (pa - pb) == dense_poly(dense_add(a, b, -1))
+        assert (pa * pb) == dense_poly(dense_mul(a, b))
+        assert pa.scale(3) == dense_poly(3 * c for c in a)
+        assert type(pa * pb) is ch.XPolynomial
 
 
 class TestPolyT:
@@ -346,11 +365,8 @@ class TestPolyT:
 
     @pytest.mark.parametrize("m", [*range(0, 21), 1000])
     def test_a1_reduction_to_first_kind(self, m):
-        got = ch.a1_z_coefficients(ch.poly_t((m,)))
-        if m == 0:
-            assert got == (1,)  # distinct-point normalization halves the unit
-        else:
-            assert got == ch.classical_t(m).scale(2).coeffs
+        # 2T_m(X/2), but the unit at m = 0: distinct-point normalization.
+        assert ch.poly_t((m,)).terms == rank_one_in_x(m, "T")
 
     def test_fundamental_variables(self):
         assert ch.poly_t((1, 0)).terms == {(1, 0): 1}
@@ -465,7 +481,7 @@ class TestPolyU:
 
     @pytest.mark.parametrize("m", range(0, 21))
     def test_a1_reduction_to_second_kind(self, m):
-        assert ch.a1_z_coefficients(ch.poly_u((m,))) == ch.classical_u(m).coeffs
+        assert ch.poly_u((m,)).terms == rank_one_in_x(m, "U")
 
     @pytest.mark.parametrize("n", sorted(U_TABLE_BOXES))
     def test_matches_dual_jacobi_trudi(self, n):

@@ -4,8 +4,9 @@ import cmath
 import itertools
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
-from math import cos, factorial, pi, sin
+from math import cos, factorial, inf, pi, sin
 
 import numpy as np
 import pytest
@@ -675,6 +676,17 @@ class TestExponentialForms:
         for form in (of.d_plus, of.d_minus, of.d_alt):
             with pytest.raises(ValueError, match=re.escape(message)):
                 form(l, (0.1, -0.1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), inf, -inf])
+    def test_non_finite_weight_rejected_first(self, bad):
+        # Before the sum and order checks, which a nan passes and an inf
+        # turns into numpy warnings; the message names l, not a point.
+        for l in ([bad, 1.0, -1.0], [bad, -bad], [1.0, bad, -1.0]):
+            for form in (of.d_plus, of.d_minus, of.d_alt):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="^l must be finite"):
+                        form(l, np.zeros(len(l)))
 
     @pytest.mark.parametrize("l", [
         [1.0, -1.0 + 0.5e-9],

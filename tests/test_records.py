@@ -6,10 +6,10 @@ import pickle
 import pytest
 
 from orbitpoly import analysis, chebyshev, weyl
-from orbitpoly.chebyshev import ClassicalPoly, XPolynomial, YLaurent
+from orbitpoly.chebyshev import XPolynomial, YLaurent
 from orbitpoly.exp_ring import ExpSum, OrbitDecomposition, TermMap, exp_sum
 
-MAPS = (TermMap, ExpSum, OrbitDecomposition, XPolynomial, YLaurent, ClassicalPoly)
+MAPS = (TermMap, ExpSum, OrbitDecomposition, XPolynomial, YLaurent)
 
 
 class TestTermMaps:
