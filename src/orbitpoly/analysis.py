@@ -22,13 +22,14 @@ import itertools
 import warnings
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from . import chebyshev, lie, orbit_functions, weyl
 from ._record import Record
-from .exp_ring import ExpSum, exp_sum
+from .exp_ring import ExpSum, _dominant, _sorted_sums, exp_sum
 
 DEFAULT_SEED = 1729
 
@@ -46,32 +47,6 @@ def torus_inner_product(a: ExpSum, b: ExpSum) -> int:
     a._check_rank(b)
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return sum(c * large[w] for w, c in small.items() if w in large)
-
-
-def _sparse_gram(sums: Sequence[ExpSum]) -> dict[tuple[int, int], int]:
-    """The nonzero entries (i, j), i <= j, of the exact torus Gram of the
-    sums: sum_w a_w * b_w, ``torus_inner_product`` of every pair at once.
-
-    The diagonal is each sum's sum of squares.  One index maps each weight
-    to the first sum holding it, and a weight that a later sum holds too
-    gets the list of its holders, in sum order, so pairs of sums meet only
-    at shared weights: the work is the number of terms plus the pairs per
-    shared weight, not the number of pairs of sums.
-    """
-    gram = {(i, i): sum(c * c for c in s.terms.values()) for i, s in enumerate(sums)}
-    first: dict = {}
-    holders: dict = {}
-    for i, s in enumerate(sums):
-        for w in s.terms:
-            j = first.setdefault(w, i)
-            if j != i:
-                holders.setdefault(w, [j]).append(i)
-    for w, held in holders.items():
-        for k, i in enumerate(held):
-            a = sums[i].terms[w]
-            for j in held[k + 1:]:
-                gram[i, j] = gram.get((i, j), 0) + a * sums[j].terms[w]
-    return {key: value for key, value in gram.items() if value}
 
 
 def nyquist_points(a: ExpSum, b: ExpSum) -> int:
@@ -92,41 +67,44 @@ class OrthogonalityReport(Record):
         self.expected_diagonal, self.passed = expected_diagonal, passed
 
 
-def orthogonality_report(kind: str, rank: int, coord_bound: int) -> OrthogonalityReport:
-    """Exact pairwise torus products for one function family.
+def _squares(terms: dict) -> int:
+    """The sum of the squared coefficients: a sum's exact torus norm."""
+    return sum(map(mul, terms.values(), terms.values()))
 
-    Diagonal entries must equal the orbit size (C), the Weyl group order
-    (S), or the even-orbit size (E); off-diagonal entries must vanish.  The
-    products are the entries of ``_sparse_gram``; a pair it does not list
-    has product 0.
+
+def orthogonality_reports(rank: int, coord_bound: int) -> tuple[OrthogonalityReport, ...]:
+    """Exact torus orthogonality of the rank's C, S and E families, in that
+    order, one label at a time.
+
+    Distinct dominant labels have disjoint Weyl orbits, so a family's exact
+    Gram is diagonal once each sum lies on its label's orbit, with each
+    sum's sum of squares on the diagonal.  The walk counts each C-sum's
+    stray terms, whose dominant weight (read off their sorted suffix sums,
+    as in ``decompose_into_c``) is not the label, and the S-sum's (strictly
+    dominant labels) and E-sum's terms outside the C-sum's support, and
+    compares each sum of squares with the orbit size (C), (n+1)! (S) or the
+    even-orbit size (E).  A family's deviation is the largest, over its
+    labels, of its stray terms and its distance from the diagonal.
     """
-    if kind == "S":
-        labels = strictly_dominant_weights(rank, coord_bound)
-        diag = lambda lam: factorial(rank + 1)
-        expected = f"{rank + 1}!"
-    elif kind == "C":
-        labels = dominant_weights(rank, coord_bound)
-        diag = weyl.orbit_size
-        expected = "orbit size"
-    elif kind == "E":
-        labels = dominant_weights(rank, coord_bound)
-        diag = lambda lam: weyl.orbit_size(lam) // (2 if lie.is_strictly_dominant(lam) else 1)
-        expected = "even-orbit size"
-    else:
-        raise ValueError(f"kind must be C, S or E, got {kind!r}")
-    gram = _sparse_gram([exp_sum(lam, kind) for lam in labels])
-    worst = max((abs(gram.get((i, i), 0) - diag(lam)) for i, lam in enumerate(labels)),
-                default=0)
-    worst = max([worst] + [abs(value) for (i, j), value in gram.items() if i != j])
-    return OrthogonalityReport(
-        kind=kind,
-        rank=rank,
-        coord_bound=coord_bound,
-        pairs_tested=len(labels) * (len(labels) + 1) // 2,
-        max_deviation=worst,
-        expected_diagonal=expected,
-        passed=worst == 0,
-    )
+    full = factorial(rank + 1)
+    labels = dominant_weights(rank, coord_bound)
+    worst = dict.fromkeys("CSE", 0)
+    for lam in labels:
+        c = exp_sum(lam, "C").terms
+        sums = list(_sorted_sums(c))
+        stray = sum(map(sums.count, [s for s in set(sums) if _dominant(s) != lam]))
+        size = full // weyl._stabilizer_order(lam)
+        worst["C"] = max(worst["C"], stray, abs(_squares(c) - size))
+        # E sums the even half of a generic orbit and the whole of any other.
+        for kind, diag in (("S", full), ("E", size // 2)) if 0 not in lam else (("E", size),):
+            s = exp_sum(lam, kind).terms
+            stray = len(s) - sum(map(c.__contains__, s))
+            worst[kind] = max(worst[kind], stray, abs(_squares(s) - diag))
+    families = (("C", len(labels), "orbit size"), ("S", coord_bound ** rank, f"{rank + 1}!"),
+                ("E", len(labels), "even-orbit size"))
+    return tuple(OrthogonalityReport(kind, rank, coord_bound, count * (count + 1) // 2,
+                                     worst[kind], expected, worst[kind] == 0)
+                 for kind, count, expected in families)
 
 
 def grid_orbits(n: int, n_points: int, even: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -448,25 +426,11 @@ def dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]:
     return [tuple(w) for w in itertools.product(range(coord_bound + 1), repeat=n)]
 
 
-def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]:
-    return [tuple(w) for w in itertools.product(range(1, coord_bound + 1), repeat=n)]
-
-
 #: Most bytes the ortho suite's quadrature cross-check may hold at once.
 QUADRATURE_BYTE_BUDGET = 1 << 30
 
 #: Grid points per axis of the ortho suite's quadrature cross-check.
 ORTHO_POINTS = 16
-
-
-def _exact_terms(n: int, coord_bound: int) -> tuple[int, int]:
-    """Terms of the rank-n C and S sums of ``orthogonality_report`` (E has
-    at most C's).  The labels of one pattern of zero coordinates share
-    their orbit size, so each pattern counts once, with its
-    c^(nonzero coordinates) labels; each of the c^n S labels has (n+1)!."""
-    c_terms = sum(coord_bound ** sum(pattern) * weyl.orbit_size(pattern)
-                  for pattern in itertools.product((0, 1), repeat=n))
-    return c_terms, coord_bound ** n * factorial(n + 1)
 
 
 def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
@@ -476,23 +440,29 @@ def quadrature_bytes(n: int, coord_bound: int, n_points: int) -> int:
     ``grid_orbit_count`` nodes, at least the W+-orbit nodes, although the
     suite's C Gram takes only the W-orbit ones: every label's values,
     weighted and conjugated for the Gram product; the Gram matrix, its
-    prediction and two temporaries.  At every rank, the exact reports' sums and Gram index:
-    240 B a term of the larger family (``_exact_terms``) and 480 B a label
-    (tracemalloc, orbit cache cold: 170-230 B a term at ranks 4-5, ~900 B a
-    two-term label at rank 1); and one evaluation chunk's transients, ~24 B
-    a cell of ``orbit_functions.CHUNK_CELLS`` on either path.
+    prediction and two temporaries.  At every rank, what the walk of
+    ``orthogonality_reports`` holds: one label's three sums and sorted
+    suffix sums, 450 B a point of a generic orbit; the orbit cache it fills,
+    260 B a point of every label's orbit up to ``ORBIT_POINT_BOUND`` (or
+    the one generic orbit past it); and the label list, 48 + 36n B a label
+    (tracemalloc, orbit cache cold: 410 B a point at rank 8, 250 B a cached
+    point at rank 1 and 90-245 B at ranks 2-8).  Last, one evaluation
+    chunk's transients, ~24 B a cell of ``orbit_functions.CHUNK_CELLS``.
     """
     labels = (coord_bound + 1) ** n
+    full = factorial(n + 1)
     grid = (6 * grid_orbit_count(n, n_points) + 4 * labels) * labels if n >= 2 else 0
-    exact = 240 * max(_exact_terms(n, coord_bound)) + 480 * labels
+    cached = min(labels * full, max(weyl.ORBIT_POINT_BOUND, full))
+    exact = 450 * full + 260 * cached + (48 + 36 * n) * labels
     return 16 * grid + exact + 24 * orbit_functions.CHUNK_CELLS
 
 
 def run_ortho_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
-    """Exact torus orthogonality for C/S/E plus quadrature cross-checks on
-    the grid of ``ORTHO_POINTS`` points per axis.
+    """Exact torus orthogonality for C/S/E, one walk over the labels a rank
+    (``orthogonality_reports``), plus quadrature cross-checks on the grid
+    of ``ORTHO_POINTS`` points per axis.
 
     Raises ValueError before any work when the suite at the top rank would
     hold more than QUADRATURE_BYTE_BUDGET bytes (``quadrature_bytes``).
@@ -505,10 +475,9 @@ def run_ortho_suite(
             f"over the {QUADRATURE_BYTE_BUDGET / 2**30:g} GiB budget")
     report = SuiteReport("ortho", seed)
     for n in range(1, rank_bound + 1):
-        for kind in ("C", "S", "E"):
-            rep = orthogonality_report(kind, n, coord_bound)
+        for rep in orthogonality_reports(n, coord_bound):
             report.add(
-                f"A{n} {kind}-orthogonality exact (diagonal = {rep.expected_diagonal})",
+                f"A{n} {rep.kind}-orthogonality exact (diagonal = {rep.expected_diagonal})",
                 rep.passed,
                 f"{rep.pairs_tested} pairs, max deviation {rep.max_deviation}",
             )
@@ -666,7 +635,8 @@ def run_symmetry_suite(
     rng = np.random.default_rng(seed)
     for n in range(1, rank_bound + 1):
         lams = {(1,) * n}
-        # Two entries of strictly_dominant_weights(n, c), drawn by index; the list is never built.
+        # Two of the c^n labels with coordinates 1..c in lexicographic order,
+        # drawn by index; the list is never built.
         idx = rng.choice(coord_bound ** n, size=min(2, coord_bound ** n), replace=False)
         lams.update(tuple(int(d) + 1 for d in np.unravel_index(i, (coord_bound,) * n)) for i in idx)
         lams.add(tuple(coord_bound if k == 0 else 0 for k in range(n)))

@@ -145,6 +145,8 @@ def eval_cmd(rank, kind, lam_text, point_text, as_json, out):
             value = getattr(orbit_functions, f"eval_{kind.lower()}")(lam, x)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except OverflowError:
+        raise click.UsageError("label too large: its coordinate sums do not fit a float")
     re_s = _FLOAT.format(value.real)
     im_s = _FLOAT.format(value.imag)
     if as_json:

@@ -2,6 +2,7 @@
 conversions that the package itself does not need."""
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -65,6 +66,40 @@ def fold(s: ExpSum, n_points: int) -> ExpSum:
         key = tuple(x % n_points for x in w)
         out[key] = out.get(key, 0) + c
     return ExpSum(s.rank, out)
+
+
+def sparse_gram(sums: Sequence[ExpSum]) -> dict[tuple[int, int], int]:
+    """The nonzero entries (i, j), i <= j, of the exact torus Gram of the
+    sums: sum_w a_w * b_w, ``torus_inner_product`` of every pair at once.
+
+    The diagonal is each sum's sum of squares.  One index maps each weight
+    to the first sum holding it, and a weight that a later sum holds too
+    gets the list of its holders, in sum order, so pairs of sums meet only
+    at shared weights: the work is the number of terms plus the pairs per
+    shared weight, not the number of pairs of sums.  The Gram oracle of the
+    folded and reduced-grid quadrature tests.
+    """
+    gram = {(i, i): sum(c * c for c in s.terms.values()) for i, s in enumerate(sums)}
+    first: dict = {}
+    holders: dict = {}
+    for i, s in enumerate(sums):
+        for w in s.terms:
+            j = first.setdefault(w, i)
+            if j != i:
+                holders.setdefault(w, [j]).append(i)
+    for w, held in holders.items():
+        for k, i in enumerate(held):
+            a = sums[i].terms[w]
+            for j in held[k + 1:]:
+                gram[i, j] = gram.get((i, j), 0) + a * sums[j].terms[w]
+    return {key: value for key, value in gram.items() if value}
+
+
+def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]:
+    """Every rank-n label with coordinates in 1..coord_bound, in
+    lexicographic order: the S labels of the ortho suite and the pool the
+    symmetry suite draws from by index."""
+    return list(itertools.product(range(1, coord_bound + 1), repeat=n))
 
 
 def three_term_coeffs(m: int, first: Sequence[int]) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from orbitpoly import analysis, chebyshev, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, weights
-from oracles import alpha_to_e_point, fold, signed_permutations
+from oracles import (alpha_to_e_point, fold, signed_permutations, sparse_gram,
+                     strictly_dominant_weights)
 
 
 class TestTorusInnerProduct:
@@ -51,7 +52,7 @@ class TestTorusInnerProduct:
         ("C", "orbit size"), ("S", "3!"), ("E", "even-orbit size"),
     ])
     def test_orthogonality_report(self, kind, expected):
-        rep = analysis.orthogonality_report(kind, 2, 2)
+        rep = {r.kind: r for r in analysis.orthogonality_reports(2, 2)}[kind]
         assert rep.passed
         assert rep.max_deviation == 0
         assert rep.expected_diagonal == expected
@@ -60,7 +61,7 @@ class TestTorusInnerProduct:
 
 def gram_by_pairs(sums: list) -> dict:
     """Every entry (i, j), i <= j, of the exact Gram by the pair loop of
-    ``torus_inner_product``, zeros left out: the oracle of ``_sparse_gram``."""
+    ``torus_inner_product``, zeros left out: the oracle of ``sparse_gram``."""
     out = {}
     for i, a in enumerate(sums):
         for j in range(i, len(sums)):
@@ -71,7 +72,7 @@ def gram_by_pairs(sums: list) -> dict:
 
 
 def family(kind: str, n: int, coord_bound: int) -> list:
-    labels = (analysis.strictly_dominant_weights if kind == "S" else analysis.dominant_weights)(
+    labels = (strictly_dominant_weights if kind == "S" else analysis.dominant_weights)(
         n, coord_bound)
     return [exp_sum(lam, kind) for lam in labels]
 
@@ -81,14 +82,14 @@ class TestSparseGram:
     @pytest.mark.parametrize("kind", ["C", "S", "E"])
     def test_equals_the_pair_loop(self, kind, n, coord_bound):
         sums = family(kind, n, coord_bound)
-        assert analysis._sparse_gram(sums) == gram_by_pairs(sums)
+        assert sparse_gram(sums) == gram_by_pairs(sums)
 
     @pytest.mark.parametrize("n_points", [6, 8, 16])
     @pytest.mark.parametrize("n,kind", [(1, "C"), (2, "C"), (2, "S"), (3, "C"), (3, "E")])
     def test_equals_the_pair_loop_on_folded_sums(self, n, kind, n_points):
         # Folding merges weights, so sums meet off the diagonal.
         sums = [fold(s, n_points) for s in family(kind, n, 3)]
-        gram = analysis._sparse_gram(sums)
+        gram = sparse_gram(sums)
         assert gram == gram_by_pairs(sums)
         if n > 1 and n_points < 16:
             assert any(i != j for i, j in gram)
@@ -96,7 +97,7 @@ class TestSparseGram:
     def test_one_changed_coefficient_changes_the_report(self, monkeypatch):
         # A sign flip keeps every c^2 on disjoint supports, so the exact
         # Gram cannot see one; a changed magnitude shows on the diagonal.
-        assert analysis.orthogonality_report("C", 2, 2).max_deviation == 0
+        assert analysis.orthogonality_reports(2, 2)[0].max_deviation == 0
         real = analysis.exp_sum
 
         def changed(lam, kind):
@@ -106,7 +107,7 @@ class TestSparseGram:
             return s
 
         monkeypatch.setattr(analysis, "exp_sum", changed)
-        rep = analysis.orthogonality_report("C", 2, 2)
+        rep = analysis.orthogonality_reports(2, 2)[0]
         assert rep.max_deviation == 3 and not rep.passed  # 5 + 4 against the orbit size 6
 
     def test_one_flipped_coefficient_changes_the_quadrature_deviation(self, monkeypatch):
@@ -150,8 +151,40 @@ class TestSparseGram:
         real = analysis.exp_sum
         monkeypatch.setattr(analysis, "exp_sum", lambda lam, kind: (
             type(real(lam, kind))(len(lam), {}) if lam == (2, 1) else real(lam, kind)))
-        rep = analysis.orthogonality_report("S", 2, 2)
+        rep = analysis.orthogonality_reports(2, 2)[1]
         assert rep.max_deviation == factorial(3) and rep.pairs_tested == 10
+
+
+class TestOrthogonalityWalk:
+    def test_a_stray_point_outside_the_box_fails_the_c_report(self, monkeypatch):
+        # C_(1,1) trades its point (-1, 2) for (-3, 3), a point of C_(3,0):
+        # no sum of the c = 2 family holds (-3, 3), so no pair of the
+        # family shares it and a Gram of the family reads all zeros off the
+        # diagonal, but the point's dominant weight is not (1, 1).
+        assert (-3, 3) in weyl.orbit((3, 0)).points
+        real = analysis.exp_sum
+
+        def swapped(lam, kind):
+            s = real(lam, kind)
+            if lam == (1, 1) and kind == "C":
+                terms = {w: c for w, c in s.terms.items() if w != (-1, 2)}
+                s = type(s)(s.rank, {**terms, (-3, 3): 1})
+            return s
+
+        monkeypatch.setattr(analysis, "exp_sum", swapped)
+        rep = analysis.orthogonality_reports(2, 2)[0]
+        assert rep.kind == "C" and rep.max_deviation == 1 and not rep.passed
+
+    def test_one_orbit_build_per_label(self, monkeypatch):
+        # An orbit cache of 8 points holds one generic rank-2 orbit: the
+        # walk builds each of the 16 labels' orbits once for its C, S and E
+        # sums, where one pass per kind would build them again.
+        small = weyl._bounded_cache(lambda orb: len(orb.points), 8, weyl._orbit_key)(
+            weyl.orbit.__wrapped__)
+        monkeypatch.setattr(weyl, "orbit", small)
+        reports = analysis.orthogonality_reports(2, 3)
+        assert all(rep.passed for rep in reports)
+        assert small.cache_info().misses == 16
 
 
 class TestQuadrature:
@@ -224,7 +257,7 @@ class TestFoldedQuadrature:
             gram = analysis._folded_gram(labels, n_points)
             rows, cols = np.nonzero(np.triu(gram))
             closed = {(int(i), int(j)): int(gram[i, j]) for i, j in zip(rows, cols)}
-            assert closed == analysis._sparse_gram([fold(s, n_points) for s in sums]), n_points
+            assert closed == sparse_gram([fold(s, n_points) for s in sums]), n_points
 
     def test_folded_stabilizer_counts_the_shifts(self):
         # r = (3, 2, 1, 0) mod 4: every shift permutes r, so |W_a'| is 4, not 1,
@@ -235,35 +268,30 @@ class TestFoldedQuadrature:
 
     def test_memory_budget(self):
         # On the W+-orbit nodes rank 4 needs MiB and rank 5 fits; rank 6,
-        # 4 096 labels on ~21 000 nodes, does not.  Charged real orbit
-        # sizes, rank 7 fits at coordinate bound 1; rank 6 at 2 does not.
+        # 4 096 labels on ~21 000 nodes, does not.  Rank 7 fits at
+        # coordinate bound 1 and rank 6 at 2, whose exact walk holds one
+        # orbit at a time; rank 8 at 1 does not, for its node values.
         budget = analysis.QUADRATURE_BYTE_BUDGET
         assert analysis.quadrature_bytes(3, 3, 16) < budget
         assert analysis.quadrature_bytes(4, 3, 16) < 64 << 20
         assert analysis.quadrature_bytes(5, 3, 16) < budget
         assert analysis.quadrature_bytes(6, 3, 16) > budget
         assert analysis.quadrature_bytes(7, 1, 16) <= budget
-        assert analysis.quadrature_bytes(6, 2, 16) > budget
-        # Rank 1 runs no grid: only its exact reports and one chunk count.
+        assert analysis.quadrature_bytes(6, 2, 16) <= budget
+        assert analysis.quadrature_bytes(8, 1, 16) > budget
+        # Rank 1 runs no grid: its walk's two-point sums, the orbit cache
+        # it fills (two points a label), its label list and one chunk.
         assert analysis.quadrature_bytes(1, 3, 16) == (
-            240 * max(analysis._exact_terms(1, 3)) + 480 * 4 + 24 * of.CHUNK_CELLS)
-        assert analysis.quadrature_bytes(1, 1_000_000, 16) <= budget
-        assert analysis.quadrature_bytes(1, 1_100_000, 16) > budget
+            450 * 2 + 260 * 2 * 4 + 84 * 4 + 24 * of.CHUNK_CELLS)
+        assert analysis.quadrature_bytes(1, 12_000_000, 16) <= budget
+        assert analysis.quadrature_bytes(1, 13_000_000, 16) > budget
         with pytest.raises(ValueError, match="GiB"):
             analysis.run_ortho_suite(rank_bound=6)
 
-    def test_exact_terms_are_the_brute_force_sums(self):
-        for n in range(1, 6):
-            for c in range(1, 4):
-                c_terms = sum(weyl.orbit_size(lam) for lam in analysis.dominant_weights(n, c))
-                s_terms = len(analysis.strictly_dominant_weights(n, c)) * factorial(n + 1)
-                assert analysis._exact_terms(n, c) == (c_terms, s_terms), (n, c)
-
     @pytest.mark.parametrize("n,c", [(4, 3), (5, 1), (1, 50000)])
     def test_suite_peak_stays_under_the_estimate(self, n, c):
-        # Measured 17.2 MiB against 54.7 MiB at (4, 3), 12.0 against 35.1
-        # at (5, 1), and 60.6 against 69.8 at (1, 50000), where charging
-        # the terms alone gave 46.9, on x86-64 Linux.
+        # Measured 14.3 MiB against 58.4 MiB at (4, 3), 11.9 against 40.0
+        # at (5, 1), and 23.1 against 52.8 at (1, 50000) on x86-64 Linux.
         tracemalloc.start()
         try:
             report = analysis.run_ortho_suite(rank_bound=n, coord_bound=c)
@@ -386,7 +414,7 @@ class TestReducedGrid:
         # sum is W+-invariant, and the generic E sums are not W-invariant.
         labels = analysis.dominant_weights(n, 2)
         functions = [("C", w) for w in labels]
-        functions += [("S", w) for w in analysis.strictly_dominant_weights(n, 2)]
+        functions += [("S", w) for w in strictly_dominant_weights(n, 2)]
         functions += [("E", w) for w in labels]
         functions += [("E", weyl.reflect_weight(1, w)) for w in labels if w[0]]
         sums = [exp_sum(w, kind) for kind, w in functions]
@@ -653,20 +681,16 @@ class TestSuiteRunners:
         rng = np.random.default_rng(seed)
         names = []
         for k in range(1, n + 1):
-            pool = analysis.strictly_dominant_weights(k, c)
+            pool = strictly_dominant_weights(k, c)
             idx = rng.choice(len(pool), size=min(2, len(pool)), replace=False)
             lams = {(1,) * k, *(pool[i] for i in idx), (c,) + (0,) * (k - 1)}
             names += [f"A{k} symmetry at {lam}" for lam in sorted(lams)]
-        with mock.patch.object(analysis, "strictly_dominant_weights",
-                               side_effect=AssertionError("the label pool was built")):
-            report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed, trials=3)
+        report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed, trials=3)
         assert [check.name for check in report.checks] == names
 
     def test_symmetry_at_a_pool_too_large_to_build(self):
-        # 20^8 labels: two are drawn by index, the pool is never built.
-        with mock.patch.object(analysis, "strictly_dominant_weights",
-                               side_effect=AssertionError("the label pool was built")):
-            report = analysis.run_symmetry_suite(rank_bound=8, coord_bound=20, trials=3)
+        # 20^8 labels, far too many to build: two are drawn by index.
+        report = analysis.run_symmetry_suite(rank_bound=8, coord_bound=20, trials=3)
         assert report.passed, report.render_text()
         assert report.checks[-1].name.startswith("A8 symmetry at ")
         with pytest.raises(ValueError, match="int64"):

@@ -110,6 +110,20 @@ class TestEvalCommand:
         assert "non-finite value" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("big", [10 ** 400, 2 ** 1024], ids=["10^400", "2^1024"])
+    @pytest.mark.parametrize("rank", [2, 6])  # the table path, the column expansion
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
+    def test_label_beyond_the_float_range_exits_2(self, runner, kind, rank, big):
+        label = ",".join([str(big)] + ["1"] * (rank - 1))
+        point = ",".join(["0.1"] * rank)
+        result = runner.invoke(cli.main, ["eval", "-k", kind, "-l", label, "-x", point])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert result.output.splitlines()[-1] == (
+            "Error: label too large: its coordinate sums do not fit a float")
+
     def test_e_label_outside_p_plus_and_reflections_exits_2(self, runner):
         result = runner.invoke(cli.main, ["eval", "-k", "E", "-l", "-5,3", "-x", "0.1,0.2"])
         assert result.exit_code == 2
@@ -228,26 +242,28 @@ class TestVerifyCommand:
         def must_not_run(*args, **kwargs):
             raise AssertionError("suite work started before the refusal")
 
-        monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
-        monkeypatch.setattr(analysis, "quadrature_gram", must_not_run)
+        for name in ("dominant_weights", "exp_sum", "quadrature_gram"):
+            monkeypatch.setattr(analysis, name, must_not_run)
         # Rank 5 fits on the W+-orbit nodes; rank 6 does not.
         result = runner.invoke(cli.main, ["verify", "-s", suite, "-n", "6"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
-        assert "6.93 GiB, over the 1 GiB budget" in result.output
+        assert "4.96 GiB, over the 1 GiB budget" in result.output
 
     def test_rank_one_ortho_refused_up_front(self, runner, monkeypatch):
-        # Rank 1 has no quadrature grid; its exact reports alone are charged.
+        # Rank 1 has no quadrature grid; its exact walk alone is charged,
+        # mostly the label list.
         def must_not_run(*args, **kwargs):
             raise AssertionError("suite work started before the refusal")
 
-        monkeypatch.setattr(analysis, "orthogonality_report", must_not_run)
-        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "1", "-c", "3000000"])
+        for name in ("dominant_weights", "exp_sum"):
+            monkeypatch.setattr(analysis, name, must_not_run)
+        result = runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "1", "-c", "20000000"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
-        assert "rank 1, coordinate bound 3000000, N=16 would hold about 2.71 GiB" in result.output
+        assert "rank 1, coordinate bound 20000000, N=16 would hold about 1.62 GiB" in result.output
 
     def test_symmetry_index_range_refused(self, runner):
         # 300^8 labels cannot be drawn by an int64 index: exit 2, no traceback.

@@ -436,6 +436,45 @@ class TestColumnExpansion:
             e = of.eval_e(lam, xs[0], basis="e")
             assert abs(e - (c[0] + s[0]) / 2) <= 1e-12 * size
 
+    def test_values_outlive_the_scratch(self):
+        # The expansion reuses one scratch array; eval_* return copies.
+        rng = np.random.default_rng(4)
+        x, y = rng.random((40, 7)), rng.random((40, 7))
+        batch, one = of.eval_c((1,) * 7, x), of.eval_c((1,) * 7, x[0])
+        kept = batch.copy(), complex(one)
+        of.eval_c((2, 1, 3, 1, 1, 2, 1), y)
+        of.eval_e((1, 2, 1, 2, 1, 2, 1), y[0])
+        assert np.array_equal(batch, kept[0]) and complex(one) == kept[1]
+
+    def test_threads_keep_their_own_scratch(self):
+        # More threads than cores, switching often: a scratch array shared
+        # between threads would mix one label's states into another's.
+        import sys
+        import threading
+        labels = [(1,) * 7, (2, 1, 3, 1, 1, 2, 1), (1, 0, 2, 1, 0, 0, 3), (3, 1, 1, 1, 2, 1, 1),
+                  (1, 2, 1, 2, 1, 2, 1), (2, 0, 1, 1, 0, 1, 2)]
+        x = np.random.default_rng(5).random((200, 7))
+        expected = [of.eval_c(lam, x) for lam in labels]
+        got = [[] for _ in labels]
+
+        def run(i):
+            for _ in range(5):
+                got[i].append(of.eval_c(labels[i], x))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(labels))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, values in zip(expected, got):
+            assert len(values) == 5 and all(np.array_equal(v, want) for v in values)
+
     def test_no_label_of_rank_five_or_less_expands(self):
         # Labels with coordinates 0 and 1 cover every pattern of chamber
         # walls, so every multiplicity of the suffix sums.

@@ -90,11 +90,11 @@ def test_copy_and_pickle_round_trips(build):
 
 class TestReports:
     def test_orthogonality_report_as_dict_order(self):
-        report = analysis.orthogonality_report("C", 1, 2)
+        report, _, e_report = analysis.orthogonality_reports(1, 2)
         assert list(report.as_dict()) == ["kind", "rank", "coord_bound", "pairs_tested",
                                           "max_deviation", "expected_diagonal", "passed"]
-        assert report == analysis.orthogonality_report("C", 1, 2)
-        assert report != analysis.orthogonality_report("E", 1, 2)
+        assert report == analysis.orthogonality_reports(1, 2)[0]
+        assert report != e_report
         assert repr(report).startswith("OrthogonalityReport(kind='C', rank=1, coord_bound=2, ")
 
     def test_symmetry_report_as_dict_order_and_defaults(self):
