@@ -22,14 +22,14 @@ import itertools
 import warnings
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 import numpy as np
 
 from . import chebyshev, lie, orbit_functions, weyl
 from ._record import Record
-from .exp_ring import ExpSum, _dominant, _sorted_sums, exp_sum
+from .exp_ring import ExpSum, exp_sum
 
 DEFAULT_SEED = 1729
 
@@ -72,6 +72,22 @@ def _squares(terms: dict) -> int:
     return sum(map(mul, terms.values(), terms.values()))
 
 
+def _sorted_sums(terms: dict):
+    """Per key, its integer suffix sums in reversed position order and 0,
+    ascending: built column by column, then sorted per key.  The sums of
+    one orbit agree up to a shift."""
+    sums = []
+    for column in reversed(list(zip(*terms))):
+        sums.append(list(map(add, sums[-1], column)) if sums else column)
+    return map(tuple, map(sorted, zip(itertools.repeat(0, len(terms)), *sums)))
+
+
+def _dominant(sums: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant weight of sorted suffix sums: their differences in
+    descending order, which drop the shift."""
+    return tuple(map(sub, sums[:0:-1], sums[-2::-1]))
+
+
 def orthogonality_reports(rank: int, coord_bound: int) -> tuple[OrthogonalityReport, ...]:
     """Exact torus orthogonality of the rank's C, S and E families, in that
     order, one label at a time.
@@ -79,11 +95,11 @@ def orthogonality_reports(rank: int, coord_bound: int) -> tuple[OrthogonalityRep
     Distinct dominant labels have disjoint Weyl orbits, so a family's exact
     Gram is diagonal once each sum lies on its label's orbit, with each
     sum's sum of squares on the diagonal.  The walk counts each C-sum's
-    stray terms, whose dominant weight (read off their sorted suffix sums,
-    as in ``decompose_into_c``) is not the label, and the S-sum's (strictly
-    dominant labels) and E-sum's terms outside the C-sum's support, and
-    compares each sum of squares with the orbit size (C), (n+1)! (S) or the
-    even-orbit size (E).  A family's deviation is the largest, over its
+    stray terms, whose dominant weight (``_dominant`` of their sorted
+    suffix sums, once per distinct tuple) is not the label, and the S-sum's
+    (strictly dominant labels) and E-sum's terms outside the C-sum's
+    support, and compares each sum of squares with the orbit size (C),
+    (n+1)! (S) or the even-orbit size (E).  A family's deviation is the largest, over its
     labels, of its stray terms and its distance from the diagonal.
     """
     full = factorial(rank + 1)

@@ -7,9 +7,9 @@ convolutions, run on keys packed into single ints (Kronecker substitution)
 and, when every coefficient is 1 as in every C- and E-orbit sum, counted
 with one ``collections.Counter`` over the packed pair sums; W-invariant sums
 decompose uniquely into orbit sums (distinct orbits have disjoint
-supports), found by counting the terms per dominant representative, read
-off column-wise suffix sums, without building an orbit; and the ring
-admits exact long division.
+supports), one a dominant term, each orbit's coefficients read and checked
+at C speed on points built outside the orbit cache; and the ring admits
+exact long division.
 Products of orbit sums and Weyl characters are computed on dominant weights
 alone (``orbit_product``, ``character``); the convolution, decomposition and
 division of whole sums are their independent oracles.
@@ -272,9 +272,10 @@ class OrbitDecomposition(TermMap):
 
     def expand(self) -> ExpSum:
         """Re-expansion into the plain exponential sum it denotes."""
-        # Distinct orbits have disjoint supports.
-        return ExpSum(self.rank, {p: mult for lam, mult in self.terms.items()
-                                  for p in weyl.orbit(lam).points})
+        # Distinct orbits have disjoint supports; uncached, so nothing is evicted.
+        return ExpSum._adopt(self.rank, {
+            p: mult for lam, mult in self.terms.items()
+            for p in weyl._orbit_points(lie.dominant_weight(lam, "orbit"))})
 
     def weight_count(self) -> int:
         """sum of multiplicity * orbit size (e.g. a character's dimension);
@@ -304,89 +305,59 @@ def exp_sum(lam: Sequence[int], kind: str) -> ExpSum:
 def decompose_into_c(s: ExpSum) -> OrbitDecomposition:
     """Decompose a W-invariant sum into orbit sums with multiplicities.
 
-    The terms are grouped by dominant representative, read off the sorted
-    integer suffix sums as in ``orbit_product``: the suffix sums are built
-    column by column and sorted per term, and one ``Counter`` counts the
-    terms per pair of sorted sums and coefficient, all at C speed.
-    Distinct orbits have disjoint supports, so the result is the unique
-    decomposition: each dominant weight lam present, in descending
-    graded-lex order, with the multiplicity of its own coefficient.  The
-    input is accepted when every counted coefficient equals the positive
-    coefficient of its dominant weight and every orbit holds the orbit size
-    of its dominant weight in terms; valid input thus builds neither a
-    group nor an orbit, and only the distinct pairs are visited in Python.
+    Greedy extraction in one pass: a W-invariant sum has one orbit sum per
+    dominant term (Klimyk & Patera, SIGMA 2 (2006) 006).  Each dominant
+    term lam, in descending graded-lex order, is its orbit's multiplicity;
+    the orbit's points are built uncached (``weyl._orbit_points``) and
+    their coefficients read and compared with it at C speed.  The input is
+    accepted when none differs and the orbit sizes add up to the number of
+    terms (distinct orbits have disjoint supports).
 
-    Other input raises what greedy extraction would (each orbit extracted
-    in turn, largest dominant weight first): a negative multiplicity, else
-    the first short point of an incomplete group in orbit order (the only
-    case that walks ``weyl.orbit``), else the graded-lex largest leftover
-    weight.  Leftovers are the members whose coefficient differs from
-    their multiplicity, and every member of a group whose dominant weight
-    is absent.
+    Other input raises what extraction meets first: a negative
+    multiplicity, else an orbit's first short point in orbit order, else
+    the graded-lex largest leftover: a point's excess over its
+    multiplicity, or a term on no orbit, collected only on this path.
     """
     terms = s.terms
-    counts = collections.Counter(zip(_sorted_sums(terms), terms.values()))
-    sizes: dict = {}  # dominant weight -> its terms
-    valid = True
-    for (sums, c), count in counts.items():
-        lam = _dominant(sums)
-        sizes[lam] = sizes.get(lam, 0) + count
-        valid = valid and 0 < c == terms.get(lam)
-    full = factorial(s.rank + 1)
-    if valid and all(count * weyl._stabilizer_order(lam) == full
-                     for lam, count in sizes.items()):
-        return OrbitDecomposition._adopt(s.rank, {
-            lam: terms[lam] for lam in sorted(sizes, key=grlex_key, reverse=True)})
-    # Invalid input: raise the first error that greedy extraction meets.
-    groups: dict = {}  # dominant weight -> the weights of its orbit
-    for w, sums in zip(terms, _sorted_sums(terms)):
-        groups.setdefault(_dominant(sums), []).append(w)
-    rem: dict = {}
-    for lam in sorted(groups, key=grlex_key, reverse=True):
-        group = groups[lam]
-        mult = terms.get(lam)
-        if mult is None:
-            rem.update((w, terms[w]) for w in group)
-            continue
+    dominant = list(terms)
+    for j in range(s.rank):
+        # One coordinate at a time, at C speed: most keys drop out early.
+        dominant = list(itertools.compress(dominant, map(
+            operator.ge, map(operator.itemgetter(j), dominant), itertools.repeat(0))))
+    out, size, excess = {}, 0, False
+    for lam in sorted(dominant, key=grlex_key, reverse=True):
+        mult = terms[lam]
         if mult < 0:
             raise NotInvariantError(
                 f"negative multiplicity {mult} at dominant weight {lam}", lam
             )
-        coeffs = [terms[w] for w in group]
-        if len(group) * weyl._stabilizer_order(lam) != full or min(coeffs) < mult:
-            # Incomplete: some point falls short; name the first in orbit order.
-            for p in weyl.orbit(lam).points:
-                c = terms.get(p, 0) - mult
-                if c < 0:
+        points = weyl._orbit_points(lam)
+        coeffs = list(map(terms.get, points))
+        if coeffs.count(mult) != len(coeffs):
+            for p, c in zip(points, coeffs):
+                if c is None or c < mult:
                     raise NotInvariantError(
                         f"sum is not constant on the orbit of {lam}: "
-                        f"weight {p} falls short by {-c}",
+                        f"weight {p} falls short by {mult - (c or 0)}",
                         p,
                     )
-        if max(coeffs) > mult:
-            rem.update((w, c - mult) for w, c in zip(group, coeffs) if c != mult)
+            excess = True
+        size += len(points)
+        out[lam] = mult
+    if size == len(terms) and not excess:
+        return OrbitDecomposition._adopt(s.rank, out)
+    rem = dict(terms)
+    for lam, mult in out.items():
+        for p in weyl._orbit_points(lam):
+            c = rem.pop(p) - mult
+            if c:
+                rem[p] = c
     w_bad = max(rem, key=grlex_key)
     raise NotInvariantError(
         f"no dominant weight left but {w_bad} remains with "
         f"coefficient {rem[w_bad]}",
         w_bad,
     )
-
-
-def _sorted_sums(terms: dict):
-    """Per key, its integer suffix sums in reversed position order (as in
-    ``orbit_product``) and 0, in ascending order: built column by column,
-    then sorted per key.  The sums of one orbit agree up to a shift."""
-    sums = []
-    for column in reversed(list(zip(*terms))):
-        sums.append(list(map(operator.add, sums[-1], column)) if sums else column)
-    return map(tuple, map(sorted, zip(itertools.repeat(0, len(terms)), *sums)))
-
-
-def _dominant(sums: tuple[int, ...]) -> tuple[int, ...]:
-    """The dominant weight of sorted suffix sums: their differences in
-    descending order, which drop the shift."""
-    return tuple(map(operator.sub, sums[:0:-1], sums[-2::-1]))
 
 
 def _heap_entry(w: tuple[int, ...]) -> tuple:

@@ -273,24 +273,35 @@ def orbit(lam: tuple[int, ...]) -> SignedOrbit:
     label is validated and made a tuple before every lookup (``_orbit_key``),
     so a list is accepted and an invalid label raises whatever is cached;
     the ``__wrapped__`` builder takes a dominant tuple unchecked and builds
-    one uncached.
-
-    The weight's distinct suffix-sum values and their counts
-    (``value_counts``) pick the template; coordinate j of every point is
-    read from the table of differences of those values through the
-    template's column of pairs.
+    one uncached.  Points by ``_points``, signs and even flags the template's.
     """
     values, counts = value_counts(lam)
     pairs, signs, even = _template(counts)
+    return SignedOrbit(rank=len(lam), dominant=lam, points=_points(values, pairs, len(lam)),
+                       signs=signs, even=even)
+
+
+def _orbit_points(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The points of the orbit of a dominant tuple in orbit order, built
+    unchecked and uncached, for callers that read an orbit once and keep
+    nothing of it: ``weyl.orbit``'s cache is neither read nor changed."""
+    values, counts = value_counts(lam)
+    return _points(values, _template(counts)[0], len(lam))
+
+
+def _points(values: list[int], pairs: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The orbit points of a weight's distinct suffix-sum values through its
+    template's pairs, the one enumeration: coordinate j of every point is
+    read from the table of differences of the values through the column j
+    of pairs, one block of rows at a time."""
     differences = [a - b for a in values for b in values]
-    n = len(lam)
     width = n + 1
     step = _BLOCK_CELLS - _BLOCK_CELLS % width
     points = []
     for start in range(0, len(pairs), step):
         block = pairs[start:start + step]
         points += zip(*(_column(block[j::width], differences) for j in range(n)))
-    return SignedOrbit(rank=n, dominant=lam, points=tuple(points), signs=signs, even=even)
+    return tuple(points)
 
 
 def dominant_representative(mu: Sequence[int]) -> tuple[tuple[int, ...], int]:

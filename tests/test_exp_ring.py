@@ -417,14 +417,64 @@ class TestDecompose:
         assert got == outcome(decompose_by_rescan, s)
         assert got[0] is NotInvariantError and message in got[1]
 
-    @pytest.mark.parametrize("a, b", [((2, 1, 1, 2), (1, 2, 0, 1)), ((1, 1, 1, 1, 1), (0, 1, 0, 1, 0))])
-    def test_invariant_input_builds_no_orbit(self, a, b):
+    @pytest.mark.parametrize("a, b", [((2, 1, 1, 2), (1, 2, 0, 1)), ((1, 1, 1, 1, 1), (0, 1, 0, 1, 0)),
+                                      ((1, 0, 1, 1, 0, 1), (0, 1, 0, 0, 1, 0))])
+    def test_invariant_input_leaves_the_orbit_cache_alone(self, a, b):
         prod = exp_sum(a, "C") * exp_sum(b, "C")
         before = weyl.orbit.cache_info()
         dec = decompose_into_c(prod)
         after = weyl.orbit.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert (after.currsize, after.held) == (before.currsize, before.held)
         assert dec == orbit_product(a, b)
+
+    def test_products_at_the_size_cap_match_orbit_product(self):
+        # Every rank-5 pair of 180-point orbits multiplies 32 400 term pairs,
+        # the largest products of the benchmark's products workload.
+        labels = [lam for lam in itertools.product((0, 1), repeat=5) if weyl.orbit_size(lam) == 180]
+        for a, b in itertools.combinations_with_replacement(labels, 2):
+            got, want = decompose_into_c(exp_sum(a, "C") * exp_sum(b, "C")), orbit_product(a, b)
+            assert got == want and list(got.terms) == list(want.terms), (a, b)
+
+    def test_rank6_product_matches_orbit_product(self):
+        a, b = (1, 0, 1, 1, 0, 1), (0, 1, 0, 0, 1, 0)
+        got, want = decompose_into_c(exp_sum(a, "C") * exp_sum(b, "C")), orbit_product(a, b)
+        assert got == want and list(got.terms) == list(want.terms)
+
+    def test_huge_coordinates_match_rescan(self):
+        big = 10 ** 20
+        prod = exp_sum((big, big + 1), "C") * exp_sum((1, 2), "C")
+        got = outcome(decompose_into_c, prod)
+        assert got == outcome(decompose_by_rescan, prod) == orbit_product((big, big + 1), (1, 2))
+        # One point of the top orbit raised: a leftover at a huge weight.
+        terms = dict(prod.terms)
+        point = weyl.orbit((big + 1, big + 3)).points[3]
+        terms[point] += 1
+        s = ExpSum(2, terms)
+        got = outcome(decompose_into_c, s)
+        assert got == outcome(decompose_by_rescan, s)
+        assert got[0] is NotInvariantError and got[2] == point
+
+    def test_point_missing_deep_in_a_rank6_orbit_matches_rescan(self):
+        prod = exp_sum((1, 1, 0, 1, 0, 1), "C") * exp_sum((0, 0, 1, 0, 0, 0), "C")
+        points = weyl.orbit((1, 1, 1, 1, 0, 1)).points
+        terms = dict(prod.terms)
+        del terms[points[-3]]
+        s = ExpSum(6, terms)
+        got = outcome(decompose_into_c, s)
+        assert got == outcome(decompose_by_rescan, s)
+        assert got[0] is NotInvariantError and got[2] == points[-3]
+        assert f"weight {points[-3]} falls short by 1" in got[1]
+
+    def test_expand_reads_orbits_outside_the_cache(self):
+        dec = orbit_product((1, 0, 1, 1), (0, 1, 1, 0))
+        before = weyl.orbit.cache_info()
+        got = dec.expand()
+        assert weyl.orbit.cache_info() == before
+        want = {p: m for lam, m in dec.terms.items() for p in weyl.orbit(lam).points}
+        assert got.terms == want and list(got.terms) == list(want)
+        with pytest.raises(ValueError, match="dominant"):
+            OrbitDecomposition(2, {(1, -1): 1}).expand()
 
 
 class TestOrbitProduct:

@@ -232,6 +232,23 @@ class TestOrbitTemplates:
                 orb = weyl.orbit.__wrapped__(lam)
                 assert (orb.points, orb.signs, orb.even) == orbit_by_sorting(lam), lam
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_uncached_points_are_the_orbits_on_every_zero_pattern(self, n):
+        for lam in itertools.product((0, 1), repeat=n):
+            before = weyl.orbit.cache_info()
+            points = weyl._orbit_points(lam)
+            assert weyl.orbit.cache_info() == before
+            assert points == weyl.orbit(lam).points, lam
+
+    def test_uncached_points_of_a_generic_rank8_orbit_span_several_blocks(self):
+        lam = (1, 2, 1, 3, 1, 1, 2, 1)
+        assert factorial(9) * 9 > 50 * weyl._BLOCK_CELLS
+        before = weyl.orbit.cache_info()
+        points = weyl._orbit_points(lam)
+        assert weyl.orbit.cache_info() == before
+        assert points == weyl.orbit.__wrapped__(lam).points
+        assert len(set(points)) == factorial(9) and points[0] == lam
+
     @pytest.mark.parametrize("a,b", [((2, 1), (5, 3)), ((1, 0, 2), (4, 0, 1)),
                                      ((0, 3, 0, 1), (0, 1, 0, 7)), ((3, 0), (1, 0))])
     def test_one_pattern_shares_signs_and_even(self, a, b):
