@@ -4,10 +4,8 @@ Chebyshev-type polynomials they generate."""
 from .lie import (
     MAX_RANK,
     congruence_number,
-    inner_product,
     is_dominant,
     is_strictly_dominant,
-    omega_to_e,
 )
 from .weyl import SignedOrbit, dominant_representative, orbit, orbit_size, reflect
 from .orbit_functions import (
@@ -43,11 +41,9 @@ from .chebyshev import (
 from .analysis import (
     DEFAULT_SEED,
     AliasingWarning,
-    laplacian_eigenvalue_check,
     quadrature_inner_product,
     run_suite,
     symmetry_suite,
-    torus_inner_product,
 )
 
 __version__ = "0.1.0"

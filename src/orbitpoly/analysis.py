@@ -38,17 +38,6 @@ class AliasingWarning(UserWarning):
     """Quadrature grid below the Nyquist bound; aliasing is possible."""
 
 
-def torus_inner_product(a: ExpSum, b: ExpSum) -> int:
-    """Exact torus integral of a * conj(b): sum of matching coefficients.
-
-    Integer coefficients make the conjugation trivial; only weights shared
-    by both supports contribute.
-    """
-    a._check_rank(b)
-    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum(c * large[w] for w, c in small.items() if w in large)
-
-
 def nyquist_points(a: ExpSum, b: ExpSum) -> int:
     """Smallest grid size per axis guaranteeing exact rectangle quadrature."""
     return 2 * max(a.support_bound(), b.support_bound()) + 1
@@ -234,8 +223,7 @@ def _fd_block(
 
 
 def _fd_values(
-    kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float],
-    frame: np.ndarray | None = None,
+    kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float], frame: np.ndarray,
 ) -> tuple[complex, list[complex]]:
     """f at the e-point x_e and its central-difference Laplacian for each
     step h (``_fd_block`` of one point)."""
@@ -243,91 +231,33 @@ def _fd_values(
     return complex(centre[0]), [complex(lap) for lap in laps[0]]
 
 
-def fd_laplacian(
-    kind: str,
-    lam: Sequence[int],
-    x_e: np.ndarray,
-    h: float,
-    frame: np.ndarray | None = None,
-) -> complex:
-    """Central-difference Laplacian along an orthonormal frame of the
-    zero-sum hyperplane."""
-    return _fd_values(kind, lam, x_e, (h,), frame)[1][0]
-
-
 def _norm_sq(lam: Sequence[int]) -> float:
-    """``float(lie.norm_sq(lam))``: its integer numerator divided by n+1,
-    with no ``Fraction`` built (nor ``fractions`` imported)."""
+    """<lam, lam> as the correctly rounded float: on the suffix sums p, the
+    integer (n+1) sum p^2 - (sum p)^2 divided by n+1 once."""
     p = lie.suffix_sums(lam)
     return (len(p) * sum(c * c for c in p) - sum(p) ** 2) / len(p)
 
 
 def _relative_errors(
     kind: str, lam: tuple[int, ...], candidates: np.ndarray, steps: Sequence[float],
-    min_abs: float | None = None, frame: np.ndarray | None = None,
 ) -> list[list[float]]:
-    """Relative errors of the eigenvalue identity, one per step, at each
-    candidate e-point (a row of the (k, n+1) array) where |f| >= min_abs, in
-    candidate order; below that the ratio measures the fluctuation of |f|
-    rather than the h^2 truncation term.  Every candidate's stencil is
-    evaluated in one call.  The default min_abs is min(0.05 |W lam|, 0.5
-    sqrt|W lam|): a sum of |W lam| unit phases typically has modulus near
-    sqrt|W lam|, so a bound linear in the orbit size finds no point on large
-    orbits (it stays the bound up to |W lam| = 100, every orbit of rank <=
-    3)."""
-    if min_abs is None:
-        size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
-        min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
+    """Relative errors of the eigenvalue identity laplacian(f) = -4 pi^2
+    <lam, lam> f, |lap + 4 pi^2 <lam, lam> f| / (4 pi^2 <lam, lam> |f|), one
+    per step, at each candidate e-point (a row of the (k, n+1) array) where
+    |f| >= min(0.05 |W lam|, 0.5 sqrt|W lam|), in candidate order; below
+    that the ratio measures the fluctuation of |f| rather than the h^2
+    truncation term.  A sum of |W lam| unit phases typically has modulus
+    near sqrt|W lam|, so a bound linear in the orbit size would find no
+    point on large orbits (it stays the bound up to |W lam| = 100, every
+    orbit of rank <= 3).  Every candidate's stencil is evaluated in one
+    call."""
+    size = weyl.orbit_size(weyl.dominant_representative(lam)[0])
+    min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
     factor = 4 * np.pi * np.pi * _norm_sq(lam)
-    values, laps = _fd_block(kind, lam, candidates, steps, frame)
+    values, laps = _fd_block(kind, lam, candidates, steps)
     kept = np.abs(values) >= min_abs
     errs = np.abs(laps[kept] + factor * values[kept, None]) / (factor * np.abs(values[kept, None]))
     return errs.tolist()
-
-
-#: Default random draws of ``laplacian_eigenvalue_check`` per kind.  A
-#: draw passes the |f| filter of ``_relative_errors`` with probability
-#: about 0.47 for C, 0.28 for E and 0.11 for S at rank 8 (rho, 3 000
-#: draws): |S| carries the product of sines of the Weyl denominator and E =
-#: (C + S)/2 half of it.  These counts put the chance that every draw
-#: fails near 1e-3 or below at every rank up to 8.
-LAPLACE_RETRIES = {"C": 12, "E": 24, "S": 64}
-
-
-def laplacian_eigenvalue_check(
-    kind: str,
-    lam: Sequence[int],
-    x: Sequence[float] | None = None,
-    h: float = 1e-3,
-    rng: np.random.Generator | None = None,
-    retries: int | None = None,
-    min_abs: float | None = None,
-    frame: np.ndarray | None = None,
-) -> float | None:
-    """Relative error of the finite-difference eigenvalue identity.
-
-    The orbit functions satisfy laplacian(f) = -4*pi^2 <lam,lam> f; the
-    check returns |fd_laplacian(f) + 4*pi^2 <lam,lam> f| normalized by
-    4*pi^2 <lam,lam> |f|.  Points where |f| is not bounded away from zero
-    are re-drawn (the ratio is meaningless there), up to ``retries`` draws
-    (``LAPLACE_RETRIES[kind]`` by default; the first draws are the same
-    whatever the count); None signals that every draw landed on a
-    near-zero of f.
-    """
-    if not 0 < h <= 0.01:
-        raise ValueError("step h must lie in (0, 0.01]")
-    lam = lie.as_weight(lam)
-    if _norm_sq(lam) == 0:
-        return 0.0
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    if retries is None:
-        retries = LAPLACE_RETRIES[kind]
-    candidates = _random_e_points(rng, retries, len(lam))
-    if x is not None:
-        candidates = np.vstack([np.asarray(x, dtype=float), candidates])
-    errs = _relative_errors(kind, lam, candidates, (h,), min_abs, frame)
-    return errs[0][0] if errs else None
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +533,10 @@ def run_laplace_suite(
     points: int = 20, h: float = 1e-3,
 ) -> SuiteReport:
     """Finite-difference eigenvalue identity and its h^2 convergence rate;
-    the labels are fixed per rank, so coord_bound does not apply."""
+    the labels are fixed per rank, so coord_bound does not apply.  Raises
+    ValueError unless the step h lies in (0, 0.01]."""
+    if not 0 < h <= 0.01:
+        raise ValueError("step h must lie in (0, 0.01]")
     report = SuiteReport("laplace", seed)
     rng = np.random.default_rng(seed)
     for kind, lam in _laplace_cases(rank_bound):
@@ -740,7 +673,7 @@ def _form_deviations(lam: tuple[int, ...], xs: np.ndarray) -> dict[str, float]:
     forms of the dominant label lam to its orbit functions: the permanent is
     stabilizer * C, the determinant S (zero on a chamber wall), the
     alternating form (permanent + determinant)/2 and, off the walls, E."""
-    p = lie.suffix_sums(lam)  # the floats of lie.omega_to_e(lam), p - mean(p)
+    p = lie.suffix_sums(lam)  # the e-coordinates of lam as floats, p - mean(p)
     l_e = np.array([(len(p) * c - sum(p)) / len(p) for c in p])
     dp = orbit_functions.d_plus(l_e, xs)
     dm = orbit_functions.d_minus(l_e, xs)
@@ -768,8 +701,9 @@ def run_detforms_suite(
 
     On the column expansion S is also a determinant, yet "determinant form
     = S" still compares two computations: ``d_minus`` builds its matrix
-    from ``lie.omega_to_e`` and the raw e-point, ``eval_s`` from the integer
-    suffix sums and y = x - mean(x), so a fault in either matrix shows (the
+    from the label's e-coordinates p - mean(p) (p its suffix sums) and the
+    raw e-point, ``eval_s`` from the integer suffix sums p themselves and
+    y = x - mean(x), so a fault in either matrix shows (the
     two differ by ~1e-12 at rank 6 from rounding alone).  numpy's LU itself
     is pinned by "alternating = (permanent + determinant)/2", which checks
     it against Ryser's permanent and ``exp_kernel``'s even-permutation sum.
@@ -814,9 +748,14 @@ def run_suite(
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteReport]:
     """Run one named suite, or all of them; returns one report per suite.
-    A bound left as None keeps each suite's own default."""
+    A bound left as None keeps each suite's own default; any other is
+    checked before any suite runs, whether or not the suite uses it."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
+    if rank_bound is not None and not 1 <= rank_bound <= lie.MAX_RANK:
+        raise ValueError(f"rank bound must lie in 1..{lie.MAX_RANK}")
+    if coord_bound is not None and coord_bound < 1:
+        raise ValueError("coordinate bound must be >= 1")
     bounds = {key: value for key, value in
               (("rank_bound", rank_bound), ("coord_bound", coord_bound)) if value is not None}
     return [SUITES[suite](seed=seed, **bounds) for suite in (SUITES if name == "all" else [name])]

@@ -1,24 +1,17 @@
 """Exact lattice data for the A-series algebras (rank n, group SU(n+1)).
 
 Weights are plain tuples of integers giving coordinates in the omega basis
-(fundamental weights).  e-basis coordinates are exact ``fractions.Fraction``
-values on the hyperplane where all n+1 coordinates sum to zero; every exact
-e-space computation works on the integer ``suffix_sums`` instead, which are
-the e-coordinates shifted by a constant.  Everything here is exact
-rational arithmetic, ``fractions`` imported only by the functions that
-return a ``Fraction``; floating point enters only at evaluation time in
-:mod:`orbitpoly.orbit_functions` and :mod:`orbitpoly.analysis`, which
-divide the same integer numerators once instead.
+(fundamental weights).  e-basis coordinates lie on the hyperplane where all
+n+1 coordinates sum to zero; every exact e-space computation works on the
+integer ``suffix_sums`` instead, which are the e-coordinates shifted by a
+constant.  Everything here is exact integer arithmetic; floating point
+enters only at evaluation time in :mod:`orbitpoly.orbit_functions` and
+:mod:`orbitpoly.analysis`, which divide those integers by n+1 once.
 """
 from __future__ import annotations
 
 import itertools
-import operator
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Sequence
 
 #: Default cap on the rank.  At n = 8 a generic orbit already has
 #: 9! = 362880 points; operations never assume small rank structurally,
@@ -56,24 +49,6 @@ def as_weight(coords: Sequence[int]) -> Weight:
     return lam
 
 
-@lru_cache(maxsize=None)
-def omega_to_e_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """(n+1) x n conversion matrix from omega to e coordinates.
-
-    Row j, column k is (n+1-k)/(n+1) for k >= j and -k/(n+1) for k < j;
-    column k is the e-coordinate vector of the k-th fundamental weight.
-    """
-    from fractions import Fraction
-    check_rank(n)
-    return tuple(
-        tuple(
-            Fraction(n + 1 - k, n + 1) if k >= j else Fraction(-k, n + 1)
-            for k in range(1, n + 1)
-        )
-        for j in range(1, n + 2)
-    )
-
-
 def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
     """p_j = lam_j + ... + lam_n for j = 1..n+1 (p_{n+1} = 0).
 
@@ -84,32 +59,6 @@ def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
     differences.  All integers, no scaling.
     """
     return tuple(itertools.accumulate(reversed(lam)))[::-1] + (0,)
-
-
-def omega_to_e(lam: Sequence[int]) -> tuple[Fraction, ...]:
-    """e-basis coordinates of a weight, p - mean(p); they sum to exactly zero."""
-    from fractions import Fraction
-    p = suffix_sums(lam)
-    total = sum(p)
-    return tuple(Fraction(len(p) * c - total, len(p)) for c in p)
-
-
-def inner_product(lam: Sequence[int], mu: Sequence[int]) -> Fraction:
-    """W-invariant scalar product: lam^T C^{-1} mu in omega coordinates.
-
-    Equals the Euclidean dot product of the e-coordinate images (the omega
-    basis has Gram matrix C^{-1} because every simple root has squared
-    length 2), which on suffix sums is sum p*q - sum p * sum q / (n+1).
-    """
-    from fractions import Fraction
-    if len(lam) != len(mu):
-        raise ValueError(f"rank mismatch: {len(lam)} vs {len(mu)}")
-    p, q = suffix_sums(lam), suffix_sums(mu)
-    return Fraction(len(p) * sum(map(operator.mul, p, q)) - sum(p) * sum(q), len(p))
-
-
-def norm_sq(lam: Sequence[int]) -> Fraction:
-    return inner_product(lam, lam)
 
 
 def congruence_number(lam: Sequence[int]) -> int:

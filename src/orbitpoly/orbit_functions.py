@@ -75,10 +75,11 @@ def _in_basis(rows: np.ndarray, basis: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _omega_to_e(n: int) -> np.ndarray:
-    """``lie.omega_to_e_matrix(n)`` as an (n+1, n) float array, read-only:
-    every e-basis table shares it.  Each entry is its integer numerator
-    divided by n+1, the correctly rounded float of the exact entry, with no
-    ``Fraction`` built (nor ``fractions`` imported)."""
+    """The (n+1) x n matrix from omega to e coordinates as a float array,
+    read-only: every e-basis table shares it.  Row j, column k is
+    (n+1-k)/(n+1) for k >= j and -k/(n+1) for k < j (column k is the
+    e-vector of the k-th fundamental weight), each its integer numerator
+    divided by n+1 once, the correctly rounded float of the exact entry."""
     k = np.arange(1, n + 1)
     matrix = np.where(k >= np.arange(1, n + 2)[:, None], n + 1 - k, -k) / (n + 1)
     matrix.flags.writeable = False

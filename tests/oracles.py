@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from orbitpoly.exp_ring import ExpSum
-from orbitpoly.lie import check_rank
+from orbitpoly.lie import check_rank, suffix_sums
 
 
 def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
@@ -50,6 +50,17 @@ def e_to_alpha_point(coords: Sequence[float]) -> tuple[float, ...]:
         run += c
         out.append(run)
     return tuple(out)
+
+
+def torus_inner_product(a: ExpSum, b: ExpSum) -> int:
+    """Exact torus integral of a * conj(b): sum of matching coefficients.
+
+    Integer coefficients make the conjugation trivial; only weights shared
+    by both supports contribute.
+    """
+    a._check_rank(b)
+    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    return sum(c * large[w] for w, c in small.items() if w in large)
 
 
 def fold(s: ExpSum, n_points: int) -> ExpSum:
@@ -115,6 +126,46 @@ def three_term_coeffs(m: int, first: Sequence[int]) -> tuple[int, ...]:
     return tuple(cur)
 
 
+def omega_to_e_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """(n+1) x n conversion matrix from omega to e coordinates.
+
+    Row j, column k is (n+1-k)/(n+1) for k >= j and -k/(n+1) for k < j;
+    column k is the e-coordinate vector of the k-th fundamental weight.
+    """
+    check_rank(n)
+    return tuple(
+        tuple(
+            Fraction(n + 1 - k, n + 1) if k >= j else Fraction(-k, n + 1)
+            for k in range(1, n + 1)
+        )
+        for j in range(1, n + 2)
+    )
+
+
+def omega_to_e(lam: Sequence[int]) -> tuple[Fraction, ...]:
+    """e-basis coordinates of a weight, p - mean(p); they sum to exactly zero."""
+    p = suffix_sums(lam)
+    total = sum(p)
+    return tuple(Fraction(len(p) * c - total, len(p)) for c in p)
+
+
+def inner_product(lam: Sequence[int], mu: Sequence[int]) -> Fraction:
+    """W-invariant scalar product: lam^T C^{-1} mu in omega coordinates.
+
+    Equals the Euclidean dot product of the e-coordinate images (the omega
+    basis has Gram matrix C^{-1} because every simple root has squared
+    length 2), which on suffix sums is sum p*q - sum p * sum q / (n+1).
+    """
+    if len(lam) != len(mu):
+        raise ValueError(f"rank mismatch: {len(lam)} vs {len(mu)}")
+    p, q = suffix_sums(lam), suffix_sums(mu)
+    return Fraction(len(p) * sum(map(operator.mul, p, q)) - sum(p) * sum(q), len(p))
+
+
+def norm_sq(lam: Sequence[int]) -> Fraction:
+    return inner_product(lam, lam)
+
+
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """n x n Cartan matrix: 2 on the diagonal, -1 on the sub/super-diagonal."""
     check_rank(n)
@@ -137,7 +188,7 @@ def cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def e_to_omega(coords: Sequence) -> tuple:
-    """Inverse of ``lie.omega_to_e`` on the zero-sum hyperplane:
+    """Inverse of ``omega_to_e`` on the zero-sum hyperplane:
     lam_i = l_i - l_{i+1}.
 
     Exact inputs (int/Fraction) must sum to exactly zero; float inputs are

@@ -9,7 +9,7 @@ import pytest
 
 from orbitpoly import analysis, chebyshev as ch, exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
-from oracles import alpha_to_e_point, rank_one_in_x
+from oracles import alpha_to_e_point, norm_sq, omega_to_e, rank_one_in_x, torus_inner_product
 
 SEED = analysis.DEFAULT_SEED
 
@@ -103,15 +103,15 @@ def test_criterion_5_orthogonality_exact_and_quadrature():
         s_sums = {w: exp_sum(w, "S") for w in stricts}
         for a, b in itertools.combinations_with_replacement(doms, 2):
             expect = weyl.orbit(a).size if a == b else 0
-            ok &= analysis.torus_inner_product(c_sums[a], c_sums[b]) == expect
+            ok &= torus_inner_product(c_sums[a], c_sums[b]) == expect
         for a, b in itertools.combinations_with_replacement(stricts, 2):
             expect = factorial(n + 1) if a == b else 0
-            ok &= analysis.torus_inner_product(s_sums[a], s_sums[b]) == expect
+            ok &= torus_inner_product(s_sums[a], s_sums[b]) == expect
         for sums in (c_sums, s_sums):
             gram, labels = _grid_gram(sums, 16)
             exact = np.array(
                 [
-                    [analysis.torus_inner_product(sums[a], sums[b]) for b in labels]
+                    [torus_inner_product(sums[a], sums[b]) for b in labels]
                     for a in labels
                 ],
                 dtype=float,
@@ -134,7 +134,7 @@ def test_criterion_6_exponential_form_equivalences():
         for _ in range(100):
             lam = tuple(int(c) for c in rng.integers(1, 4, size=n))
             x = np.asarray(alpha_to_e_point(rng.random(n)), dtype=float)
-            l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
+            l_e = np.array([float(v) for v in omega_to_e(lam)])
             k = weyl.stabilizer_order(lam)
             dp = of.d_plus(l_e, x)
             dm = of.d_minus(l_e, x)
@@ -203,7 +203,7 @@ def test_criterion_9_laplacian_eigenvalues():
     for kind, lam in cases:
         n = len(lam)
         f = analysis._EVALUATORS[kind]
-        factor = 4 * np.pi * np.pi * float(lie.norm_sq(lam))
+        factor = 4 * np.pi * np.pi * float(norm_sq(lam))
         min_abs = 0.05 * weyl.orbit(lam).size
         errs, errs_half = [], []
         while len(errs) < 20:
@@ -211,14 +211,10 @@ def test_criterion_9_laplacian_eigenvalues():
             val = f(lam, x, basis="e")
             if abs(val) < min_abs:
                 continue
-            errs.append(
-                abs(analysis.fd_laplacian(kind, lam, x, h) + factor * val)
-                / (factor * abs(val))
-            )
-            errs_half.append(
-                abs(analysis.fd_laplacian(kind, lam, x, h / 2) + factor * val)
-                / (factor * abs(val))
-            )
+            _, (lap, lap_half) = analysis._fd_values(kind, lam, x, (h, h / 2),
+                                                     analysis.hyperplane_frame(n))
+            errs.append(abs(lap + factor * val) / (factor * abs(val)))
+            errs_half.append(abs(lap_half + factor * val) / (factor * abs(val)))
         ratio = max(errs) / max(errs_half)
         ok &= max(errs) < 1e-4 and 3.0 <= ratio <= 5.0
         details.append(f"{kind}{lam}: {max(errs):.1e} ratio {ratio:.2f}")

@@ -1,4 +1,5 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
+import contextlib
 import inspect
 import re
 import tracemalloc
@@ -9,44 +10,44 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from orbitpoly import analysis, chebyshev, lie, orbit_functions as of, weyl
+from orbitpoly import analysis, chebyshev, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, weights
-from oracles import (alpha_to_e_point, fold, signed_permutations, sparse_gram,
-                     strictly_dominant_weights)
+from oracles import (alpha_to_e_point, fold, norm_sq, signed_permutations, sparse_gram,
+                     strictly_dominant_weights, torus_inner_product)
 
 
 class TestTorusInnerProduct:
     def test_c_diagonal_is_orbit_size(self):
         for lam in [(1,), (3,), (1, 0), (2, 2), (1, 0, 2)]:
             s = exp_sum(lam, "C")
-            assert analysis.torus_inner_product(s, s) == weyl.orbit(lam).size
+            assert torus_inner_product(s, s) == weyl.orbit(lam).size
 
     def test_c_off_diagonal_vanishes(self):
         a = exp_sum((1, 0), "C")
         b = exp_sum((0, 1), "C")
-        assert analysis.torus_inner_product(a, b) == 0
+        assert torus_inner_product(a, b) == 0
 
     def test_s_diagonal_is_group_order(self):
         for lam in [(2,), (1, 1), (1, 2, 1)]:
             s = exp_sum(lam, "S")
-            assert analysis.torus_inner_product(s, s) == factorial(len(lam) + 1)
+            assert torus_inner_product(s, s) == factorial(len(lam) + 1)
 
     def test_e_diagonal_counts_even_orbit(self):
         for lam in [(2,), (1, 1), (2, 0)]:
             s = exp_sum(lam, "E")
-            assert analysis.torus_inner_product(s, s) == len(weyl.orbit(lam).even_points)
+            assert torus_inner_product(s, s) == len(weyl.orbit(lam).even_points)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            analysis.torus_inner_product(exp_sum((1,), "C"), exp_sum((1, 0), "C"))
+            torus_inner_product(exp_sum((1,), "C"), exp_sum((1, 0), "C"))
 
     @given(dominant_weights(max_rank=3, max_coord=3))
     @settings(max_examples=40, deadline=None)
     def test_distinct_orbits_are_orthogonal(self, lam):
         other = tuple(c + 1 for c in lam)
         a, b = exp_sum(lam, "C"), exp_sum(other, "C")
-        assert analysis.torus_inner_product(a, b) == 0
+        assert torus_inner_product(a, b) == 0
 
     @pytest.mark.parametrize("kind,expected", [
         ("C", "orbit size"), ("S", "3!"), ("E", "even-orbit size"),
@@ -65,7 +66,7 @@ def gram_by_pairs(sums: list) -> dict:
     out = {}
     for i, a in enumerate(sums):
         for j in range(i, len(sums)):
-            value = analysis.torus_inner_product(a, sums[j])
+            value = torus_inner_product(a, sums[j])
             if value:
                 out[i, j] = value
     return out
@@ -214,7 +215,7 @@ class TestQuadrature:
         s = exp_sum(lam, "C")
         n_points = analysis.nyquist_points(s, s)
         got = analysis.quadrature_inner_product("C", lam, lam, n_points)
-        assert got == pytest.approx(analysis.torus_inner_product(s, s), abs=1e-9)
+        assert got == pytest.approx(torus_inner_product(s, s), abs=1e-9)
 
 
 class TestFoldedQuadrature:
@@ -224,9 +225,9 @@ class TestFoldedQuadrature:
         sums = [exp_sum(w, "C") for w in labels]
         gram = analysis.quadrature_gram([("C", w) for w in labels], 8)
         folded = [fold(s, 8) for s in sums]
-        predicted = np.array([[analysis.torus_inner_product(a, b) for b in folded]
+        predicted = np.array([[torus_inner_product(a, b) for b in folded]
                               for a in folded])
-        exact = np.array([[analysis.torus_inner_product(a, b) for b in sums] for a in sums])
+        exact = np.array([[torus_inner_product(a, b) for b in sums] for a in sums])
         assert np.abs(gram - predicted).max() < 1e-9
         assert np.abs(gram - exact).max() == pytest.approx(72.0)
         assert analysis._quadrature_gram_deviation(labels, 8) < 1e-9
@@ -238,14 +239,14 @@ class TestFoldedQuadrature:
         for a, fa in zip(sums, folded):
             assert len(fa.terms) == len(a.terms)
             for b, fb in zip(sums, folded):
-                assert analysis.torus_inner_product(fa, fb) == analysis.torus_inner_product(a, b)
+                assert torus_inner_product(fa, fb) == torus_inner_product(a, b)
 
     def test_fold_predicts_the_aliasing_control(self):
         a = exp_sum((3,), "C")
         with pytest.warns(analysis.AliasingWarning):
             value = analysis.quadrature_inner_product("C", (3,), (3,), 6)
         assert value.real == pytest.approx(
-            analysis.torus_inner_product(fold(a, 6), fold(a, 6)))
+            torus_inner_product(fold(a, 6), fold(a, 6)))
 
     @pytest.mark.parametrize("n,coord_bound", [
         (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 1), (5, 2)])
@@ -468,27 +469,19 @@ class TestRandomEPoints:
         assert rng.bit_generator.state == again.bit_generator.state
 
 
-def errors_by_draw(kind, lam, rng, points, draws, steps, upfront=False, x=None):
+def errors_by_draw(kind, lam, rng, points, draws, steps):
     """The per-draw loop: one point drawn and its stencil evaluated at a
     time, until ``points`` of them pass the |f| filter or ``draws`` are
-    spent (with ``upfront``, x first if given and every draw made before
-    any evaluation, as ``laplacian_eigenvalue_check`` takes them): the
-    oracle of the block path."""
+    spent: the oracle of the block path ``_drawn_errors``."""
     n = len(lam)
     size = weyl.orbit_size(lam)
     min_abs = min(0.05 * size, 0.5 * np.sqrt(size))
-    factor = 4 * np.pi ** 2 * float(lie.norm_sq(lam))
+    factor = 4 * np.pi ** 2 * float(norm_sq(lam))
     frame = analysis.hyperplane_frame(n)
-
-    def draw():
-        alpha = rng.random(n)
-        return np.concatenate([alpha, [0.0]]) - np.concatenate([[0.0], alpha])
-
-    candidates = (draw() for _ in range(draws))
-    if upfront:
-        candidates = ([] if x is None else [np.asarray(x, dtype=float)]) + list(candidates)
     out = []
-    for point in candidates:
+    for _ in range(draws):
+        alpha = rng.random(n)
+        point = np.concatenate([alpha, [0.0]]) - np.concatenate([[0.0], alpha])
         stencil = [point] + [point + s * h * frame for h in steps for s in (1, -1)]
         values = analysis._EVALUATORS[kind](lam, np.vstack(stencil), basis="e")
         val = values[0]
@@ -505,102 +498,86 @@ def errors_by_draw(kind, lam, rng, points, draws, steps, upfront=False, x=None):
 class TestLaplacian:
     def test_rank_one_closed_form(self):
         # 2cos(2*pi*x) has squared-norm label 1/2 in this normalization.
-        assert float(lie.norm_sq((1,))) == 0.5
-        err = analysis.laplacian_eigenvalue_check(
-            "C", (1,), x=np.array([0.2, -0.2]), h=1e-3
-        )
-        assert err is not None and err < 1e-4
+        assert float(norm_sq((1,))) == 0.5
+        (err,), = analysis._relative_errors("C", (1,), np.array([[0.2, -0.2]]), (1e-3,))
+        assert err < 1e-4
 
     @given(weights(max_rank=8, min_coord=-10**9, max_coord=10**12))
     def test_float_norm_is_the_rounded_fraction(self, lam):
-        assert analysis._norm_sq(lam) == float(lie.norm_sq(lam))
-
-    def test_zero_weight_is_harmonic(self):
-        assert analysis.laplacian_eigenvalue_check("C", (0, 0)) == 0.0
+        assert analysis._norm_sq(lam) == float(norm_sq(lam))
 
     @pytest.mark.parametrize("draws", [25, 400])
-    @pytest.mark.parametrize("kind", ["C", "S"])
+    @pytest.mark.parametrize("kind", ["C", "S", "E"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_blocks_draw_and_keep_what_one_draw_at_a_time_does(self, n, kind, draws):
         # 25 draws run out before 20 points pass at most ranks; 400 do not.
+        # E sums the table rows on both sides: left to the cost model, a
+        # block's stencils of E(1, 1, 1, 1) expand while one draw's 17 do
+        # not, and the two paths' last bits, divided by h^2, differ by more
+        # than the 1e-12 compared here.
         steps = (1e-3, 5e-4)
         rng_blocks, rng_loop = np.random.default_rng(n), np.random.default_rng(n)
-        got = analysis._drawn_errors(kind, (1,) * n, rng_blocks, 20, draws, steps)
-        want = errors_by_draw(kind, (1,) * n, rng_loop, 20, draws, steps)
+        with forced_break_even(float("inf")) if kind == "E" else contextlib.nullcontext():
+            got = analysis._drawn_errors(kind, (1,) * n, rng_blocks, 20, draws, steps)
+            want = errors_by_draw(kind, (1,) * n, rng_loop, 20, draws, steps)
         assert rng_blocks.bit_generator.state == rng_loop.bit_generator.state
         assert len(got) == len(want) > 0
         assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
 
-    @pytest.mark.parametrize("kind,lam", [("C", (1, 1)), ("S", (1, 2, 1)), ("E", (1,) * 4),
-                                          ("S", (1,) * 5)])
-    @pytest.mark.parametrize("given_x", [False, True])
-    def test_check_takes_the_first_passing_draw_of_its_block(self, kind, lam, given_x):
-        # Both sides sum the table rows.  Left to the cost model, a block's
-        # 270 stencil points of E(1, 1, 1, 1) expand while one draw's 9 do
-        # not, and the two paths' last bits, divided by h^2, differ by more
-        # than the 1e-12 compared here.
-        x = np.asarray(alpha_to_e_point([0.37] * len(lam))) if given_x else None
-        rng_block, rng_loop = np.random.default_rng(4), np.random.default_rng(4)
-        with forced_break_even(float("inf")):
-            got = analysis.laplacian_eigenvalue_check(kind, lam, x=x, rng=rng_block, retries=30)
-            want = errors_by_draw(kind, lam, rng_loop, 1, 30, (1e-3,), upfront=True, x=x)
-        assert rng_block.bit_generator.state == rng_loop.bit_generator.state
-        assert got == pytest.approx(want[0][0], abs=1e-12)
-
     def test_a2_s_function(self):
-        rng = np.random.default_rng(11)
-        err = analysis.laplacian_eigenvalue_check("S", (1, 1), h=1e-3, rng=rng)
-        assert err is not None and err < 1e-4
+        errs = analysis._drawn_errors("S", (1, 1), np.random.default_rng(11), 1, 64, (1e-3,))
+        assert len(errs) == 1 and errs[0][0] < 1e-4
 
     def test_h_squared_scaling(self):
         x = np.asarray(alpha_to_e_point((0.23, 0.61)))
-        e1 = analysis.laplacian_eigenvalue_check("C", (1, 1), x=x, h=1e-3)
-        e2 = analysis.laplacian_eigenvalue_check("C", (1, 1), x=x, h=5e-4)
-        assert e1 is not None and e2 is not None
+        (e1, e2), = analysis._relative_errors("C", (1, 1), x[None], (1e-3, 5e-4))
         assert 3.0 <= e1 / e2 <= 5.0
 
-    def test_degenerate_points_report_none(self):
-        # An impossible magnitude threshold forces every retry to fail.
-        err = analysis.laplacian_eigenvalue_check("C", (1,), min_abs=1e9, retries=3)
-        assert err is None
+    def test_degenerate_points_report_none(self, monkeypatch):
+        # No point passes the |f| filter: every label reports one failed
+        # check with no error figures, and the frame check still runs.
+        monkeypatch.setattr(analysis, "_relative_errors", lambda *args: [])
+        report = analysis.run_laplace_suite(rank_bound=1, points=2)
+        assert not report.passed
+        assert [(c.name, c.passed, c.detail) for c in report.checks[:-1]] == [
+            (f"A1 {name} eigenvalue", False, "all points degenerate")
+            for name in ("C_1", "S_1", "E_1", "C_2")]
+        assert report.checks[-1].passed
 
     @pytest.mark.parametrize("lam", [(1,), (1, 1), (2, 0, 1), (1, 1, 1)])
     def test_default_threshold_below_rank_four_is_linear(self, lam):
         # Orbits of <= 100 points keep the bound 0.05 |W lam|.
         size = weyl.orbit_size(lam)
+        points = analysis._random_e_points(np.random.default_rng(2), 40, len(lam))
         for kind in ("C", "E"):
-            default = analysis.laplacian_eigenvalue_check(kind, lam, rng=np.random.default_rng(2))
-            linear = analysis.laplacian_eigenvalue_check(kind, lam, rng=np.random.default_rng(2),
-                                                         min_abs=0.05 * size)
-            assert default == linear
+            values = analysis._EVALUATORS[kind](lam, points, basis="e")
+            kept = len(analysis._relative_errors(kind, lam, points, (1e-3,)))
+            assert kept == np.count_nonzero(np.abs(values) >= 0.05 * size)
 
     @pytest.mark.parametrize("kind", ["C", "S", "E"])
     def test_large_orbits_find_a_point(self, kind):
         # |f| of 8! unit phases is ~200, far below 0.05 * 8! = 2016.
-        err = analysis.laplacian_eigenvalue_check(kind, (1,) * 7, rng=np.random.default_rng(5),
-                                                  retries=40)
-        assert err is not None and err < 1e-4
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rank_seven_s_finds_a_point_with_the_default_retries(self, seed):
-        # |S_rho| is a product of 28 sines: at rank 7 only ~1 draw in 8
-        # passes the filter, so S draws more points than C and E by default.
-        err = analysis.laplacian_eigenvalue_check("S", (1,) * 7, rng=np.random.default_rng(seed))
-        assert err is not None and err < 1e-4
+        errs = analysis._drawn_errors(kind, (1,) * 7, np.random.default_rng(5), 1, 40, (1e-3,))
+        assert len(errs) == 1 and errs[0][0] < 1e-4
 
     def test_frame_choice_is_irrelevant(self):
         lam = (1, 1)
         x = np.asarray(alpha_to_e_point((0.19, 0.41)))
-        out = []
-        for rev in (False, True):
-            frame = analysis.hyperplane_frame(2, reverse=rev)
-            out.append(analysis.fd_laplacian("C", lam, x, 1e-3, frame=frame))
-        scale = 4 * np.pi**2 * float(lie.norm_sq(lam)) * abs(of.eval_c(lam, x, basis="e"))
+        out = [analysis._fd_values("C", lam, x, (1e-3,), analysis.hyperplane_frame(2, rev))[1][0]
+               for rev in (False, True)]
+        scale = 4 * np.pi**2 * float(norm_sq(lam)) * abs(of.eval_c(lam, x, basis="e"))
         assert abs(out[0] - out[1]) < 1e-4 * scale
 
-    def test_step_guard(self):
-        with pytest.raises(ValueError):
-            analysis.laplacian_eigenvalue_check("C", (1,), h=0.5)
+    def test_step_guard(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("suite work started before the refusal")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_drawn_errors", must_not_run)
+            for h in (0.0, -1e-3, 0.0101, 0.5, float("nan")):
+                with pytest.raises(ValueError, match=re.escape("step h must lie in (0, 0.01]")):
+                    analysis.run_laplace_suite(rank_bound=1, h=h)
+        assert len(analysis.run_laplace_suite(rank_bound=1, points=2, h=0.01).checks) == 9
 
 
 class TestSymmetrySuite:
@@ -664,6 +641,23 @@ class TestSuiteRunners:
     def test_laplace(self):
         report = analysis.run_laplace_suite(rank_bound=2, points=6)
         assert report.passed
+
+    @pytest.mark.parametrize("suite", [*analysis.SUITES, "all"])
+    @pytest.mark.parametrize("bounds,message", [
+        ({"rank_bound": 0}, "rank bound must lie in 1..8"),
+        ({"rank_bound": 9}, "rank bound must lie in 1..8"),
+        ({"coord_bound": 0}, "coordinate bound must be >= 1"),
+        ({"coord_bound": -2}, "coordinate bound must be >= 1"),
+    ])
+    def test_bounds_refused_before_any_work(self, suite, bounds, message, monkeypatch):
+        # A suite that ignores a bound refuses a bad one too.
+        def must_not_run(**kwargs):
+            raise AssertionError("suite work started before the refusal")
+
+        for name in analysis.SUITES:
+            monkeypatch.setitem(analysis.SUITES, name, must_not_run)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analysis.run_suite(suite, **bounds)
 
     def test_laplace_at_rank_eight(self):
         # Every rank-7 and rank-8 label finds points above the magnitude

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
+import ast
 import json
 import math
 import pathlib
@@ -521,9 +522,9 @@ class TestFuzz:
 
 def test_package_import_loads_no_unused_stdlib_modules():
     # After numpy and click, ``import orbitpoly.cli`` adds the package, not
-    # the standard modules no import needs: nothing uses dataclasses, and
-    # fractions (which loads decimal), json and heapq are imported inside
-    # the functions that use them.  numpy stays loaded, with ``analysis``,
+    # the standard modules no import needs: nothing uses dataclasses or
+    # fractions (which loads decimal), and json and heapq are imported
+    # inside the functions that use them.  numpy stays loaded, with ``analysis``,
     # until the exact commands stop importing it (ROADMAP item 2).
     script = (
         "import sys\n"
@@ -540,3 +541,37 @@ def test_package_import_loads_no_unused_stdlib_modules():
     unused = {"dataclasses", "fractions", "decimal", "json", "heapq"}
     assert not unused & set(added.split()), added
     assert loaded == "True True"
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # Each name ``orbitpoly`` re-exports is read by code other than its
+    # definition and ``__init__``: another module of the package, the
+    # benchmark or a script, by name, as an attribute, in an import or as a
+    # string (the benchmark patches its spans in by ``getattr``).  The
+    # parse sees code only, and docstrings are left out, so a mention in a
+    # docstring or a comment does not count.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = root / "src" / "orbitpoly"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py"),
+                 *(root / "scripts").glob("*.py")]:
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docstrings:
+                used.add(node.value)
+    assert sorted(exported - used) == []

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, strict_weights
-from oracles import alpha_to_e_point, signed_permutations
+from oracles import alpha_to_e_point, omega_to_e, omega_to_e_matrix, signed_permutations
 
 RNG = np.random.default_rng(20259)
 
@@ -176,7 +176,7 @@ class TestWeightRows:
             weights = list(exp_sum(lam, kind).terms)
             rows = np.array(weights, dtype=float).reshape(len(weights), n)
             if basis == "e":
-                rows = rows @ np.array(lie.omega_to_e_matrix(n), dtype=float).T
+                rows = rows @ np.array(omega_to_e_matrix(n), dtype=float).T
             got = of.weight_rows(weights, n, basis)
             assert got.dtype == rows.dtype and got.shape == rows.shape
             assert got.tobytes() == rows.tobytes()
@@ -267,7 +267,7 @@ class TestOmegaToE:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cached_float_matrix_is_read_only_and_fresh(self, n):
         matrix = of._omega_to_e(n)
-        fresh = np.array(lie.omega_to_e_matrix(n), dtype=float)
+        fresh = np.array(omega_to_e_matrix(n), dtype=float)
         assert not matrix.flags.writeable
         assert matrix.shape == fresh.shape == (n + 1, n)
         assert matrix.tobytes() == fresh.tobytes()
@@ -275,7 +275,7 @@ class TestOmegaToE:
 
     def test_e_rows_match_the_fraction_matrix(self):
         rows = RNG.integers(-3, 4, size=(7, 4)).astype(float)
-        fresh = rows @ np.array(lie.omega_to_e_matrix(4), dtype=float).T
+        fresh = rows @ np.array(omega_to_e_matrix(4), dtype=float).T
         assert of._in_basis(rows, "e").tobytes() == fresh.tobytes()
 
 
@@ -425,7 +425,7 @@ class TestColumnExpansion:
     def test_rank_eight_against_the_forms(self, lam):
         assert expands(lam, "C")
         rng = np.random.default_rng(8)
-        l_e = np.array([float(v) for v in lie.omega_to_e(lam)])
+        l_e = np.array([float(v) for v in omega_to_e(lam)])
         xs = np.array([e_point(rng, 8) for _ in range(3)])
         size = weyl.orbit_size(lam)
         c = of.eval_c(lam, xs, basis="e")
@@ -742,7 +742,7 @@ class TestExponentialForms:
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1), (1, 3)])
     def test_equivalences_at_generic_weights(self, lam):
         rng = np.random.default_rng(42)
-        l = np.array([float(v) for v in lie.omega_to_e(lam)])
+        l = np.array([float(v) for v in omega_to_e(lam)])
         for _ in range(10):
             x = e_point(rng, 2)
             dp, dm, da = of.d_plus(l, x), of.d_minus(l, x), of.d_alt(l, x)
@@ -754,7 +754,7 @@ class TestExponentialForms:
     def test_stabilizer_factor_on_wall(self):
         lam = (0, 2)
         k = weyl.stabilizer_order(lam)
-        l = np.array([float(v) for v in lie.omega_to_e(lam)])
+        l = np.array([float(v) for v in omega_to_e(lam)])
         x = e_point(np.random.default_rng(3), 2)
         assert of.d_plus(l, x) == pytest.approx(
             k * of.eval_c(lam, x, basis="e"), abs=1e-10
@@ -774,7 +774,7 @@ class TestFormBatches:
     def test_batch_matches_the_per_point_loop(self, form, n, wall):
         rng = np.random.default_rng(10 * n + wall)
         lam = (2,) + (0,) * (n - 1) if wall else tuple(int(c) for c in rng.integers(1, 4, size=n))
-        l = np.array([float(v) for v in lie.omega_to_e(lam)])
+        l = np.array([float(v) for v in omega_to_e(lam)])
         xs = np.array([e_point(rng, n) for _ in range(n + 1)])
         values = FORMS[form](l, xs)
         assert isinstance(values, np.ndarray) and values.shape == (n + 1,)
@@ -786,7 +786,7 @@ class TestFormBatches:
     def test_d_alt_matches_the_even_permutation_loop(self, n):
         rng = np.random.default_rng(n)
         for lam in [tuple(int(c) for c in rng.integers(1, 4, size=n)), (0,) * (n - 1) + (2,)]:
-            l = np.array([float(v) for v in lie.omega_to_e(lam)])
+            l = np.array([float(v) for v in omega_to_e(lam)])
             for x in [e_point(rng, n) for _ in range(2)]:
                 assert abs(of.d_alt(l, x) - d_alt_loop(l, x)) <= 1e-13 * factorial(n + 1)
 
@@ -834,7 +834,7 @@ def chunk_cases():
     table_lam, wide_lam = (1, 2, 1), (1, 2, 1, 1, 3, 1)
     values, (steps, _) = of._expansion(wide_lam)
     expanded = (steps[-1][1] + 1) * len(values)
-    l = np.array([float(v) for v in lie.omega_to_e((2, 1, 3, 1))])
+    l = np.array([float(v) for v in omega_to_e((2, 1, 3, 1))])
     s = exp_sum((2, 1, 3), "E")
     return [
         ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(table(table_lam, "C", "alpha")[0])),
