@@ -1,6 +1,7 @@
 """Torus inner products, quadrature, Laplacian eigenvalues, symmetry checks."""
 import contextlib
 import inspect
+import random
 import re
 import tracemalloc
 from math import factorial
@@ -459,14 +460,14 @@ class TestRandomEPoints:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_matches_two_stacks(self, m, n):
         # The construction it replaced, on the same seeded stream.
-        rng, again = np.random.default_rng(404), np.random.default_rng(404)
+        rng, again = random.Random(404), random.Random(404)
         points = analysis._random_e_points(rng, m, n)
-        alpha = again.random((m, n))
+        alpha = np.array([[again.random() for _ in range(n)] for _ in range(m)])
         zero = np.zeros((m, 1))
         stacked = np.hstack([alpha, zero]) - np.hstack([zero, alpha])
         assert points.shape == stacked.shape == (m, n + 1)
         assert points.tobytes() == stacked.tobytes()
-        assert rng.bit_generator.state == again.bit_generator.state
+        assert rng.getstate() == again.getstate()
 
 
 def errors_by_draw(kind, lam, rng, points, draws, steps):
@@ -480,7 +481,7 @@ def errors_by_draw(kind, lam, rng, points, draws, steps):
     frame = analysis.hyperplane_frame(n)
     out = []
     for _ in range(draws):
-        alpha = rng.random(n)
+        alpha = [rng.random() for _ in range(n)]
         point = np.concatenate([alpha, [0.0]]) - np.concatenate([[0.0], alpha])
         stencil = [point] + [point + s * h * frame for h in steps for s in (1, -1)]
         values = analysis._EVALUATORS[kind](lam, np.vstack(stencil), basis="e")
@@ -516,16 +517,16 @@ class TestLaplacian:
         # not, and the two paths' last bits, divided by h^2, differ by more
         # than the 1e-12 compared here.
         steps = (1e-3, 5e-4)
-        rng_blocks, rng_loop = np.random.default_rng(n), np.random.default_rng(n)
+        rng_blocks, rng_loop = random.Random(n), random.Random(n)
         with forced_break_even(float("inf")) if kind == "E" else contextlib.nullcontext():
             got = analysis._drawn_errors(kind, (1,) * n, rng_blocks, 20, draws, steps)
             want = errors_by_draw(kind, (1,) * n, rng_loop, 20, draws, steps)
-        assert rng_blocks.bit_generator.state == rng_loop.bit_generator.state
+        assert rng_blocks.getstate() == rng_loop.getstate()
         assert len(got) == len(want) > 0
         assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
 
     def test_a2_s_function(self):
-        errs = analysis._drawn_errors("S", (1, 1), np.random.default_rng(11), 1, 64, (1e-3,))
+        errs = analysis._drawn_errors("S", (1, 1), random.Random(11), 1, 64, (1e-3,))
         assert len(errs) == 1 and errs[0][0] < 1e-4
 
     def test_h_squared_scaling(self):
@@ -548,7 +549,7 @@ class TestLaplacian:
     def test_default_threshold_below_rank_four_is_linear(self, lam):
         # Orbits of <= 100 points keep the bound 0.05 |W lam|.
         size = weyl.orbit_size(lam)
-        points = analysis._random_e_points(np.random.default_rng(2), 40, len(lam))
+        points = analysis._random_e_points(random.Random(2), 40, len(lam))
         for kind in ("C", "E"):
             values = analysis._EVALUATORS[kind](lam, points, basis="e")
             kept = len(analysis._relative_errors(kind, lam, points, (1e-3,)))
@@ -557,7 +558,7 @@ class TestLaplacian:
     @pytest.mark.parametrize("kind", ["C", "S", "E"])
     def test_large_orbits_find_a_point(self, kind):
         # |f| of 8! unit phases is ~200, far below 0.05 * 8! = 2016.
-        errs = analysis._drawn_errors(kind, (1,) * 7, np.random.default_rng(5), 1, 40, (1e-3,))
+        errs = analysis._drawn_errors(kind, (1,) * 7, random.Random(5), 1, 40, (1e-3,))
         assert len(errs) == 1 and errs[0][0] < 1e-4
 
     def test_frame_choice_is_irrelevant(self):
@@ -648,6 +649,14 @@ class TestSuiteRunners:
         ({"rank_bound": 9}, "rank bound must lie in 1..8"),
         ({"coord_bound": 0}, "coordinate bound must be >= 1"),
         ({"coord_bound": -2}, "coordinate bound must be >= 1"),
+        ({"rank_bound": 2.5}, "rank bound must lie in 1..8"),
+        ({"rank_bound": True}, "rank bound must lie in 1..8"),
+        ({"coord_bound": 1.5}, "coordinate bound must be >= 1"),
+        ({"coord_bound": True}, "coordinate bound must be >= 1"),
+        ({"seed": -1}, "seed must be a non-negative integer, not -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, not 1.5"),
+        ({"seed": "7"}, "seed must be a non-negative integer, not '7'"),
+        ({"seed": True}, "seed must be a non-negative integer, not True"),
     ])
     def test_bounds_refused_before_any_work(self, suite, bounds, message, monkeypatch):
         # A suite that ignores a bound refuses a bad one too.
@@ -665,6 +674,25 @@ class TestSuiteRunners:
         report = analysis.run_laplace_suite(rank_bound=8)
         assert report.passed, report.render_text()
 
+    @pytest.mark.parametrize("seed", [2, 4, 32])
+    def test_laplace_bound_follows_the_truncation_term(self, seed):
+        # Each seed draws a rank 6-8 label whose error exceeds 1e-4 yet stays
+        # within its truncation term; every rank <= 3 row keeps 1e-4.
+        report = analysis.run_laplace_suite(rank_bound=8, seed=seed)
+        assert report.passed, report.render_text()
+        rows = [c for c in report.checks if "relative error" in c.name]
+        over = {c.name[:2] for c in rows if float(c.detail.split()[1]) > 1e-4}
+        assert over and over <= {"A6", "A7", "A8"}
+        assert all(" < 1e-4 at " in c.name for c in rows if c.name[:2] in ("A1", "A2", "A3"))
+
+    def test_laplace_fails_a_tenth_of_a_percent_eigenvalue_error_at_every_rank(self, monkeypatch):
+        norm_sq = analysis._norm_sq
+        monkeypatch.setattr(analysis, "_norm_sq", lambda lam: 1.001 * norm_sq(lam))
+        report = analysis.run_laplace_suite(rank_bound=8)
+        failed = {c.name[:2] for c in report.checks
+                  if "relative error" in c.name and not c.passed}
+        assert failed == {f"A{n}" for n in range(1, 9)}
+
     def test_symmetry(self):
         report = analysis.run_symmetry_suite(rank_bound=2, coord_bound=2, trials=25)
         assert report.passed
@@ -672,11 +700,11 @@ class TestSuiteRunners:
     @pytest.mark.parametrize("n,c,seed", [(3, 3, 1729), (2, 5, 7), (4, 2, 3), (3, 1, 1729)])
     def test_symmetry_labels_are_the_pool_draw(self, n, c, seed):
         # The draw as it was: two entries of the whole c^k pool, by the same rng.
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         names = []
         for k in range(1, n + 1):
             pool = strictly_dominant_weights(k, c)
-            idx = rng.choice(len(pool), size=min(2, len(pool)), replace=False)
+            idx = rng.sample(range(len(pool)), min(2, len(pool)))
             lams = {(1,) * k, *(pool[i] for i in idx), (c,) + (0,) * (k - 1)}
             names += [f"A{k} symmetry at {lam}" for lam in sorted(lams)]
         report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed, trials=3)
@@ -730,7 +758,7 @@ class TestSuiteRunners:
         # m^2 complex allowance and a few per-point results.
         monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 14)
         lam, m, count = (1, 2, 1, 1, 1, 1), 7, 400
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         xs = np.array([analysis._random_e_points(rng, 1, 6)[0] for _ in range(count)])
         analysis._form_deviations(lam, xs[:3])  # the cached tables are not transients
         tracemalloc.start()
@@ -758,13 +786,12 @@ class TestSuiteRunners:
         # Replay the suite's draws: a rank's labels, then their points, then
         # the wall's points.  Six samples a rank leave most of the 3 + 9 + 27
         # labels undrawn, so only the suite's own draw order finds its set.
-        rng = np.random.default_rng(4)
+        rng = random.Random(4)
         labels = set()
         for n in range(1, 4):
-            labels.update(map(tuple, rng.integers(1, 4, size=(6, n)).tolist()))
-            rng.random((6, n))
-            if n >= 2:
-                rng.random((10, n))
+            labels.update(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(6))
+            for _ in range((6 + 10 * (n >= 2)) * n):  # the samples' points, then the wall's
+                rng.random()
         assert len(labels) < 3 + 9 + 27
         assert drawn == labels  # eval_s takes every drawn label, and only those
         per_label = dict.fromkeys(("d_plus", "d_minus", "d_alt", "eval_c"), len(labels) + 2)

@@ -2,6 +2,7 @@
 import ast
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -237,6 +238,10 @@ class TestVerifyCommand:
     def test_bad_bounds_exit_2(self, runner):
         assert runner.invoke(cli.main, ["verify", "-s", "ortho", "-n", "99"]).exit_code == 2
         assert runner.invoke(cli.main, ["verify", "-s", "nope"]).exit_code == 2
+        result = runner.invoke(cli.main, ["verify", "--seed", "-1"])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        assert [line for line in result.output.splitlines() if "seed" in line] == [
+            "Error: seed must be a non-negative integer, not -1"]
 
     @pytest.mark.parametrize("suite", ["ortho", "all"])
     def test_oversized_ortho_refused_up_front(self, runner, monkeypatch, suite):
@@ -377,6 +382,17 @@ class TestDeterminism:
         second = runner.invoke(cli.main, args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
+
+    def test_verify_ignores_the_hash_seed(self):
+        # Every drawn label and point comes from the seed alone, never from
+        # the iteration order of a set or dict of str.
+        args = [sys.executable, "-m", "orbitpoly.cli", "verify", "-s", "all", "--seed", "7",
+                "--json"]
+        outs = [subprocess.run(args, capture_output=True, timeout=60,
+                               env={**os.environ, "PYTHONHASHSEED": hash_seed})
+                for hash_seed in ("0", "1")]
+        assert [proc.returncode for proc in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
 
 
 def _console(*args):
@@ -541,6 +557,19 @@ def test_package_import_loads_no_unused_stdlib_modules():
     unused = {"dataclasses", "fractions", "decimal", "json", "heapq"}
     assert not unused & set(added.split()), added
     assert loaded == "True True"
+
+
+def test_suites_never_import_numpy_random():
+    # Every suite draws from the stdlib ``random``, already loaded with the
+    # package; numpy.random would cost ~6 MiB and ~9 ms in each process.
+    script = ("import sys, orbitpoly\n"
+              "orbitpoly.run_suite('all')\n"
+              "orbitpoly.symmetry_suite((1, 2), trials=3)\n"
+              "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_every_public_name_is_used_outside_the_tests():
