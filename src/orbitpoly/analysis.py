@@ -162,6 +162,10 @@ def quadrature_inner_product(
     frequency; below that bound an AliasingWarning is issued and the value
     may fold distinct frequencies together.
     """
+    if type(n_points) is not int or n_points < 1:
+        raise ValueError(f"n_points must be a positive integer, not {n_points!r}")
+    if len(lam_a) != len(lam_b):
+        raise ValueError(f"rank mismatch: {len(lam_a)} vs {len(lam_b)}")
     bound = nyquist_points(exp_sum(lam_a, kind), exp_sum(lam_b, kind))
     if n_points < bound:
         warnings.warn(f"{n_points} points per axis is below the alias-free bound {bound}",
@@ -232,15 +236,6 @@ def _fd_block(
     return centre, (sums.view(float) / np.repeat(np.square(steps), 2)).view(complex)
 
 
-def _fd_values(
-    kind: str, lam: Sequence[int], x_e: np.ndarray, steps: Sequence[float], frame: np.ndarray,
-) -> tuple[complex, list[complex]]:
-    """f at the e-point x_e and its central-difference Laplacian for each
-    step h (``_fd_block`` of one point)."""
-    centre, laps = _fd_block(kind, lam, np.asarray(x_e, dtype=float)[None], steps, frame)
-    return complex(centre[0]), [complex(lap) for lap in laps[0]]
-
-
 def _norm_sq(lam: Sequence[int]) -> float:
     """<lam, lam> as the correctly rounded float: on the suffix sums p, the
     integer (n+1) sum p^2 - (sum p)^2 divided by n+1 once."""
@@ -294,15 +289,19 @@ class SymmetryReport(Record):
         return {"lambda": list(fields.pop("lam")), **fields, "passed": self.passed}
 
 
+#: Points a ``symmetry_suite`` call draws; the symmetry suite's bound, times the orbit size.
+SYMMETRY_TRIALS = 100
+SYMMETRY_TOLERANCE = 1e-11
+
+
 def symmetry_suite(
-    lam: Sequence[int], trials: int = 100, seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-12,
+    lam: Sequence[int], seed: int = DEFAULT_SEED, tolerance: float = 1e-12,
 ) -> SymmetryReport:
-    """Reflection identities at random points: C invariant and S flipping
-    sign under each reflection r_i, E invariant under each even element
-    r_i r_{i+1}, and for strictly dominant lam E(x) + E(r_1 x) = C(x) (E
-    sums the even orbit points, E at r_1 x the odd ones).  Each Weyl element
-    acts on x as a permutation of its e-coordinates.
+    """Reflection identities at ``SYMMETRY_TRIALS`` random points: C
+    invariant and S flipping sign under each reflection r_i, E invariant
+    under each even element r_i r_{i+1}, and for strictly dominant lam
+    E(x) + E(r_1 x) = C(x) (E sums the even orbit points, E at r_1 x the odd
+    ones).  Each Weyl element acts on x as a permutation of its e-coordinates.
 
     Deviations are compared against tolerance * orbit size (each value is a
     sum of that many unit exponentials).
@@ -310,9 +309,9 @@ def symmetry_suite(
     lam = lie.dominant_weight(lam, "symmetry suite")
     n = len(lam)
     strict = lie.is_strictly_dominant(lam)
-    report = SymmetryReport(lam=lam, trials=trials, seed=seed,
+    report = SymmetryReport(lam=lam, trials=SYMMETRY_TRIALS, seed=seed,
                             scale=float(weyl.orbit_size(lam)), tolerance=tolerance)
-    x = _random_e_points(_rng(seed), trials, n)
+    x = _random_e_points(_rng(seed), SYMMETRY_TRIALS, n)
     c0 = orbit_functions.eval_c(lam, x, basis="e")
     s0 = orbit_functions.eval_s(lam, x, basis="e") if strict else None
     e0 = orbit_functions.eval_e(lam, x, basis="e")
@@ -511,12 +510,8 @@ def _quadrature_gram_deviation(labels: Sequence[tuple[int, ...]], n_points: int)
 def _laplace_cases(rank_bound: int) -> list[tuple[str, tuple[int, ...]]]:
     cases = []
     for n in range(1, rank_bound + 1):
-        rho = (1,) * n
-        cases.append(("C", rho))
-        cases.append(("S", rho))
-        cases.append(("E", rho))
-        for j in range(n):
-            cases.append(("C", tuple(2 if k == j else 0 for k in range(n))))
+        cases += [(kind, (1,) * n) for kind in "CSE"]
+        cases += [("C", tuple(2 if k == j else 0 for k in range(n))) for j in range(n)]
     return cases
 
 
@@ -545,17 +540,20 @@ def _drawn_errors(
 #: it up: 3.6x at most over seeds 1-40, ranks 1-8.  Below 6, rank <= 3 keeps 1e-4.
 LAPLACE_TRUNCATION_FACTOR = 5
 
+#: Points a laplace label's error maximum takes, from at most 20 times as many
+#: draws, and the finite-difference step h (the rate check also takes h/2).
+LAPLACE_POINTS = 20
+LAPLACE_STEP = 1e-3
+
 
 def run_laplace_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
-    points: int = 20, h: float = 1e-3,
 ) -> SuiteReport:
-    """Finite-difference eigenvalue identity and its h^2 convergence rate;
-    the labels are fixed per rank, so coord_bound does not apply.  The
-    relative error bound is max(1e-4, ``LAPLACE_TRUNCATION_FACTOR`` times the
-    truncation term).  Raises ValueError unless the step h lies in (0, 0.01]."""
-    if not 0 < h <= 0.01:
-        raise ValueError("step h must lie in (0, 0.01]")
+    """Finite-difference eigenvalue identity and its h^2 convergence rate at
+    ``LAPLACE_POINTS`` points a label, h = ``LAPLACE_STEP``; the labels are
+    fixed per rank, so coord_bound does not apply.  The relative error bound
+    is max(1e-4, ``LAPLACE_TRUNCATION_FACTOR`` times the truncation term)."""
+    points, h = LAPLACE_POINTS, LAPLACE_STEP
     report = SuiteReport("laplace", seed)
     rng = _rng(seed)
     for kind, lam in _laplace_cases(rank_bound):
@@ -583,9 +581,9 @@ def run_laplace_suite(
     # Frame independence at one deterministic case: two frames agree up to
     # the h^2 truncation term, so normalize like the eigenvalue check.
     lam = (1,) * min(2, rank_bound)
-    x = _random_e_points(_rng(seed), 1, len(lam))[0]
-    centre, (l1,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam)))
-    _, (l2,) = _fd_values("C", lam, x, (h,), hyperplane_frame(len(lam), reverse=True))
+    x = _random_e_points(_rng(seed), 1, len(lam))
+    (centre,), ((l1,),) = _fd_block("C", lam, x, (h,))
+    _, ((l2,),) = _fd_block("C", lam, x, (h,), hyperplane_frame(len(lam), reverse=True))
     scale = 4 * np.pi * np.pi * _norm_sq(lam) * abs(centre)
     report.add(
         "Laplacian independent of the orthonormal frame",
@@ -597,7 +595,6 @@ def run_laplace_suite(
 
 def run_symmetry_suite(
     rank_bound: int = 3, coord_bound: int = 3, seed: int = DEFAULT_SEED,
-    trials: int = 100, tolerance: float = 1e-11,
 ) -> SuiteReport:
     if coord_bound ** rank_bound > np.iinfo(np.int64).max:
         raise ValueError(f"symmetry labels: {coord_bound}^{rank_bound} exceed an int64 index")
@@ -611,7 +608,7 @@ def run_symmetry_suite(
         lams.update(tuple(int(d) + 1 for d in np.unravel_index(i, (coord_bound,) * n)) for i in idx)
         lams.add(tuple(coord_bound if k == 0 else 0 for k in range(n)))
         for lam in sorted(lams):
-            rep = symmetry_suite(lam, trials=trials, seed=seed, tolerance=tolerance)
+            rep = symmetry_suite(lam, seed=seed, tolerance=SYMMETRY_TOLERANCE)
             report.add(
                 f"A{n} symmetry at {lam}",
                 rep.passed,
@@ -708,17 +705,23 @@ def _form_deviations(lam: tuple[int, ...], xs: np.ndarray) -> dict[str, float]:
     return {key: float(np.abs(dev).max()) for key, dev in devs.items()}
 
 
+#: Random (label, point) samples of the detforms suite a rank, and its bound
+#: on deviations as a multiple of (n+1)!.
+DETFORMS_SAMPLES = 100
+DETFORMS_TOLERANCE = 1e-9
+
+
 def run_detforms_suite(
     rank_bound: int = 4, coord_bound: int = 3, seed: int = DEFAULT_SEED,
-    samples: int = 100, tolerance: float = 1e-9,
 ) -> SuiteReport:
     """Permanent/determinant/alternating forms against C, S, E functions.
 
     Each form sums (n+1)! unit exponentials, so deviations are compared
-    against tolerance * (n+1)!.  A rank draws its samples' labels, then
-    their points, from ``_rng(seed)`` and evaluates the samples once per
-    label, as one batch: ``samples`` scales memory as a batch size does,
-    while the tables, arrangements and evaluation chunks are bounded by constants.
+    against ``DETFORMS_TOLERANCE`` * (n+1)!.  A rank draws its
+    ``DETFORMS_SAMPLES`` samples' labels, then their points, from
+    ``_rng(seed)`` and evaluates the samples once per label, as one batch:
+    the sample count scales memory as a batch size does, while the tables,
+    arrangements and evaluation chunks are bounded by constants.
 
     On the column expansion S is also a determinant, yet "determinant form
     = S" still compares two computations: ``d_minus`` builds its matrix
@@ -732,10 +735,10 @@ def run_detforms_suite(
     report = SuiteReport("detforms", seed)
     rng = _rng(seed)
     for n in range(1, rank_bound + 1):
-        bound = tolerance * factorial(n + 1)
-        labels = [[rng.randint(1, coord_bound) for _ in range(n)] for _ in range(samples)]
+        bound = DETFORMS_TOLERANCE * factorial(n + 1)
+        labels = [[rng.randint(1, coord_bound) for _ in range(n)] for _ in range(DETFORMS_SAMPLES)]
         points: dict[tuple[int, ...], list] = {}
-        for lam, x in zip(labels, _random_e_points(rng, samples, n)):
+        for lam, x in zip(labels, _random_e_points(rng, DETFORMS_SAMPLES, n)):
             points.setdefault(tuple(lam), []).append(x)
         worst = dict.fromkeys(_FORM_CHECKS, 0.0)
         for lam, xs in points.items():

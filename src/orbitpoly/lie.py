@@ -62,7 +62,8 @@ def suffix_sums(lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def congruence_number(lam: Sequence[int]) -> int:
-    """sum_k k*lam_k (the sum of the suffix sums) mod (n+1); additive under weight addition."""
+    """sum_k k*lam_k (the suffix sums' sum) mod (n+1), additive; lam is checked by ``as_weight``."""
+    lam = as_weight(lam)
     return sum(suffix_sums(lam)) % (len(lam) + 1)
 
 

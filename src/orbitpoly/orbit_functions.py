@@ -92,13 +92,13 @@ def _omega_to_e(n: int) -> np.ndarray:
 CHUNK_CELLS = 1 << 20
 
 
-def _chunked(values, points: np.ndarray, cells: int, shape: tuple = ()) -> np.ndarray:
-    """The (m, *shape) array of values(chunk) over chunks of whole points of
+def _chunked(values, points: np.ndarray, cells: int) -> np.ndarray:
+    """The (m,) array of values(chunk) over chunks of whole points of
     the batch, ``cells`` cells a point, at most CHUNK_CELLS cells a chunk
     but never one point of a larger batch: one point takes BLAS's
     matrix-vector product, whose last bits can differ from the
     matrix-matrix product of a larger chunk."""
-    out = np.empty((len(points),) + shape, dtype=complex)
+    out = np.empty(len(points), dtype=complex)
     step = max(2, CHUNK_CELLS // max(cells, 1))
     starts = range(0, max(len(points) - 1, 1), step)
     for start, stop in zip(starts, [*starts[1:], len(points)]):
@@ -208,11 +208,7 @@ def _width(n: int, basis: str) -> int:
 
 def _points(x, width: int, basis: str) -> np.ndarray:
     """x as float coordinates of one point (width,) or a batch (m, width)."""
-    return _shaped(np.asarray(x, dtype=float), width, basis)
-
-
-def _shaped(x: np.ndarray, width: int, basis: str) -> np.ndarray:
-    """The float array x, checked to be one point (width,) or a batch."""
+    x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise ValueError(f"{basis} point must have length {width}, or a batch shape "
                          f"(m, {width}); got shape {x.shape}")
@@ -388,7 +384,7 @@ def _workspace(size: int) -> np.ndarray:
 
 
 def _evaluate(dom: tuple[int, ...], kind: str, x, basis: str) -> complex | np.ndarray:
-    x = _shaped(np.asarray(x, dtype=float), _width(len(dom), basis), basis)
+    x = _points(x, _width(len(dom), basis), basis)
     # A batch that expands reads only the break-even; any other call reads
     # its label's one table entry, which has no rows where one point expands.
     if x.ndim == 1 or len(x) < _costs(dom, kind)[0]:

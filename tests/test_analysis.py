@@ -206,6 +206,18 @@ class TestQuadrature:
             value = analysis.quadrature_inner_product("C", (3,), (3,), 6)
         assert value.real == pytest.approx(4.0)  # exact value is 2
 
+    @pytest.mark.parametrize("n_points", [0, -3, 2.5, True, "8", None])
+    def test_refuses_a_grid_that_is_not_a_positive_int(self, n_points, monkeypatch):
+        monkeypatch.setattr(analysis, "exp_sum", None)  # refused before any sum is built
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_points must be a positive integer, not {n_points!r}")):
+            analysis.quadrature_inner_product("C", (1, 0), (1, 0), n_points)
+
+    def test_refuses_labels_of_unequal_rank(self, monkeypatch):
+        monkeypatch.setattr(analysis, "exp_sum", None)
+        with pytest.raises(ValueError, match=re.escape("rank mismatch: 2 vs 3")):
+            analysis.quadrature_inner_product("C", (1, 0), (1, 0, 0), 8)
+
     def test_nyquist_bound(self):
         a = exp_sum((3,), "C")
         assert analysis.nyquist_points(a, a) == 7
@@ -538,7 +550,8 @@ class TestLaplacian:
         # No point passes the |f| filter: every label reports one failed
         # check with no error figures, and the frame check still runs.
         monkeypatch.setattr(analysis, "_relative_errors", lambda *args: [])
-        report = analysis.run_laplace_suite(rank_bound=1, points=2)
+        monkeypatch.setattr(analysis, "LAPLACE_POINTS", 2)
+        report = analysis.run_laplace_suite(rank_bound=1)
         assert not report.passed
         assert [(c.name, c.passed, c.detail) for c in report.checks[:-1]] == [
             (f"A1 {name} eigenvalue", False, "all points degenerate")
@@ -564,26 +577,33 @@ class TestLaplacian:
     def test_frame_choice_is_irrelevant(self):
         lam = (1, 1)
         x = np.asarray(alpha_to_e_point((0.19, 0.41)))
-        out = [analysis._fd_values("C", lam, x, (1e-3,), analysis.hyperplane_frame(2, rev))[1][0]
-               for rev in (False, True)]
+        out = [analysis._fd_block("C", lam, x[None], (1e-3,), analysis.hyperplane_frame(2, rev))
+               [1][0, 0] for rev in (False, True)]
         scale = 4 * np.pi**2 * float(norm_sq(lam)) * abs(of.eval_c(lam, x, basis="e"))
         assert abs(out[0] - out[1]) < 1e-4 * scale
 
-    def test_step_guard(self, monkeypatch):
-        def must_not_run(*args):
-            raise AssertionError("suite work started before the refusal")
+    def test_frame_check_takes_one_point_in_two_frames(self, monkeypatch):
+        # The suite's frame check is two one-row blocks at the same drawn
+        # point, in the default frame and in the reversed one.
+        seen = []
+        block = analysis._fd_block
 
-        with monkeypatch.context() as patch:
-            patch.setattr(analysis, "_drawn_errors", must_not_run)
-            for h in (0.0, -1e-3, 0.0101, 0.5, float("nan")):
-                with pytest.raises(ValueError, match=re.escape("step h must lie in (0, 0.01]")):
-                    analysis.run_laplace_suite(rank_bound=1, h=h)
-        assert len(analysis.run_laplace_suite(rank_bound=1, points=2, h=0.01).checks) == 9
+        def recorded(kind, lam, x_e, steps, frame=None):
+            seen.append((x_e, frame))
+            return block(kind, lam, x_e, steps, frame)
+
+        monkeypatch.setattr(analysis, "_drawn_errors", lambda *args: [[1e-6, 2.5e-7]])
+        monkeypatch.setattr(analysis, "_fd_block", recorded)
+        report = analysis.run_laplace_suite(rank_bound=2)
+        (x1, f1), (x2, f2) = seen
+        assert x1.shape == (1, 3) and np.array_equal(x1, x2)
+        assert f1 is None and np.array_equal(f2, analysis.hyperplane_frame(2, reverse=True))
+        assert report.checks[-1].passed
 
 
 class TestSymmetrySuite:
     def test_a2_rho_passes(self):
-        rep = analysis.symmetry_suite((1, 1), trials=100)
+        rep = analysis.symmetry_suite((1, 1))
         assert rep.passed
         assert rep.scale == 6
 
@@ -591,23 +611,26 @@ class TestSymmetrySuite:
         x = 0.3
         assert of.eval_s((3,), (-x,)) == pytest.approx(-of.eval_s((3,), (x,)), abs=1e-12)
 
-    def test_zero_weight_trivial(self):
-        rep = analysis.symmetry_suite((0, 0), trials=5)
+    def test_zero_weight_trivial(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 5)
+        rep = analysis.symmetry_suite((0, 0))
         assert rep.passed
 
     @pytest.mark.parametrize("lam", [(1, 2), (0, 2, 0), (1, 1, 1, 1, 1)])
-    def test_e_deviation_is_measured(self, lam):
+    def test_e_deviation_is_measured(self, lam, monkeypatch):
         # E at the permuted points is a different sum over the same orbit:
         # rounding shows, where comparing E with itself would read 0.
-        assert analysis.symmetry_suite(lam, trials=20).max_e_dev > 0
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 20)
+        assert analysis.symmetry_suite(lam).max_e_dev > 0
 
-    def test_odd_row_in_the_even_table_fails(self):
+    def test_odd_row_in_the_even_table_fails(self, monkeypatch):
         """One odd arrangement swapped into the E rows breaks the even
         element invariance from rank 2 on; at rank 1 the single even row and
         the single odd one are exchanged by r_1, so nothing can see it."""
         # Every call sums its table, where the odd row is: a batch of 20
         # points at rank 5 would otherwise take the column expansion.  The
         # fresh cache holds the altered tables, so none outlives the check.
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 20)
         with forced_break_even(float("inf")) as tables:
             real = tables.__wrapped__
 
@@ -622,15 +645,16 @@ class TestSymmetrySuite:
             with mock.patch.object(of, "_tables", weyl._bounded_cache(
                     of._entry_rows, of.TABLE_ROW_BOUND)(odd_row)):
                 for n in range(2, 6):
-                    assert not analysis.symmetry_suite((1,) * n, trials=20).passed, n
-                assert analysis.symmetry_suite((1,), trials=20).passed
-                assert not analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
-        assert analysis.run_symmetry_suite(rank_bound=3, trials=20).passed
+                    assert not analysis.symmetry_suite((1,) * n).passed, n
+                assert analysis.symmetry_suite((1,)).passed
+                assert not analysis.run_symmetry_suite(rank_bound=3).passed
+        assert analysis.run_symmetry_suite(rank_bound=3).passed
 
-    def test_report_dict_carries_seed(self):
-        rep = analysis.symmetry_suite((1, 1), trials=3, seed=99)
+    def test_report_dict_carries_seed(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 3)
+        rep = analysis.symmetry_suite((1, 1), seed=99)
         data = rep.as_dict()
-        assert data["seed"] == 99
+        assert data["seed"] == 99 and data["trials"] == 3
         assert data["passed"]
 
 
@@ -639,8 +663,9 @@ class TestSuiteRunners:
         report = analysis.run_ortho_suite(rank_bound=2, coord_bound=2)
         assert report.passed
 
-    def test_laplace(self):
-        report = analysis.run_laplace_suite(rank_bound=2, points=6)
+    def test_laplace(self, monkeypatch):
+        monkeypatch.setattr(analysis, "LAPLACE_POINTS", 6)
+        report = analysis.run_laplace_suite(rank_bound=2)
         assert report.passed
 
     @pytest.mark.parametrize("suite", [*analysis.SUITES, "all"])
@@ -693,12 +718,13 @@ class TestSuiteRunners:
                   if "relative error" in c.name and not c.passed}
         assert failed == {f"A{n}" for n in range(1, 9)}
 
-    def test_symmetry(self):
-        report = analysis.run_symmetry_suite(rank_bound=2, coord_bound=2, trials=25)
+    def test_symmetry(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 25)
+        report = analysis.run_symmetry_suite(rank_bound=2, coord_bound=2)
         assert report.passed
 
     @pytest.mark.parametrize("n,c,seed", [(3, 3, 1729), (2, 5, 7), (4, 2, 3), (3, 1, 1729)])
-    def test_symmetry_labels_are_the_pool_draw(self, n, c, seed):
+    def test_symmetry_labels_are_the_pool_draw(self, n, c, seed, monkeypatch):
         # The draw as it was: two entries of the whole c^k pool, by the same rng.
         rng = random.Random(seed)
         names = []
@@ -707,12 +733,14 @@ class TestSuiteRunners:
             idx = rng.sample(range(len(pool)), min(2, len(pool)))
             lams = {(1,) * k, *(pool[i] for i in idx), (c,) + (0,) * (k - 1)}
             names += [f"A{k} symmetry at {lam}" for lam in sorted(lams)]
-        report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed, trials=3)
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 3)
+        report = analysis.run_symmetry_suite(rank_bound=n, coord_bound=c, seed=seed)
         assert [check.name for check in report.checks] == names
 
-    def test_symmetry_at_a_pool_too_large_to_build(self):
+    def test_symmetry_at_a_pool_too_large_to_build(self, monkeypatch):
         # 20^8 labels, far too many to build: two are drawn by index.
-        report = analysis.run_symmetry_suite(rank_bound=8, coord_bound=20, trials=3)
+        monkeypatch.setattr(analysis, "SYMMETRY_TRIALS", 3)
+        report = analysis.run_symmetry_suite(rank_bound=8, coord_bound=20)
         assert report.passed, report.render_text()
         assert report.checks[-1].name.startswith("A8 symmetry at ")
         with pytest.raises(ValueError, match="int64"):
@@ -742,13 +770,15 @@ class TestSuiteRunners:
             "fixed low-degree coefficient tables": True,
         }
 
-    def test_detforms(self):
-        report = analysis.run_detforms_suite(rank_bound=2, samples=25)
+    def test_detforms(self, monkeypatch):
+        monkeypatch.setattr(analysis, "DETFORMS_SAMPLES", 25)
+        report = analysis.run_detforms_suite(rank_bound=2)
         assert report.passed
 
-    def test_detforms_at_rank_seven(self):
+    def test_detforms_at_rank_seven(self, monkeypatch):
         # Each form sums 8! unit exponentials: the bound scales with (n+1)!.
-        report = analysis.run_detforms_suite(rank_bound=7, samples=1)
+        monkeypatch.setattr(analysis, "DETFORMS_SAMPLES", 1)
+        report = analysis.run_detforms_suite(rank_bound=7)
         assert report.passed, report.render_text()
 
     def test_detforms_memory_estimate(self, monkeypatch):
@@ -781,7 +811,8 @@ class TestSuiteRunners:
                     drawn.add(args[0])
                 return _f(*args, **kwargs)
             monkeypatch.setattr(of, name, counted)
-        report = analysis.run_detforms_suite(rank_bound=3, coord_bound=3, samples=6, seed=4)
+        monkeypatch.setattr(analysis, "DETFORMS_SAMPLES", 6)
+        report = analysis.run_detforms_suite(rank_bound=3, coord_bound=3, seed=4)
         assert report.passed
         # Replay the suite's draws: a rank's labels, then their points, then
         # the wall's points.  Six samples a rank leave most of the 3 + 9 + 27
@@ -809,6 +840,15 @@ class TestSuiteRunners:
         assert list(params)[:3] == ["rank_bound", "coord_bound", "seed"]
         kwargs = dict(rank_bound=2, coord_bound=2, seed=5)
         assert analysis.run_suite(name, **kwargs) == [analysis.SUITES[name](**kwargs)]
+
+    @pytest.mark.parametrize("function,names", [
+        *[(suite, ["rank_bound", "coord_bound", "seed"]) for suite in analysis.SUITES.values()],
+        (analysis.symmetry_suite, ["lam", "seed", "tolerance"]),
+    ])
+    def test_suites_take_only_their_bounds_and_seed(self, function, names):
+        # Sample sizes, steps and tolerances are module constants, so no
+        # caller can shrink a suite to a check of nothing.
+        assert list(inspect.signature(function).parameters) == names
 
     def test_run_suite_keeps_suite_defaults(self):
         assert analysis.run_suite("detforms", seed=5) == [analysis.run_detforms_suite(seed=5)]

@@ -183,6 +183,16 @@ class TestCongruence:
         assert lie.congruence_number((1, 1)) == 0
         assert lie.congruence_number((1, 0, 2)) == 3
 
+    @pytest.mark.parametrize("lam,message", [
+        ((0.5, 1), "weight coordinates must be integers, got 0.5"),
+        ((1, True), "weight coordinates must be integers, got True"),
+        ((), "rank must be a positive integer, got 0"),
+        ((1,) * 9, "rank 9 exceeds the configured maximum 8"),
+    ])
+    def test_refuses_what_as_weight_refuses(self, lam, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lie.congruence_number(lam)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_fundamental_weights_hit_each_class(self, n):
         for j in range(1, n + 1):
