@@ -16,7 +16,6 @@ from .orbit_functions import (
     eval_c,
     eval_e,
     eval_s,
-    permanent,
 )
 from .exp_ring import (
     ExpSum,

@@ -465,10 +465,12 @@ def quadrature_gram(functions: Sequence[tuple[str, Sequence[int]]], n_points: in
     sums the whole of W, so when every function is a C-function the nodes
     are one per W-orbit.  The values at the nodes come from
     ``eval_c``/``eval_s``/``eval_e``, one batch per function, so each label
-    takes the path its batch size makes cheaper."""
+    takes the path its batch size makes cheaper, into one array."""
     n = len(functions[0][1])
     nodes, sizes = grid_orbits(n, n_points, even=any(kind != "C" for kind, _ in functions))
-    values = np.array([_EVALUATORS[kind](lam, nodes, basis="e") for kind, lam in functions])
+    values = np.empty((len(functions), len(nodes)), dtype=complex)
+    for row, (kind, lam) in zip(values, functions):
+        row[:] = _EVALUATORS[kind](lam, nodes, basis="e")
     return (values * sizes) @ values.conj().T / n_points ** n
 
 
@@ -723,14 +725,15 @@ def run_detforms_suite(
     the sample count scales memory as a batch size does, while the tables,
     arrangements and evaluation chunks are bounded by constants.
 
-    On the column expansion S is also a determinant, yet "determinant form
-    = S" still compares two computations: ``d_minus`` builds its matrix
-    from the label's e-coordinates p - mean(p) (p its suffix sums) and the
-    raw e-point, ``eval_s`` from the integer suffix sums p themselves and
-    y = x - mean(x), so a fault in either matrix shows (the
-    two differ by ~1e-12 at rank 6 from rounding alone).  numpy's LU itself
-    is pinned by "alternating = (permanent + determinant)/2", which checks
-    it against Ryser's permanent and ``exp_kernel``'s even-permutation sum.
+    On the column expansion S is a determinant and C runs ``d_plus``'s
+    Glynn kernel, yet "= S" and "= stabilizer * C" still compare two
+    computations: the forms build their matrices from the label's
+    e-coordinates p - mean(p) (p its suffix sums) and the raw e-point,
+    ``eval_*`` from the integer p and y = x - mean(x), with equal rows
+    grouped, so a fault in either matrix or the grouping shows (~1e-12 at
+    rank 6 from rounding alone).  "alternating = (permanent +
+    determinant)/2" pins the shared kernel and numpy's LU independently,
+    against ``d_alt``, ``exp_kernel``'s even-permutation sum.
     """
     report = SuiteReport("detforms", seed)
     rng = _rng(seed)

@@ -27,15 +27,18 @@ break-even alone.
   this path gives ``ExpSum.evaluate``'s value bit for bit.  Every label of
   rank <= 3 (``TABLE_FLOOR_ROWS``) takes it whatever the batch, and so does
   every label of rank <= 5 at one point.
-- the column expansion (``_expand``) fills the permanent of
-  exp(2*pi*i p_j y_k), p the label's suffix sums, one column at a time for
-  C, with d*m exponentials and at most 2^m * m products a point instead of
-  |W lam| exponentials; S is the determinant of the same matrix (one LU),
-  and a generic E is (C + S)/2.  Orbits of more than about 800 points
-  (every generic label from rank 6 on) take it at one point, and most
-  orbits of rank 4 and 5 in a batch (from 11 points for a generic rank-4
-  C, from 2 for a generic rank-5 C).  Its values agree with the table's
-  within 1e-12 * |W lam|, not bit for bit.
+- the column expansion (``_expand``) sums the permanent of
+  exp(2*pi*i p_j y_k), p the label's suffix sums, by Glynn's formula with
+  equal rows grouped (``_glynn``, ``_glynn_plan``): d*m exponentials, one
+  (m, d) x (d, T) product and m*T products a point, T <= 2^(m-1), instead
+  of |W lam| exponentials, and for a batch one matrix product a chunk; S
+  is the determinant of the same matrix (one LU), and a generic E is
+  (C + S)/2.  ``permanent``, and so ``d_plus``, runs the same kernel with
+  every row its own group.  Orbits of more than 720 points (every generic label
+  from rank 6 on) take it at one point, and most orbits of rank 4 and 5
+  in a batch (from 8 points for a generic rank-4 C, from 2 for a generic
+  rank-5 C).  Its values agree with the table's within 1e-12 * |W lam|,
+  not bit for bit.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ import itertools
 import threading
 import warnings
 from functools import lru_cache
-from math import inf, isfinite, prod
+from math import comb, factorial, inf, isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -86,20 +89,26 @@ def _omega_to_e(n: int) -> np.ndarray:
     return matrix
 
 
-#: Most cells (points x weight rows in ``exp_kernel``, points x states x
-#: values in ``_expand``, m * 2^m or m^2 a point in ``d_plus``/``d_minus``)
-#: one evaluation chunk holds, at ~24 bytes a cell.
+#: Most cells (points x weight rows in ``exp_kernel``, points x
+#: (m*d + (m + 1)*T) in ``_expand`` and ``d_plus``, m^2 a point in
+#: ``d_minus``) one evaluation chunk holds, at ~24 bytes a cell.
 CHUNK_CELLS = 1 << 20
 
+#: Most (complex) cells of one chunk of ``_expand`` in the thread's scratch,
+#: 1 MiB that stays in a core's L2 cache from the product that writes the row sums
+#: to the reductions that read them: against ``CHUNK_CELLS``, a 660-point
+#: rank-8 C batch took 10.7 against 14.8 us a point (x86-64, one BLAS thread).
+SCRATCH_CELLS = 1 << 16
 
-def _chunked(values, points: np.ndarray, cells: int) -> np.ndarray:
-    """The (m,) array of values(chunk) over chunks of whole points of
-    the batch, ``cells`` cells a point, at most CHUNK_CELLS cells a chunk
-    but never one point of a larger batch: one point takes BLAS's
+
+def _chunked(values, points: np.ndarray, cells: int, bound: int | None = None) -> np.ndarray:
+    """The (m,) array of values(chunk) over chunks of whole points of the
+    batch, ``cells`` cells a point, at most ``bound`` (CHUNK_CELLS) cells a
+    chunk but never one point of a larger batch: one point takes BLAS's
     matrix-vector product, whose last bits can differ from the
     matrix-matrix product of a larger chunk."""
     out = np.empty(len(points), dtype=complex)
-    step = max(2, CHUNK_CELLS // max(cells, 1))
+    step = max(2, (CHUNK_CELLS if bound is None else bound) // max(cells, 1))
     starts = range(0, max(len(points) - 1, 1), step)
     for start, stop in zip(starts, [*starts[1:], len(points)]):
         out[start:stop] = values(points[start:stop])
@@ -170,8 +179,9 @@ def _tables(key: tuple) -> tuple:
     Where one point expands, both are None, so a label evaluated only
     expanded never builds rows.  S and E read the C entry's rows: S, and E
     on a chamber wall, where every point lies in the even orbit, share them
-    (their break-even is C's), and a generic E sums those of sign +1 (it
-    takes the table only where C does too, at every rank).  On a chamber
+    (S, priced below C, and the wall E, priced as C, take the table only
+    where C does), and a generic E sums those of sign +1 (it takes the
+    table only where C does too, at every rank).  On a chamber
     wall S carries the orbit's signs (``weyl.orbit(dom).signs``), although
     ``eval_s`` never sums it there.
     """
@@ -232,59 +242,72 @@ def _finite(values, x: np.ndarray):
 # Column expansion of large orbits.  An orbit point of the dominant dom is an
 # arrangement q of its suffix sums p, and <mu, x> = sum_k q_k y_k with
 # y = diff((0, x, 0)) for an alpha point, y = x - mean(x) for an e-point.
-# With v_1 > ... > v_d the distinct values of p and M[i, k] =
-# exp(2*pi*i v_i y_k), C sums prod_k M[q_k, k] over the distinct
-# arrangements q: the permanent of exp(2*pi*i p_j y_k) over the stabilizer
-# order.  Filling the columns k = 0, 1, ... in turn, the partial sums depend
-# only on how many copies u_i of each value are placed,
-#     dp[u] = sum_i dp[u - e_i] * M[i, |u| - 1],
-# so each distinct arrangement is counted once: d*m exponentials and at most
-# 2^m * m products a point.  For a strictly dominant dom M is the square
-# matrix of the alternant, so S is its determinant and E = (C + S)/2.
+# With v_1 > ... > v_d the distinct values of p, c_i copies of v_i, and
+# M[k, i] = exp(2*pi*i v_i y_k), C is the permanent of the m x m matrix
+# A[j, k] = exp(2*pi*i p_j y_k), m = n+1, over the stabilizer order prod c_i!.
+# Glynn: perm A = 2^(1-m) sum_delta (prod_j delta_j) prod_k sum_j delta_j A[j, k]
+# over delta in {-1, 1}^m, delta_1 = 1.  Equal rows enter only through the
+# number t_i of the c_i signs of v_i that are -1 (group 1 holds delta_1), so
+#     C = sum_t w(t) prod_k sum_i (c_i - 2 t_i) M[k, i],
+#     w(t) = (-1)^(sum t) C(c_1 - 1, t_1) prod_{i>=2} C(c_i, t_i) / (2^(m-1) prod c_i!),
+# over T = c_1 prod_{i>=2} (c_i + 1) <= 2^(m-1) sign counts t.  For a strictly
+# dominant dom M is the alternant's matrix: S is its determinant, E = (C + S)/2.
 
 #: The per-call cost model that picks a label's path, in table rows.  A call
 #: at m points sums m * |rows| table rows; the expansion costs about
-#: ``EXPANSION_BASE_ROWS`` rows (an exponential matrix and a gather and
-#: matmul per column, for the first point) plus one row per
-#: ``PRODUCTS_PER_ROW`` of its products at each point and one row per
-#: exponential, d*(n+1), at each point after the first.  Timed single-point
-#: calls at ranks 5-8 break even between 720 and 1 260 rows, so no label of
-#: rank <= 5 (720 rows at most) expands at one point; timed batches of 16
-#: points already favour the expansion at 120 rows (rank 4, generic).
-#: Orbits of at most ``TABLE_FLOOR_ROWS`` rows (every label of rank <= 3)
-#: stay on the table at every batch size: large batches there run at most
-#: ~1.5x faster expanded, and the table gives ``ExpSum.evaluate``'s bits.
-EXPANSION_BASE_ROWS = 800
-PRODUCTS_PER_ROW = 8
+#: ``EXPANSION_BASE_ROWS`` rows (for the first point) plus one row per
+#: ``PRODUCTS_PER_ROW`` of its kernel's products at each point and one row
+#: per exponential, d*(n+1), at each point after the first.  Timed with
+#: ``scripts/path_scan.py``, a first point costs 300-600 rows at ranks 4-8,
+#: but the base is 6! = 720, the largest rank-5 orbit, so that no label of
+#: rank <= 5 expands at one point (and keeps ``ExpSum.evaluate``'s bits);
+#: every generic label of rank >= 6 does.  Batches of 400 points put
+#: 115-170 of Glynn's products at one row.  Orbits of at most
+#: ``TABLE_FLOOR_ROWS`` rows (every label of rank <= 3) stay on the table at
+#: every batch size: expanded, large batches there run at most ~1.5x faster.
+EXPANSION_BASE_ROWS = 720
+PRODUCTS_PER_ROW = 128
 TABLE_FLOOR_ROWS = 24
 
 
 @lru_cache(maxsize=None)
-def _column_plan(counts: tuple[int, ...]) -> tuple[tuple, int]:
-    """(steps, work) of the column expansion of a multiset whose distinct
-    values, in descending order, occur counts[i] times.
+def _glynn_plan(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, weights) of Glynn's formula for m = sum(counts) <= 9 rows in
+    groups of counts[i] equal rows: signs[i, t] = c_i - 2 t_i and w(t) over
+    the T sign counts t, read-only and complex (a product takes no cast),
+    shared by every permanent of the pattern.  At m = 0 one term weighs 1."""
+    m = sum(counts)
+    if m > 9:
+        raise ValueError(f"permanent limited to order 9, got {m}")
+    terms = list(itertools.product(*(range(c + (i > 0)) for i, c in enumerate(counts))))
+    scale = 2 ** max(m - 1, 0) * prod(map(factorial, counts))
+    signs = np.array([[c - 2 * t[i] for t in terms] for i, c in enumerate(counts)],
+                     complex).reshape(len(counts), len(terms))
+    weights = np.array([(-1) ** sum(t) * prod(comb(c - (i == 0), k) for i, (c, k)
+                                              in enumerate(zip(counts, t))) / scale
+                        for t in terms], complex)
+    for shared in (signs, weights):
+        shared.flags.writeable = False
+    return signs, weights
 
-    The states u <= counts are numbered by level |u| (the columns filled),
-    the empty state first and the full one last.  A step (start, stop,
-    pred) fills one level: pred[s, i] numbers the predecessor u - e_i of
-    state start + s, or is -1 (a row kept zero) where u_i = 0.  ``work``
-    counts the products of all steps.
-    """
-    d, size = len(counts), prod(c + 1 for c in counts)
-    u = np.indices([c + 1 for c in counts]).reshape(d, size).T  # mixed radix, last fastest
-    stride = np.cumprod([1] + [c + 1 for c in counts[:0:-1]])[::-1]
-    level = u.sum(axis=1)
-    order = np.argsort(level, kind="stable")
-    number = np.empty_like(order)
-    number[order] = np.arange(size)
-    pred = np.where(u > 0, number[(np.arange(size)[:, None] - stride) % size], -1)
-    bounds = np.searchsorted(level[order], np.arange(sum(counts) + 2))
-    steps = []
-    for start, stop in zip(bounds[1:-1], bounds[2:]):
-        rows = pred[order[start:stop]]
-        rows.flags.writeable = False
-        steps.append((int(start), int(stop), rows))
-    return tuple(steps), d * (size - 1)
+
+def _glynn(mat: np.ndarray, plan: tuple, cells: np.ndarray | None = None):
+    """sum_t w(t) prod_k (M s)[k, t] under ``_glynn_plan`` plan for the
+    (m, d) matrix M[k, i], or each of a stack, whose row sums are one matrix
+    product, written with their column products into ``cells``, (m + 1) * T
+    a matrix (None allocates them)."""
+    signs, weights = plan
+    if mat.ndim == 2:  # one matrix: numpy's own few cells, in the fewest calls
+        return np.multiply.reduce(mat @ signs, axis=0) @ weights
+    stack, (m, d), terms = mat.shape[:-2], mat.shape[-2:], len(weights)
+    count = prod(stack)
+    rows = count * m
+    if cells is None:
+        cells = np.empty((rows + count) * terms, dtype=complex)
+    sums = np.matmul(mat.reshape(rows, d), signs, out=cells[:rows * terms].reshape(rows, terms))
+    prods = cells[rows * terms:(rows + count) * terms].reshape(stack + (terms,))
+    np.multiply.reduce(sums.reshape(stack + (m, terms)), axis=-2, out=prods)
+    return prods @ weights
 
 
 @lru_cache(maxsize=4096)
@@ -298,18 +321,19 @@ def _costs(dom: tuple[int, ...], kind: str) -> tuple:
     d*(n+1) exponentials a point.  break-even is the fewest points from which
     the expansion is cheaper, m * rows > EXPANSION_BASE_ROWS + m * per-point
     + (m - 1) * exponentials, solved in integers; inf where it never is, as
-    for every orbit of at most ``TABLE_FLOOR_ROWS`` rows.  The products are
-    counted from the value multiplicities, so no plan is built for a label
-    that stays on the table.  Every kind is priced by C's products: the
-    determinant that S takes instead, and a generic E besides, is one LU of
-    about m^3/3 products, fewer than the m * (2^m - 1) of the expansion.
+    for every orbit of at most ``TABLE_FLOOR_ROWS`` rows.  C (and E on a
+    wall) pays Glynn's (n+1) * T * (d + 1) products, counted from the
+    multiplicities without a plan, S one LU of (n+1)^3 / 3, a generic E both.
     """
     values, counts = weyl.value_counts(dom)
-    rows = weyl.orbit_size(dom) // (2 if kind == "E" and max(counts) == 1 else 1)
+    generic = max(counts) == 1
+    rows = weyl.orbit_size(dom) // (2 if kind == "E" and generic else 1)
     if rows <= TABLE_FLOOR_ROWS:
         return inf, rows, inf, 0
-    work = len(values) * (prod(c + 1 for c in counts) - 1)
-    exponentials = len(values) * (len(dom) + 1)
+    m = len(dom) + 1
+    glynn, lu = m * (len(values) + 1) * counts[0] * prod(c + 1 for c in counts[1:]), m ** 3 // 3
+    work = lu if kind == "S" else glynn + lu if kind == "E" and generic else glynn
+    exponentials = len(values) * m
     slope = PRODUCTS_PER_ROW * (rows - exponentials) - work
     offset = PRODUCTS_PER_ROW * (EXPANSION_BASE_ROWS - exponentials)
     break_even = max(1, offset // slope + 1) if slope > 0 else inf
@@ -319,10 +343,10 @@ def _costs(dom: tuple[int, ...], kind: str) -> tuple:
 @lru_cache(maxsize=4096)
 def _expansion(dom: tuple[int, ...]):
     """(values, plan) of the column expansion of a dominant dom: its
-    distinct suffix-sum values, descending, and ``_column_plan`` of their
+    distinct suffix-sum values, descending, and ``_glynn_plan`` of their
     multiplicities."""
     values, counts = weyl.value_counts(dom)
-    return np.array(values, dtype=float), _column_plan(counts)
+    return np.array(values, dtype=float), _glynn_plan(counts)
 
 
 def _columns(x: np.ndarray, basis: str) -> np.ndarray:
@@ -336,35 +360,27 @@ def _columns(x: np.ndarray, basis: str) -> np.ndarray:
 
 
 def _expand(values: np.ndarray, plan: tuple, kind: str, y: np.ndarray) -> np.ndarray:
-    """C at the column coordinates y, or for a strictly dominant label the
-    determinant S (kind "S") or (C + S)/2 (kind "E"): a scalar for one
-    point, (m,) for a batch (in ``_chunked``)."""
-    steps, _ = plan
-    states = steps[-1][1] + 1  # the last state stays 0
-    width = y.shape[-1] * len(values)  # the cells of one point's matrix
+    """Glynn's sum (kind "C") of exp(2*pi*i y_k v_i) under plan, or of a
+    square matrix its determinant (kind "S") or the mean of both (kind
+    "E"), at the column coordinates y: a scalar for one point, (m,) for a
+    batch, whose chunks write their cells into the thread's scratch."""
+    d = len(values)
+    cells = y.shape[-1] * (d + len(plan[1])) + len(plan[1])  # a point's matrix, row sums, products
 
-    def sums(y):
-        shape = y.shape[:-1]
-        m = prod(shape)
-        work = _workspace(m * (width + states))
-        # mat[..., k, i, 0] = M[i, k]: each column a (d, 1) matrix for matmul.
-        mat = work[:m * width].reshape(shape + (y.shape[-1], len(values), 1))
-        np.multiply(y[..., None, None], values[:, None], out=mat)
-        np.multiply(2j * np.pi, mat, out=mat)
+    def sums(y, work=None):
+        mat = np.multiply(y[..., None], values,  # mat[..., k, i] = M[k, i]
+                          out=None if work is None else work[:y.size * d].reshape(y.shape + (d,)))
+        mat = np.multiply(2j * np.pi, mat, out=None if work is None else mat)
         np.exp(mat, out=mat)
         if kind == "S":
-            return np.linalg.det(mat[..., 0])
-        dp = work[m * width:m * (width + states)].reshape(shape + (states,))
-        dp.fill(0)
-        dp[..., 0] = 1
-        for k, (start, stop, pred) in enumerate(steps):
-            np.matmul(dp.take(pred, axis=-1), mat[..., k, :, :], out=dp[..., start:stop, None])
-        # A view of the scratch: ``_chunked`` copies it into its output and
-        # ``_finite`` reads one point into a complex.
-        c = dp[..., -2]
-        return c if kind == "C" else (c + np.linalg.det(mat[..., 0])) / 2
+            return np.linalg.det(mat)
+        c = _glynn(mat, plan, None if work is None else work[y.size * d:])
+        return c if kind == "C" else (c + np.linalg.det(mat)) / 2
 
-    return sums(y) if y.ndim == 1 else _chunked(sums, y, states * len(values))
+    if y.ndim == 1:
+        return sums(y)
+    return _chunked(lambda chunk: sums(chunk, _workspace(len(chunk) * cells)), y, cells,
+                    min(CHUNK_CELLS, SCRATCH_CELLS))
 
 
 #: Each thread's scratch cells for ``_expand`` (``_workspace``).
@@ -375,8 +391,7 @@ def _workspace(size: int) -> np.ndarray:
     """This thread's scratch of at least ``size`` complex cells, reused by
     every chunk of every expansion so that chunks write the same pages
     (allocated afresh they took new ones: 1.8 M page faults, ~30 % of the
-    rank-5 ortho quadrature's CPU on x86-64 glibc); under 1.5 ``CHUNK_CELLS``
-    cells, as (n+1)d + s < 1.5 s*d for d >= 2 values and s >= n+2 states."""
+    rank-5 ortho quadrature's CPU on x86-64 glibc)."""
     work = getattr(_WORK, "cells", None)
     if work is None or len(work) < size:
         work = _WORK.cells = np.empty(size, dtype=complex)
@@ -445,37 +460,15 @@ def eval_e(lam: Sequence[int], x, basis: str = "alpha") -> complex | np.ndarray:
 
 def permanent(a: np.ndarray) -> complex | np.ndarray:
     """Permanent of a square matrix, or of each matrix of an (..., m, m)
-    stack, by Ryser inclusion-exclusion; m <= 9.
-
-    The row sums over every nonempty column subset are one product with the
-    (m, 2^m - 1) 0/1 mask matrix; their product over the rows is summed with
-    sign (-1)^(m - |subset|).  A 0 x 0 matrix has permanent 1.
-    """
+    stack, m <= 9, by Glynn's formula (``_glynn``) with every row its own
+    group: one product with the cached (m, 2^(m-1)) sign matrix gives the
+    row sums.  A 0 x 0 matrix has permanent 1."""
     a = np.asarray(a)
     m = a.shape[-1] if a.ndim else 0
     if a.ndim < 2 or a.shape[-2] != m:
         raise ValueError("permanent requires a square matrix")
-    masks, signs = _ryser(m)
-    total = (a @ masks).prod(axis=-2) @ signs
+    total = _glynn(np.swapaxes(a, -1, -2), _glynn_plan((1,) * m))
     return complex(total) if total.ndim == 0 else total
-
-
-@lru_cache(maxsize=None)
-def _ryser(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, signs) of Ryser's formula at order m <= 9, read-only: the 0/1
-    matrix of the column subsets, one column each, and their signs.
-
-    The empty subset's term is the product of m zero row sums, 0 for m >= 1,
-    so it is left out there; at m = 0 it is the empty product 1, and it is
-    the only subset.
-    """
-    if m > 9:
-        raise ValueError(f"permanent limited to order 9, got {m}")
-    masks = (np.arange(1 if m else 0, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
-    signs = (-1.0) ** (m - masks.sum(axis=0))
-    for shared in (masks, signs):
-        shared.flags.writeable = False
-    return masks, signs
 
 
 @lru_cache(maxsize=None)
@@ -519,10 +512,12 @@ def d_plus(l: Sequence[float], x) -> complex | np.ndarray:
     """Symmetric form: permanent of exp(2*pi*i l_j x_k).
 
     Equals the full group sum, hence (|W|/|W_lam|) times the C-function of
-    the same weight.  A point's Ryser row sums take m * 2^m cells.
+    the same weight.  A point's Glynn row sums and their products take
+    (m + 1) * 2^(m-1) cells besides its m^2 matrix.
     """
     l, x = _check_e_inputs(l, x)
-    return _matrix_form(permanent, l, x, len(l) << len(l))
+    m = len(l)
+    return _matrix_form(permanent, l, x, m * m + (m + 1) * 2 ** (m - 1))
 
 
 def d_minus(l: Sequence[float], x) -> complex | np.ndarray:

@@ -7,6 +7,8 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from orbitpoly.exp_ring import ExpSum
 from orbitpoly.lie import check_rank, suffix_sums
 
@@ -26,6 +28,22 @@ def signed_permutations(items: tuple) -> Iterator[tuple[tuple, int]]:
         for pos in range(len(sub) + 1):
             sign = s if pos % 2 == 0 else -s
             yield sub[:pos] + (head,) + sub[pos:], sign
+
+
+def ryser_permanent(a: np.ndarray) -> complex | np.ndarray:
+    """Permanent of a square matrix, or of each matrix of an (..., m, m)
+    stack, by Ryser's inclusion-exclusion: the row sums over every nonempty
+    column subset are one product with the (m, 2^m - 1) 0/1 mask matrix,
+    and their products over the rows are summed with sign
+    (-1)^(m - |subset|).  The empty subset's term is the product of m zero
+    row sums, 0 for m >= 1; at m = 0 it is the empty product 1, and it is
+    the only subset.  The oracle of Glynn's ``orbit_functions.permanent``
+    and of the column expansion.
+    """
+    a = np.asarray(a)
+    m = a.shape[-1]
+    masks = (np.arange(1 if m else 0, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
+    return (a @ masks).prod(axis=-2) @ (-1.0) ** (m - masks.sum(axis=0))
 
 
 def alpha_to_e_point(x: Sequence[float]) -> tuple[float, ...]:

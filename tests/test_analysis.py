@@ -783,8 +783,8 @@ class TestSuiteRunners:
 
     def test_detforms_memory_estimate(self, monkeypatch):
         # A label's batch of P points holds at most one chunk, never its
-        # P * (n+1)!/2 alternating-form terms or the permanent's Ryser row
-        # sums over the 2^m - 1 column subsets (m = n+1), plus per point an
+        # P * (n+1)!/2 alternating-form terms or the permanent's Glynn row
+        # sums under the 2^(m-1) sign vectors (m = n+1), plus per point an
         # m^2 complex allowance and a few per-point results.
         monkeypatch.setattr(of, "CHUNK_CELLS", 1 << 14)
         lam, m, count = (1, 2, 1, 1, 1, 1), 7, 400

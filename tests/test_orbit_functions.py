@@ -6,7 +6,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
-from math import cos, factorial, inf, pi, sin
+from math import cos, factorial, inf, pi, prod, sin
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ import hypothesis.strategies as st
 from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, strict_weights
-from oracles import alpha_to_e_point, omega_to_e, omega_to_e_matrix, signed_permutations
+from oracles import (alpha_to_e_point, omega_to_e, omega_to_e_matrix, ryser_permanent,
+                     signed_permutations)
 
 RNG = np.random.default_rng(20259)
 
@@ -369,6 +370,17 @@ def expands(dom, kind, points=1):
 EVALUATORS = {"C": of.eval_c, "S": of.eval_s, "E": of.eval_e}
 
 
+def kernel_products(lam, kind) -> int:
+    """The products the expansion of kind runs a point, counted from the
+    label's Glynn plan: (n+1) * T * (d + 1) for C and for E on a chamber
+    wall, one LU of (n+1)^3 / 3 for S, both for a generic E."""
+    p = lie.suffix_sums(lam)
+    distinct = sorted(set(p), reverse=True)
+    terms = len(of._glynn_plan(tuple(map(p.count, distinct)))[1])
+    glynn, lu = len(p) * terms * (len(distinct) + 1), len(p) ** 3 // 3
+    return {"C": glynn, "S": lu}.get(kind, glynn + lu if len(distinct) == len(p) else glynn)
+
+
 def labels_of_rank(low, high, max_coord=2):
     """Dominant labels of rank low..high, about half of them strictly
     dominant and half drawn with chamber walls allowed."""
@@ -405,6 +417,36 @@ class TestColumnExpansion:
     def test_forced_on_every_label_matches_exp_sum(self, lam):
         with every_label_expands():
             assert_matches_exp_sum(lam, np.random.default_rng(sum(lam)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_multiplicity_pattern_matches_exp_sum(self, n):
+        # The {0, 1}^n labels hold every multiplicity pattern of rank n
+        # once, so Glynn's sum runs with every grouping of equal rows.
+        rng = np.random.default_rng(n)
+        with every_label_expands():
+            for lam in itertools.product((0, 1), repeat=n):
+                assert_matches_exp_sum(lam, rng)
+
+    def test_every_rank_eight_pattern_matches_ryser(self):
+        # exp_sum would build 7.1 M orbit points over the 256 patterns of
+        # rank 8; Ryser's permanent of exp(2*pi*i p_j y_k) over the
+        # stabilizer order is C, the LU determinant S.
+        rng = np.random.default_rng(8)
+        with every_label_expands():
+            for lam in itertools.product((0, 1), repeat=8):
+                x = rng.random((3, 8)) * 4 - 2
+                y = np.diff(x, prepend=0, append=0)  # the column coordinates
+                p = np.array(lie.suffix_sums(lam), dtype=float)
+                a = np.exp(2j * np.pi * p[:, None] * y[:, None, :])
+                want = {"C": ryser_permanent(a) / weyl.stabilizer_order(lam)}
+                want["E"] = want["C"]
+                if all(lam):
+                    want["S"] = np.linalg.det(a)
+                    want["E"] = (want["C"] + want["S"]) / 2
+                size = weyl.orbit_size(lam)
+                for kind, values in want.items():
+                    assert np.abs(EVALUATORS[kind](lam, x) - values).max() <= 1e-12 * size
+                    assert abs(EVALUATORS[kind](lam, x[0]) - values[0]) <= 1e-12 * size
 
     @given(labels_of_rank(6, 7))
     @settings(max_examples=25, deadline=None)
@@ -485,16 +527,14 @@ class TestColumnExpansion:
 
     def test_one_point_chooses_as_the_label_alone_did(self):
         # The single-point rule before batches counted: the table up to
-        # EXPANSION_BASE_ROWS rows and up to that plus the products / 8.
+        # EXPANSION_BASE_ROWS rows and up to that plus the products / 128.
         def by_label(lam, kind):
             p = lie.suffix_sums(lam)
-            distinct = sorted(set(p), reverse=True)
-            generic = len(distinct) == len(p)
+            generic = len(set(p)) == len(p)
             rows = weyl.orbit_size(lam) // (2 if kind == "E" and generic else 1)
-            if rows <= 800:
+            if rows <= 720:
                 return False
-            work = of._column_plan(tuple(map(p.count, distinct)))[1]
-            return rows > 800 + work // 8
+            return rows > 720 + Fraction(kernel_products(lam, kind), 128)
 
         for n in range(1, 9):
             for lam in itertools.product((0, 1), repeat=n):
@@ -502,8 +542,8 @@ class TestColumnExpansion:
                     assert expands(lam, kind) == expands(lam, kind, 1) == by_label(lam, kind)
 
     def test_break_even_solves_the_cost_model(self):
-        # The products counted from the multiplicities are the plan's, and
-        # the cached break-even batch is where the two costs cross.
+        # The products counted from the multiplicities are the kernel's,
+        # and the cached break-even batch is where the two costs cross.
         for n in range(4, 8):
             for lam in itertools.product((0, 1), repeat=n):
                 for kind in ("C", "S", "E") if all(lam) else ("C", "E"):
@@ -511,9 +551,7 @@ class TestColumnExpansion:
                     if rows <= of.TABLE_FLOOR_ROWS:
                         assert not expands(lam, kind, 10 ** 6)
                         continue
-                    p = lie.suffix_sums(lam)
-                    distinct = sorted(set(p), reverse=True)
-                    work = of._column_plan(tuple(map(p.count, distinct)))[1]
+                    work = kernel_products(lam, kind)
                     assert per_point * of.PRODUCTS_PER_ROW == work
                     # The cost difference is linear in m: checking both sides
                     # of the cached break-even checks every m.
@@ -525,10 +563,11 @@ class TestColumnExpansion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generic_e_sums_a_table_only_where_c_does(self, n):
-        # A generic E's table entry masks the C entry's rows, so C must not
-        # expand at one point where E does not; the break-even of a generic
-        # label depends on its rank alone.
+        # A generic E's and S's table entries read the C entry's rows, so C
+        # must not expand at one point where E or S does not; the break-even
+        # of a generic label depends on its rank alone.
         assert expands((1,) * n, "E") or not expands((1,) * n, "C")
+        assert expands((1,) * n, "S") or not expands((1,) * n, "C")
 
     def test_no_label_of_rank_three_or_less_expands_at_any_batch(self):
         for n in range(1, 4):
@@ -647,17 +686,42 @@ class TestPermanent:
         assert isinstance(of.permanent(np.zeros((0, 0))), complex)
         assert of.permanent(np.zeros((2, 3, 0, 0))).tolist() == [[1, 1, 1], [1, 1, 1]]
 
-    @pytest.mark.parametrize("m", range(1, 10))
-    def test_cached_masks_are_read_only_and_fresh(self, m):
-        masks, signs = of._ryser(m)
-        fresh = (np.arange(1, 1 << m) >> np.arange(m)[:, None] & 1).astype(float)
-        assert not masks.flags.writeable and not signs.flags.writeable
-        assert masks.dtype == fresh.dtype and masks.shape == fresh.shape == (m, 2 ** m - 1)
-        assert masks.tobytes() == fresh.tobytes()
-        assert signs.tobytes() == ((-1.0) ** (m - fresh.sum(axis=0))).tobytes()
-        assert of._ryser(m)[0] is masks
+    @pytest.mark.parametrize("m", range(10))
+    def test_matches_ryser_and_naive_on_complex_stacks(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(2, 3, m, m)) + 1j * rng.normal(size=(2, 3, m, m))
+        values, want = of.permanent(a), ryser_permanent(a)
+        assert values.shape == (2, 3)
+        assert np.abs(values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert of.permanent(a[1, 2]) == pytest.approx(permanent_naive(a[1, 2]), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("counts", [(), (1,), (3,), (1, 1, 1), (3, 1, 2), (2, 1, 1, 3, 1, 1),
+                                        (1,) * 9])
+    def test_cached_plan_is_read_only_and_shared(self, counts):
+        signs, weights = of._glynn_plan(counts)
+        terms = counts[0] * prod(c + 1 for c in counts[1:]) if counts else 1
+        assert signs.shape == (len(counts), terms) and weights.shape == (terms,)
+        assert signs.dtype == weights.dtype == complex
+        assert not signs.flags.writeable and not weights.flags.writeable
+        assert of._glynn_plan(counts)[0] is signs and of._glynn_plan(counts)[1] is weights
         with pytest.raises(ValueError):
-            masks[0, 0] = 2.0
+            weights[0] = 2.0
+        # With every entry 1, Glynn's sum counts the distinct arrangements.
+        m = sum(counts)
+        assert weights @ signs.sum(axis=0) ** m == pytest.approx(
+            factorial(m) // prod(map(factorial, counts)))
+
+    def test_expansion_d_plus_and_permanent_share_one_plan(self, monkeypatch):
+        plans = []
+        glynn = of._glynn
+        monkeypatch.setattr(of, "_glynn", lambda mat, plan, cells=None: (
+            plans.append(plan), glynn(mat, plan, cells))[1])
+        of.eval_c((1,) * 6, RNG.random(6))
+        of.eval_e((2, 1, 3, 1, 1, 2), RNG.random((3, 6)))
+        of.d_plus(np.array([float(v) for v in omega_to_e((0, 2, 0, 0, 1, 0))]), e_point(RNG, 6))
+        of.permanent(np.ones((7, 7)))
+        assert len(plans) == 4 and all(plan is of._glynn_plan((1,) * 7) for plan in plans)
+        assert of._expansion((1,) * 6)[1] is of._glynn_plan((1,) * 7)
 
 
 class TestExponentialForms:
@@ -830,19 +894,21 @@ STEP = 3
 
 def chunk_cases():
     """(name, evaluate a batch, cells a point of that batch): the table
-    path, the column expansion, the three forms and ExpSum.evaluate."""
+    path, the column expansion (a point's matrix, Glynn row sums and their
+    products), the three forms and ExpSum.evaluate."""
     table_lam, wide_lam = (1, 2, 1), (1, 2, 1, 1, 3, 1)
-    values, (steps, _) = of._expansion(wide_lam)
-    expanded = (steps[-1][1] + 1) * len(values)
+    values, (_, weights) = of._expansion(wide_lam)
+    expanded = 7 * (len(values) + len(weights)) + len(weights)  # matrix, row sums, products
     l = np.array([float(v) for v in omega_to_e((2, 1, 3, 1))])
     s = exp_sum((2, 1, 3), "E")
     return [
         ("table C", lambda x: of.eval_c(table_lam, x[:, :3]), len(table(table_lam, "C", "alpha")[0])),
         ("table E, e basis", lambda x: of.eval_e(table_lam, x[:, :4], basis="e"),
          len(table(table_lam, "E", "e")[0])),
+        ("expansion C", lambda x: of.eval_c(wide_lam, x[:, :6]), expanded),
         ("expansion S", lambda x: of.eval_s(wide_lam, x[:, :6]), expanded),
         ("expansion E", lambda x: of.eval_e(wide_lam, x[:, :6]), expanded),
-        ("d_plus", lambda x: of.d_plus(l, x[:, :5]), 5 << 5),
+        ("d_plus", lambda x: of.d_plus(l, x[:, :5]), 5 * 5 + 6 * 2 ** 4),
         ("d_minus", lambda x: of.d_minus(l, x[:, :5]), 5 * 5),
         ("d_alt", lambda x: of.d_alt(l, x[:, :5]), factorial(5) // 2),
         ("ExpSum.evaluate", lambda x: s.evaluate(x[:, :3]), len(s.terms)),
@@ -926,3 +992,20 @@ class TestBoundedTransients:
         out, peak = self.peak(lambda: of.eval_c(lam, x))
         columns = x.shape[0] * (x.shape[1] + 1) * 8
         assert peak - out.nbytes - columns <= 32 * of.CHUNK_CELLS
+
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_d_plus_holds_glynn_row_sums(self, m):
+        # A point takes m * 2^(m-1) Glynn row sums and their 2^(m-1)
+        # products over the columns, half of Ryser's (m + 1)(2^m - 1) row
+        # sums and products, besides its m x m matrix, built through a
+        # complex temporary and copied once for the column-major product.
+        rng = np.random.default_rng(m)
+        lam = tuple(int(c) for c in rng.integers(1, 4, size=m - 1))
+        l = np.array([float(v) for v in omega_to_e(lam)])
+        points = 12  # one chunk: 12 * 2 641 cells at m = 9
+        x = np.array([e_point(rng, m - 1) for _ in range(points)])
+        of.d_plus(l, x[:2])  # the cached plan is not a transient
+        out, peak = self.peak(lambda: of.d_plus(l, x))
+        assert out.shape == (points,)
+        cells = m * 2 ** (m - 1) + 2 ** (m - 1) + 3 * m * m
+        assert peak <= 16 * points * cells + 4096
