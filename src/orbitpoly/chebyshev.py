@@ -297,8 +297,8 @@ class RecursionRelation(Frozen):
 def recursion_relation(j: int, a: Sequence[int]) -> RecursionRelation:
     a = lie.dominant_weight(a, "recursion")
     n = len(a)
-    if not 1 <= j <= n:
-        raise ValueError(f"fundamental index {j} out of range 1..{n}")
+    if not (type(j) is int and 1 <= j <= n):
+        raise ValueError(f"fundamental index must be an int in 1..{n}, got {j!r}")
     # X_j * C_a by the first kind's Pieri step, with lam = a + omega_j (the
     # one term of multiplicity 1 it leaves out) put at its graded-lex place.
     lam = tuple(c + (k == j - 1) for k, c in enumerate(a))

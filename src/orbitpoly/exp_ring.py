@@ -9,10 +9,10 @@ with one ``collections.Counter`` over the packed pair sums; W-invariant sums
 decompose uniquely into orbit sums (distinct orbits have disjoint
 supports), one a dominant term, each orbit's coefficients read and checked
 at C speed on points built outside the orbit cache; and the ring admits
-exact long division.
-Products of orbit sums and Weyl characters are computed on dominant weights
-alone (``orbit_product``, ``character``); the convolution, decomposition and
-division of whole sums are their independent oracles.
+exact long division.  Products of orbit sums (``orbit_product``, over the
+smaller label's suffix-sum arrangements, building no orbit) and Weyl
+characters (``character``) are computed on dominant weights alone; the
+convolution, decomposition and division of whole sums are their oracles.
 
 Coefficients are Python ints (arbitrary precision); convolution
 coefficients grow combinatorially and must never overflow silently.
@@ -452,11 +452,11 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     """Decomposition of the product C_a * C_b of two orbit sums.
 
     Stabilizer form of the product (Klimyk & Patera, SIGMA 2 (2006) 006):
-    C_a * C_b = (1/|W_b|) sum_{q in W a} |W_{dom(b+q)}| C_{dom(b+q)}, run
-    over the smaller of the two orbits, so no orbit of the product is
-    materialised.  dom(b+q) comes from sorting the integer suffix sums of
-    b + q.  The terms come in descending graded-lex order, as from
-    ``decompose_into_c`` applied to the convolution; callers print them as is.
+    C_a * C_b = (1/|W_b|) sum_{q in W a} |W_{dom(b+q)}| C_{dom(b+q)}, over
+    the smaller orbit, never built: q's suffix sums, up to a shift that the
+    sort for dom(b+q) ignores, are an arrangement (``weyl._arrangements``)
+    of a's distinct ones.  The terms come in descending graded-lex order, as
+    from ``decompose_into_c`` of the convolution; callers print them as is.
     """
     a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
     if len(a) != len(b):
@@ -464,13 +464,13 @@ def orbit_product(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
     stab_a, stab_b = weyl._stabilizer_order(a), weyl._stabilizer_order(b)
     if stab_a < stab_b:
         a, b, stab_b = b, a, stab_a
-    # Suffix sums in reversed position order (p_{n+1}, p_n, ..., p_1): the
-    # order is immaterial once sorted, as long as both summands share it.
-    base = (0, *itertools.accumulate(reversed(b)))
+    values, pattern = weyl.value_counts(a)
+    rows, width = weyl._arrangements(pattern)[0], len(a) + 1
+    columns = [weyl._column(rows[j::width], [s + v for v in values])
+               for j, s in enumerate(lie.suffix_sums(b))]
     counts: dict = {}
-    for q in weyl.orbit(a).points:
-        p = sorted(map(operator.add, base, (0, *itertools.accumulate(reversed(q)))),
-                   reverse=True)
+    for p in zip(*columns):
+        p = sorted(p, reverse=True)
         dom = tuple(map(operator.sub, p, p[1:]))
         counts[dom] = counts.get(dom, 0) + 1
     terms = {}

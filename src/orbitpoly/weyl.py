@@ -170,8 +170,8 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[bytes, bytes]:
     with the given positive counts: one flat ``bytes`` of indices, sum(counts)
     a row, in ascending lexicographic order, and one parity byte (0 even,
     1 odd) a row.  The one enumeration of orbit point order and signs: the
-    templates of ``weyl.orbit`` and the tables of ``orbit_functions`` both
-    read it.
+    templates of ``weyl.orbit``, the tables of ``orbit_functions`` and
+    ``exp_ring.orbit_product`` read it.
 
     The arrangements starting with index i are i followed by those of the
     counts less one i, so each block is filled by strided copies, one per

@@ -9,7 +9,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from orbitpoly.exp_ring import ExpSum
+from orbitpoly import lie, weyl
+from orbitpoly.exp_ring import ExpSum, OrbitDecomposition, grlex_key
 from orbitpoly.lie import check_rank, suffix_sums
 
 
@@ -122,6 +123,32 @@ def sparse_gram(sums: Sequence[ExpSum]) -> dict[tuple[int, int], int]:
             for j in held[k + 1:]:
                 gram[i, j] = gram.get((i, j), 0) + a * sums[j].terms[w]
     return {key: value for key, value in gram.items() if value}
+
+
+def orbit_product_by_points(a: Sequence[int], b: Sequence[int]) -> OrbitDecomposition:
+    """``exp_ring.orbit_product`` by a loop over the built points q of the
+    smaller orbit (``weyl.orbit``), each turned back into its suffix sums:
+    the oracle of the product's read of the arrangements, terms and key
+    order alike."""
+    a, b = lie.dominant_weight(a, "C"), lie.dominant_weight(b, "C")
+    stab_a, stab_b = weyl._stabilizer_order(a), weyl._stabilizer_order(b)
+    if stab_a < stab_b:
+        a, b, stab_b = b, a, stab_a
+    # Suffix sums in reversed position order (p_{n+1}, p_n, ..., p_1): the
+    # order is immaterial once sorted, as long as both summands share it.
+    base = (0, *itertools.accumulate(reversed(b)))
+    counts: dict = {}
+    for q in weyl.orbit(a).points:
+        p = sorted(map(operator.add, base, (0, *itertools.accumulate(reversed(q)))),
+                   reverse=True)
+        dom = tuple(map(operator.sub, p, p[1:]))
+        counts[dom] = counts.get(dom, 0) + 1
+    terms = {}
+    for dom in sorted(counts, key=grlex_key, reverse=True):
+        mult, rest = divmod(counts[dom] * weyl._stabilizer_order(dom), stab_b)
+        assert not rest, (dom, a, b)
+        terms[dom] = mult
+    return OrbitDecomposition(len(a), terms)
 
 
 def strictly_dominant_weights(n: int, coord_bound: int) -> list[tuple[int, ...]]:

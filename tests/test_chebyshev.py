@@ -634,6 +634,11 @@ class TestRecursionRelation:
         with pytest.raises(ValueError):
             ch.recursion_relation(3, (1, 1))
 
+    @pytest.mark.parametrize("j", [1.5, True, 1.0])
+    def test_index_must_be_an_int(self, j):
+        with pytest.raises(ValueError, match=r"must be an int in 1\.\.2, got"):
+            ch.recursion_relation(j, (1, 1))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_orbit_product_on_the_boxes(self, n):
         # Every (j, a) of the ranks 1-6 boxes: the terms and their order.

@@ -25,6 +25,7 @@ from orbitpoly.exp_ring import (
     orbit_product,
 )
 from conftest import dominant_weights
+from oracles import orbit_product_by_points
 
 
 def decompose_by_rescan(s):
@@ -489,6 +490,22 @@ class TestOrbitProduct:
         keys = list(got.terms)
         assert keys == list(want.terms)
         assert keys == sorted(keys, key=grlex_key, reverse=True)
+
+    @pytest.mark.parametrize("n, top", [(1, 5), (2, 3), (3, 2), (4, 1), (5, 1)])
+    def test_matches_the_loop_over_orbit_points_on_the_boxes(self, n, top):
+        labels = list(itertools.product(range(top + 1), repeat=n))
+        for a, b in itertools.product(labels, repeat=2):
+            got, want = orbit_product(a, b), orbit_product_by_points(a, b)
+            assert list(got.terms.items()) == list(want.terms.items()), (a, b)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_the_loop_over_orbit_points_with_a_fundamental_factor(self, n):
+        omegas = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        others = [(1,) * n, tuple(range(n)), tuple(k % 3 for k in range(n))]
+        for omega, other in itertools.product(omegas, omegas + others):
+            for a, b in [(omega, other), (other, omega)]:
+                got, want = orbit_product(a, b), orbit_product_by_points(a, b)
+                assert list(got.terms.items()) == list(want.terms.items()), (a, b)
 
     def test_large_rank5_product(self):
         dec = orbit_product((1, 1, 1, 1, 1), (1, 2, 1, 2, 1))

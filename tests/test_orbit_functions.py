@@ -10,10 +10,11 @@ from math import cos, factorial, inf, pi, prod, sin
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orbitpoly import exp_ring, lie, orbit_functions as of, weyl
+from orbitpoly import cli, exp_ring, lie, orbit_functions as of, weyl
 from orbitpoly.exp_ring import exp_sum
 from conftest import dominant_weights, forced_break_even, strict_weights
 from oracles import (alpha_to_e_point, omega_to_e, omega_to_e_matrix, ryser_permanent,
@@ -331,6 +332,19 @@ class TestOrbitTables:
         # The rank-7 labels expand: only the rank-6 ones hold table rows.
         assert {dom for (dom, _, _), (weights, _) in tables.entries.items()
                 if weights is not None} <= {(1, 2, 1, 1, 3, 1), (2, 0, 1, 1, 0, 3)}
+
+    def test_products_build_no_orbit(self):
+        before = weyl.orbit.cache_info()
+        for n in range(1, 9):
+            # At rank 8 the smaller orbit, (0,1,0,1,0,1,0,1)'s, has 22 680 points.
+            a, b = tuple(1 + i % 2 for i in range(n)), tuple(i % 2 for i in range(n))
+            for x, y in [(a, b), (b, a), (b, b)]:
+                exp_ring.orbit_product(x, y)
+        result = CliRunner().invoke(cli.main, ["decompose", "-a", "2,1,2,1", "-b", "0,1,0,1"])
+        assert result.exit_code == 0 and "C_(2, 2, 2, 2)" in result.output
+        after = weyl.orbit.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize)
 
     def test_cache_holds_at_most_its_bound(self):
         assert of.TABLE_ROW_BOUND >= 5 * factorial(9) // 2 + 3 * of.TABLE_ENTRY_ROWS

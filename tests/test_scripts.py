@@ -1,7 +1,10 @@
-"""The command-line scripts under scripts/: bounds and output files."""
+"""The command-line scripts under scripts/: bounds, output files and exit statuses."""
 import importlib.util
 import json
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -98,3 +101,14 @@ class TestStartupScan:
             ["interpreter", "51.0"], ["numpy", "90.0"], ["click", "10.0"], ["package", "20.0"],
             ["command", "3.0"], ["teardown", "20.0"], ["total", "194.0"],
             ["python -m orbitpoly.cli", "173.0"]]
+
+
+class TestPeak:
+    @pytest.mark.parametrize("status", [0, 3])
+    def test_status_passes_through_and_one_line_goes_to_stderr(self, status):
+        child = f"import sys; print('out'); sys.exit({status})"
+        done = subprocess.run([sys.executable, str(SCRIPTS / "peak.py"), sys.executable, "-c", child],
+                              capture_output=True, text=True)
+        assert done.returncode == status
+        assert done.stdout == "out\n"
+        assert re.fullmatch(r"peak RSS \d+ MiB, CPU \d+\.\d s\n", done.stderr)
